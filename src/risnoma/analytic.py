@@ -9,6 +9,8 @@ width is exactly one -- so every "average" below is one CDF call.
 
 Provides:
     SinrKind           -- which decoding step's SINR, plus the doubled flag
+    QuadratureRule     -- Gauss-Chebyshev nodes and weights of one order
+    chebyshev_rule     -- the cached Gauss-Chebyshev rule of a given order
     effective_gain_cdf -- CDF of T/Z/W at a point
     sinr_cdf           -- CDF of the step's SINR (threshold-mapped)
     avg_psi            -- average linearized BLER of one decoding step
@@ -19,12 +21,15 @@ Provides:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import gammainc, gammaln
+
 from .channel import GammaFit, SystemConfig, gamma_fit
 from .fbl import CodeSpec, linearization_params
-from .numerics import chebyshev_rule, reg_lower_inc_gamma, stable_exp_combine
 
 __all__ = [
     "SinrKind",
@@ -32,6 +37,8 @@ __all__ = [
     "CE",
     "E1",
     "E2",
+    "QuadratureRule",
+    "chebyshev_rule",
     "effective_gain_cdf",
     "sinr_cdf",
     "avg_psi",
@@ -66,15 +73,37 @@ CE = SinrKind("ce")
 E1 = SinrKind("e1")
 E2 = SinrKind("e2")
 
-_rule_cache: dict[int, object] = {}
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Chebyshev rule of the first kind on (-1, 1).
+
+    nodes[u] = cos((2u-1)pi/(2U)) for u = 1..U (strictly decreasing) and
+    weights[u] = (pi/U)*sqrt(1 - nodes[u]^2), so that
+    sum(weights * f(nodes)) approximates the plain integral of f over (-1, 1).
+    The arrays are read-only because every caller shares the cached rule.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    order: int
 
 
-def _cached_rule(order: int):
-    rule = _rule_cache.get(order)
-    if rule is None:
-        rule = chebyshev_rule(order)
-        _rule_cache[order] = rule
-    return rule
+@functools.cache
+def chebyshev_rule(order: int) -> QuadratureRule:
+    """Gauss-Chebyshev quadrature rule of the given order on (-1, 1).
+
+    The sqrt(1-x^2) weight function is folded into the returned weights, so
+    sum(weights * f(nodes)) targets the unweighted integral of f.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    u = np.arange(1, order + 1, dtype=np.float64)
+    nodes = np.cos((2.0 * u - 1.0) * np.pi / (2.0 * order))
+    weights = (np.pi / order) * np.sqrt(1.0 - nodes * nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
 def effective_gain_cdf(
@@ -88,9 +117,10 @@ def effective_gain_cdf(
 
     Evaluates the regularized-incomplete-gamma head minus a Gauss-Chebyshev
     correction sum over transformed nodes zeta_u = (sqrt(t)/(2 eta))(xi_u+1).
-    Every term of the correction is assembled in the exponent domain via
-    stable_exp_combine (the combined exponent is <= 0 by construction), so
-    deep-tail evaluations neither overflow nor lose sign structure.
+    Each correction term is a product of factors that can over- or
+    underflow on their own, so its logarithm is summed first and
+    exponentiated once; the combined exponent is <= 0 by construction, and
+    deep-tail evaluations stay finite and positive.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -102,51 +132,34 @@ def effective_gain_cdf(
         return 0.0
 
     sqrt_t = math.sqrt(t)
-    head = reg_lower_inc_gamma(fit.kappa + 1.0, sqrt_t / (eta * fit.b))
+    shape = fit.kappa + 1.0
+    head = gammainc(shape, sqrt_t / (eta * fit.b))
 
-    ln_front = math.log(sqrt_t / (2.0 * eta))
-    ln_b = math.log(fit.b)
-    lg = math.lgamma(fit.kappa + 1.0)
-    rule = _cached_rule(quad_order)
-
-    corr = 0.0
-    for xi, w in zip(rule.nodes, rule.weights):
-        zeta = (sqrt_t / (2.0 * eta)) * (xi + 1.0)
-        if zeta <= 0.0 or w <= 0.0:
-            continue
-        corr += stable_exp_combine(
-            [
-                math.log(w),
-                ln_front,
-                fit.kappa * math.log(zeta),
-                -fit.kappa * ln_b,
-                -lg,
-                (eta * eta * zeta * zeta - t) / direct_var,
-                -zeta / fit.b,
-            ]
-        )
-    return min(1.0, max(0.0, head - corr))
+    front = sqrt_t / (2.0 * eta)
+    rule = chebyshev_rule(quad_order)
+    zeta = front * (rule.nodes + 1.0)
+    log_terms = (
+        np.log(rule.weights)
+        + math.log(front)
+        + fit.kappa * (np.log(zeta) - math.log(fit.b))
+        - gammaln(shape)
+        + (eta * eta * zeta * zeta - t) / direct_var
+        - zeta / fit.b
+    )
+    corr = np.sum(np.exp(log_terms))
+    return min(1.0, max(0.0, float(head - corr)))
 
 
-def _kind_channel(kind: SinrKind, cfg: SystemConfig, relay_direct_var: float | None):
+def _kind_channel(kind: SinrKind, cfg: SystemConfig):
     """(direct_var, fit, eta) triple of the gain underlying this SINR kind."""
     if kind.tag in ("cc", "ce"):
         return cfg.lambda_c, gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc), cfg.eta_c
     if kind.tag == "e1":
         return cfg.lambda_e, gamma_fit(cfg.R, cfg.lambda_ge, cfg.lambda_re), cfg.eta_e
-    # relay hop: the direct CU->CEU link has variance lambda_ce by the system
-    # model; an alternative reading uses lambda_e, kept switchable for the
-    # simulation arbitration test
-    var = cfg.lambda_ce if relay_direct_var is None else relay_direct_var
-    return var, gamma_fit(cfg.R, cfg.lambda_gce, cfg.lambda_rce), cfg.eta_e
+    return cfg.lambda_ce, gamma_fit(cfg.R, cfg.lambda_gce, cfg.lambda_rce), cfg.eta_e
 
 
-def sinr_cdf(
-    omega: float,
-    kind: SinrKind,
-    cfg: SystemConfig,
-    relay_direct_var: float | None = None,
-) -> float:
+def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
     """CDF of the decoding step's SINR at threshold omega.
 
     Maps omega to a threshold on the underlying gain and delegates to
@@ -162,7 +175,7 @@ def sinr_cdf(
     w = omega / 2.0 if kind.doubled else omega
     if w == 0.0:
         return 0.0
-    direct_var, fit, eta = _kind_channel(kind, cfg, relay_direct_var)
+    direct_var, fit, eta = _kind_channel(kind, cfg)
     if kind.tag == "cc":
         t = w / (cfg.alpha_c * cfg.rho_s)
     elif kind.tag in ("ce", "e1"):
@@ -175,12 +188,7 @@ def sinr_cdf(
     return effective_gain_cdf(t, direct_var, fit, eta, cfg.quad_order)
 
 
-def avg_psi(
-    kind: SinrKind,
-    code: CodeSpec,
-    cfg: SystemConfig,
-    relay_direct_var: float | None = None,
-) -> float:
+def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:
     """Average linearized BLER of one decoding step.
 
     The midpoint (first-order Riemann) reduction: the average of the linear
@@ -189,7 +197,7 @@ def avg_psi(
     this is exactly the CDF evaluated at beta (beta/2 when doubled).
     """
     lin = linearization_params(code)
-    return sinr_cdf(lin.beta, kind, cfg, relay_direct_var)
+    return sinr_cdf(lin.beta, kind, cfg)
 
 
 def avg_bler_cu(cfg: SystemConfig) -> float:

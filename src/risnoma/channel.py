@@ -7,18 +7,17 @@ independent Rayleigh magnitudes; its distribution is approximated by a
 gamma distribution via moment matching.
 
 Provides:
-    SystemConfig        -- full physical configuration (linear SNRs)
-    GammaFit            -- (kappa, b) gamma approximation of q
-    FadingSample        -- one draw of every direct power / cascaded sum
-    gamma_fit           -- moment-matched (kappa, b) for R elements
-    sample_aligned      -- one aligned-phase draw of all nine channels
-    sample_random_phase -- single-zone baseline with uniform random phases
-    effective_gain      -- combined direct + reflected gain T / Z / W
+    SystemConfig               -- full physical configuration (linear SNRs)
+    GammaFit                   -- (kappa, b) gamma approximation of q
+    gamma_fit                  -- moment-matched (kappa, b) for R elements
+    _sample_aligned_batch      -- n aligned-phase draws of all nine channels
+    _sample_random_phase_batch -- n single-zone draws with uniform random phases
+    effective_gain             -- combined direct + reflected gains T / Z / W
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,10 +26,7 @@ from .fbl import CodeSpec
 __all__ = [
     "SystemConfig",
     "GammaFit",
-    "FadingSample",
     "gamma_fit",
-    "sample_aligned",
-    "sample_random_phase",
     "effective_gain",
 ]
 
@@ -70,6 +66,12 @@ class SystemConfig:
     quad_order: int = 50
 
     def __post_init__(self) -> None:
+        # every check below compares, and NaN compares false, so reject
+        # non-finite values before anything else
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val}")
         if self.rho_s <= 0.0 or self.rho_c <= 0.0:
             raise ValueError("transmit SNRs must be positive")
         if abs(self.alpha_c + self.alpha_e - 1.0) > 1e-9:
@@ -108,18 +110,6 @@ class GammaFit:
     b: float
 
 
-@dataclass(frozen=True)
-class FadingSample:
-    """One joint draw: direct power gains p_* and cascaded magnitude sums q_*."""
-
-    p_c: float
-    p_e: float
-    p_ce: float
-    q_c: float = 0.0
-    q_e: float = 0.0
-    q_ce: float = 0.0
-
-
 def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
     """Moment-matched gamma parameters for q = sum_{r=1..R} |g_r||h_r|.
 
@@ -147,36 +137,19 @@ def _rayleigh_magnitudes(rng: np.random.Generator, mean_power: float, size) -> n
     return np.sqrt(rng.exponential(mean_power, size=size))
 
 
-def sample_aligned(cfg: SystemConfig, rng: np.random.Generator) -> FadingSample:
-    """One draw of all links with the surface phases aligned per zone.
-
-    Direct powers p_* are exponential with their lambda means; each cascaded
-    sum q_* adds R independent |g||h| products.  Nine independent draw
-    groups in a fixed order, so a given stream state fixes the sample.
-    """
-    batch = _sample_aligned_batch(cfg, rng, 1, with_cascade=cfg.R > 0)
-    return FadingSample(
-        p_c=float(batch["p_c"][0]),
-        p_e=float(batch["p_e"][0]),
-        p_ce=float(batch["p_ce"][0]),
-        q_c=float(batch["q_c"][0]),
-        q_e=float(batch["q_e"][0]),
-        q_ce=float(batch["q_ce"][0]),
-    )
-
-
 def _sample_aligned_batch(
     cfg: SystemConfig,
     rng: np.random.Generator,
     n: int,
     with_cascade: bool,
 ) -> dict[str, np.ndarray]:
-    """Vectorized aligned sampling: n trials at once (Monte Carlo hot path).
+    """n draws of all links with the surface phases aligned per zone.
 
-    Draw order is fixed (p_c, p_e, p_ce, then the three cascades hop by
-    hop); skipping the cascade (with_cascade=False) leaves the direct draws
-    untouched, which is what makes the no-surface scenario bit-compatible
-    with eta = 0.
+    Direct powers p_* are exponential with their lambda means; each cascaded
+    sum q_* adds R independent |g||h| products.  Draw order is fixed (p_c,
+    p_e, p_ce, then the three cascades hop by hop); skipping the cascade
+    (with_cascade=False) leaves the direct draws untouched, which is what
+    makes the no-surface scenario bit-compatible with eta = 0.
     """
     p_c = rng.exponential(cfg.lambda_c, size=n)
     p_e = rng.exponential(cfg.lambda_e, size=n)
@@ -209,31 +182,19 @@ def _complex_normal(rng: np.random.Generator, mean_power: float, size) -> np.nda
     return rng.normal(0.0, s, size=size) + 1j * rng.normal(0.0, s, size=size)
 
 
-def sample_random_phase(
-    cfg: SystemConfig, rng: np.random.Generator, total_elements: int
-) -> FadingSample:
-    """Single-zone baseline: one surface, phases i.i.d. uniform, no alignment.
-
-    For each link the effective power is |h + eta * sum_r g_r e^{j phi_r}
-    h_r|^2 with independent uniform phases, reported in the p_* fields; the
-    q_* fields are zero because the aligned-cascade CDF machinery does not
-    apply to this baseline.
-    """
-    batch = _sample_random_phase_batch(cfg, rng, 1, total_elements)
-    return FadingSample(
-        p_c=float(batch["p_c"][0]),
-        p_e=float(batch["p_e"][0]),
-        p_ce=float(batch["p_ce"][0]),
-    )
-
-
 def _sample_random_phase_batch(
     cfg: SystemConfig,
     rng: np.random.Generator,
     n: int,
     total_elements: int,
 ) -> dict[str, np.ndarray]:
-    """Vectorized random-phase sampling for the single-zone baseline."""
+    """n draws of the single-zone baseline: one surface, uniform random phases.
+
+    For each link the effective power is |h + eta * sum_r g_r e^{j phi_r}
+    h_r|^2 with independent uniform phases, reported in the p_* arrays; the
+    q_* arrays are zero because the aligned-cascade CDF machinery does not
+    apply to this baseline.
+    """
     links = (
         ("p_c", cfg.lambda_c, cfg.lambda_gc, cfg.lambda_rc, cfg.eta_c),
         ("p_e", cfg.lambda_e, cfg.lambda_ge, cfg.lambda_re, cfg.eta_e),
@@ -259,16 +220,16 @@ def _sample_random_phase_batch(
     return out
 
 
-def effective_gain(sample: FadingSample, link: str, cfg: SystemConfig) -> float:
-    """Combined channel gain seen by a decoder: direct power + (eta*q)^2.
+def effective_gain(
+    batch: dict[str, np.ndarray], cfg: SystemConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Combined channel gains (T, Z, W) = direct power + (eta*q)^2 per trial.
 
-    link is one of "cu" (BS->CU, gain T), "ceu_direct" (BS->CEU, gain Z),
-    "relay" (CU->CEU, gain W).
+    T is the BS->CU gain, Z the BS->CEU gain and W the CU->CEU relay gain,
+    from the p_* / q_* arrays of one sampled batch.
     """
-    if link == "cu":
-        return sample.p_c + (cfg.eta_c * sample.q_c) ** 2
-    if link == "ceu_direct":
-        return sample.p_e + (cfg.eta_e * sample.q_e) ** 2
-    if link == "relay":
-        return sample.p_ce + (cfg.eta_e * sample.q_ce) ** 2
-    raise ValueError(f"unknown link {link!r}")
+    return (
+        batch["p_c"] + (cfg.eta_c * batch["q_c"]) ** 2,
+        batch["p_e"] + (cfg.eta_e * batch["q_e"]) ** 2,
+        batch["p_ce"] + (cfg.eta_e * batch["q_ce"]) ** 2,
+    )

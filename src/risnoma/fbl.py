@@ -7,8 +7,7 @@ admit closed forms downstream.
 Provides:
     CodeSpec             -- (blocklength m, payload bits) pair
     PsiLinearization     -- threshold/slope/knee parameters of the surrogate
-    psi_exact            -- Q((C(gamma) - rate)/sqrt(V(gamma)/m))
-    psi_exact_vec        -- vectorized psi_exact for numpy arrays
+    psi_exact_vec        -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an array
     linearization_params -- beta, delta, v, u for a CodeSpec
     psi_linear           -- the 1 / ramp / 0 surrogate
 """
@@ -20,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc as _erfc_vec
 
-from .numerics import channel_dispersion, gaussian_q, shannon_capacity
-
 __all__ = [
     "CodeSpec",
     "PsiLinearization",
-    "psi_exact",
     "psi_exact_vec",
     "linearization_params",
     "psi_linear",
@@ -72,29 +68,16 @@ class PsiLinearization:
     u: float
 
 
-def psi_exact(gamma: float, code: CodeSpec) -> float:
-    """Instantaneous BLER at SINR gamma under the normal approximation.
+def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
+    """Instantaneous BLER at each SINR under the normal approximation.
 
     Defined as 1 at gamma = 0 (zero capacity, zero dispersion limit).
     Strictly decreasing in gamma, exactly 0.5 where capacity equals rate.
+    Raises ValueError on a negative or NaN SINR.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma < _GAMMA_FLOOR:
-        return 1.0
-    arg = (shannon_capacity(gamma) - code.rate) / math.sqrt(
-        channel_dispersion(gamma) / code.m
-    )
-    if arg > _ARG_CLIP:
-        return 0.0
-    if arg < -_ARG_CLIP:
-        return 1.0
-    return gaussian_q(arg)
-
-
-def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
-    """psi_exact over a float64 array (used by the Monte Carlo hot path)."""
     g = np.asarray(gamma, dtype=np.float64)
+    if not np.all(g >= 0.0):
+        raise ValueError("SINR must be >= 0 and not NaN")
     out = np.ones(g.shape, dtype=np.float64)
     live = g >= _GAMMA_FLOOR
     if not np.any(live):

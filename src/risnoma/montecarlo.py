@@ -29,7 +29,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import SystemConfig, _sample_aligned_batch, _sample_random_phase_batch
+from .channel import (
+    SystemConfig,
+    _sample_aligned_batch,
+    _sample_random_phase_batch,
+    effective_gain,
+)
 from .fbl import CodeSpec, psi_exact_vec
 
 __all__ = [
@@ -81,9 +86,7 @@ def _chunk_sums(args) -> tuple[int, np.ndarray, np.ndarray]:
         with_cascade = scenario is ScenarioKind.TWO_ZONE_ALIGNED and cfg.R > 0
         batch = _sample_aligned_batch(cfg, rng, n_trials, with_cascade=with_cascade)
 
-    gain_t = batch["p_c"] + (cfg.eta_c * batch["q_c"]) ** 2
-    gain_z = batch["p_e"] + (cfg.eta_e * batch["q_e"]) ** 2
-    gain_w = batch["p_ce"] + (cfg.eta_e * batch["q_ce"]) ** 2
+    gain_t, gain_z, gain_w = effective_gain(batch, cfg)
 
     a_c_rho = cfg.alpha_c * cfg.rho_s
     a_e_rho = cfg.alpha_e * cfg.rho_s

@@ -6,6 +6,7 @@ identities (midpoint reduction, saturation, doubling) are tested exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_gain_cdf_monotone_and_bounded():
     vals = [effective_gain_cdf(float(t), 1.0, FIT8, 1.0, 50) for t in grid]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_gain_cdf_deep_tail_is_finite_and_positive():
+    # the correction terms are combined in the log domain, so far-left
+    # thresholds keep full relative accuracy instead of underflowing
+    for t, frozen in (
+        (1e-12, 2.8432003719955727e-83),
+        (1e-6, 1.234761654142073e-44),
+        (1e-3, 2.4137996900192514e-25),
+    ):
+        val = effective_gain_cdf(t, 1.0, FIT8, 1.0, 50)
+        assert math.isfinite(val) and val > 0.0
+        assert val == pytest.approx(frozen, rel=1e-12)
 
 
 def test_gain_cdf_frozen_median_point():
@@ -296,7 +310,8 @@ def test_relay_direct_variance_default_matches_simulation_better():
     cfg = make_config(rho_s=1.0, rho_c=0.1)
     mc = run_component_trials(cfg, ScenarioKind.TWO_ZONE_ALIGNED, 200_000, 101)["e2"]
     default = avg_psi(E2, cfg.code_e, cfg)
-    alternative = avg_psi(E2, cfg.code_e, cfg, relay_direct_var=cfg.lambda_e)
+    # only the relay step reads lambda_ce, so this is the BS->CEU reading
+    alternative = avg_psi(E2, cfg.code_e, replace(cfg, lambda_ce=cfg.lambda_e))
     assert abs(default - mc.mean) < abs(alternative - mc.mean)
     # frozen adjudication levels: default within ~6 stderr, alternative ~3x farther
     assert abs(default - mc.mean) < 2.5e-3

@@ -9,15 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from risnoma.channel import (
-    FadingSample,
     SystemConfig,
     _sample_aligned_batch,
+    _sample_random_phase_batch,
     effective_gain,
     gamma_fit,
-    sample_aligned,
-    sample_random_phase,
 )
 from risnoma.fbl import CodeSpec
 
@@ -67,6 +67,22 @@ def test_system_config_rejects_bad_values(overrides):
         make_config(**overrides)
 
 
+_FLOAT_FIELDS = (
+    "rho_s", "rho_c", "alpha_c", "alpha_e", "eta_c", "eta_e",
+    "lambda_c", "lambda_e", "lambda_ce", "lambda_rc", "lambda_gc",
+    "lambda_re", "lambda_ge", "lambda_rce", "lambda_gce",
+)
+
+
+@given(
+    st.sampled_from(_FLOAT_FIELDS),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_system_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make_config(**{name: value})
+
+
 def test_system_config_allows_eta_zero_and_r_zero():
     assert make_config(eta_c=0.0, eta_e=0.0).eta_c == 0.0
     assert make_config(R=0).R == 0
@@ -106,18 +122,20 @@ def test_gamma_fit_rejects_degenerate_inputs():
 
 def test_sample_aligned_is_seed_deterministic():
     cfg = make_config()
-    a = sample_aligned(cfg, np.random.default_rng(42))
-    b = sample_aligned(cfg, np.random.default_rng(42))
-    c = sample_aligned(cfg, np.random.default_rng(43))
-    assert a == b
-    assert a != c
-    assert min(a.p_c, a.p_e, a.p_ce, a.q_c, a.q_e, a.q_ce) >= 0.0
+    a = _sample_aligned_batch(cfg, np.random.default_rng(42), 4, with_cascade=True)
+    b = _sample_aligned_batch(cfg, np.random.default_rng(42), 4, with_cascade=True)
+    c = _sample_aligned_batch(cfg, np.random.default_rng(43), 4, with_cascade=True)
+    for key, arr in a.items():
+        np.testing.assert_array_equal(arr, b[key])
+        assert not np.array_equal(arr, c[key])
+        assert np.all(arr >= 0.0)
 
 
 def test_sample_aligned_r_zero_has_no_cascade():
-    s = sample_aligned(make_config(R=0), np.random.default_rng(7))
-    assert s.q_c == 0.0 and s.q_e == 0.0 and s.q_ce == 0.0
-    assert s.p_c > 0.0
+    batch = _sample_aligned_batch(make_config(R=0), np.random.default_rng(7), 4, with_cascade=True)
+    assert np.all(batch["q_c"] == 0.0) and np.all(batch["q_e"] == 0.0)
+    assert np.all(batch["q_ce"] == 0.0)
+    assert np.all(batch["p_c"] > 0.0)
 
 
 def test_direct_draws_unchanged_when_cascade_skipped():
@@ -156,8 +174,6 @@ def test_random_phase_moments_match_closed_forms():
     n = 200_000
     total_elements = 2 * cfg.R
     rng = np.random.default_rng(515)
-    from risnoma.channel import _sample_random_phase_batch
-
     batch = _sample_random_phase_batch(cfg, rng, n, total_elements)
     expected = cfg.lambda_c + cfg.eta_c**2 * total_elements * cfg.lambda_gc * cfg.lambda_rc
     se = float(np.std(batch["p_c"])) / math.sqrt(n)
@@ -165,32 +181,33 @@ def test_random_phase_moments_match_closed_forms():
     assert np.all(batch["q_c"] == 0.0)
 
 
-def test_sample_random_phase_scalar_interface():
+def test_sample_random_phase_batch_interface():
     cfg = make_config()
-    s = sample_random_phase(cfg, np.random.default_rng(9), 16)
-    assert isinstance(s, FadingSample)
-    assert s.q_c == 0.0 and s.q_e == 0.0 and s.q_ce == 0.0
-    assert s.p_c > 0.0 and s.p_e > 0.0 and s.p_ce > 0.0
+    batch = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 16)
+    assert np.all(batch["q_c"] == 0.0) and np.all(batch["q_e"] == 0.0)
+    assert np.all(batch["q_ce"] == 0.0)
+    assert np.all(batch["p_c"] > 0.0) and np.all(batch["p_e"] > 0.0)
+    assert np.all(batch["p_ce"] > 0.0)
     # no elements -> plain direct fading
-    bare = sample_random_phase(cfg, np.random.default_rng(9), 0)
-    assert bare.p_c > 0.0
+    bare = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 0)
+    assert np.all(bare["p_c"] > 0.0)
 
 
 # ------------------------------------------------------------ effective gain
 
+def _batch(**values):
+    return {key: np.array([v]) for key, v in values.items()}
+
+
 def test_effective_gain_link_mapping():
     cfg = make_config(eta_c=0.5, eta_e=0.25)
-    s = FadingSample(p_c=1.0, p_e=2.0, p_ce=3.0, q_c=4.0, q_e=5.0, q_ce=6.0)
-    assert effective_gain(s, "cu", cfg) == pytest.approx(1.0 + (0.5 * 4.0) ** 2, rel=1e-15)
-    assert effective_gain(s, "ceu_direct", cfg) == pytest.approx(2.0 + (0.25 * 5.0) ** 2, rel=1e-15)
-    assert effective_gain(s, "relay", cfg) == pytest.approx(3.0 + (0.25 * 6.0) ** 2, rel=1e-15)
-    with pytest.raises(ValueError):
-        effective_gain(s, "uplink", cfg)
+    t, z, w = effective_gain(_batch(p_c=1.0, p_e=2.0, p_ce=3.0, q_c=4.0, q_e=5.0, q_ce=6.0), cfg)
+    assert t[0] == pytest.approx(1.0 + (0.5 * 4.0) ** 2, rel=1e-15)
+    assert z[0] == pytest.approx(2.0 + (0.25 * 5.0) ** 2, rel=1e-15)
+    assert w[0] == pytest.approx(3.0 + (0.25 * 6.0) ** 2, rel=1e-15)
 
 
 def test_effective_gain_eta_zero_reduces_to_direct():
     cfg = make_config(eta_c=0.0, eta_e=0.0)
-    s = FadingSample(p_c=1.5, p_e=2.5, p_ce=3.5, q_c=9.0, q_e=9.0, q_ce=9.0)
-    assert effective_gain(s, "cu", cfg) == 1.5
-    assert effective_gain(s, "ceu_direct", cfg) == 2.5
-    assert effective_gain(s, "relay", cfg) == 3.5
+    t, z, w = effective_gain(_batch(p_c=1.5, p_e=2.5, p_ce=3.5, q_c=9.0, q_e=9.0, q_ce=9.0), cfg)
+    assert (t[0], z[0], w[0]) == (1.5, 2.5, 3.5)

@@ -264,6 +264,13 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["analytic", "--config", missing]) == 2
 
 
+def test_exit_code_2_on_non_finite_config(tmp_path, capsys):
+    # json writes and reads NaN / Infinity; the library rejects both
+    for payload in ({"rho_s": float("nan")}, {"lambda_e": float("inf")}):
+        assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):
     cfg = write_config(tmp_path, {"trials": 256})
     target = str(tmp_path / "no_such_dir" / "out.csv")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from risnoma.fbl import (
     CodeSpec,
     linearization_params,
-    psi_exact,
     psi_exact_vec,
     psi_linear,
 )
@@ -57,31 +56,55 @@ def test_linearization_knee_width_identity(m, bits):
 
 def test_psi_exact_anchors():
     # capacity equals rate exactly at beta, where the error probability is 1/2
-    assert psi_exact(7.0, CODE_C) == pytest.approx(0.5, abs=1e-14)
-    assert psi_exact(1.0, CODE_E) == pytest.approx(0.5, abs=1e-14)
-    assert psi_exact(0.0, CODE_C) == 1.0
-    assert psi_exact(1e9, CODE_C) == 0.0
-    with pytest.raises(ValueError):
-        psi_exact(-0.1, CODE_C)
+    assert psi_exact_vec(7.0, CODE_C) == pytest.approx(0.5, abs=1e-14)
+    assert psi_exact_vec(1.0, CODE_E) == pytest.approx(0.5, abs=1e-14)
+    assert psi_exact_vec(0.0, CODE_C) == 1.0
+    assert psi_exact_vec(1e9, CODE_C) == 0.0
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            psi_exact_vec(np.array([1.0, bad]), CODE_C)
 
 
 def test_psi_exact_monotone_and_bounded():
-    grid = np.geomspace(1e-6, 1e4, 300)
-    vals = [psi_exact(float(g), CODE_C) for g in grid]
-    assert all(0.0 <= p <= 1.0 for p in vals)
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
+    vals = psi_exact_vec(np.geomspace(1e-6, 1e4, 300), CODE_C)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) <= 0.0)
 
 
-def test_psi_exact_vec_matches_scalar():
-    grid = np.geomspace(1e-9, 1e6, 400)
+# (gamma, psi) for CODE_E, frozen from mpmath at 50 digits:
+# erfc((log2(1+g) - rate) / sqrt(V(g)/m) / sqrt(2)) / 2
+_PSI_REFERENCE = (
+    (1e-09, 1.0),
+    (0.1, 1.0),
+    (0.3, 0.9999999999921794),
+    (0.5, 0.9999432275574693),
+    (0.7, 0.9777662558924132),
+    (0.9, 0.7268272389974321),
+    (1.0, 0.5),
+    (1.1, 0.28949915887862665),
+    (1.3, 0.06033265063461206),
+    (1.6, 0.0022396099605963477),
+    (2.0, 8.51654848353687e-06),
+    (2.5, 2.6166018952635767e-09),
+    (3.0, 4.0695148989333603e-13),
+    (4.0, 4.306265733672078e-21),
+    (6.0, 5.087346284111937e-37),
+    (10.0, 5.41371985771503e-66),
+    (16.0, 2.9687589348207716e-102),
+    (25.0, 1.3146005120166958e-145),
+    (40.0, 7.936330560642077e-201),
+    (60.0, 2.249057369419233e-256),
+    (75.0, 4.571199912595138e-290),
+)
+
+
+def test_psi_exact_vec_reference_values():
+    grid, reference = (np.array(col) for col in zip(*_PSI_REFERENCE))
     vec = psi_exact_vec(grid, CODE_E)
-    scalar = np.array([psi_exact(float(g), CODE_E) for g in grid])
-    # scalar path uses math.erfc, vector path the numpy one; they drift a
-    # few ulps apart deep in the tail (values below 1e-140) but nowhere
-    # else, and may disagree about clipping a subnormal to exact zero
-    np.testing.assert_allclose(vec, scalar, rtol=1e-11, atol=1e-300)
-    body = scalar > 1e-12
-    np.testing.assert_allclose(vec[body], scalar[body], rtol=1e-13, atol=0.0)
+    body = reference > 1e-12
+    np.testing.assert_allclose(vec[body], reference[body], rtol=1e-13, atol=0.0)
+    # the far tail (down to 1e-300) keeps nearly full relative accuracy
+    np.testing.assert_allclose(vec[~body], reference[~body], rtol=1e-12, atol=0.0)
 
 
 def test_psi_exact_vec_handles_zero_block():
@@ -113,6 +136,7 @@ def test_surrogate_gap_frozen():
     for code, frozen in ((CODE_C, 0.1191291566608661), (CODE_E, 0.1241343776705385)):
         lin = linearization_params(code)
         grid = np.linspace(max(lin.v - 1.0, 0.0), lin.u + 1.0, 20001)
-        gap = max(abs(psi_exact(float(g), code) - psi_linear(float(g), lin)) for g in grid)
+        exact = psi_exact_vec(grid, code)
+        gap = max(abs(e - psi_linear(float(g), lin)) for g, e in zip(grid, exact))
         assert gap == pytest.approx(frozen, abs=2e-3)
         assert gap < 0.15

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma.channel import SystemConfig
-from risnoma.fbl import CodeSpec, linearization_params, psi_exact
+from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
     ScenarioKind,
@@ -134,8 +134,8 @@ def test_combined_gain_bound_pointwise(g1, g2):
     # the inequality behind the MRC lower bound: failing at the summed gain
     # is at least as likely as failing at both doubled gains independently
     code = CodeSpec(m=100, bits=100)
-    lhs = psi_exact(g1 + g2, code)
-    rhs = psi_exact(2.0 * g1, code) * psi_exact(2.0 * g2, code)
+    lhs = psi_exact_vec(g1 + g2, code)
+    rhs = psi_exact_vec(2.0 * g1, code) * psi_exact_vec(2.0 * g2, code)
     assert lhs >= rhs - 1e-12
 
 

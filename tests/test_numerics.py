@@ -1,132 +1,28 @@
-"""Tests for the scalar special functions and the Chebyshev quadrature rule.
+"""Tests for the Gauss-Chebyshev quadrature rule behind the closed forms.
 
-Reference values were frozen from mpmath/scipy evaluated independently of
-the library code; tolerances are close to float64 roundoff unless a looser
-bound is stated inline.
+Reference values are exact integrals of the rule's target functions or
+frozen normalization levels; tolerances are close to float64 roundoff.
 """
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from risnoma import numerics
-
-
-# ---------------------------------------------------------------- gaussian_q
-
-def test_gaussian_q_reference_values():
-    assert numerics.gaussian_q(0.0) == pytest.approx(0.5, abs=1e-16)
-    # Q(1) from mpmath: erfc(1/sqrt(2))/2
-    assert numerics.gaussian_q(1.0) == pytest.approx(0.15865525393145707, abs=2e-16)
-
-
-def test_gaussian_q_saturates_cleanly():
-    # far tails must underflow to exact 0/1, not NaN or negative junk
-    assert numerics.gaussian_q(40.0) == 0.0
-    assert numerics.gaussian_q(-40.0) == 1.0
-
-
-@given(st.floats(min_value=-8.0, max_value=8.0))
-def test_gaussian_q_complementarity(x):
-    assert numerics.gaussian_q(x) + numerics.gaussian_q(-x) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gaussian_q_monotone_decreasing():
-    xs = np.linspace(-6.0, 6.0, 121)
-    qs = [numerics.gaussian_q(float(x)) for x in xs]
-    assert all(a >= b for a, b in zip(qs, qs[1:]))
-
-
-# ------------------------------------------------- capacity and dispersion
-
-def test_shannon_capacity_exact_points():
-    assert numerics.shannon_capacity(0.0) == 0.0
-    assert numerics.shannon_capacity(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert numerics.shannon_capacity(3.0) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_shannon_capacity_rejects_negative_snr():
-    with pytest.raises(ValueError):
-        numerics.shannon_capacity(-0.25)
-
-
-def test_channel_dispersion_reference_values():
-    assert numerics.channel_dispersion(0.0) == 0.0
-    # (log2 e)^2 * (1 - 1/(1+g)^2) at g=1, frozen from mpmath
-    assert numerics.channel_dispersion(1.0) == pytest.approx(1.5610267357542058, abs=1e-15)
-    # limit g -> inf is (log2 e)^2; approached from below
-    limit = math.log2(math.e) ** 2
-    assert numerics.channel_dispersion(1e12) == pytest.approx(limit, rel=1e-12)
-    assert numerics.channel_dispersion(1e8) < limit
-
-
-def test_channel_dispersion_rejects_negative_snr():
-    with pytest.raises(ValueError):
-        numerics.channel_dispersion(-1e-9)
-
-
-# --------------------------------------------- regularized incomplete gamma
-
-def test_reg_lower_inc_gamma_reference_values():
-    # series branch (x < a + 1)
-    assert numerics.reg_lower_inc_gamma(12.879566079348178, 7.247142883731492) == pytest.approx(
-        0.0370070807602738, rel=1e-13
-    )
-    # continued-fraction branch (x >= a + 1)
-    assert numerics.reg_lower_inc_gamma(3.0, 10.0) == pytest.approx(0.9972306042844884, rel=1e-13)
-    # half-integer shape
-    assert numerics.reg_lower_inc_gamma(0.5, 0.25) == pytest.approx(0.5204998778130464, rel=1e-13)
-    # branch point x == a, large non-integer shape
-    assert numerics.reg_lower_inc_gamma(11.879566079348178, 11.879566079348178) == pytest.approx(
-        0.5385969496090462, rel=1e-12
-    )
-
-
-def test_reg_lower_inc_gamma_edges():
-    assert numerics.reg_lower_inc_gamma(2.5, 0.0) == 0.0
-    assert numerics.reg_lower_inc_gamma(2.5, 1e6) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        numerics.reg_lower_inc_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        numerics.reg_lower_inc_gamma(1.0, -0.5)
-
-
-@given(st.floats(min_value=1e-3, max_value=50.0))
-def test_reg_lower_inc_gamma_shape_one_is_exponential_cdf(x):
-    # P(1, x) = 1 - exp(-x)
-    assert numerics.reg_lower_inc_gamma(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-12, abs=1e-15)
-
-
-@settings(max_examples=30)
-@given(
-    st.floats(min_value=0.1, max_value=30.0),
-    st.floats(min_value=0.0, max_value=40.0),
-    st.floats(min_value=1e-6, max_value=5.0),
-)
-def test_reg_lower_inc_gamma_monotone_in_x(a, x, dx):
-    lo = numerics.reg_lower_inc_gamma(a, x)
-    hi = numerics.reg_lower_inc_gamma(a, x + dx)
-    assert hi >= lo - 1e-15
-    assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
-
-
-def test_gamma_function_reference_values():
-    assert numerics.gamma_function(0.5) == pytest.approx(1.7724538509055159, rel=1e-15)
-    assert numerics.gamma_function(5.0) == pytest.approx(24.0, rel=1e-15)
+from risnoma.analytic import chebyshev_rule
 
 
 # ------------------------------------------------------------- quadrature
 
 def test_chebyshev_rule_basic_structure():
-    rule = numerics.chebyshev_rule(50)
+    rule = chebyshev_rule(50)
     assert len(rule.nodes) == 50 and len(rule.weights) == 50
     assert all(-1.0 < x < 1.0 for x in rule.nodes)
     assert all(w > 0.0 for w in rule.weights)
     with pytest.raises(ValueError):
-        numerics.chebyshev_rule(0)
+        chebyshev_rule(0)
+    # one cached rule is shared by every caller, so its arrays are read-only
+    assert chebyshev_rule(50) is rule
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
 def test_chebyshev_rule_semicircle_exactness():
@@ -134,10 +30,10 @@ def test_chebyshev_rule_semicircle_exactness():
     # order 1 is the documented exception (single node at 0, weight pi,
     # giving pi instead of pi/2).
     for order in (2, 3, 5, 17, 50):
-        rule = numerics.chebyshev_rule(order)
+        rule = chebyshev_rule(order)
         total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(rule.nodes, rule.weights))
         assert total == pytest.approx(math.pi / 2.0, abs=5e-15)
-    one = numerics.chebyshev_rule(1)
+    one = chebyshev_rule(1)
     total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(one.nodes, one.weights))
     assert total == pytest.approx(math.pi, abs=5e-15)
 
@@ -145,7 +41,7 @@ def test_chebyshev_rule_semicircle_exactness():
 def test_chebyshev_rule_weight_sum_order_100():
     # sum of weights = integral of 1/sqrt(1-x^2) sampled by the rule;
     # frozen value documents the rule normalization at high order
-    rule = numerics.chebyshev_rule(100)
+    rule = chebyshev_rule(100)
     assert math.fsum(rule.weights) == pytest.approx(2.0000822490709864, rel=1e-14)
 
 
@@ -154,34 +50,8 @@ def test_chebyshev_rule_exact_for_polynomials_times_semicircle():
     # integrands of the form p(x) * sqrt(1-x^2) with p a low-degree
     # polynomial; int x^2 sqrt(1-x^2) dx over [-1,1] = pi/8
     for order in (3, 8, 50):
-        rule = numerics.chebyshev_rule(order)
+        rule = chebyshev_rule(order)
         total = math.fsum(
             w * (x * x) * math.sqrt(1.0 - x * x) for x, w in zip(rule.nodes, rule.weights)
         )
         assert total == pytest.approx(math.pi / 8.0, abs=5e-15)
-
-
-# ------------------------------------------------------ stable_exp_combine
-
-def test_stable_exp_combine_cancellation():
-    # catastrophic-looking exponents that cancel exactly
-    assert numerics.stable_exp_combine([700.0, -700.0, -3.0]) == math.exp(-3.0)
-
-
-def test_stable_exp_combine_edges():
-    assert numerics.stable_exp_combine([]) == 1.0
-    assert numerics.stable_exp_combine([-800.0]) == 0.0
-    assert numerics.stable_exp_combine([800.0]) == math.inf
-
-
-@given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=8))
-def test_stable_exp_combine_matches_naive_in_safe_range(terms):
-    naive = math.exp(math.fsum(terms))
-    assert numerics.stable_exp_combine(terms) == pytest.approx(naive, rel=1e-12)
-
-
-@given(st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=2, max_size=6))
-def test_stable_exp_combine_order_invariant(terms):
-    forward = numerics.stable_exp_combine(terms)
-    backward = numerics.stable_exp_combine(list(reversed(terms)))
-    assert forward == backward
