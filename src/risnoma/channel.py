@@ -4,14 +4,18 @@ The surface is split into two zones of R elements, one phase-aligned to the
 central user and one to the edge user.  With aligned phases each cascaded
 link collapses to q = sum over elements of |g|*|h|, a sum of products of
 independent Rayleigh magnitudes; its distribution is approximated by a
-gamma distribution via moment matching.
+gamma distribution via moment matching.  The single-zone baseline with
+uniform random phases needs no fit: the phases leave each circularly
+symmetric g_r unchanged in law, so given the h_r a link power is exponential
+with mean lambda_d + eta^2 lambda_g sum_r |h_r|^2, and that sum is gamma.
 
 Provides:
     SystemConfig               -- full physical configuration (linear SNRs)
     GammaFit                   -- (kappa, b) gamma approximation of q
     gamma_fit                  -- moment-matched (kappa, b) for R elements
     _sample_aligned_batch      -- n aligned-phase draws of all nine channels
-    _sample_random_phase_batch -- n single-zone draws with uniform random phases
+    _sample_random_phase_batch -- n single-zone draws, each link power from its
+                                  exact law (gamma-mixed exponential)
     effective_gain             -- combined direct + reflected gains T / Z / W
 """
 from __future__ import annotations
@@ -177,11 +181,6 @@ def _sample_aligned_batch(
     return {"p_c": p_c, "p_e": p_e, "p_ce": p_ce, "q_c": q_c, "q_e": q_e, "q_ce": q_ce}
 
 
-def _complex_normal(rng: np.random.Generator, mean_power: float, size) -> np.ndarray:
-    s = math.sqrt(mean_power / 2.0)
-    return rng.normal(0.0, s, size=size) + 1j * rng.normal(0.0, s, size=size)
-
-
 def _sample_random_phase_batch(
     cfg: SystemConfig,
     rng: np.random.Generator,
@@ -190,10 +189,15 @@ def _sample_random_phase_batch(
 ) -> dict[str, np.ndarray]:
     """n draws of the single-zone baseline: one surface, uniform random phases.
 
-    For each link the effective power is |h + eta * sum_r g_r e^{j phi_r}
-    h_r|^2 with independent uniform phases, reported in the p_* arrays; the
-    q_* arrays are zero because the aligned-cascade CDF machinery does not
-    apply to this baseline.
+    Each link's field is h + eta * sum_r g_r e^{j phi_r} h_r over N =
+    total_elements elements, all channels circularly symmetric complex
+    Gaussian.  Since g_r e^{j phi_r} has the law of g_r, the phases change
+    nothing; given the h_r the field is CN(0, lam_d + eta^2 lam_g S) with
+    S = sum_r |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn
+    exactly as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links
+    in the order p_c, p_e, p_ce: the gamma S (skipped when N = 0), then the
+    unit exponential.  The q_* arrays are zero because the aligned-cascade
+    CDF machinery does not apply to this baseline.
     """
     links = (
         ("p_c", cfg.lambda_c, cfg.lambda_gc, cfg.lambda_rc, cfg.eta_c),
@@ -202,17 +206,12 @@ def _sample_random_phase_batch(
     )
     out: dict[str, np.ndarray] = {}
     for name, lam_direct, lam_g, lam_r, eta in links:
-        h = _complex_normal(rng, lam_direct, n)
         if total_elements > 0:
-            shape = (n, total_elements)
-            g = _complex_normal(rng, lam_g, shape)
-            hr = _complex_normal(rng, lam_r, shape)
-            phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-            reflected = np.sum(g * np.exp(1j * phi) * hr, axis=1)
-            total = h + eta * reflected
+            s = rng.gamma(total_elements, lam_r, size=n)
+            mean = lam_direct + eta * eta * lam_g * s
         else:
-            total = h
-        out[name] = np.abs(total) ** 2
+            mean = lam_direct
+        out[name] = rng.exponential(1.0, size=n) * mean
     zeros = np.zeros(n, dtype=np.float64)
     out["q_c"] = zeros
     out["q_e"] = zeros.copy()

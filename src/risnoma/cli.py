@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from . import analytic
 from .channel import SystemConfig
 from .fbl import CodeSpec
-from .montecarlo import ScenarioKind, _apply_axis, run_trials, sweep
+from .montecarlo import ScenarioKind, _apply_axis, _db_to_linear, run_trials, sweep
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 
@@ -84,11 +84,20 @@ class RunConfig:
     couple_rho_c: bool
 
 
-def _require_number(raw: dict, key: str) -> float:
-    value = raw[key]
+def _check_number(value: object, where: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config error at {key}: expected a number")
-    return float(value)
+        raise ConfigError(f"config error at {where}: expected a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"config error at {where}: must be finite")
+
+
+def _require_number(raw: dict, key: str) -> float:
+    _check_number(raw[key], key)
+    return float(raw[key])
 
 
 def _require_int(raw: dict, key: str) -> int:
@@ -114,7 +123,7 @@ def parse_config(raw: object) -> RunConfig:
     if "rho_s" in raw:
         rho_s = _require_number(raw, "rho_s")
     elif "rho_s_db" in raw:
-        rho_s = 10.0 ** (_require_number(raw, "rho_s_db") / 10.0)
+        rho_s = _db_to_linear(_require_number(raw, "rho_s_db"))
     else:
         rho_s = 10.0  # 10 dB, the reference operating point
     couple_rho_c = True
@@ -122,7 +131,7 @@ def parse_config(raw: object) -> RunConfig:
         rho_c = _require_number(raw, "rho_c")
         couple_rho_c = False
     elif "rho_c_db" in raw:
-        rho_c = 10.0 ** (_require_number(raw, "rho_c_db") / 10.0)
+        rho_c = _db_to_linear(_require_number(raw, "rho_c_db"))
         couple_rho_c = False
     else:
         rho_c = rho_s / 10.0
@@ -185,8 +194,7 @@ def parse_config(raw: object) -> RunConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError("config error at sweep.values: expected a nonempty list")
         for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"config error at sweep.values[{i}]: expected a number")
+            _check_number(v, f"sweep.values[{i}]")
             if sweep_axis in ("R", "m") and not isinstance(v, int):
                 raise ConfigError(f"config error at sweep.values[{i}]: expected an integer")
         sweep_values = tuple(values)
@@ -202,10 +210,15 @@ def parse_config(raw: object) -> RunConfig:
     )
 
 
+def _reject_constant(name: str):
+    # json.load accepts NaN, Infinity and -Infinity, which are not JSON
+    raise ConfigError(f"config error: {name} in config; numbers must be finite")
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"config error: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

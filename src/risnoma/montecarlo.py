@@ -197,11 +197,19 @@ class SweepPoint:
     error: str | None = None
 
 
+def _db_to_linear(db: float) -> float:
+    # past about 3083 dB the power overflows; inf lets SystemConfig reject it
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _apply_axis(
     cfg: SystemConfig, axis: str, value, couple_rho_c: bool
 ) -> SystemConfig:
     if axis == "rho_s_db":
-        rho_s = 10.0 ** (value / 10.0)
+        rho_s = _db_to_linear(value)
         rho_c = rho_s / 10.0 if couple_rho_c else cfg.rho_c
         return replace(cfg, rho_s=rho_s, rho_c=rho_c)
     if axis == "R":

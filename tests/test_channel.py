@@ -2,7 +2,10 @@
 
 The moment checks compare empirical means against closed-form moments of
 the constituent distributions (exponential direct powers, Rayleigh-product
-cascades), so they validate the samplers independently of the fit.
+cascades), so they validate the samplers independently of the fit.  The
+random-phase sampler draws each link power from its exact law; its tests
+check that law against the phase-by-phase construction, kept here as a
+reference sampler.
 """
 
 import math
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from risnoma.channel import (
     SystemConfig,
@@ -179,6 +183,73 @@ def test_random_phase_moments_match_closed_forms():
     se = float(np.std(batch["p_c"])) / math.sqrt(n)
     assert float(np.mean(batch["p_c"])) == pytest.approx(expected, abs=5.0 * se)
     assert np.all(batch["q_c"] == 0.0)
+
+
+def _random_phase_links(cfg):
+    # (power key, lambda_direct, lambda_g, lambda_r, eta) in sampler order
+    return (
+        ("p_c", cfg.lambda_c, cfg.lambda_gc, cfg.lambda_rc, cfg.eta_c),
+        ("p_e", cfg.lambda_e, cfg.lambda_ge, cfg.lambda_re, cfg.eta_e),
+        ("p_ce", cfg.lambda_ce, cfg.lambda_gce, cfg.lambda_rce, cfg.eta_e),
+    )
+
+
+def _reference_random_phase_powers(cfg, rng, n, total_elements):
+    # the construction the exact law replaces: complex Gaussian direct and
+    # per-element hops, uniform phases, |h + eta * sum g e^{j phi} h_r|^2
+    def complex_normal(mean_power, size):
+        s = math.sqrt(mean_power / 2.0)
+        return rng.normal(0.0, s, size=size) + 1j * rng.normal(0.0, s, size=size)
+
+    out = {}
+    for name, lam_direct, lam_g, lam_r, eta in _random_phase_links(cfg):
+        shape = (n, total_elements)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+        reflected = np.sum(
+            complex_normal(lam_g, shape) * np.exp(1j * phi) * complex_normal(lam_r, shape),
+            axis=1,
+        )
+        out[name] = np.abs(complex_normal(lam_direct, n) + eta * reflected) ** 2
+    return out
+
+
+def test_random_phase_second_moments_match_exact_law():
+    # p = Exp(1) * (ld + eta^2 lg S), S ~ Gamma(k, lr) over k elements, so
+    # E[p^2] = 2 (ld^2 + 2 ld eta^2 lg k lr + eta^4 lg^2 lr^2 k (k + 1))
+    cfg = make_config()
+    n = 200_000
+    k = 2 * cfg.R
+    batch = _sample_random_phase_batch(cfg, np.random.default_rng(516), n, k)
+    for name, ld, lg, lr, eta in _random_phase_links(cfg):
+        expected = 2.0 * (
+            ld * ld + 2.0 * ld * eta**2 * lg * k * lr + eta**4 * lg * lg * lr * lr * k * (k + 1)
+        )
+        sq = batch[name] ** 2
+        se = float(np.std(sq)) / math.sqrt(n)
+        assert float(np.mean(sq)) == pytest.approx(expected, abs=5.0 * se), name
+
+
+@pytest.mark.parametrize(
+    "eta, total_elements, seed", [(1.0, 16, 601), (0.5, 1, 602), (0.0, 16, 603)]
+)
+def test_random_phase_law_matches_reference_construction(eta, total_elements, seed):
+    # two-sample KS test of every link power against the phase-by-phase
+    # construction, on independent streams
+    cfg = make_config(eta_c=eta, eta_e=eta)
+    n = 50_000
+    fast = _sample_random_phase_batch(cfg, np.random.default_rng(seed), n, total_elements)
+    ref = _reference_random_phase_powers(
+        cfg, np.random.default_rng(seed + 1000), n, total_elements
+    )
+    for name in ("p_c", "p_e", "p_ce"):
+        assert stats.ks_2samp(fast[name], ref[name]).pvalue > 1e-3, name
+
+
+def test_random_phase_no_elements_is_exponential():
+    cfg = make_config()
+    batch = _sample_random_phase_batch(cfg, np.random.default_rng(604), 50_000, 0)
+    for name, ld, _, _, _ in _random_phase_links(cfg):
+        assert stats.kstest(batch[name], stats.expon(scale=ld).cdf).pvalue > 1e-3, name
 
 
 def test_sample_random_phase_batch_interface():

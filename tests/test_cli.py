@@ -79,6 +79,7 @@ def test_parse_config_alpha_complement_default():
         {"scenario": "mesh"},
         {"frequency": 2.4},  # unknown key
         [],  # not an object
+        {"rho_s_db": 1e308},  # linear power overflows a float
     ],
 )
 def test_parse_config_rejects(payload):
@@ -105,6 +106,14 @@ def test_parse_config_sweep_block():
     ):
         with pytest.raises(ConfigError):
             parse_config({"sweep": bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_parse_config_rejects_non_finite_numbers(bad):
+    with pytest.raises(ConfigError, match=r"at sweep\.values\[1\]: must be finite"):
+        parse_config({"sweep": {"axis": "rho_s_db", "values": [0, bad]}})
+    with pytest.raises(ConfigError, match="at alpha_c: must be finite"):
+        parse_config({"alpha_c": bad})
 
 
 def test_load_config_error_paths(tmp_path):
@@ -269,6 +278,21 @@ def test_exit_code_2_on_non_finite_config(tmp_path, capsys):
     for payload in ({"rho_s": float("nan")}, {"lambda_e": float("inf")}):
         assert main(["analytic", "--config", write_config(tmp_path, payload)]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_non_finite_json_constants(tmp_path, capsys):
+    # json.load reads NaN and Infinity unless told not to; either one in a
+    # sweep once ran the other points (NaN) or wrote an empty CSV (Infinity)
+    out = tmp_path / "out.csv"
+    for text in (
+        '{"trials": 256, "sweep": {"axis": "rho_s_db", "values": [NaN, 10]}}',
+        '{"trials": 256, "sweep": {"axis": "alpha_c", "values": [Infinity]}}',
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_3_on_unwritable_output(tmp_path, capsys):

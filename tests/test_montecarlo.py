@@ -46,25 +46,27 @@ def make_config(**overrides) -> SystemConfig:
 
 def test_same_seed_reproduces_bitwise():
     cfg = make_config()
-    a = run_trials(cfg, ALIGNED, 10_000, 77)
-    b = run_trials(cfg, ALIGNED, 10_000, 77)
-    c = run_trials(cfg, ALIGNED, 10_000, 78)
-    for key in ("cu", "ceu_sc", "ceu_mrc"):
-        assert a[key].mean == b[key].mean
-        assert a[key].stderr == b[key].stderr
-    assert a["cu"].mean != c["cu"].mean
+    for scenario in (ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM):
+        a = run_trials(cfg, scenario, 10_000, 77)
+        b = run_trials(cfg, scenario, 10_000, 77)
+        c = run_trials(cfg, scenario, 10_000, 78)
+        for key in ("cu", "ceu_sc", "ceu_mrc"):
+            assert a[key].mean == b[key].mean, scenario
+            assert a[key].stderr == b[key].stderr, scenario
+        assert a["cu"].mean != c["cu"].mean, scenario
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
     cfg = make_config()
     n = 3 * CHUNK_TRIALS  # several chunks so the pool actually splits work
-    monkeypatch.setenv("RISNOMA_WORKERS", "1")
-    serial = run_trials(cfg, ALIGNED, n, 123)
-    monkeypatch.setenv("RISNOMA_WORKERS", "3")
-    pooled = run_trials(cfg, ALIGNED, n, 123)
-    for key in ("cu", "ceu_sc", "ceu_mrc"):
-        assert serial[key].mean == pooled[key].mean
-        assert serial[key].stderr == pooled[key].stderr
+    for scenario in ScenarioKind:
+        monkeypatch.setenv("RISNOMA_WORKERS", "1")
+        serial = run_trials(cfg, scenario, n, 123)
+        monkeypatch.setenv("RISNOMA_WORKERS", "3")
+        pooled = run_trials(cfg, scenario, n, 123)
+        for key in ("cu", "ceu_sc", "ceu_mrc"):
+            assert serial[key].mean == pooled[key].mean, scenario
+            assert serial[key].stderr == pooled[key].stderr, scenario
 
 
 def test_no_surface_scenario_equals_eta_zero():
@@ -174,6 +176,12 @@ def test_sweep_records_per_point_errors_and_continues():
     assert pts[1].estimates is None
     assert "alpha_c" in pts[1].error
     assert isinstance(pts[0], SweepPoint)
+
+
+def test_sweep_records_overflowing_db_value_as_point_error():
+    pts = sweep(make_config(), ALIGNED, "rho_s_db", [1e308], 4096, 8)
+    assert pts[0].estimates is None
+    assert "rho_s must be finite" in pts[0].error
 
 
 def test_sweep_rejects_empty_values():
