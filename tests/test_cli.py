@@ -4,6 +4,7 @@ The CSV format is load-bearing (downstream plotting scripts key on it), so
 its header, ordering, number formatting, and line endings are pinned here.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,6 +231,27 @@ def test_fig3_preset_mixes_baseline_rows(tmp_path):
     assert {r[3] for r in rows} == {"mc", "analytic", "analytic_lb", "mc_no_ris"}
     # 11 grid points x (6 aligned rows + 3 baseline-only rows)
     assert len(rows) == 99
+
+
+# sha256 of each preset's CSV at --trials 8192 --seed 1234.  A change that
+# keeps the random draws must keep these bytes; a change meant to alter the
+# draws updates the digest and says why.
+FIG_DIGESTS = {
+    "fig2": "6327ce54f24f00394c1977636f054f2e47310db0a35700ed8cbb80afaa2fe80a",
+    "fig3": "f60b82a7f31f906a648bcf32180a3d122da778d8b404a25cd03cd14564888e77",
+    "fig4": "dbf693b8bd74e1a1efcfa38b6c28048ddc2d77542ca4691288b9c00abf2b6c10",
+    "fig5": "970329e87b883450aa3b653c0c6be8e6591713fc44f0e2b45fdb429d62b49dbd",
+    "fig6": "640baa1eff184ea2277401096fa82f14040d93f04c3f5fd11060439eef083d75",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(FIG_DIGESTS))
+def test_fig_preset_bytes_are_frozen(tmp_path, monkeypatch, preset):
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    out = tmp_path / f"{preset}.csv"
+    argv = ["fig", "--preset", preset, "--out", str(out), "--trials", "8192", "--seed", "1234"]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG_DIGESTS[preset]
 
 
 # ------------------------------------------------------- compare / analytic
