@@ -13,6 +13,7 @@ Provides:
     SystemConfig               -- full physical configuration (linear SNRs)
     GammaFit                   -- (kappa, b) gamma approximation of q
     gamma_fit                  -- moment-matched (kappa, b) for R elements
+    fading_key                 -- the config fields a sampled batch depends on
     _sample_aligned_batch      -- n aligned-phase draws of all nine channels
     _sample_random_phase_batch -- n single-zone draws, each link power from its
                                   exact law (gamma-mixed exponential)
@@ -31,6 +32,7 @@ __all__ = [
     "SystemConfig",
     "GammaFit",
     "gamma_fit",
+    "fading_key",
     "effective_gain",
 ]
 
@@ -136,9 +138,35 @@ def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
     return GammaFit(kappa=kappa, b=b)
 
 
-def _rayleigh_magnitudes(rng: np.random.Generator, mean_power: float, size) -> np.ndarray:
-    # |h| with E|h|^2 = mean_power, i.e. sqrt of an exponential draw
-    return np.sqrt(rng.exponential(mean_power, size=size))
+# Every SystemConfig field that the two samplers and effective_gain read.
+# The random-phase sampler also takes 2R as its element count.
+_FADING_FIELDS = (
+    "R", "eta_c", "eta_e",
+    "lambda_c", "lambda_e", "lambda_ce",
+    "lambda_rc", "lambda_gc", "lambda_re",
+    "lambda_ge", "lambda_rce", "lambda_gce",
+)
+
+
+def fading_key(cfg: SystemConfig) -> tuple:
+    """The config fields that a sampled batch and its effective gains depend on.
+
+    Two configs with equal keys draw bitwise the same batch from the same
+    generator state and get the same (T, Z, W), so one draw serves both.
+    SNRs, the power split, the codes and quad_order are not part of it.
+    """
+    return tuple(getattr(cfg, name) for name in _FADING_FIELDS)
+
+
+def _rayleigh_magnitudes_into(
+    rng: np.random.Generator, mean_power: float, out: np.ndarray
+) -> None:
+    # |h| with E|h|^2 = mean_power, i.e. sqrt of an exponential draw.
+    # exponential(scale) is scale * standard_exponential(), so filling a
+    # reused buffer in place gives the same bits with no fresh temporary.
+    rng.standard_exponential(out=out)
+    out *= mean_power
+    np.sqrt(out, out=out)
 
 
 def _sample_aligned_batch(
@@ -162,23 +190,20 @@ def _sample_aligned_batch(
     if not with_cascade or cfg.R == 0:
         return {"p_c": p_c, "p_e": p_e, "p_ce": p_ce,
                 "q_c": zeros, "q_e": zeros, "q_ce": zeros.copy()}
-    shape = (n, cfg.R)
-    q_c = np.sum(
-        _rayleigh_magnitudes(rng, cfg.lambda_gc, shape)
-        * _rayleigh_magnitudes(rng, cfg.lambda_rc, shape),
-        axis=1,
-    )
-    q_e = np.sum(
-        _rayleigh_magnitudes(rng, cfg.lambda_ge, shape)
-        * _rayleigh_magnitudes(rng, cfg.lambda_re, shape),
-        axis=1,
-    )
-    q_ce = np.sum(
-        _rayleigh_magnitudes(rng, cfg.lambda_gce, shape)
-        * _rayleigh_magnitudes(rng, cfg.lambda_rce, shape),
-        axis=1,
-    )
-    return {"p_c": p_c, "p_e": p_e, "p_ce": p_ce, "q_c": q_c, "q_e": q_e, "q_ce": q_ce}
+    # two (n, R) buffers serve all three cascades, one per hop
+    hop_g = np.empty((n, cfg.R))
+    hop_r = np.empty((n, cfg.R))
+    q = {}
+    for name, lam_g, lam_r in (
+        ("q_c", cfg.lambda_gc, cfg.lambda_rc),
+        ("q_e", cfg.lambda_ge, cfg.lambda_re),
+        ("q_ce", cfg.lambda_gce, cfg.lambda_rce),
+    ):
+        _rayleigh_magnitudes_into(rng, lam_g, hop_g)
+        _rayleigh_magnitudes_into(rng, lam_r, hop_r)
+        hop_g *= hop_r
+        q[name] = np.sum(hop_g, axis=1)
+    return {"p_c": p_c, "p_e": p_e, "p_ce": p_ce, **q}
 
 
 def _sample_random_phase_batch(

@@ -30,7 +30,16 @@ from dataclasses import dataclass, replace
 from . import analytic
 from .channel import SystemConfig
 from .fbl import CodeSpec
-from .montecarlo import ScenarioKind, _apply_axis, _db_to_linear, run_trials, sweep
+from .montecarlo import (
+    ScenarioKind,
+    SweepPoint,
+    _apply_axis,
+    _db_to_linear,
+    _sweep_point,
+    run_points,
+    run_trials,
+    sweep,
+)
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 
@@ -238,38 +247,39 @@ def _analytic_rows(cfg: SystemConfig) -> list[tuple[str, str, float]]:
     ]
 
 
-def _sweep_rows(
-    base: SystemConfig,
-    scenario: ScenarioKind,
-    axis: str,
-    values,
-    trials: int,
-    seed: int,
-    couple_rho_c: bool,
-    suffix: str = "",
-) -> list[tuple]:
-    """Rows for one sweep: MC always; closed forms only where they apply.
+def _check_points(labelled: list[tuple[str, SweepPoint]]) -> None:
+    """Warn about each failed (axis, point); it is an error if none succeeded."""
+    failed = [(axis, point) for axis, point in labelled if point.error is not None]
+    for axis, point in failed:
+        print(f"warning: {axis}={point.value}: {point.error}", file=sys.stderr)
+    if failed:
+        summary = f"{len(failed)} of {len(labelled)} sweep points failed"
+        if len(failed) == len(labelled):
+            raise ConfigError(f"config error: {summary}")
+        print(summary, file=sys.stderr)
 
-    The analytic expressions model the phase-aligned two-zone system with at
-    least one element per zone, so no_ris / single_zone_random runs (and
-    R = 0 points) emit simulation rows only.
+
+def _sweep_rows(items: list[tuple], seed: int) -> list[tuple]:
+    """Rows for sweep points given as (scenario, axis, base, couple_rho_c,
+    suffix, point): MC always; closed forms only where they apply.
+
+    Failed points are reported and left out, and a run in which every point
+    failed is a config error.  The analytic expressions model the
+    phase-aligned two-zone system with at least one element per zone, so
+    no_ris / single_zone_random runs (and R = 0 points) emit simulation rows
+    only.
     """
+    _check_points([(axis, point) for _, axis, _, _, _, point in items])
     rows: list[tuple] = []
-    points = sweep(base, scenario, axis, list(values), trials, seed, couple_rho_c)
-    for point in points:
+    for scenario, axis, base, couple_rho_c, suffix, point in items:
         if point.error is not None:
-            print(
-                f"warning: {axis}={point.value}: {point.error}",
-                file=sys.stderr,
-            )
             continue
-        value = float(point.value)
-        for metric in ("cu", "ceu_sc", "ceu_mrc"):
-            est = point.estimates[metric]
+        value = point.value
+        for metric, est in point.estimates.items():
             rows.append(
                 (axis, value, metric, "mc" + suffix, est.mean, est.stderr, est.n, seed)
             )
-        cfg = _apply_axis(base, axis, point.value, couple_rho_c)
+        cfg = _apply_axis(base, axis, value, couple_rho_c)
         if scenario is ScenarioKind.TWO_ZONE_ALIGNED and cfg.R >= 1:
             for metric, source, bler in _analytic_rows(cfg):
                 rows.append((axis, value, metric, source + suffix, bler, 0.0, 0, seed))
@@ -295,15 +305,10 @@ def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
         # A single point is a one-value SNR sweep; keeps the schema uniform.
         axis = "rho_s_db"
         values = (10.0 * math.log10(run_cfg.system.rho_s),)
-    rows = _sweep_rows(
-        run_cfg.system,
-        run_cfg.scenario,
-        axis,
-        values,
-        run_cfg.trials,
-        run_cfg.seed,
-        run_cfg.couple_rho_c,
-    )
+    base, scenario, couple = run_cfg.system, run_cfg.scenario, run_cfg.couple_rho_c
+    points = sweep(base, scenario, axis, list(values), run_cfg.trials, run_cfg.seed, couple)
+    items = [(scenario, axis, base, couple, "", point) for point in points]
+    rows = _sweep_rows(items, run_cfg.seed)
     _write_csv(out_path, rows)
     print(f"wrote {out_path}: {len(rows)} rows")
     return 0
@@ -351,11 +356,23 @@ def _preset_runs(preset: str, defaults: SystemConfig):
 
 def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
     defaults = parse_config({}).system
-    rows: list[tuple] = []
-    for scenario, axis, values, base, suffix in _preset_runs(preset, defaults):
-        rows.extend(
-            _sweep_rows(base, scenario, axis, values, trials, seed, True, suffix)
-        )
+    # every point of the preset goes into one batched Monte Carlo call
+    specs = [
+        (scenario, axis, base, suffix, value)
+        for scenario, axis, values, base, suffix in _preset_runs(preset, defaults)
+        for value in values
+    ]
+    results = run_points(
+        [(_apply_axis(base, axis, value, True), scenario)
+         for scenario, axis, base, _, value in specs],
+        trials,
+        seed,
+    )
+    items = [
+        (scenario, axis, base, True, suffix, _sweep_point(value, got))
+        for (scenario, axis, base, suffix, value), got in zip(specs, results)
+    ]
+    rows = _sweep_rows(items, seed)
     _write_csv(out_path, rows)
     print(f"wrote {out_path}: {len(rows)} rows")
     return 0
@@ -369,9 +386,8 @@ _DECADE_TOL = 0.3
 
 
 def _compare_point(
-    cfg: SystemConfig, trials: int, seed: int, label: str
+    cfg: SystemConfig, est: dict, trials: int, seed: int, label: str
 ) -> tuple[list[str], bool]:
-    est = run_trials(cfg, ScenarioKind.TWO_ZONE_ALIGNED, trials, seed)
     verdicts = []
     lines = [f"[{label}] n={trials} seed={seed}"]
     for metric, source, value in _analytic_rows(cfg):
@@ -402,19 +418,23 @@ def cmd_compare(run_cfg: RunConfig) -> int:
     wherever the MC mean resolves (>= 1e-4; SKIP otherwise); the ceu_mrc row
     is judged as a lower bound (FAIL iff analytic exceeds mc + 3*stderr).
     """
+    base, trials, seed = run_cfg.system, run_cfg.trials, run_cfg.seed
+    aligned = ScenarioKind.TWO_ZONE_ALIGNED
     if run_cfg.sweep_axis is not None:
-        points = [
-            (
-                _apply_axis(run_cfg.system, run_cfg.sweep_axis, v, run_cfg.couple_rho_c),
-                f"{run_cfg.sweep_axis}={v}",
-            )
-            for v in run_cfg.sweep_values
+        axis, values, couple = run_cfg.sweep_axis, run_cfg.sweep_values, run_cfg.couple_rho_c
+        points = sweep(base, aligned, axis, list(values), trials, seed, couple)
+        _check_points([(axis, point) for point in points])
+        reports = [
+            (_apply_axis(base, axis, v, couple), point.estimates, f"{axis}={v}")
+            for v, point in zip(values, points)
+            if point.error is None
         ]
     else:
-        points = [(run_cfg.system, f"rho_s={run_cfg.system.rho_s:g}")]
+        est = run_trials(base, aligned, trials, seed)
+        reports = [(base, est, f"rho_s={base.rho_s:g}")]
     failed = False
-    for cfg, label in points:
-        lines, point_failed = _compare_point(cfg, run_cfg.trials, run_cfg.seed, label)
+    for cfg, est, label in reports:
+        lines, point_failed = _compare_point(cfg, est, trials, seed, label)
         failed = failed or point_failed
         print("\n".join(lines))
     if failed:

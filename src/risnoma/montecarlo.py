@@ -10,11 +10,15 @@ Determinism: trials are partitioned into fixed 4096-trial chunks; chunk c
 draws from a generator seeded by (master seed, c); partial sums are merged
 in chunk order.  The result is bitwise identical for any worker count, so
 the worker pool (capped by the RISNOMA_WORKERS environment variable) only
-affects speed.
+affects speed.  Since every point of a call uses the same seed, points that
+share the fading law (channel.fading_key) would draw the same batch; they
+are grouped so that each chunk is drawn once and evaluated for every point
+of its group, and all chunks of one call run in one process pool.
 
 Provides:
     BlerEstimate         -- mean / stderr / n triple
     ScenarioKind         -- aligned two-zone, single-zone random, no surface
+    run_points           -- all estimates at many points in one batched call
     run_trials           -- cu / ceu_sc / ceu_mrc estimates
     run_component_trials -- per-decoding-step estimates (cc, ce, e1, e2)
     sweep                -- estimates along one config axis
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -34,12 +39,14 @@ from .channel import (
     _sample_aligned_batch,
     _sample_random_phase_batch,
     effective_gain,
+    fading_key,
 )
 from .fbl import CodeSpec, psi_exact_vec
 
 __all__ = [
     "BlerEstimate",
     "ScenarioKind",
+    "run_points",
     "run_trials",
     "run_component_trials",
     "sweep",
@@ -48,7 +55,9 @@ __all__ = [
 
 CHUNK_TRIALS = 4096
 
-_METRICS = ("cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2")
+_USER_METRICS = ("cu", "ceu_sc", "ceu_mrc")
+_STEP_METRICS = ("cc", "ce", "e1", "e2")
+_METRICS = _USER_METRICS + _STEP_METRICS
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -75,18 +84,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _chunk_sums(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Sums and sums of squares of every metric over one chunk of trials."""
-    cfg, scenario, n_trials, seed, chunk_index = args
-    rng = _chunk_rng(seed, chunk_index)
-
-    if scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
-        batch = _sample_random_phase_batch(cfg, rng, n_trials, 2 * cfg.R)
-    else:
-        with_cascade = scenario is ScenarioKind.TWO_ZONE_ALIGNED and cfg.R > 0
-        batch = _sample_aligned_batch(cfg, rng, n_trials, with_cascade=with_cascade)
-
-    gain_t, gain_z, gain_w = effective_gain(batch, cfg)
+def _metric_sums(
+    gains: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: SystemConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and sums of squares of every metric for one config on one batch."""
+    gain_t, gain_z, gain_w = gains
 
     a_c_rho = cfg.alpha_c * cfg.rho_s
     a_e_rho = cfg.alpha_e * cfg.rho_s
@@ -112,7 +114,35 @@ def _chunk_sums(args) -> tuple[int, np.ndarray, np.ndarray]:
     cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
     sums = np.array([float(np.sum(c)) for c in cols])
     sqsums = np.array([float(np.sum(c * c)) for c in cols])
-    return n_trials, sums, sqsums
+    return sums, sqsums
+
+
+def _chunk_sums(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray] | str]]:
+    """Draw one chunk of trials once and evaluate each config of a group on it.
+
+    Every config of the group has the same fading key, so the one batch is
+    the batch each would have drawn alone.  The configs are evaluated one
+    at a time to keep memory per chunk bounded; a ValueError while
+    evaluating one becomes that config's error and the rest carry on.
+    """
+    cfgs, scenario, n_trials, seed, chunk_index = args
+    rng = _chunk_rng(seed, chunk_index)
+    head = cfgs[0]
+
+    if scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
+        batch = _sample_random_phase_batch(head, rng, n_trials, 2 * head.R)
+    else:
+        with_cascade = scenario is ScenarioKind.TWO_ZONE_ALIGNED and head.R > 0
+        batch = _sample_aligned_batch(head, rng, n_trials, with_cascade=with_cascade)
+
+    gains = effective_gain(batch, head)
+    out: list[tuple[np.ndarray, np.ndarray] | str] = []
+    for cfg in cfgs:
+        try:
+            out.append(_metric_sums(gains, cfg))
+        except ValueError as exc:
+            out.append(str(exc))
+    return n_trials, out
 
 
 def _worker_count() -> int:
@@ -128,34 +158,7 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _accumulate(
-    cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int
-) -> dict[str, BlerEstimate]:
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
-    n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    tasks = [
-        (cfg, scenario, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c)
-        for c in range(n_chunks)
-    ]
-
-    workers = min(_worker_count(), n_chunks)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # pool.map preserves task order, so the merge below is in
-            # chunk order regardless of completion order
-            results = list(pool.map(_chunk_sums, tasks, chunksize=8))
-    else:
-        results = [_chunk_sums(t) for t in tasks]
-
-    total = np.zeros(len(_METRICS))
-    total_sq = np.zeros(len(_METRICS))
-    count = 0
-    for n_c, sums, sqsums in results:
-        count += n_c
-        total += sums
-        total_sq += sqsums
-
+def _estimates(count: int, total: np.ndarray, total_sq: np.ndarray) -> dict[str, BlerEstimate]:
     out: dict[str, BlerEstimate] = {}
     for i, name in enumerate(_METRICS):
         mean = total[i] / count
@@ -168,12 +171,78 @@ def _accumulate(
     return out
 
 
+def run_points(
+    points: Sequence[tuple[SystemConfig, ScenarioKind]], n: int, seed: int
+) -> list[dict[str, BlerEstimate] | str]:
+    """Estimate every metric at each (config, scenario) point over n trials.
+
+    Returns, per point in the given order, a dict of all seven estimates
+    (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2) or that point's error message.
+    Points whose scenario and fading key agree share one draw per chunk,
+    and every chunk of the call runs in one process pool.  Each point gets
+    the same draws and the same float operations as a call with that point
+    alone.
+    """
+    if n < 1:
+        raise ValueError(f"trial count must be >= 1, got {n}")
+    groups: dict[tuple, list[int]] = {}
+    for i, (cfg, scenario) in enumerate(points):
+        groups.setdefault((scenario, fading_key(cfg)), []).append(i)
+
+    n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    owners: list[list[int]] = []
+    tasks = []
+    for (scenario, _), members in groups.items():
+        cfgs = tuple(points[i][0] for i in members)
+        for c in range(n_chunks):
+            owners.append(members)
+            tasks.append((cfgs, scenario, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))
+
+    workers = min(_worker_count(), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # pool.map preserves task order, so the merge below is in chunk
+            # order regardless of completion order; the chunksize hands
+            # each worker an equal share of the tasks
+            chunksize = -(-len(tasks) // workers)
+            results = list(pool.map(_chunk_sums, tasks, chunksize=chunksize))
+    else:
+        results = [_chunk_sums(t) for t in tasks]
+
+    count = [0] * len(points)
+    total = [np.zeros(len(_METRICS)) for _ in points]
+    total_sq = [np.zeros(len(_METRICS)) for _ in points]
+    errors: list[str | None] = [None] * len(points)
+    for members, (n_c, per_cfg) in zip(owners, results):
+        for i, got in zip(members, per_cfg):
+            if errors[i] is not None:
+                continue
+            if isinstance(got, str):
+                errors[i] = got
+                continue
+            count[i] += n_c
+            total[i] += got[0]
+            total_sq[i] += got[1]
+    return [
+        errors[i] if errors[i] is not None else _estimates(count[i], total[i], total_sq[i])
+        for i in range(len(points))
+    ]
+
+
+def _one_point(
+    cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int, keys: tuple[str, ...]
+) -> dict[str, BlerEstimate]:
+    got = run_points([(cfg, scenario)], n, seed)[0]
+    if isinstance(got, str):
+        raise ValueError(got)
+    return {k: got[k] for k in keys}
+
+
 def run_trials(
     cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int
 ) -> dict[str, BlerEstimate]:
     """Estimate the three user-level average BLERs over n trials."""
-    full = _accumulate(cfg, scenario, n, seed)
-    return {k: full[k] for k in ("cu", "ceu_sc", "ceu_mrc")}
+    return _one_point(cfg, scenario, n, seed, _USER_METRICS)
 
 
 def run_component_trials(
@@ -184,8 +253,7 @@ def run_component_trials(
     Same trials (same seed derivation) as run_trials; exposes the cc / ce /
     e1 / e2 stages individually for oracle comparisons.
     """
-    full = _accumulate(cfg, scenario, n, seed)
-    return {k: full[k] for k in ("cc", "ce", "e1", "e2")}
+    return _one_point(cfg, scenario, n, seed, _STEP_METRICS)
 
 
 @dataclass(frozen=True)
@@ -234,22 +302,32 @@ def sweep(
     seed: int,
     couple_rho_c: bool = True,
 ) -> list[SweepPoint]:
-    """Run run_trials at each axis value; per-point failures are recorded.
+    """User-level estimates at each axis value; per-point failures are recorded.
 
     Every point uses the same seed (common random numbers across the
-    sweep), so a single-value sweep reproduces run_trials exactly.  For
-    rho_s_db sweeps the relay SNR follows as rho_s/10 unless
-    couple_rho_c=False pins it at the base config's value.
+    sweep), and all points go through one run_points call, so each point
+    reproduces run_trials at its value exactly.  For rho_s_db sweeps the
+    relay SNR follows as rho_s/10 unless couple_rho_c=False pins it at the
+    base config's value.
     """
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    points: list[SweepPoint] = []
+    cfgs: list[SystemConfig | str] = []
     for value in values:
         try:
-            cfg = _apply_axis(cfg_base, axis, value, couple_rho_c)
-            est = run_trials(cfg, scenario, n, seed)
+            cfgs.append(_apply_axis(cfg_base, axis, value, couple_rho_c))
         except ValueError as exc:
-            points.append(SweepPoint(value=float(value), estimates=None, error=str(exc)))
-            continue
-        points.append(SweepPoint(value=float(value), estimates=est))
-    return points
+            cfgs.append(str(exc))
+    valid = [(cfg, scenario) for cfg in cfgs if not isinstance(cfg, str)]
+    results = iter(run_points(valid, n, seed))
+    return [
+        _sweep_point(value, cfg if isinstance(cfg, str) else next(results))
+        for value, cfg in zip(values, cfgs)
+    ]
+
+
+def _sweep_point(value, result: dict[str, BlerEstimate] | str) -> SweepPoint:
+    """The SweepPoint of one axis value from its run_points result."""
+    if isinstance(result, str):
+        return SweepPoint(value=float(value), estimates=None, error=result)
+    return SweepPoint(value=float(value), estimates={k: result[k] for k in _USER_METRICS})

@@ -21,6 +21,7 @@ from risnoma.channel import (
     _sample_aligned_batch,
     _sample_random_phase_batch,
     effective_gain,
+    fading_key,
     gamma_fit,
 )
 from risnoma.fbl import CodeSpec
@@ -152,6 +153,62 @@ def test_direct_draws_unchanged_when_cascade_skipped():
         np.testing.assert_array_equal(with_q[key], no_q[key])
     assert np.all(no_q["q_c"] == 0.0)
     assert np.all(with_q["q_c"] > 0.0)
+
+
+def test_aligned_cascade_matches_exponential_construction():
+    # the cascades fill reused buffers in place; exponential(scale) is
+    # scale * standard_exponential(), so the bits equal the plain
+    # sqrt(exponential) construction in the same draw order
+    cfg = make_config(R=5)
+    batch = _sample_aligned_batch(cfg, np.random.default_rng(19), 300, with_cascade=True)
+    rng = np.random.default_rng(19)
+    for name, lam in (("p_c", cfg.lambda_c), ("p_e", cfg.lambda_e), ("p_ce", cfg.lambda_ce)):
+        np.testing.assert_array_equal(batch[name], rng.exponential(lam, size=300))
+    for name, lam_g, lam_r in (
+        ("q_c", cfg.lambda_gc, cfg.lambda_rc),
+        ("q_e", cfg.lambda_ge, cfg.lambda_re),
+        ("q_ce", cfg.lambda_gce, cfg.lambda_rce),
+    ):
+        g = np.sqrt(rng.exponential(lam_g, size=(300, 5)))
+        h = np.sqrt(rng.exponential(lam_r, size=(300, 5)))
+        np.testing.assert_array_equal(batch[name], np.sum(g * h, axis=1))
+
+
+def test_samplers_ignore_fields_outside_fading_key():
+    # run_points draws one batch for every config with the same fading key,
+    # so no sampler may read a field outside it
+    cfg = make_config()
+    other = make_config(
+        rho_s=1000.0,
+        rho_c=3.0,
+        alpha_c=0.3,
+        alpha_e=0.7,
+        code_c=CodeSpec(m=50, bits=120),
+        code_e=CodeSpec(m=200, bits=40),
+        quad_order=7,
+    )
+    assert fading_key(cfg) == fading_key(other)
+    for sample in (
+        lambda c, rng: _sample_aligned_batch(c, rng, 256, with_cascade=True),
+        lambda c, rng: _sample_random_phase_batch(c, rng, 256, 2 * c.R),
+    ):
+        a = sample(cfg, np.random.default_rng(23))
+        b = sample(other, np.random.default_rng(23))
+        assert a.keys() == b.keys()
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
+        for gain_a, gain_b in zip(effective_gain(a, cfg), effective_gain(b, other)):
+            np.testing.assert_array_equal(gain_a, gain_b)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("R", 3), ("eta_c", 0.5), ("eta_e", 0.5), ("lambda_c", 2.0), ("lambda_e", 2.0),
+     ("lambda_ce", 2.0), ("lambda_rc", 2.0), ("lambda_gc", 2.0), ("lambda_re", 2.0),
+     ("lambda_ge", 2.0), ("lambda_rce", 2.0), ("lambda_gce", 2.0)],
+)
+def test_fading_key_changes_with_every_fading_field(field, value):
+    assert fading_key(make_config(**{field: value})) != fading_key(make_config())
 
 
 def test_aligned_moments_match_closed_forms():

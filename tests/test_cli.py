@@ -196,6 +196,42 @@ def test_run_sweep_rows_and_error_points(tmp_path, capsys):
     assert len(rows) == 12
 
 
+def test_sweep_partial_failure_is_counted(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"trials": 512, "sweep": {"axis": "rho_s_db", "values": [10, 3079]}}
+    )
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: rho_s_db=3079.0: SINR must be >= 0 and not NaN" in err
+    assert "1 of 2 sweep points failed" in err
+    assert {float(r[1]) for r in read_rows(out)} == {10.0}
+    # compare reports the point that ran; at 512 trials its MRC bound
+    # fails as in test_compare_flags_violated_bound
+    assert main(["compare", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert "1 of 2 sweep points failed" in captured.err
+    assert "[rho_s_db=10]" in captured.out and "[rho_s_db=3079]" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_sweep_with_every_point_failed_exits_2(tmp_path, capsys, command):
+    # a sweep that produced nothing is an error, not an empty CSV
+    for sweep in (
+        {"axis": "rho_s_db", "values": [1e308]},
+        {"axis": "alpha_c", "values": [0.6, 0.7]},
+    ):
+        cfg = write_config(tmp_path, {"trials": 256, "sweep": sweep})
+        out = tmp_path / "none.csv"
+        argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        n = len(sweep["values"])
+        assert f"config error: {n} of {n} sweep points failed" in err
+        assert err.count("warning:") == n
+        assert not out.exists()
+
+
 def test_run_trials_and_seed_overrides(tmp_path):
     cfg = write_config(tmp_path, {"trials": 999_999, "seed": 1})
     out = tmp_path / "ov.csv"

@@ -7,12 +7,14 @@ gamma fit, so they exercise the simulation independently of the analytics.
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risnoma import cli, montecarlo
 from risnoma.channel import SystemConfig
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import (
@@ -21,6 +23,7 @@ from risnoma.montecarlo import (
     SweepPoint,
     _apply_axis,
     run_component_trials,
+    run_points,
     run_trials,
     sweep,
 )
@@ -182,6 +185,102 @@ def test_sweep_records_overflowing_db_value_as_point_error():
     pts = sweep(make_config(), ALIGNED, "rho_s_db", [1e308], 4096, 8)
     assert pts[0].estimates is None
     assert "rho_s must be finite" in pts[0].error
+
+
+def _assert_same(got, want, label):
+    for key in ("cu", "ceu_sc", "ceu_mrc"):
+        assert got[key] == want[key], (label, key)
+
+
+_AXIS_VALUES = {
+    "rho_s_db": [0.0, 10.0, 20.0],
+    "alpha_c": [0.05, 0.2, 0.4],
+    "m": [50, 100, 300],
+    "R": [1, 3, 8],
+}
+
+
+@pytest.mark.parametrize("axis", sorted(_AXIS_VALUES))
+@pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
+def test_batched_sweep_matches_lone_run_trials(scenario, axis):
+    # points of one sweep share their draws; each must still get exactly
+    # what a lone run_trials at that value gives
+    cfg = make_config()
+    n = CHUNK_TRIALS + 500  # two chunks, the last one partial
+    pts = sweep(cfg, scenario, axis, _AXIS_VALUES[axis], n, 61)
+    for value, point in zip(_AXIS_VALUES[axis], pts):
+        assert point.error is None
+        alone = run_trials(_apply_axis(cfg, axis, value, True), scenario, n, 61)
+        _assert_same(point.estimates, alone, (scenario, axis, value))
+
+
+def test_failing_point_leaves_its_group_intact():
+    # 3079 dB overflows the SINRs to NaN while evaluating; the point at
+    # 10 dB draws from the same batch and must be unaffected
+    cfg = make_config()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = sweep(cfg, ALIGNED, "rho_s_db", [10, 3079], 8192, 5)
+    assert pts[0].error is None
+    assert pts[1].estimates is None
+    assert "SINR must be >= 0 and not NaN" in pts[1].error
+    alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
+    _assert_same(pts[0].estimates, alone, 10)
+
+
+def test_run_points_reports_errors_per_point():
+    cfg = make_config()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = run_points(
+            [(_apply_axis(cfg, "rho_s_db", 3079, True), ALIGNED), (cfg, ALIGNED)], 4096, 5
+        )
+    assert "SINR must be >= 0 and not NaN" in got[0]
+    assert set(got[1]) == {"cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2"}
+
+
+def test_batched_sweep_worker_count_does_not_change_results(monkeypatch):
+    # two operating points per element count share each draw, as in fig5,
+    # plus a second scenario, so tasks differ in size
+    cfg = make_config()
+    points = [
+        (_apply_axis(cfg, axis, value, True), scenario)
+        for scenario in (ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM)
+        for axis, value in (("rho_s_db", 10.0), ("rho_s_db", 15.0), ("R", 2))
+    ]
+    n = 3 * CHUNK_TRIALS
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    serial = run_points(points, n, 123)
+    monkeypatch.setenv("RISNOMA_WORKERS", "3")
+    pooled = run_points(points, n, 123)
+    assert serial == pooled
+
+
+def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("RISNOMA_WORKERS", "2")
+    assert cli.cmd_fig("fig5", str(tmp_path / "fig5.csv"), 8192, 1234) == 0
+    assert pools == [2]
+
+    # the 10 dB and 15 dB curves draw each chunk once per element count:
+    # 8 element counts x 2 chunks
+    draws = []
+    sample = montecarlo._sample_aligned_batch
+
+    def counting_sample(*args, **kwargs):
+        draws.append(args[2])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_sample_aligned_batch", counting_sample)
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    assert cli.cmd_fig("fig5", str(tmp_path / "fig5_serial.csv"), 8192, 1234) == 0
+    assert draws == [CHUNK_TRIALS] * 16
+    assert (tmp_path / "fig5.csv").read_bytes() == (tmp_path / "fig5_serial.csv").read_bytes()
 
 
 def test_sweep_rejects_empty_values():
