@@ -29,6 +29,7 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 4096
+_BATCH_TASKS = 16  # most chunk tasks per process-pool message
 
 _USER_METRICS = ("cu", "ceu_sc", "ceu_mrc")
 _STEP_METRICS = ("cc", "ce", "e1", "e2")
@@ -158,6 +160,14 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _chunksize(n_tasks: int, workers: int) -> int:
+    # the same number of batches per worker, each of at most _BATCH_TASKS
+    # tasks: workers get equal shares, and the sums one batch returns stay
+    # small however many points and chunks the call has
+    batches = workers * -(-n_tasks // (workers * _BATCH_TASKS))
+    return -(-n_tasks // batches)
+
+
 def _estimates(count: int, total: np.ndarray, total_sq: np.ndarray) -> dict[str, BlerEstimate]:
     out: dict[str, BlerEstimate] = {}
     for i, name in enumerate(_METRICS):
@@ -198,31 +208,29 @@ def run_points(
             owners.append(members)
             tasks.append((cfgs, scenario, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))
 
-    workers = min(_worker_count(), len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # pool.map preserves task order, so the merge below is in chunk
-            # order regardless of completion order; the chunksize hands
-            # each worker an equal share of the tasks
-            chunksize = -(-len(tasks) // workers)
-            results = list(pool.map(_chunk_sums, tasks, chunksize=chunksize))
-    else:
-        results = [_chunk_sums(t) for t in tasks]
-
     count = [0] * len(points)
     total = [np.zeros(len(_METRICS)) for _ in points]
     total_sq = [np.zeros(len(_METRICS)) for _ in points]
     errors: list[str | None] = [None] * len(points)
-    for members, (n_c, per_cfg) in zip(owners, results):
-        for i, got in zip(members, per_cfg):
-            if errors[i] is not None:
-                continue
-            if isinstance(got, str):
-                errors[i] = got
-                continue
-            count[i] += n_c
-            total[i] += got[0]
-            total_sq[i] += got[1]
+    workers = min(_worker_count(), len(tasks))
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_chunk_sums, tasks, chunksize=_chunksize(len(tasks), workers))
+        else:
+            results = map(_chunk_sums, tasks)
+        # pool.map yields in task order, so every point merges its chunks in
+        # chunk order; merging as results arrive holds only a few batches
+        for members, (n_c, per_cfg) in zip(owners, results):
+            for i, got in zip(members, per_cfg):
+                if errors[i] is not None:
+                    continue
+                if isinstance(got, str):
+                    errors[i] = got
+                    continue
+                count[i] += n_c
+                total[i] += got[0]
+                total_sq[i] += got[1]
     return [
         errors[i] if errors[i] is not None else _estimates(count[i], total[i], total_sq[i])
         for i in range(len(points))

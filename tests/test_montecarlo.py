@@ -22,6 +22,7 @@ from risnoma.montecarlo import (
     ScenarioKind,
     SweepPoint,
     _apply_axis,
+    _chunksize,
     run_component_trials,
     run_points,
     run_trials,
@@ -252,6 +253,18 @@ def test_batched_sweep_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("RISNOMA_WORKERS", "3")
     pooled = run_points(points, n, 123)
     assert serial == pooled
+
+
+def test_chunksize_gives_each_worker_an_equal_share():
+    # 25 chunks on 2 workers were once cut 8/8/8/1, idling one worker
+    assert _chunksize(25, 2) == 13
+    for workers in (2, 3, 4):
+        for n_tasks in range(1, 200):
+            size = _chunksize(n_tasks, workers)
+            assert 1 <= size <= 16
+            if n_tasks <= 16 * workers:
+                # one batch per worker
+                assert size == -(-n_tasks // workers)
 
 
 def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
