@@ -417,6 +417,7 @@ def cmd_compare(run_cfg: RunConfig) -> int:
     cu / ceu_sc rows are judged on |log10 analytic - log10 mc| <= 0.3
     wherever the MC mean resolves (>= 1e-4; SKIP otherwise); the ceu_mrc row
     is judged as a lower bound (FAIL iff analytic exceeds mc + 3*stderr).
+    Failed sweep points are reported and skipped, as in cmd_run.
     """
     base, trials, seed = run_cfg.system, run_cfg.trials, run_cfg.seed
     aligned = ScenarioKind.TWO_ZONE_ALIGNED
