@@ -6,6 +6,7 @@ statistical checks compare against closed forms that do not go through the
 gamma fit, so they exercise the simulation independently of the analytics.
 """
 
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -81,6 +82,59 @@ def test_no_surface_scenario_equals_eta_zero():
     none = run_trials(cfg, ScenarioKind.NO_RIS, 8192, 42)
     for key in ("cu", "ceu_sc", "ceu_mrc"):
         assert quiet[key].mean == none[key].mean
+
+
+# -------------------------------------------------------- bitwise estimates
+
+def _estimate_digest(results) -> str:
+    """sha256 over float.hex of every mean and stderr, point by point.
+
+    The CSVs print %.10e, which cannot see a change in the last bits of an
+    estimate; this digest can.
+    """
+    h = hashlib.sha256()
+    for i, est in enumerate(results):
+        for key in sorted(est):
+            e = est[key]
+            h.update(f"{i} {key} {e.mean.hex()} {e.stderr.hex()} {e.n}\n".encode())
+    return h.hexdigest()
+
+
+def _fig_points() -> list:
+    # every (config, scenario) point of the fig2..fig6 presets, in preset order
+    defaults = cli.parse_config({}).system
+    return [
+        (_apply_axis(base, axis, value, True), scenario)
+        for preset in ("fig2", "fig3", "fig4", "fig5", "fig6")
+        for scenario, axis, values, base, _ in cli._preset_runs(preset, defaults)
+        for value in values
+    ]
+
+
+# A change meant to keep the random draws and the float operations must keep
+# these digests; a change meant to alter them updates a digest and says why.
+_POINT_DIGESTS = {
+    ScenarioKind.TWO_ZONE_ALIGNED: "74797efb768df90859511415538169a162cf4ff5dcda65cea04888605003ff20",
+    ScenarioKind.SINGLE_ZONE_RANDOM: "18a0f3a1a166cbf9b7ad65d7318fb52abac521dae671c77bea49ae08a8a8b973",
+    ScenarioKind.NO_RIS: "88db0a38a02d7578d234e3c5188e1a1c51c3786da47f3abdc4956845ac3f3318",
+}
+_FIG_POINTS_DIGEST = "2f0bb8fdf5b4abcb3b5c684a7c1d05b95eed0e0e3cc6f7b5e2dddf7e637a2d84"
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
+def test_point_estimates_are_bitwise_frozen(scenario):
+    cfg = make_config(rho_s=10.0 ** 0.5, rho_c=10.0 ** -0.5)
+    got = run_points([(cfg, scenario)], CHUNK_TRIALS + 1000, 2024)
+    assert _estimate_digest(got) == _POINT_DIGESTS[scenario]
+
+
+def test_fig_point_estimates_are_bitwise_frozen():
+    # 81 points in one call: several fading groups, shared draws, and a
+    # partial last chunk
+    points = _fig_points()
+    assert len(points) == 81
+    got = run_points(points, 2 * CHUNK_TRIALS + 300, 77)
+    assert _estimate_digest(got) == _FIG_POINTS_DIGEST
 
 
 # ---------------------------------------------------------- estimate shape
