@@ -286,10 +286,18 @@ def _sweep_rows(items: list[tuple], seed: int) -> list[tuple]:
     return rows
 
 
+def _check_bler(bler: float, where: str) -> None:
+    # a BLER outside [0, 1] or NaN is a fault of the program, not of the
+    # config, so it must not be a ValueError (which main reports as exit 2)
+    if not 0.0 <= bler <= 1.0:
+        raise RuntimeError(f"internal error: BLER {bler!r} at {where} is not in [0, 1]")
+
+
 def _write_csv(out_path: str, rows: list[tuple]) -> None:
     rows = sorted(rows, key=lambda r: (r[1], r[2], r[3]))
     lines = [_CSV_HEADER]
     for axis, value, metric, source, bler, stderr, n, seed in rows:
+        _check_bler(bler, f"{axis}={value!r} {metric} {source}")
         lines.append(
             f"{axis},{value:.10e},{metric},{source},{bler:.10e},{stderr:.10e},{n},{seed}"
         )
@@ -392,6 +400,8 @@ def _compare_point(
     lines = [f"[{label}] n={trials} seed={seed}"]
     for metric, source, value in _analytic_rows(cfg):
         mc = est[metric]
+        _check_bler(value, f"[{label}] {metric} {source}")
+        _check_bler(mc.mean, f"[{label}] {metric} mc")
         ratio = value / mc.mean if mc.mean > 0.0 else math.inf
         if source == "analytic_lb":
             # Bound semantics: the closed form must not exceed the estimate.

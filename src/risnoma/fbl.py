@@ -32,6 +32,8 @@ __all__ = [
 _GAMMA_FLOOR = 1e-12
 # |Q argument| beyond which Q(x) is sub-1e-300: clip to the exact limit
 _ARG_CLIP = 38.0
+_LOG2E_SQ = math.log2(math.e) ** 2
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,31 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     Raises ValueError on a negative or NaN SINR.
     """
     g = np.asarray(gamma, dtype=np.float64)
-    if not np.all(g >= 0.0):
+    lo = g.min(initial=np.inf)  # NaN if any entry is NaN
+    if not lo >= 0.0:
         raise ValueError("SINR must be >= 0 and not NaN")
-    out = np.ones(g.shape, dtype=np.float64)
-    live = g >= _GAMMA_FLOOR
-    if not np.any(live):
-        return out
-    gl = g[live]
-    r = 1.0 + gl
-    cap = np.log2(r)
-    disp = (math.log2(math.e) ** 2) * (1.0 - 1.0 / (r * r))
-    arg = (cap - code.rate) * np.sqrt(code.m / disp)
-    np.clip(arg, -_ARG_CLIP, _ARG_CLIP, out=arg)
-    out[live] = 0.5 * _erfc_vec(arg / math.sqrt(2.0))
-    np.clip(out, 0.0, 1.0, out=out)
+    # one pass over two buffers; every entry goes through the formula, and
+    # those below the floor (where the dispersion vanishes and m/V divides
+    # by zero) are set to their limit afterwards
+    out = np.empty_like(g)
+    buf = np.empty_like(g)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.add(1.0, g, out=buf)
+        np.log2(buf, out=out)
+        np.multiply(buf, buf, out=buf)
+        np.divide(1.0, buf, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.multiply(_LOG2E_SQ, buf, out=buf)
+        np.divide(code.m, buf, out=buf)
+        np.sqrt(buf, out=buf)
+        np.subtract(out, code.rate, out=out)
+        np.multiply(out, buf, out=out)
+        np.clip(out, -_ARG_CLIP, _ARG_CLIP, out=out)
+        np.divide(out, _SQRT2, out=out)
+        _erfc_vec(out, out=out)
+        np.multiply(0.5, out, out=out)
+    if lo < _GAMMA_FLOOR:
+        out[g < _GAMMA_FLOOR] = 1.0
     return out
 
 

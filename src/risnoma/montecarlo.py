@@ -94,10 +94,13 @@ def _metric_sums(
 
     a_c_rho = cfg.alpha_c * cfg.rho_s
     a_e_rho = cfg.alpha_e * cfg.rho_s
-    g_cc = a_c_rho * gain_t
-    g_ce = a_e_rho * gain_t / (a_c_rho * gain_t + 1.0)
-    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
-    g_e2 = cfg.rho_c * gain_w
+    # a huge SNR overflows the SINRs to inf or NaN; psi refuses the NaNs
+    # with this config's error, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_cc = a_c_rho * gain_t
+        g_ce = a_e_rho * gain_t / (a_c_rho * gain_t + 1.0)
+        g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+        g_e2 = cfg.rho_c * gain_w
 
     eps_cc = psi_exact_vec(g_cc, cfg.code_c)
     eps_ce = psi_exact_vec(g_ce, cfg.code_e)
@@ -106,16 +109,15 @@ def _metric_sums(
 
     # CU fails if either SIC stage fails (inclusion-exclusion of the two)
     cu = eps_ce + eps_cc - eps_ce * eps_cc
-    # CEU: direct-only when the relay failed to decode, combined otherwise
+    # CEU: direct-only when the relay failed to decode, combined otherwise.
+    # SC decodes at max(g_e1, g_e2), whose psi is already in eps_e1 or eps_e2
     relay_ok = 1.0 - eps_ce
-    sc = eps_ce * eps_e1 + relay_ok * psi_exact_vec(
-        np.maximum(g_e1, g_e2), cfg.code_e
-    )
+    sc = eps_ce * eps_e1 + relay_ok * np.where(g_e1 >= g_e2, eps_e1, eps_e2)
     mrc = eps_ce * eps_e1 + relay_ok * psi_exact_vec(g_e1 + g_e2, cfg.code_e)
 
     cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
-    sums = np.array([float(np.sum(c)) for c in cols])
-    sqsums = np.array([float(np.sum(c * c)) for c in cols])
+    sums = np.array([np.add.reduce(c) for c in cols])
+    sqsums = np.array([np.add.reduce(c * c) for c in cols])
     return sums, sqsums
 
 

@@ -6,11 +6,14 @@ its header, ordering, number formatting, and line endings are pinned here.
 
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from risnoma import analytic
 from risnoma.cli import (
     ConfigError,
     load_config,
@@ -212,6 +215,36 @@ def test_sweep_partial_failure_is_counted(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "1 of 2 sweep points failed" in captured.err
     assert "[rho_s_db=10]" in captured.out and "[rho_s_db=3079]" not in captured.out
+
+
+def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
+    # the overflow happens in the pool workers, whose stderr is the CLI's
+    cfg = write_config(
+        tmp_path, {"trials": 8192, "sweep": {"axis": "rho_s_db", "values": [10, 3079]}}
+    )
+    out = tmp_path / "quiet.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "risnoma", "run", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "RISNOMA_WORKERS": "2"},
+    )
+    assert proc.returncode == 0
+    assert "warning: rho_s_db=3079.0: SINR must be >= 0 and not NaN" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert {float(r[1]) for r in read_rows(out)} == {10.0}
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_bler_outside_unit_interval_is_an_internal_error(tmp_path, monkeypatch, command, bad):
+    monkeypatch.setattr(analytic, "avg_bler_ceu_sc", lambda cfg: bad)
+    cfg = write_config(tmp_path, {"trials": 256})
+    out = tmp_path / "bad.csv"
+    argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
+    with pytest.raises(RuntimeError, match=r"internal error: BLER .* ceu_sc analytic"):
+        main(argv)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -1,18 +1,23 @@
 """Tests for the finite-blocklength error model and its linear surrogate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc as scipy_erfc
 
+from risnoma.channel import SystemConfig
 from risnoma.fbl import (
+    _GAMMA_FLOOR,
     CodeSpec,
     linearization_params,
     psi_exact_vec,
     psi_linear,
 )
+from risnoma.montecarlo import _metric_sums
 
 # the two working points used throughout: a rate-3 control code and a
 # rate-1 payload code, both over 100 channel uses
@@ -110,6 +115,156 @@ def test_psi_exact_vec_reference_values():
 def test_psi_exact_vec_handles_zero_block():
     out = psi_exact_vec(np.zeros(5), CODE_C)
     assert out.tolist() == [1.0] * 5
+
+
+def _reference_psi_exact_vec(gamma, code: CodeSpec) -> np.ndarray:
+    """The masked two-pass psi that the in-place kernel replaced.
+
+    Entries below the floor are 1; the rest are gathered, evaluated in
+    fresh temporaries and scattered back.  Kept here as the bitwise
+    reference for the kernel.
+    """
+    g = np.asarray(gamma, dtype=np.float64)
+    if not np.all(g >= 0.0):
+        raise ValueError("SINR must be >= 0 and not NaN")
+    out = np.ones(g.shape, dtype=np.float64)
+    live = g >= _GAMMA_FLOOR
+    if not np.any(live):
+        return out
+    gl = g[live]
+    r = 1.0 + gl
+    cap = np.log2(r)
+    with np.errstate(over="ignore"):  # r * r past 1e154
+        disp = (math.log2(math.e) ** 2) * (1.0 - 1.0 / (r * r))
+    arg = (cap - code.rate) * np.sqrt(code.m / disp)
+    np.clip(arg, -38.0, 38.0, out=arg)
+    out[live] = 0.5 * scipy_erfc(arg / math.sqrt(2.0))
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def _quiet_psi(gamma, code: CodeSpec) -> np.ndarray:
+    # the kernel must not warn on any valid input, overflow included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return psi_exact_vec(gamma, code)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# exact zeros (both signs), values below and at the floor, the whole
+# ordinary range, and values whose r * r overflows
+_SPECIAL_SINRS = np.array(
+    [0.0, -0.0, 1e-300, 1e-17, 1e-13, _GAMMA_FLOOR, 2e-12, 1e-9, 1e-3, 0.5, 1.0,
+     7.0, 1e3, 1e9, 1e154, 1e200, 1e300, math.inf]
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    # at m = 1e12 the formula below the floor no longer clips to psi = 1,
+    # so only the floor's limit value keeps the reference's 1
+    [CODE_C, CODE_E, CodeSpec(m=37, bits=11), CodeSpec(m=2000, bits=6000),
+     CodeSpec(m=10**12, bits=1)],
+    ids=lambda c: f"m{c.m}-n{c.bits}",
+)
+def test_psi_kernel_matches_masked_reference_bitwise(code):
+    rng = np.random.default_rng(20261018)
+    _assert_same_bits(_quiet_psi(_SPECIAL_SINRS, code), _reference_psi_exact_vec(_SPECIAL_SINRS, code))
+    for size in (1, 7, 64, 4096):
+        for _ in range(8):
+            # ordinary SINRs over twelve decades, salted with special values
+            g = 10.0 ** rng.uniform(-4.0, 8.0, size)
+            salt = rng.random(size) < 0.2
+            g[salt] = rng.choice(_SPECIAL_SINRS, salt.sum())
+            _assert_same_bits(_quiet_psi(g, code), _reference_psi_exact_vec(g, code))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-13, 0.9, 7.0, 1e300, math.inf])
+def test_psi_kernel_zero_dim_input(gamma):
+    for code in (CODE_C, CODE_E):
+        for arg in (gamma, np.float64(gamma), np.array(gamma)):
+            got = _quiet_psi(arg, code)
+            assert got.shape == ()
+            _assert_same_bits(got, _reference_psi_exact_vec(gamma, code))
+
+
+def test_psi_kernel_empty_and_2d_input():
+    _assert_same_bits(_quiet_psi(np.empty(0), CODE_C), np.empty(0))
+    _assert_same_bits(_quiet_psi([], CODE_E), np.empty(0))
+    _assert_same_bits(_quiet_psi(np.empty((3, 0)), CODE_E), np.empty((3, 0)))
+    g = np.concatenate([_SPECIAL_SINRS, _SPECIAL_SINRS[::-1]]).reshape(4, 9)
+    for grid in (g, g.T, np.asfortranarray(g)):
+        for code in (CODE_C, CODE_E):
+            _assert_same_bits(_quiet_psi(grid, code), _reference_psi_exact_vec(grid, code))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, -1e-300, -1.0, -math.inf, [1.0, math.nan], [[1.0, 2.0], [-0.5, 3.0]],
+     [math.inf, math.nan, 0.0]],
+)
+def test_psi_kernel_refuses_negative_and_nan(bad):
+    with pytest.raises(ValueError, match="SINR must be >= 0 and not NaN"):
+        psi_exact_vec(bad, CODE_E)
+
+
+def _reference_metric_sums(gains, cfg: SystemConfig):
+    """_metric_sums with SC through its own psi call and np.sum per column."""
+    gain_t, gain_z, gain_w = gains
+    a_c_rho = cfg.alpha_c * cfg.rho_s
+    a_e_rho = cfg.alpha_e * cfg.rho_s
+    g_cc = a_c_rho * gain_t
+    g_ce = a_e_rho * gain_t / (a_c_rho * gain_t + 1.0)
+    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+    g_e2 = cfg.rho_c * gain_w
+    eps_cc = _reference_psi_exact_vec(g_cc, cfg.code_c)
+    eps_ce = _reference_psi_exact_vec(g_ce, cfg.code_e)
+    eps_e1 = _reference_psi_exact_vec(g_e1, cfg.code_e)
+    eps_e2 = _reference_psi_exact_vec(g_e2, cfg.code_e)
+    cu = eps_ce + eps_cc - eps_ce * eps_cc
+    relay_ok = 1.0 - eps_ce
+    sc = eps_ce * eps_e1 + relay_ok * _reference_psi_exact_vec(np.maximum(g_e1, g_e2), cfg.code_e)
+    mrc = eps_ce * eps_e1 + relay_ok * _reference_psi_exact_vec(g_e1 + g_e2, cfg.code_e)
+    cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
+    return (
+        np.array([float(np.sum(c)) for c in cols]),
+        np.array([float(np.sum(c * c)) for c in cols]),
+    )
+
+
+def test_sc_column_equals_psi_of_max_with_ties():
+    # rho_c = 1 makes g_e2 equal to gain_w, so copying g_e1 into gain_w
+    # ties the two CEU branches exactly on a quarter of the trials; zeros
+    # tie them below the floor
+    cfg = SystemConfig(
+        rho_s=10.0, rho_c=1.0, alpha_c=0.1, alpha_e=0.9, code_c=CODE_C, code_e=CODE_E, R=8
+    )
+    rng = np.random.default_rng(5)
+    n = 4096
+    gain_t, gain_z, gain_w = (rng.exponential(3.0, n) for _ in range(3))
+    a_c_rho, a_e_rho = cfg.alpha_c * cfg.rho_s, cfg.alpha_e * cfg.rho_s
+    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+    gain_w[: n // 4] = g_e1[: n // 4]
+    gain_z[-8:] = gain_w[-8:] = 0.0
+    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+    ties = g_e1 == cfg.rho_c * gain_w
+    assert ties.sum() == n // 4 + 8
+
+    sums, sqsums = _metric_sums((gain_t, gain_z, gain_w), cfg)
+    want_sums, want_sqsums = _reference_metric_sums((gain_t, gain_z, gain_w), cfg)
+    assert sums.tobytes() == want_sums.tobytes()
+    assert sqsums.tobytes() == want_sqsums.tobytes()
+    # the SC column sums psi at the better branch, trial by trial
+    eps_max = psi_exact_vec(np.maximum(g_e1, cfg.rho_c * gain_w), CODE_E)
+    g_ce = a_e_rho * gain_t / (a_c_rho * gain_t + 1.0)
+    eps_ce, eps_e1 = psi_exact_vec(g_ce, CODE_E), psi_exact_vec(g_e1, CODE_E)
+    assert sums[1] == np.sum(eps_ce * eps_e1 + (1.0 - eps_ce) * eps_max)
 
 
 def test_psi_linear_shape():

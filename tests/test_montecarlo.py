@@ -8,6 +8,7 @@ gamma fit, so they exercise the simulation independently of the analytics.
 
 import hashlib
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -277,6 +278,18 @@ def test_failing_point_leaves_its_group_intact():
         pts = sweep(cfg, ALIGNED, "rho_s_db", [10, 3079], 8192, 5)
     assert pts[0].error is None
     assert pts[1].estimates is None
+    assert "SINR must be >= 0 and not NaN" in pts[1].error
+    alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
+    _assert_same(pts[0].estimates, alone, 10)
+
+
+def test_overflowing_point_raises_no_numpy_warning():
+    # same sweep as above with every warning an error: the overflow to NaN
+    # is reported only as the point's own error
+    cfg = make_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = sweep(cfg, ALIGNED, "rho_s_db", [10, 3079], 8192, 5)
     assert "SINR must be >= 0 and not NaN" in pts[1].error
     alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
     _assert_same(pts[0].estimates, alone, 10)
