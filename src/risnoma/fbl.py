@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 # below this SINR the Q argument is far past -38 for any sane code; the
-# dispersion also vanishes, so sidestep the 0/0 and return the limit value
+# dispersion also vanishes (m/V divides by zero), so return the limit value
 _GAMMA_FLOOR = 1e-12
 # |Q argument| beyond which Q(x) is sub-1e-300: clip to the exact limit
 _ARG_CLIP = 38.0
@@ -82,8 +82,7 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     if not lo >= 0.0:
         raise ValueError("SINR must be >= 0 and not NaN")
     # one pass over two buffers; every entry goes through the formula, and
-    # those below the floor (where the dispersion vanishes and m/V divides
-    # by zero) are set to their limit afterwards
+    # those below the floor are set to their limit afterwards
     out = np.empty_like(g)
     buf = np.empty_like(g)
     with np.errstate(over="ignore", divide="ignore"):
