@@ -16,7 +16,7 @@ The CLI (`python -m risnoma`) writes both as CSV and cross-checks them.
 from .analytic import avg_bler_ceu_mrc, avg_bler_ceu_sc, avg_bler_cu, diversity_order
 from .channel import SystemConfig
 from .fbl import CodeSpec
-from .montecarlo import BlerEstimate, ScenarioKind, run_trials, sweep
+from .montecarlo import BlerEstimate, ScenarioKind, run_trials
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,5 @@ __all__ = [
     "avg_bler_ceu_mrc",
     "diversity_order",
     "run_trials",
-    "sweep",
     "__version__",
 ]

@@ -26,20 +26,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import analytic
 from .channel import SystemConfig
 from .fbl import CodeSpec
-from .montecarlo import (
-    ScenarioKind,
-    SweepPoint,
-    _apply_axis,
-    _db_to_linear,
-    _sweep_point,
-    run_points,
-    run_trials,
-    sweep,
-)
+from .montecarlo import ScenarioKind, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 
@@ -91,6 +83,34 @@ class RunConfig:
     sweep_axis: str | None
     sweep_values: tuple | None
     couple_rho_c: bool
+
+
+def _db_to_linear(db: float) -> float:
+    # past about 3083 dB the power overflows; inf lets SystemConfig reject it
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _apply_axis(
+    cfg: SystemConfig, axis: str, value, couple_rho_c: bool
+) -> SystemConfig:
+    if axis == "rho_s_db":
+        rho_s = _db_to_linear(value)
+        rho_c = rho_s / 10.0 if couple_rho_c else cfg.rho_c
+        return replace(cfg, rho_s=rho_s, rho_c=rho_c)
+    if axis == "R":
+        return replace(cfg, R=int(value))
+    if axis == "alpha_c":
+        return replace(cfg, alpha_c=float(value), alpha_e=1.0 - float(value))
+    if axis == "m":
+        return replace(
+            cfg,
+            code_c=CodeSpec(m=int(value), bits=cfg.code_c.bits),
+            code_e=CodeSpec(m=int(value), bits=cfg.code_e.bits),
+        )
+    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def _check_number(value: object, where: str) -> None:
@@ -236,6 +256,64 @@ def load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
+# Sweep points: each command's one path from its axis values to its output
+
+
+class _Point(NamedTuple):
+    """One axis value of a sweep, with its config or why it has none."""
+
+    scenario: ScenarioKind
+    axis: str
+    value: float
+    cfg: SystemConfig | str
+    suffix: str
+
+
+def _expand(
+    scenario: ScenarioKind, axis: str, values, base: SystemConfig, couple: bool, suffix: str
+) -> list[_Point]:
+    """One point per axis value; a value that breaks the config keeps its error."""
+    points = []
+    for value in values:
+        try:
+            cfg = _apply_axis(base, axis, value, couple)
+        except ValueError as exc:
+            cfg = str(exc)
+        points.append(_Point(scenario, axis, float(value), cfg, suffix))
+    return points
+
+
+def _config_points(run_cfg: RunConfig, scenario: ScenarioKind) -> list[_Point]:
+    """The config's sweep, or its own system as one point on the dB SNR axis."""
+    axis, values, base = run_cfg.sweep_axis, run_cfg.sweep_values, run_cfg.system
+    if axis is None:
+        return [_Point(scenario, "rho_s_db", 10.0 * math.log10(base.rho_s), base, "")]
+    return _expand(scenario, axis, values, base, run_cfg.couple_rho_c, "")
+
+
+def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, object]]:
+    """Warn about each point whose outcome is an error string and drop it;
+    it is a config error if every point failed."""
+    failed = [(p, got) for p, got in zip(points, outcomes) if isinstance(got, str)]
+    for p, error in failed:
+        print(f"warning: {p.axis}={p.value}: {error}", file=sys.stderr)
+    if failed:
+        summary = f"{len(failed)} of {len(points)} sweep points failed"
+        if len(failed) == len(points):
+            raise ConfigError(f"config error: {summary}")
+        print(summary, file=sys.stderr)
+    return [(p, got) for p, got in zip(points, outcomes) if not isinstance(got, str)]
+
+
+def _simulate(points: list[_Point], trials: int, seed: int) -> list[tuple[_Point, dict]]:
+    """Monte Carlo estimates of every point that has a config, in one call."""
+    valid = [(p.cfg, p.scenario) for p in points if not isinstance(p.cfg, str)]
+    results = iter(run_points(valid, trials, seed))
+    outcomes = [p.cfg if isinstance(p.cfg, str) else next(results) for p in points]
+    return _drop_failed(points, outcomes)
+
+
+# ---------------------------------------------------------------------------
 # CSV emission
 
 
@@ -245,45 +323,6 @@ def _analytic_rows(cfg: SystemConfig) -> list[tuple[str, str, float]]:
         ("ceu_sc", "analytic", analytic.avg_bler_ceu_sc(cfg)),
         ("ceu_mrc", "analytic_lb", analytic.avg_bler_ceu_mrc(cfg)),
     ]
-
-
-def _check_points(labelled: list[tuple[str, SweepPoint]]) -> None:
-    """Warn about each failed (axis, point); it is an error if none succeeded."""
-    failed = [(axis, point) for axis, point in labelled if point.error is not None]
-    for axis, point in failed:
-        print(f"warning: {axis}={point.value}: {point.error}", file=sys.stderr)
-    if failed:
-        summary = f"{len(failed)} of {len(labelled)} sweep points failed"
-        if len(failed) == len(labelled):
-            raise ConfigError(f"config error: {summary}")
-        print(summary, file=sys.stderr)
-
-
-def _sweep_rows(items: list[tuple], seed: int) -> list[tuple]:
-    """Rows for sweep points given as (scenario, axis, base, couple_rho_c,
-    suffix, point): MC always; closed forms only where they apply.
-
-    Failed points are reported and left out, and a run in which every point
-    failed is a config error.  The analytic expressions model the
-    phase-aligned two-zone system with at least one element per zone, so
-    no_ris / single_zone_random runs (and R = 0 points) emit simulation rows
-    only.
-    """
-    _check_points([(axis, point) for _, axis, _, _, _, point in items])
-    rows: list[tuple] = []
-    for scenario, axis, base, couple_rho_c, suffix, point in items:
-        if point.error is not None:
-            continue
-        value = point.value
-        for metric, est in point.estimates.items():
-            rows.append(
-                (axis, value, metric, "mc" + suffix, est.mean, est.stderr, est.n, seed)
-            )
-        cfg = _apply_axis(base, axis, value, couple_rho_c)
-        if scenario is ScenarioKind.TWO_ZONE_ALIGNED and cfg.R >= 1:
-            for metric, source, bler in _analytic_rows(cfg):
-                rows.append((axis, value, metric, source + suffix, bler, 0.0, 0, seed))
-    return rows
 
 
 def _check_bler(bler: float, where: str) -> None:
@@ -306,20 +345,27 @@ def _write_csv(out_path: str, rows: list[tuple]) -> None:
         fh.write(text)
 
 
-def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
-    if run_cfg.sweep_axis is not None:
-        axis, values = run_cfg.sweep_axis, run_cfg.sweep_values
-    else:
-        # A single point is a one-value SNR sweep; keeps the schema uniform.
-        axis = "rho_s_db"
-        values = (10.0 * math.log10(run_cfg.system.rho_s),)
-    base, scenario, couple = run_cfg.system, run_cfg.scenario, run_cfg.couple_rho_c
-    points = sweep(base, scenario, axis, list(values), run_cfg.trials, run_cfg.seed, couple)
-    items = [(scenario, axis, base, couple, "", point) for point in points]
-    rows = _sweep_rows(items, run_cfg.seed)
+def _write_points(points: list[_Point], trials: int, seed: int, out_path: str) -> int:
+    """Simulate the points and write their rows: MC always, closed forms only
+    at phase-aligned two-zone points with R >= 1, the system they model."""
+    rows: list[tuple] = []
+    for p, est in _simulate(points, trials, seed):
+        for metric in ("cu", "ceu_sc", "ceu_mrc"):
+            e = est[metric]
+            rows.append(
+                (p.axis, p.value, metric, "mc" + p.suffix, e.mean, e.stderr, e.n, seed)
+            )
+        if p.scenario is ScenarioKind.TWO_ZONE_ALIGNED and p.cfg.R >= 1:
+            for metric, source, bler in _analytic_rows(p.cfg):
+                rows.append((p.axis, p.value, metric, source + p.suffix, bler, 0.0, 0, seed))
     _write_csv(out_path, rows)
     print(f"wrote {out_path}: {len(rows)} rows")
     return 0
+
+
+def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
+    points = _config_points(run_cfg, run_cfg.scenario)
+    return _write_points(points, run_cfg.trials, run_cfg.seed, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +410,12 @@ def _preset_runs(preset: str, defaults: SystemConfig):
 
 def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
     defaults = parse_config({}).system
-    # every point of the preset goes into one batched Monte Carlo call
-    specs = [
-        (scenario, axis, base, suffix, value)
+    points = [
+        point
         for scenario, axis, values, base, suffix in _preset_runs(preset, defaults)
-        for value in values
+        for point in _expand(scenario, axis, values, base, True, suffix)
     ]
-    results = run_points(
-        [(_apply_axis(base, axis, value, True), scenario)
-         for scenario, axis, base, _, value in specs],
-        trials,
-        seed,
-    )
-    items = [
-        (scenario, axis, base, True, suffix, _sweep_point(value, got))
-        for (scenario, axis, base, suffix, value), got in zip(specs, results)
-    ]
-    rows = _sweep_rows(items, seed)
-    _write_csv(out_path, rows)
-    print(f"wrote {out_path}: {len(rows)} rows")
-    return 0
+    return _write_points(points, trials, seed, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +461,11 @@ def cmd_compare(run_cfg: RunConfig) -> int:
     is judged as a lower bound (FAIL iff analytic exceeds mc + 3*stderr).
     Failed sweep points are reported and skipped, as in cmd_run.
     """
-    base, trials, seed = run_cfg.system, run_cfg.trials, run_cfg.seed
-    aligned = ScenarioKind.TWO_ZONE_ALIGNED
-    if run_cfg.sweep_axis is not None:
-        axis, values, couple = run_cfg.sweep_axis, run_cfg.sweep_values, run_cfg.couple_rho_c
-        points = sweep(base, aligned, axis, list(values), trials, seed, couple)
-        _check_points([(axis, point) for point in points])
-        reports = [
-            (_apply_axis(base, axis, v, couple), point.estimates, f"{axis}={v}")
-            for v, point in zip(values, points)
-            if point.error is None
-        ]
-    else:
-        est = run_trials(base, aligned, trials, seed)
-        reports = [(base, est, f"rho_s={base.rho_s:g}")]
+    trials, seed = run_cfg.trials, run_cfg.seed
+    points = _config_points(run_cfg, ScenarioKind.TWO_ZONE_ALIGNED)
     failed = False
-    for cfg, est, label in reports:
-        lines, point_failed = _compare_point(cfg, est, trials, seed, label)
+    for p, est in _simulate(points, trials, seed):
+        lines, point_failed = _compare_point(p.cfg, est, trials, seed, f"{p.axis}={p.value:g}")
         failed = failed or point_failed
         print("\n".join(lines))
     if failed:
@@ -456,14 +476,9 @@ def cmd_compare(run_cfg: RunConfig) -> int:
 
 
 def cmd_analytic(run_cfg: RunConfig) -> int:
-    if run_cfg.sweep_axis is not None:
-        values = run_cfg.sweep_values
-        axis = run_cfg.sweep_axis
-    else:
-        axis, values = "rho_s_db", (10.0 * math.log10(run_cfg.system.rho_s),)
-    for v in values:
-        cfg = _apply_axis(run_cfg.system, axis, v, run_cfg.couple_rho_c)
-        print(f"[{axis}={v:g}]")
+    points = _config_points(run_cfg, run_cfg.scenario)
+    for p, cfg in _drop_failed(points, [p.cfg for p in points]):
+        print(f"[{p.axis}={p.value:g}]")
         for metric, source, value in _analytic_rows(cfg):
             tag = " (lower bound)" if source == "analytic_lb" else ""
             print(f"  {metric:8s} {value:.10e}{tag}")

@@ -48,6 +48,15 @@ class CodeSpec:
             raise ValueError(f"blocklength must be >= 1, got {self.m}")
         if self.bits < 1:
             raise ValueError(f"payload bits must be >= 1, got {self.bits}")
+        # every closed form needs the surrogate: a finite threshold and slope
+        # above 0, and knees that float arithmetic keeps apart from beta
+        try:
+            lin = linearization_params(self)
+        except (OverflowError, ZeroDivisionError):
+            lin = PsiLinearization(beta=math.nan, delta=math.nan, v=math.nan, u=math.nan)
+        finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
+        if not (finite and lin.v < lin.beta < lin.u):
+            raise ValueError(f"code rate {self.bits}/{self.m} has no finite linearization")
 
     @property
     def rate(self) -> float:

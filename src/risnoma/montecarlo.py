@@ -21,7 +21,6 @@ Provides:
     run_points           -- all estimates at many points in one batched call
     run_trials           -- cu / ceu_sc / ceu_mrc estimates
     run_component_trials -- per-decoding-step estimates (cc, ce, e1, e2)
-    sweep                -- estimates along one config axis
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,7 +41,7 @@ from .channel import (
     effective_gain,
     fading_key,
 )
-from .fbl import CodeSpec, psi_exact_vec
+from .fbl import psi_exact_vec
 
 __all__ = [
     "BlerEstimate",
@@ -50,8 +49,6 @@ __all__ = [
     "run_points",
     "run_trials",
     "run_component_trials",
-    "sweep",
-    "SweepPoint",
 ]
 
 CHUNK_TRIALS = 4096
@@ -171,6 +168,10 @@ def _chunksize(n_tasks: int, workers: int) -> int:
 
 
 def _estimates(count: int, total: np.ndarray, total_sq: np.ndarray) -> dict[str, BlerEstimate]:
+    # the clamp below would turn a NaN mean into 0.0; a non-finite sum is a
+    # fault of the program, not of the config, so it is not a ValueError
+    if not (np.isfinite(total).all() and np.isfinite(total_sq).all()):
+        raise RuntimeError(f"internal error: non-finite Monte Carlo sum over {count} trials")
     out: dict[str, BlerEstimate] = {}
     for i, name in enumerate(_METRICS):
         mean = total[i] / count
@@ -264,80 +265,3 @@ def run_component_trials(
     e1 / e2 stages individually for oracle comparisons.
     """
     return _one_point(cfg, scenario, n, seed, _STEP_METRICS)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One point of a sweep: the axis value plus estimates or an error."""
-
-    value: float
-    estimates: dict[str, BlerEstimate] | None
-    error: str | None = None
-
-
-def _db_to_linear(db: float) -> float:
-    # past about 3083 dB the power overflows; inf lets SystemConfig reject it
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _apply_axis(
-    cfg: SystemConfig, axis: str, value, couple_rho_c: bool
-) -> SystemConfig:
-    if axis == "rho_s_db":
-        rho_s = _db_to_linear(value)
-        rho_c = rho_s / 10.0 if couple_rho_c else cfg.rho_c
-        return replace(cfg, rho_s=rho_s, rho_c=rho_c)
-    if axis == "R":
-        return replace(cfg, R=int(value))
-    if axis == "alpha_c":
-        return replace(cfg, alpha_c=float(value), alpha_e=1.0 - float(value))
-    if axis == "m":
-        return replace(
-            cfg,
-            code_c=CodeSpec(m=int(value), bits=cfg.code_c.bits),
-            code_e=CodeSpec(m=int(value), bits=cfg.code_e.bits),
-        )
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
-def sweep(
-    cfg_base: SystemConfig,
-    scenario: ScenarioKind,
-    axis: str,
-    values,
-    n: int,
-    seed: int,
-    couple_rho_c: bool = True,
-) -> list[SweepPoint]:
-    """User-level estimates at each axis value; per-point failures are recorded.
-
-    Every point uses the same seed (common random numbers across the
-    sweep), and all points go through one run_points call, so each point
-    reproduces run_trials at its value exactly.  For rho_s_db sweeps the
-    relay SNR follows as rho_s/10 unless couple_rho_c=False pins it at the
-    base config's value.
-    """
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
-    cfgs: list[SystemConfig | str] = []
-    for value in values:
-        try:
-            cfgs.append(_apply_axis(cfg_base, axis, value, couple_rho_c))
-        except ValueError as exc:
-            cfgs.append(str(exc))
-    valid = [(cfg, scenario) for cfg in cfgs if not isinstance(cfg, str)]
-    results = iter(run_points(valid, n, seed))
-    return [
-        _sweep_point(value, cfg if isinstance(cfg, str) else next(results))
-        for value, cfg in zip(values, cfgs)
-    ]
-
-
-def _sweep_point(value, result: dict[str, BlerEstimate] | str) -> SweepPoint:
-    """The SweepPoint of one axis value from its run_points result."""
-    if isinstance(result, str):
-        return SweepPoint(value=float(value), estimates=None, error=result)
-    return SweepPoint(value=float(value), estimates={k: result[k] for k in _USER_METRICS})

@@ -84,6 +84,8 @@ def test_parse_config_alpha_complement_default():
         {"frequency": 2.4},  # unknown key
         [],  # not an object
         {"rho_s_db": 1e308},  # linear power overflows a float
+        {"m": 10**50},  # the surrogate's threshold rounds to 0
+        {"n_c": 10**9},  # 2**(2*rate) overflows a float
     ],
 )
 def test_parse_config_rejects(payload):
@@ -247,7 +249,7 @@ def test_bler_outside_unit_interval_is_an_internal_error(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("command", ["run", "compare", "analytic"])
 def test_sweep_with_every_point_failed_exits_2(tmp_path, capsys, command):
     # a sweep that produced nothing is an error, not an empty CSV
     for sweep in (
@@ -263,6 +265,37 @@ def test_sweep_with_every_point_failed_exits_2(tmp_path, capsys, command):
         assert f"config error: {n} of {n} sweep points failed" in err
         assert err.count("warning:") == n
         assert not out.exists()
+
+
+def test_analytic_skips_failed_sweep_points(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sweep": {"axis": "alpha_c", "values": [0.1, 0.6, 0.3]}})
+    assert main(["analytic", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("warning:") == 1
+    assert "warning: alpha_c=0.6: " in captured.err
+    assert "1 of 3 sweep points failed" in captured.err
+    assert "[alpha_c=0.1]" in captured.out and "[alpha_c=0.3]" in captured.out
+    assert "[alpha_c=0.6]" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "analytic"])
+def test_every_command_evaluates_the_loaded_config(tmp_path, monkeypatch, command):
+    # 10*log10 and back moves rho_s = 10**0.3 by one ulp; no command may
+    # rebuild the config it was given
+    raw = {"rho_s_db": 3, "trials": 256}
+    seen = []
+    avg_bler_cu = analytic.avg_bler_cu
+
+    def recording(cfg):
+        seen.append(cfg)
+        return avg_bler_cu(cfg)
+
+    monkeypatch.setattr(analytic, "avg_bler_cu", recording)
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "point.csv"
+    argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) in (0, 4)
+    assert [c.rho_s for c in seen] == [parse_config(raw).system.rho_s]
 
 
 def test_run_trials_and_seed_overrides(tmp_path):

@@ -59,6 +59,20 @@ def test_linearization_knee_width_identity(m, bits):
     assert lin.v < lin.beta < lin.u
 
 
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=10**60), st.integers(min_value=1, max_value=10**60))
+def test_code_spec_accepts_only_codes_with_a_finite_linearization(m, bits):
+    # m = 10**50 once divided by zero and bits/m = 1e7 overflowed
+    try:
+        code = CodeSpec(m=m, bits=bits)
+    except ValueError:
+        return
+    lin = linearization_params(code)
+    assert all(math.isfinite(x) for x in (lin.beta, lin.delta, lin.v, lin.u))
+    assert 0.0 < lin.beta and 0.0 < lin.delta
+    assert lin.v < lin.beta < lin.u
+
+
 def test_psi_exact_anchors():
     # capacity equals rate exactly at beta, where the error probability is 1/2
     assert psi_exact_vec(7.0, CODE_C) == pytest.approx(0.5, abs=1e-14)

@@ -18,17 +18,15 @@ from hypothesis import strategies as st
 
 from risnoma import cli, montecarlo
 from risnoma.channel import SystemConfig
+from risnoma.cli import _apply_axis
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
     ScenarioKind,
-    SweepPoint,
-    _apply_axis,
     _chunksize,
     run_component_trials,
     run_points,
     run_trials,
-    sweep,
 )
 
 ALIGNED = ScenarioKind.TWO_ZONE_ALIGNED
@@ -151,6 +149,18 @@ def test_estimates_are_probabilities_with_sane_stderr():
             assert e.n == n
 
 
+def test_non_finite_sum_is_an_internal_error():
+    # max(0.0, nan) is 0.0, so clamping alone once turned this NaN sum into
+    # BlerEstimate(0.0, 0.0, 4)
+    nan = np.full(7, np.nan)
+    with pytest.raises(RuntimeError, match="internal error: non-finite"):
+        montecarlo._estimates(4, nan, nan)
+    sq = np.full(7, 0.25)
+    sq[3] = np.inf
+    with pytest.raises(RuntimeError, match="internal error: non-finite"):
+        montecarlo._estimates(4, np.full(7, 0.5), sq)
+
+
 def test_partial_final_chunk_is_counted():
     est = run_trials(make_config(), ALIGNED, CHUNK_TRIALS + 904, 9)
     assert est["cu"].n == CHUNK_TRIALS + 904
@@ -219,28 +229,32 @@ def test_rayleigh_only_average_matches_closed_form():
 
 # ------------------------------------------------------------------- sweeps
 
+def _axis_points(cfg, scenario, axis, values):
+    # the (config, scenario) points of a sweep, as the CLI builds them
+    return [(_apply_axis(cfg, axis, value, True), scenario) for value in values]
+
+
 def test_single_value_sweep_matches_run_trials():
     cfg = make_config()
     direct = run_trials(make_config(rho_s=100.0, rho_c=10.0), ALIGNED, 8192, 55)
-    pts = sweep(cfg, ALIGNED, "rho_s_db", [20.0], 8192, 55)
-    assert len(pts) == 1 and pts[0].error is None
+    got = run_points(_axis_points(cfg, ALIGNED, "rho_s_db", [20.0]), 8192, 55)
+    assert len(got) == 1 and not isinstance(got[0], str)
     for key in ("cu", "ceu_sc", "ceu_mrc"):
-        assert pts[0].estimates[key].mean == direct[key].mean
+        assert got[0][key].mean == direct[key].mean
 
 
 def test_sweep_records_per_point_errors_and_continues():
-    cfg = make_config()
-    pts = sweep(cfg, ALIGNED, "alpha_c", [0.1, 0.6, 0.2], 4096, 8)
-    assert [p.error is None for p in pts] == [True, False, True]
-    assert pts[1].estimates is None
-    assert "alpha_c" in pts[1].error
-    assert isinstance(pts[0], SweepPoint)
+    pts = cli._expand(ALIGNED, "alpha_c", [0.1, 0.6, 0.2], make_config(), True, "")
+    assert [isinstance(p.cfg, SystemConfig) for p in pts] == [True, False, True]
+    assert "alpha_c" in pts[1].cfg
+    ran = cli._simulate(pts, 4096, 8)
+    assert [p.value for p, _ in ran] == [0.1, 0.2]
+    assert all(set(est) >= {"cu", "ceu_sc", "ceu_mrc"} for _, est in ran)
 
 
 def test_sweep_records_overflowing_db_value_as_point_error():
-    pts = sweep(make_config(), ALIGNED, "rho_s_db", [1e308], 4096, 8)
-    assert pts[0].estimates is None
-    assert "rho_s must be finite" in pts[0].error
+    pts = cli._expand(ALIGNED, "rho_s_db", [1e308], make_config(), True, "")
+    assert "rho_s must be finite" in pts[0].cfg
 
 
 def _assert_same(got, want, label):
@@ -263,11 +277,11 @@ def test_batched_sweep_matches_lone_run_trials(scenario, axis):
     # what a lone run_trials at that value gives
     cfg = make_config()
     n = CHUNK_TRIALS + 500  # two chunks, the last one partial
-    pts = sweep(cfg, scenario, axis, _AXIS_VALUES[axis], n, 61)
-    for value, point in zip(_AXIS_VALUES[axis], pts):
-        assert point.error is None
+    got = run_points(_axis_points(cfg, scenario, axis, _AXIS_VALUES[axis]), n, 61)
+    for value, est in zip(_AXIS_VALUES[axis], got):
+        assert not isinstance(est, str)
         alone = run_trials(_apply_axis(cfg, axis, value, True), scenario, n, 61)
-        _assert_same(point.estimates, alone, (scenario, axis, value))
+        _assert_same(est, alone, (scenario, axis, value))
 
 
 def test_failing_point_leaves_its_group_intact():
@@ -275,12 +289,11 @@ def test_failing_point_leaves_its_group_intact():
     # 10 dB draws from the same batch and must be unaffected
     cfg = make_config()
     with np.errstate(over="ignore", invalid="ignore"):
-        pts = sweep(cfg, ALIGNED, "rho_s_db", [10, 3079], 8192, 5)
-    assert pts[0].error is None
-    assert pts[1].estimates is None
-    assert "SINR must be >= 0 and not NaN" in pts[1].error
+        got = run_points(_axis_points(cfg, ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
+    assert not isinstance(got[0], str)
+    assert "SINR must be >= 0 and not NaN" in got[1]
     alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
-    _assert_same(pts[0].estimates, alone, 10)
+    _assert_same(got[0], alone, 10)
 
 
 def test_overflowing_point_raises_no_numpy_warning():
@@ -289,10 +302,10 @@ def test_overflowing_point_raises_no_numpy_warning():
     cfg = make_config()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pts = sweep(cfg, ALIGNED, "rho_s_db", [10, 3079], 8192, 5)
-    assert "SINR must be >= 0 and not NaN" in pts[1].error
+        got = run_points(_axis_points(cfg, ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
+    assert "SINR must be >= 0 and not NaN" in got[1]
     alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
-    _assert_same(pts[0].estimates, alone, 10)
+    _assert_same(got[0], alone, 10)
 
 
 def test_run_points_reports_errors_per_point():
@@ -361,11 +374,6 @@ def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
     assert cli.cmd_fig("fig5", str(tmp_path / "fig5_serial.csv"), 8192, 1234) == 0
     assert draws == [CHUNK_TRIALS] * 16
     assert (tmp_path / "fig5.csv").read_bytes() == (tmp_path / "fig5_serial.csv").read_bytes()
-
-
-def test_sweep_rejects_empty_values():
-    with pytest.raises(ValueError):
-        sweep(make_config(), ALIGNED, "rho_s_db", [], 4096, 8)
 
 
 def test_apply_axis_semantics():
