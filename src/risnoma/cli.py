@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from . import analytic
@@ -35,82 +35,9 @@ from .montecarlo import ScenarioKind, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 
-_SWEEP_AXES = ("rho_s_db", "R", "alpha_c", "m")
-
-# Flat snake_case config keys.  *_db keys are conveniences converted to
-# linear exactly once at load; setting both spellings of one SNR is an error.
-_NUMBER_KEYS = {
-    "rho_s",
-    "rho_s_db",
-    "rho_c",
-    "rho_c_db",
-    "alpha_c",
-    "alpha_e",
-    "eta_c",
-    "eta_e",
-    "lambda_c",
-    "lambda_e",
-    "lambda_ce",
-    "lambda_rc",
-    "lambda_gc",
-    "lambda_re",
-    "lambda_ge",
-    "lambda_rce",
-    "lambda_gce",
-}
-_INT_KEYS = {"m", "n_c", "n_e", "R", "quad_order", "trials", "seed"}
-_OTHER_KEYS = {"scenario", "sweep"}
-_ALL_KEYS = _NUMBER_KEYS | _INT_KEYS | _OTHER_KEYS
-
 
 class ConfigError(Exception):
     """Invalid configuration; message includes the offending key path."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs: physics, trial budget, seed, scenario, sweep.
-
-    couple_rho_c records whether the relay SNR was left at its default
-    (one tenth of rho_s) so SNR sweeps can keep the two moving together;
-    an explicit rho_c/rho_c_db in the config pins it instead.
-    """
-
-    system: SystemConfig
-    trials: int
-    seed: int
-    scenario: ScenarioKind
-    sweep_axis: str | None
-    sweep_values: tuple | None
-    couple_rho_c: bool
-
-
-def _db_to_linear(db: float) -> float:
-    # past about 3083 dB the power overflows; inf lets SystemConfig reject it
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _apply_axis(
-    cfg: SystemConfig, axis: str, value, couple_rho_c: bool
-) -> SystemConfig:
-    if axis == "rho_s_db":
-        rho_s = _db_to_linear(value)
-        rho_c = rho_s / 10.0 if couple_rho_c else cfg.rho_c
-        return replace(cfg, rho_s=rho_s, rho_c=rho_c)
-    if axis == "R":
-        return replace(cfg, R=int(value))
-    if axis == "alpha_c":
-        return replace(cfg, alpha_c=float(value), alpha_e=1.0 - float(value))
-    if axis == "m":
-        return replace(
-            cfg,
-            code_c=CodeSpec(m=int(value), bits=cfg.code_c.bits),
-            code_e=CodeSpec(m=int(value), bits=cfg.code_e.bits),
-        )
-    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def _check_number(value: object, where: str) -> None:
@@ -136,6 +63,77 @@ def _require_int(raw: dict, key: str) -> int:
     return value
 
 
+# Flat snake_case config keys that describe the system, each with its reader.
+# *_db keys are conveniences converted to linear exactly once, in
+# _build_system; setting both spellings of one SNR is an error.  Every
+# SystemConfig field with a default is a key of its own, read with its type.
+_MODEL_KEYS = {
+    **dict.fromkeys(
+        ("rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c", "alpha_e"), _require_number
+    ),
+    **dict.fromkeys(("m", "n_c", "n_e", "R"), _require_int),
+    **{
+        f.name: _require_int if f.type == "int" else _require_number
+        for f in fields(SystemConfig)
+        if f.default is not MISSING
+    },
+}
+_ALL_KEYS = set(_MODEL_KEYS) | {"trials", "seed", "scenario", "sweep"}
+
+# Each sweep axis with the keys a swept value replaces.
+_SWEEP_AXES = {"rho_s_db": ("rho_s",), "R": (), "alpha_c": ("alpha_e",), "m": ()}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a run needs: physics, trial budget, seed, scenario, sweep.
+
+    model_keys holds the config's model keys as given; each sweep point is
+    built from them with the swept key set to its value.
+    """
+
+    system: SystemConfig
+    trials: int
+    seed: int
+    scenario: ScenarioKind
+    sweep_axis: str | None
+    sweep_values: tuple | None
+    model_keys: dict
+
+
+def _db_to_linear(db: float) -> float:
+    # past about 3083 dB the power overflows; inf lets SystemConfig reject it
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _build_system(keys: dict) -> SystemConfig:
+    """Model keys -> SystemConfig, filling reference defaults.
+
+    Raises ConfigError for a value of the wrong JSON type or an SNR given in
+    both spellings, and ValueError when the model refuses the values.
+    """
+    for key in ("rho_s", "rho_c"):
+        if key in keys and f"{key}_db" in keys:
+            raise ConfigError(
+                f"config error at {key}_db: give {key} in dB or linear, not both"
+            )
+    got = {key: read(keys, key) for key, read in _MODEL_KEYS.items() if key in keys}
+    for key in ("rho_s", "rho_c"):
+        if f"{key}_db" in got:
+            got[key] = _db_to_linear(got.pop(f"{key}_db"))
+    got.setdefault("rho_s", 10.0)  # 10 dB, the reference operating point
+    got.setdefault("rho_c", got["rho_s"] / 10.0)
+    got.setdefault("alpha_c", 0.1)
+    got.setdefault("alpha_e", 1.0 - got["alpha_c"])
+    m = got.pop("m", 100)
+    code_c = CodeSpec(m=m, bits=got.pop("n_c", 300))
+    code_e = CodeSpec(m=m, bits=got.pop("n_e", 100))
+    return SystemConfig(code_c=code_c, code_e=code_e, R=got.pop("R", 8), **got)
+
+
 def parse_config(raw: object) -> RunConfig:
     """Validate a decoded JSON object into a RunConfig, filling reference defaults."""
     if not isinstance(raw, dict):
@@ -143,51 +141,10 @@ def parse_config(raw: object) -> RunConfig:
     unknown = sorted(set(raw) - _ALL_KEYS)
     if unknown:
         raise ConfigError(f"config error: unknown keys {', '.join(unknown)}")
-    for key in ("rho_s", "rho_c"):
-        if key in raw and f"{key}_db" in raw:
-            raise ConfigError(
-                f"config error at {key}_db: give {key} in dB or linear, not both"
-            )
 
-    if "rho_s" in raw:
-        rho_s = _require_number(raw, "rho_s")
-    elif "rho_s_db" in raw:
-        rho_s = _db_to_linear(_require_number(raw, "rho_s_db"))
-    else:
-        rho_s = 10.0  # 10 dB, the reference operating point
-    couple_rho_c = True
-    if "rho_c" in raw:
-        rho_c = _require_number(raw, "rho_c")
-        couple_rho_c = False
-    elif "rho_c_db" in raw:
-        rho_c = _db_to_linear(_require_number(raw, "rho_c_db"))
-        couple_rho_c = False
-    else:
-        rho_c = rho_s / 10.0
-
-    alpha_c = _require_number(raw, "alpha_c") if "alpha_c" in raw else 0.1
-    alpha_e = _require_number(raw, "alpha_e") if "alpha_e" in raw else 1.0 - alpha_c
-    m = _require_int(raw, "m") if "m" in raw else 100
-    n_c = _require_int(raw, "n_c") if "n_c" in raw else 300
-    n_e = _require_int(raw, "n_e") if "n_e" in raw else 100
-
-    numbers = {}
-    for key in _NUMBER_KEYS - {"rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c", "alpha_e"}:
-        if key in raw:
-            numbers[key] = _require_number(raw, key)
-
+    model_keys = {key: value for key, value in raw.items() if key in _MODEL_KEYS}
     try:
-        system = SystemConfig(
-            rho_s=rho_s,
-            rho_c=rho_c,
-            alpha_c=alpha_c,
-            alpha_e=alpha_e,
-            code_c=CodeSpec(m=m, bits=n_c),
-            code_e=CodeSpec(m=m, bits=n_e),
-            R=_require_int(raw, "R") if "R" in raw else 8,
-            quad_order=_require_int(raw, "quad_order") if "quad_order" in raw else 50,
-            **numbers,
-        )
+        system = _build_system(model_keys)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
 
@@ -214,7 +171,7 @@ def parse_config(raw: object) -> RunConfig:
                 "config error at sweep: expected an object with keys axis, values"
             )
         sweep_axis = block["axis"]
-        if sweep_axis not in _SWEEP_AXES:
+        if not isinstance(sweep_axis, str) or sweep_axis not in _SWEEP_AXES:
             raise ConfigError(
                 f"config error at sweep.axis: {sweep_axis!r} not one of "
                 f"{', '.join(_SWEEP_AXES)}"
@@ -235,7 +192,7 @@ def parse_config(raw: object) -> RunConfig:
         scenario=scenario,
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        couple_rho_c=couple_rho_c,
+        model_keys=model_keys,
     )
 
 
@@ -270,25 +227,30 @@ class _Point(NamedTuple):
 
 
 def _expand(
-    scenario: ScenarioKind, axis: str, values, base: SystemConfig, couple: bool, suffix: str
+    scenario: ScenarioKind, axis: str, values, keys: dict, suffix: str
 ) -> list[_Point]:
-    """One point per axis value; a value that breaks the config keeps its error."""
+    """One point per axis value: the model keys with the swept key set to the
+    value and the keys it replaces dropped.  A value the model refuses keeps
+    its error as the point's config."""
+    kept = {key: value for key, value in keys.items() if key not in _SWEEP_AXES[axis]}
     points = []
     for value in values:
         try:
-            cfg = _apply_axis(base, axis, value, couple)
+            cfg = _build_system({**kept, axis: value})
         except ValueError as exc:
             cfg = str(exc)
         points.append(_Point(scenario, axis, float(value), cfg, suffix))
     return points
 
 
-def _config_points(run_cfg: RunConfig, scenario: ScenarioKind) -> list[_Point]:
+def _config_points(run_cfg: RunConfig) -> list[_Point]:
     """The config's sweep, or its own system as one point on the dB SNR axis."""
-    axis, values, base = run_cfg.sweep_axis, run_cfg.sweep_values, run_cfg.system
-    if axis is None:
-        return [_Point(scenario, "rho_s_db", 10.0 * math.log10(base.rho_s), base, "")]
-    return _expand(scenario, axis, values, base, run_cfg.couple_rho_c, "")
+    if run_cfg.sweep_axis is None:
+        rho_s_db = 10.0 * math.log10(run_cfg.system.rho_s)
+        return [_Point(run_cfg.scenario, "rho_s_db", rho_s_db, run_cfg.system, "")]
+    return _expand(
+        run_cfg.scenario, run_cfg.sweep_axis, run_cfg.sweep_values, run_cfg.model_keys, ""
+    )
 
 
 def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, object]]:
@@ -303,6 +265,24 @@ def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, obj
             raise ConfigError(f"config error: {summary}")
         print(summary, file=sys.stderr)
     return [(p, got) for p, got in zip(points, outcomes) if not isinstance(got, str)]
+
+
+def _has_closed_form(p: _Point) -> bool:
+    """The closed forms model the phase-aligned two-zone system with R >= 1."""
+    return p.scenario is ScenarioKind.TWO_ZONE_ALIGNED and p.cfg.R >= 1
+
+
+def _closed_form_points(run_cfg: RunConfig) -> list[_Point]:
+    """The config's points, each one the closed forms do not model failed."""
+    return [
+        p
+        if isinstance(p.cfg, str) or _has_closed_form(p)
+        else p._replace(
+            cfg=f"no closed form for scenario {p.scenario.value} at R={p.cfg.R}; "
+            f"it needs {ScenarioKind.TWO_ZONE_ALIGNED.value} and R >= 1"
+        )
+        for p in _config_points(run_cfg)
+    ]
 
 
 def _simulate(points: list[_Point], trials: int, seed: int) -> list[tuple[_Point, dict]]:
@@ -346,8 +326,8 @@ def _write_csv(out_path: str, rows: list[tuple]) -> None:
 
 
 def _write_points(points: list[_Point], trials: int, seed: int, out_path: str) -> int:
-    """Simulate the points and write their rows: MC always, closed forms only
-    at phase-aligned two-zone points with R >= 1, the system they model."""
+    """Simulate the points and write their rows: MC always, closed forms
+    where they model the point's system."""
     rows: list[tuple] = []
     for p, est in _simulate(points, trials, seed):
         for metric in ("cu", "ceu_sc", "ceu_mrc"):
@@ -355,7 +335,7 @@ def _write_points(points: list[_Point], trials: int, seed: int, out_path: str) -
             rows.append(
                 (p.axis, p.value, metric, "mc" + p.suffix, e.mean, e.stderr, e.n, seed)
             )
-        if p.scenario is ScenarioKind.TWO_ZONE_ALIGNED and p.cfg.R >= 1:
+        if _has_closed_form(p):
             for metric, source, bler in _analytic_rows(p.cfg):
                 rows.append((p.axis, p.value, metric, source + p.suffix, bler, 0.0, 0, seed))
     _write_csv(out_path, rows)
@@ -364,8 +344,7 @@ def _write_points(points: list[_Point], trials: int, seed: int, out_path: str) -
 
 
 def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
-    points = _config_points(run_cfg, run_cfg.scenario)
-    return _write_points(points, run_cfg.trials, run_cfg.seed, out_path)
+    return _write_points(_config_points(run_cfg), run_cfg.trials, run_cfg.seed, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +357,19 @@ _ALPHA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.49)
 _R_GRID = tuple(range(1, 9))
 
 
-def _preset_runs(preset: str, defaults: SystemConfig):
-    """(scenario, axis, values, base, suffix) tuples making up one preset."""
-    at_10db = _apply_axis(defaults, "rho_s_db", 10.0, True)
-    at_15db = _apply_axis(defaults, "rho_s_db", 15.0, True)
+def _preset_runs(preset: str):
+    """(scenario, axis, values, model keys, suffix) tuples making up one preset."""
+    at_10db, at_15db = {"rho_s_db": 10.0}, {"rho_s_db": 15.0}
     aligned = ScenarioKind.TWO_ZONE_ALIGNED
     runs = {
-        "fig2": [(aligned, "rho_s_db", _DB_GRID, defaults, "")],
+        "fig2": [(aligned, "rho_s_db", _DB_GRID, {}, "")],
         "fig3": [
-            (aligned, "rho_s_db", _DB_GRID, defaults, ""),
-            (ScenarioKind.NO_RIS, "rho_s_db", _DB_GRID, defaults, "_no_ris"),
+            (aligned, "rho_s_db", _DB_GRID, {}, ""),
+            (ScenarioKind.NO_RIS, "rho_s_db", _DB_GRID, {}, "_no_ris"),
         ],
         "fig4": [
-            (aligned, "rho_s_db", _DB_GRID, defaults, ""),
-            (
-                ScenarioKind.SINGLE_ZONE_RANDOM,
-                "rho_s_db",
-                _DB_GRID,
-                defaults,
-                "_single_zone",
-            ),
+            (aligned, "rho_s_db", _DB_GRID, {}, ""),
+            (ScenarioKind.SINGLE_ZONE_RANDOM, "rho_s_db", _DB_GRID, {}, "_single_zone"),
         ],
         "fig5": [
             (aligned, "R", _R_GRID, at_10db, "_10db"),
@@ -409,12 +381,7 @@ def _preset_runs(preset: str, defaults: SystemConfig):
 
 
 def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
-    defaults = parse_config({}).system
-    points = [
-        point
-        for scenario, axis, values, base, suffix in _preset_runs(preset, defaults)
-        for point in _expand(scenario, axis, values, base, True, suffix)
-    ]
+    points = [point for run in _preset_runs(preset) for point in _expand(*run)]
     return _write_points(points, trials, seed, out_path)
 
 
@@ -459,12 +426,12 @@ def cmd_compare(run_cfg: RunConfig) -> int:
     cu / ceu_sc rows are judged on |log10 analytic - log10 mc| <= 0.3
     wherever the MC mean resolves (>= 1e-4; SKIP otherwise); the ceu_mrc row
     is judged as a lower bound (FAIL iff analytic exceeds mc + 3*stderr).
-    Failed sweep points are reported and skipped, as in cmd_run.
+    Failed sweep points, and points the closed forms do not model, are
+    reported and skipped, as in cmd_run.
     """
     trials, seed = run_cfg.trials, run_cfg.seed
-    points = _config_points(run_cfg, ScenarioKind.TWO_ZONE_ALIGNED)
     failed = False
-    for p, est in _simulate(points, trials, seed):
+    for p, est in _simulate(_closed_form_points(run_cfg), trials, seed):
         lines, point_failed = _compare_point(p.cfg, est, trials, seed, f"{p.axis}={p.value:g}")
         failed = failed or point_failed
         print("\n".join(lines))
@@ -476,15 +443,17 @@ def cmd_compare(run_cfg: RunConfig) -> int:
 
 
 def cmd_analytic(run_cfg: RunConfig) -> int:
-    points = _config_points(run_cfg, run_cfg.scenario)
+    points = _closed_form_points(run_cfg)
     for p, cfg in _drop_failed(points, [p.cfg for p in points]):
-        print(f"[{p.axis}={p.value:g}]")
+        label = f"{p.axis}={p.value:g}"
+        print(f"[{label}]")
         for metric, source, value in _analytic_rows(cfg):
+            _check_bler(value, f"[{label}] {metric} {source}")
             tag = " (lower bound)" if source == "analytic_lb" else ""
             print(f"  {metric:8s} {value:.10e}{tag}")
-    for scheme in ("cu", "ceu_sc", "ceu_mrc"):
-        d = analytic.diversity_order(run_cfg.system.R, scheme)
-        print(f"  diversity {scheme:8s} {d:.6f}")
+        for scheme in ("cu", "ceu_sc", "ceu_mrc"):
+            d = analytic.diversity_order(cfg.R, scheme)
+            print(f"  diversity {scheme:8s} {d:.6f}")
     return 0
 
 

@@ -12,8 +12,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from risnoma import analytic
+from risnoma import analytic, cli
+from risnoma.channel import SystemConfig
 from risnoma.cli import (
     ConfigError,
     load_config,
@@ -37,6 +40,14 @@ def read_rows(path):
     return [line.split(",") for line in lines[1:]]
 
 
+def swept_rho_c(raw):
+    # the relay SNR at the 20 dB point of a rho_s_db sweep over the config
+    (point,) = cli._config_points(
+        parse_config({**raw, "sweep": {"axis": "rho_s_db", "values": [20]}})
+    )
+    return point.cfg.rho_c
+
+
 # ------------------------------------------------------------- parse_config
 
 def test_parse_config_reference_defaults():
@@ -50,7 +61,7 @@ def test_parse_config_reference_defaults():
     assert rc.trials == 100_000 and rc.seed == 1234
     assert rc.scenario is ScenarioKind.TWO_ZONE_ALIGNED
     assert rc.sweep_axis is None
-    assert rc.couple_rho_c is True
+    assert swept_rho_c({}) == pytest.approx(10.0, rel=1e-15)
 
 
 def test_parse_config_db_conversion_and_coupling():
@@ -60,9 +71,9 @@ def test_parse_config_db_conversion_and_coupling():
     # an explicit relay SNR pins it (no coupling during sweeps either)
     rc = parse_config({"rho_c": 5.0})
     assert rc.system.rho_c == 5.0
-    assert rc.couple_rho_c is False
+    assert swept_rho_c({"rho_c": 5.0}) == 5.0
     rc = parse_config({"rho_c_db": 0})
-    assert rc.system.rho_c == 1.0 and rc.couple_rho_c is False
+    assert rc.system.rho_c == 1.0 and swept_rho_c({"rho_c_db": 0}) == 1.0
 
 
 def test_parse_config_alpha_complement_default():
@@ -105,6 +116,7 @@ def test_parse_config_sweep_block():
     for bad in (
         {"axis": "rho_s_db"},  # missing values
         {"axis": "lambda_c", "values": [1]},  # not a sweepable axis
+        {"axis": ["R"], "values": [1]},  # an axis name is a string
         {"axis": "rho_s_db", "values": []},
         {"axis": "rho_s_db", "values": ["a"]},
         {"axis": "R", "values": [1.5]},  # element counts are integers
@@ -120,6 +132,38 @@ def test_parse_config_rejects_non_finite_numbers(bad):
         parse_config({"sweep": {"axis": "rho_s_db", "values": [0, bad]}})
     with pytest.raises(ConfigError, match="at alpha_c: must be finite"):
         parse_config({"alpha_c": bad})
+
+
+# every value a JSON decoder can give one key: numbers of any size or
+# finiteness, and the wrong types
+_JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cli._ALL_KEYS - {"scenario", "sweep"})), _JSON_SCALARS)
+def test_parse_config_refuses_only_with_config_error(key, value):
+    try:
+        parse_config({key: value})
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cli._SWEEP_AXES)), st.data())
+def test_every_sweep_value_becomes_one_point(axis, data):
+    numbers = st.integers(min_value=-(10**300), max_value=10**300)
+    if axis not in ("R", "m"):
+        numbers = st.one_of(numbers, st.floats(allow_nan=False, allow_infinity=False))
+    values = data.draw(st.lists(numbers, min_size=1, max_size=4))
+    points = cli._config_points(parse_config({"sweep": {"axis": axis, "values": values}}))
+    assert [p.value for p in points] == [float(v) for v in values]
+    assert all(isinstance(p.cfg, (SystemConfig, str)) for p in points)
 
 
 def test_load_config_error_paths(tmp_path):
@@ -238,7 +282,7 @@ def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5])
-@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("command", ["run", "compare", "analytic"])
 def test_bler_outside_unit_interval_is_an_internal_error(tmp_path, monkeypatch, command, bad):
     monkeypatch.setattr(analytic, "avg_bler_ceu_sc", lambda cfg: bad)
     cfg = write_config(tmp_path, {"trials": 256})
@@ -376,6 +420,51 @@ def test_compare_flags_violated_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "comparison FAILED" in out
     assert "SKIP" in out  # sc is below the resolution floor there
+
+
+@pytest.mark.parametrize("command", ["compare", "analytic"])
+@pytest.mark.parametrize(
+    "payload, where",
+    [({"R": 0}, "two_zone_aligned at R=0"), ({"scenario": "no_ris"}, "no_ris at R=8")],
+    ids=["R_0", "no_ris"],
+)
+def test_closed_form_commands_refuse_points_they_do_not_model(
+    tmp_path, capsys, monkeypatch, command, payload, where
+):
+    # refused before anything is simulated or evaluated
+    simulated = []
+    monkeypatch.setattr(cli, "run_points", lambda points, n, seed: simulated.extend(points) or [])
+    monkeypatch.setattr(cli, "_analytic_rows", None)
+    cfg = write_config(tmp_path, {"trials": 256, **payload})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert f"no closed form for scenario {where}" in err
+    assert "config error: 1 of 1 sweep points failed" in err
+    assert simulated == []
+
+
+@pytest.mark.parametrize("command", ["compare", "analytic"])
+def test_closed_form_commands_skip_r_zero_in_a_sweep(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"trials": 256, "sweep": {"axis": "R", "values": [0, 1, 2]}})
+    assert main([command, "--config", cfg]) in (0, 4)
+    captured = capsys.readouterr()
+    assert captured.err.count("warning:") == 1
+    assert "warning: R=0.0: no closed form for scenario two_zone_aligned at R=0" in captured.err
+    assert "1 of 3 sweep points failed" in captured.err
+    assert "[R=0" not in captured.out
+    assert "[R=1]" in captured.out and "[R=2]" in captured.out
+
+
+def test_analytic_prints_each_points_diversity(tmp_path, capsys):
+    # the slopes follow the point's own R, not the config's base R = 0
+    cfg = write_config(tmp_path, {"R": 0, "sweep": {"axis": "R", "values": [1, 2]}})
+    assert main(["analytic", "--config", cfg]) == 0
+    blocks = capsys.readouterr().out.split("[R=")[1:]
+    assert [b.splitlines()[0] for b in blocks] == ["1]", "2]"]
+    for block, cu in zip(blocks, ("0.804973", "1.609946")):
+        assert f"  diversity cu       {cu}" in block.splitlines()
+        assert sum("diversity" in line for line in block.splitlines()) == 3
 
 
 def test_analytic_subcommand_reports(tmp_path, capsys):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from risnoma import cli, montecarlo
 from risnoma.channel import SystemConfig
-from risnoma.cli import _apply_axis
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
@@ -101,12 +100,11 @@ def _estimate_digest(results) -> str:
 
 def _fig_points() -> list:
     # every (config, scenario) point of the fig2..fig6 presets, in preset order
-    defaults = cli.parse_config({}).system
     return [
-        (_apply_axis(base, axis, value, True), scenario)
+        (p.cfg, p.scenario)
         for preset in ("fig2", "fig3", "fig4", "fig5", "fig6")
-        for scenario, axis, values, base, _ in cli._preset_runs(preset, defaults)
-        for value in values
+        for run in cli._preset_runs(preset)
+        for p in cli._expand(*run)
     ]
 
 
@@ -229,22 +227,28 @@ def test_rayleigh_only_average_matches_closed_form():
 
 # ------------------------------------------------------------------- sweeps
 
-def _axis_points(cfg, scenario, axis, values):
+def _axis_cfg(axis, value, keys=None):
+    # the config of one sweep point over the given model keys (the reference
+    # defaults, make_config(), if none), as the CLI builds it
+    (point,) = cli._expand(ALIGNED, axis, [value], keys or {}, "")
+    return point.cfg
+
+
+def _axis_points(scenario, axis, values):
     # the (config, scenario) points of a sweep, as the CLI builds them
-    return [(_apply_axis(cfg, axis, value, True), scenario) for value in values]
+    return [(_axis_cfg(axis, value), scenario) for value in values]
 
 
 def test_single_value_sweep_matches_run_trials():
-    cfg = make_config()
     direct = run_trials(make_config(rho_s=100.0, rho_c=10.0), ALIGNED, 8192, 55)
-    got = run_points(_axis_points(cfg, ALIGNED, "rho_s_db", [20.0]), 8192, 55)
+    got = run_points(_axis_points(ALIGNED, "rho_s_db", [20.0]), 8192, 55)
     assert len(got) == 1 and not isinstance(got[0], str)
     for key in ("cu", "ceu_sc", "ceu_mrc"):
         assert got[0][key].mean == direct[key].mean
 
 
 def test_sweep_records_per_point_errors_and_continues():
-    pts = cli._expand(ALIGNED, "alpha_c", [0.1, 0.6, 0.2], make_config(), True, "")
+    pts = cli._expand(ALIGNED, "alpha_c", [0.1, 0.6, 0.2], {}, "")
     assert [isinstance(p.cfg, SystemConfig) for p in pts] == [True, False, True]
     assert "alpha_c" in pts[1].cfg
     ran = cli._simulate(pts, 4096, 8)
@@ -253,7 +257,7 @@ def test_sweep_records_per_point_errors_and_continues():
 
 
 def test_sweep_records_overflowing_db_value_as_point_error():
-    pts = cli._expand(ALIGNED, "rho_s_db", [1e308], make_config(), True, "")
+    pts = cli._expand(ALIGNED, "rho_s_db", [1e308], {}, "")
     assert "rho_s must be finite" in pts[0].cfg
 
 
@@ -275,36 +279,33 @@ _AXIS_VALUES = {
 def test_batched_sweep_matches_lone_run_trials(scenario, axis):
     # points of one sweep share their draws; each must still get exactly
     # what a lone run_trials at that value gives
-    cfg = make_config()
     n = CHUNK_TRIALS + 500  # two chunks, the last one partial
-    got = run_points(_axis_points(cfg, scenario, axis, _AXIS_VALUES[axis]), n, 61)
+    got = run_points(_axis_points(scenario, axis, _AXIS_VALUES[axis]), n, 61)
     for value, est in zip(_AXIS_VALUES[axis], got):
         assert not isinstance(est, str)
-        alone = run_trials(_apply_axis(cfg, axis, value, True), scenario, n, 61)
+        alone = run_trials(_axis_cfg(axis, value), scenario, n, 61)
         _assert_same(est, alone, (scenario, axis, value))
 
 
 def test_failing_point_leaves_its_group_intact():
     # 3079 dB overflows the SINRs to NaN while evaluating; the point at
     # 10 dB draws from the same batch and must be unaffected
-    cfg = make_config()
     with np.errstate(over="ignore", invalid="ignore"):
-        got = run_points(_axis_points(cfg, ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
+        got = run_points(_axis_points(ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
     assert not isinstance(got[0], str)
     assert "SINR must be >= 0 and not NaN" in got[1]
-    alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
+    alone = run_trials(_axis_cfg("rho_s_db", 10), ALIGNED, 8192, 5)
     _assert_same(got[0], alone, 10)
 
 
 def test_overflowing_point_raises_no_numpy_warning():
     # same sweep as above with every warning an error: the overflow to NaN
     # is reported only as the point's own error
-    cfg = make_config()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = run_points(_axis_points(cfg, ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
+        got = run_points(_axis_points(ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
     assert "SINR must be >= 0 and not NaN" in got[1]
-    alone = run_trials(_apply_axis(cfg, "rho_s_db", 10, True), ALIGNED, 8192, 5)
+    alone = run_trials(_axis_cfg("rho_s_db", 10), ALIGNED, 8192, 5)
     _assert_same(got[0], alone, 10)
 
 
@@ -312,7 +313,7 @@ def test_run_points_reports_errors_per_point():
     cfg = make_config()
     with np.errstate(over="ignore", invalid="ignore"):
         got = run_points(
-            [(_apply_axis(cfg, "rho_s_db", 3079, True), ALIGNED), (cfg, ALIGNED)], 4096, 5
+            [(_axis_cfg("rho_s_db", 3079), ALIGNED), (cfg, ALIGNED)], 4096, 5
         )
     assert "SINR must be >= 0 and not NaN" in got[0]
     assert set(got[1]) == {"cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2"}
@@ -321,9 +322,8 @@ def test_run_points_reports_errors_per_point():
 def test_batched_sweep_worker_count_does_not_change_results(monkeypatch):
     # two operating points per element count share each draw, as in fig5,
     # plus a second scenario, so tasks differ in size
-    cfg = make_config()
     points = [
-        (_apply_axis(cfg, axis, value, True), scenario)
+        (_axis_cfg(axis, value), scenario)
         for scenario in (ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM)
         for axis, value in (("rho_s_db", 10.0), ("rho_s_db", 15.0), ("R", 2))
     ]
@@ -377,20 +377,26 @@ def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
 
 
 def test_apply_axis_semantics():
+    # a sweep point is the config's model keys with the swept key set; the
+    # sweeps above build theirs on the reference defaults, make_config()
     cfg = make_config()
-    coupled = _apply_axis(cfg, "rho_s_db", 20.0, True)
+    assert cli.parse_config({}).system == cfg
+    coupled = _axis_cfg("rho_s_db", 20.0)
     assert coupled.rho_s == pytest.approx(100.0, rel=1e-15)
     assert coupled.rho_c == pytest.approx(10.0, rel=1e-15)
-    pinned = _apply_axis(cfg, "rho_s_db", 20.0, False)
+    pinned = _axis_cfg("rho_s_db", 20.0, {"rho_c": cfg.rho_c})
     assert pinned.rho_c == cfg.rho_c
+    # a linear or dB base SNR is replaced, and the relay SNR still follows it
+    for base in ({"rho_s": 7.3}, {"rho_s_db": 5.0}):
+        replaced = _axis_cfg("rho_s_db", 20.0, base)
+        assert replaced.rho_s == coupled.rho_s and replaced.rho_c == coupled.rho_c
 
-    assert _apply_axis(cfg, "R", 3, True).R == 3
-    swapped = _apply_axis(cfg, "alpha_c", 0.3, True)
+    assert _axis_cfg("R", 3).R == 3
+    swapped = _axis_cfg("alpha_c", 0.3)
     assert swapped.alpha_c == 0.3 and swapped.alpha_e == 0.7
+    # an explicit alpha_e is replaced by the complement too
+    assert _axis_cfg("alpha_c", 0.3, {"alpha_c": 0.2, "alpha_e": 0.8}) == swapped
 
-    resized = _apply_axis(cfg, "m", 250, True)
+    resized = _axis_cfg("m", 250)
     assert resized.code_c == CodeSpec(m=250, bits=cfg.code_c.bits)
     assert resized.code_e == CodeSpec(m=250, bits=cfg.code_e.bits)
-
-    with pytest.raises(ValueError):
-        _apply_axis(cfg, "eta_c", 0.5, True)
