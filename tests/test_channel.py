@@ -8,6 +8,7 @@ check that law against the phase-by-phase construction, kept here as a
 reference sampler.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,37 @@ def test_samplers_ignore_fields_outside_fading_key():
             np.testing.assert_array_equal(a[key], b[key])
         for gain_a, gain_b in zip(effective_gain(a, cfg), effective_gain(b, other)):
             np.testing.assert_array_equal(gain_a, gain_b)
+
+
+# sha256 of the bytes of (T, Z, W) from 512 draws of one seeded stream per
+# case.  A change that moves any bit of any sampled gain changes a digest.
+# The three cases without a cascade draw the same three exponentials in the
+# same order, so they share one digest.
+_GAIN_CASES = {
+    "aligned": (lambda c, rng: _sample_aligned_batch(c, rng, 512, with_cascade=True), {}),
+    "aligned_no_cascade": (
+        lambda c, rng: _sample_aligned_batch(c, rng, 512, with_cascade=False), {}
+    ),
+    "aligned_r0": (lambda c, rng: _sample_aligned_batch(c, rng, 512, with_cascade=True), {"R": 0}),
+    "random_phase_16": (lambda c, rng: _sample_random_phase_batch(c, rng, 512, 16), {}),
+    "random_phase_0": (lambda c, rng: _sample_random_phase_batch(c, rng, 512, 0), {}),
+}
+_GAIN_DIGESTS = {
+    "aligned": "7697d1651905982875ea95b3844bc154fbc8f0b959c3f81bfe4e466cdc470f71",
+    "aligned_no_cascade": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
+    "aligned_r0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
+    "random_phase_16": "e8e85a2309e20b3d5bd90a24039a8b872a1035d2e075eb24ff62df30c6a62ecb",
+    "random_phase_0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GAIN_CASES))
+def test_sampled_gains_are_bitwise_frozen(case):
+    sample, overrides = _GAIN_CASES[case]
+    cfg = make_config(eta_c=0.7, eta_e=0.4, **overrides)
+    gains = effective_gain(sample(cfg, np.random.default_rng(2024)), cfg)
+    digest = hashlib.sha256(b"".join(g.tobytes() for g in gains)).hexdigest()
+    assert digest == _GAIN_DIGESTS[case]
 
 
 @pytest.mark.parametrize(
