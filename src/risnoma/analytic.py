@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .channel import GammaFit, SystemConfig, gamma_fit
+from .channel import GammaFit, SystemConfig, gamma_fit, links
 from .fbl import CodeSpec, linearization_params
 
 __all__ = [
@@ -150,13 +150,8 @@ def effective_gain_cdf(
     return min(1.0, max(0.0, float(head - corr)))
 
 
-def _kind_channel(kind: SinrKind, cfg: SystemConfig):
-    """(direct_var, fit, eta) triple of the gain underlying this SINR kind."""
-    if kind.tag in ("cc", "ce"):
-        return cfg.lambda_c, gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc), cfg.eta_c
-    if kind.tag == "e1":
-        return cfg.lambda_e, gamma_fit(cfg.R, cfg.lambda_ge, cfg.lambda_re), cfg.eta_e
-    return cfg.lambda_ce, gamma_fit(cfg.R, cfg.lambda_gce, cfg.lambda_rce), cfg.eta_e
+# index into channel.links of the gain under each decoding step's SINR
+_STEP_LINK = {"cc": 0, "ce": 0, "e1": 1, "e2": 2}
 
 
 def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
@@ -175,7 +170,8 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
     w = omega / 2.0 if kind.doubled else omega
     if w == 0.0:
         return 0.0
-    direct_var, fit, eta = _kind_channel(kind, cfg)
+    link = links(cfg)[_STEP_LINK[kind.tag]]
+    fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
     if kind.tag == "cc":
         t = w / (cfg.alpha_c * cfg.rho_s)
     elif kind.tag in ("ce", "e1"):
@@ -185,7 +181,7 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
         t = w / (cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w)
     else:  # e2
         t = w / cfg.rho_c
-    return effective_gain_cdf(t, direct_var, fit, eta, cfg.quad_order)
+    return effective_gain_cdf(t, link.lam_d, fit, link.eta, cfg.quad_order)
 
 
 def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:

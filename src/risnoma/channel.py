@@ -13,16 +13,18 @@ Provides:
     SystemConfig               -- full physical configuration (linear SNRs)
     GammaFit                   -- (kappa, b) gamma approximation of q
     gamma_fit                  -- moment-matched (kappa, b) for R elements
-    fading_key                 -- the config fields a sampled batch depends on
-    _sample_aligned_batch      -- n aligned-phase draws of all nine channels
-    _sample_random_phase_batch -- n single-zone draws, each link power from its
-                                  exact law (gamma-mixed exponential)
-    effective_gain             -- combined direct + reflected gains T / Z / W
+    Link                       -- mean powers and surface gain of one link
+    links                      -- the T, Z and W links of a config
+    fading_key                 -- the config fields the sampled gains depend on
+    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
+    _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
+                                  its exact law (gamma-mixed exponential)
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,9 @@ __all__ = [
     "SystemConfig",
     "GammaFit",
     "gamma_fit",
+    "Link",
+    "links",
     "fading_key",
-    "effective_gain",
 ]
 
 _PI_SQ = math.pi * math.pi
@@ -45,10 +48,9 @@ class SystemConfig:
 
     SNRs are linear power ratios (transmit power over noise power); the CLI
     converts from dB exactly once at load.  alpha_c + alpha_e = 1 with the
-    central user taking the smaller share.  lambda_* are mean channel power
-    gains: lambda_c / lambda_e / lambda_ce for the direct links (BS->CU,
-    BS->CEU, CU->CEU) and per-hop pairs (lambda_g*, lambda_r*) for the
-    cascaded surface links of each zone.
+    central user taking the smaller share.  lambda_* and eta_* are the
+    mean channel power gains and surface amplitudes of the three links,
+    grouped per link by `links`.
     """
 
     rho_s: float
@@ -92,18 +94,13 @@ class SystemConfig:
             )
         if self.R < 0:
             raise ValueError(f"element count R must be >= 0, got {self.R}")
-        for name in ("eta_c", "eta_e"):
-            val = getattr(self, name)
+        for f in fields(self):
+            val = getattr(self, f.name)
             # eta = 0 is allowed as an explicit "no surface" in simulation
-            if not (0.0 <= val <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        for name in (
-            "lambda_c", "lambda_e", "lambda_ce",
-            "lambda_rc", "lambda_gc", "lambda_re",
-            "lambda_ge", "lambda_rce", "lambda_gce",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
+                raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
+            if f.name.startswith("lambda_") and val <= 0.0:
+                raise ValueError(f"{f.name} must be > 0")
         if self.quad_order < 1:
             raise ValueError(f"quad_order must be >= 1, got {self.quad_order}")
 
@@ -138,24 +135,32 @@ def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
     return GammaFit(kappa=kappa, b=b)
 
 
-# Every SystemConfig field that the two samplers and effective_gain read.
-# The random-phase sampler also takes 2R as its element count.
-_FADING_FIELDS = (
-    "R", "eta_c", "eta_e",
-    "lambda_c", "lambda_e", "lambda_ce",
-    "lambda_rc", "lambda_gc", "lambda_re",
-    "lambda_ge", "lambda_rce", "lambda_gce",
-)
+class Link(NamedTuple):
+    """One link: a direct Rayleigh path of mean power lam_d plus an R-element
+    cascade of per-hop mean powers lam_g, lam_r, scaled by surface amplitude eta."""
+
+    lam_d: float
+    lam_g: float
+    lam_r: float
+    eta: float
+
+
+def links(cfg: SystemConfig) -> tuple[Link, Link, Link]:
+    """The BS->CU, BS->CEU and CU->CEU links, whose gains are T, Z and W."""
+    return (
+        Link(cfg.lambda_c, cfg.lambda_gc, cfg.lambda_rc, cfg.eta_c),
+        Link(cfg.lambda_e, cfg.lambda_ge, cfg.lambda_re, cfg.eta_e),
+        Link(cfg.lambda_ce, cfg.lambda_gce, cfg.lambda_rce, cfg.eta_e),
+    )
 
 
 def fading_key(cfg: SystemConfig) -> tuple:
-    """The config fields that a sampled batch and its effective gains depend on.
+    """The config fields that the sampled gains depend on: R and the links.
 
-    Two configs with equal keys draw bitwise the same batch from the same
-    generator state and get the same (T, Z, W), so one draw serves both.
-    SNRs, the power split, the codes and quad_order are not part of it.
+    Two configs with equal keys draw bitwise the same (T, Z, W) from the
+    same generator state, so one draw serves both.
     """
-    return tuple(getattr(cfg, name) for name in _FADING_FIELDS)
+    return (cfg.R, links(cfg))
 
 
 def _rayleigh_magnitudes_into(
@@ -174,36 +179,29 @@ def _sample_aligned_batch(
     rng: np.random.Generator,
     n: int,
     with_cascade: bool,
-) -> dict[str, np.ndarray]:
-    """n draws of all links with the surface phases aligned per zone.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
 
-    Direct powers p_* are exponential with their lambda means; each cascaded
-    sum q_* adds R independent |g||h| products.  Draw order is fixed (p_c,
-    p_e, p_ce, then the three cascades hop by hop); skipping the cascade
-    (with_cascade=False) leaves the direct draws untouched, which is what
-    makes the no-surface scenario bit-compatible with eta = 0.
+    Each gain is p + (eta*q)^2: the direct power p is exponential with mean
+    lam_d, and the cascaded sum q adds R independent |g||h| products.  Draw
+    order is fixed (the three direct powers, then the three cascades hop by
+    hop); skipping the cascade (with_cascade=False, or R = 0) returns the
+    direct powers from untouched draws, which is what makes the no-surface
+    scenario bit-compatible with eta = 0.
     """
-    p_c = rng.exponential(cfg.lambda_c, size=n)
-    p_e = rng.exponential(cfg.lambda_e, size=n)
-    p_ce = rng.exponential(cfg.lambda_ce, size=n)
-    zeros = np.zeros(n, dtype=np.float64)
+    powers = [rng.exponential(link.lam_d, size=n) for link in links(cfg)]
     if not with_cascade or cfg.R == 0:
-        return {"p_c": p_c, "p_e": p_e, "p_ce": p_ce,
-                "q_c": zeros, "q_e": zeros, "q_ce": zeros.copy()}
+        return tuple(powers)
     # two (n, R) buffers serve all three cascades, one per hop
     hop_g = np.empty((n, cfg.R))
     hop_r = np.empty((n, cfg.R))
-    q = {}
-    for name, lam_g, lam_r in (
-        ("q_c", cfg.lambda_gc, cfg.lambda_rc),
-        ("q_e", cfg.lambda_ge, cfg.lambda_re),
-        ("q_ce", cfg.lambda_gce, cfg.lambda_rce),
-    ):
+    gains = []
+    for p, (_, lam_g, lam_r, eta) in zip(powers, links(cfg)):
         _rayleigh_magnitudes_into(rng, lam_g, hop_g)
         _rayleigh_magnitudes_into(rng, lam_r, hop_r)
         hop_g *= hop_r
-        q[name] = np.sum(hop_g, axis=1)
-    return {"p_c": p_c, "p_e": p_e, "p_ce": p_ce, **q}
+        gains.append(p + (eta * np.sum(hop_g, axis=1)) ** 2)
+    return tuple(gains)
 
 
 def _sample_random_phase_batch(
@@ -211,8 +209,9 @@ def _sample_random_phase_batch(
     rng: np.random.Generator,
     n: int,
     total_elements: int,
-) -> dict[str, np.ndarray]:
-    """n draws of the single-zone baseline: one surface, uniform random phases.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n draws of the gains (T, Z, W) of the single-zone baseline: one
+    surface, uniform random phases.
 
     Each link's field is h + eta * sum_r g_r e^{j phi_r} h_r over N =
     total_elements elements, all channels circularly symmetric complex
@@ -220,40 +219,13 @@ def _sample_random_phase_batch(
     nothing; given the h_r the field is CN(0, lam_d + eta^2 lam_g S) with
     S = sum_r |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn
     exactly as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links
-    in the order p_c, p_e, p_ce: the gamma S (skipped when N = 0), then the
-    unit exponential.  The q_* arrays are zero because the aligned-cascade
-    CDF machinery does not apply to this baseline.
+    in the order T, Z, W: the gamma S (skipped when N = 0), then the unit
+    exponential.
     """
-    links = (
-        ("p_c", cfg.lambda_c, cfg.lambda_gc, cfg.lambda_rc, cfg.eta_c),
-        ("p_e", cfg.lambda_e, cfg.lambda_ge, cfg.lambda_re, cfg.eta_e),
-        ("p_ce", cfg.lambda_ce, cfg.lambda_gce, cfg.lambda_rce, cfg.eta_e),
-    )
-    out: dict[str, np.ndarray] = {}
-    for name, lam_direct, lam_g, lam_r, eta in links:
+    gains = []
+    for lam_d, lam_g, lam_r, eta in links(cfg):
+        mean = lam_d
         if total_elements > 0:
-            s = rng.gamma(total_elements, lam_r, size=n)
-            mean = lam_direct + eta * eta * lam_g * s
-        else:
-            mean = lam_direct
-        out[name] = rng.exponential(1.0, size=n) * mean
-    zeros = np.zeros(n, dtype=np.float64)
-    out["q_c"] = zeros
-    out["q_e"] = zeros.copy()
-    out["q_ce"] = zeros.copy()
-    return out
-
-
-def effective_gain(
-    batch: dict[str, np.ndarray], cfg: SystemConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combined channel gains (T, Z, W) = direct power + (eta*q)^2 per trial.
-
-    T is the BS->CU gain, Z the BS->CEU gain and W the CU->CEU relay gain,
-    from the p_* / q_* arrays of one sampled batch.
-    """
-    return (
-        batch["p_c"] + (cfg.eta_c * batch["q_c"]) ** 2,
-        batch["p_e"] + (cfg.eta_e * batch["q_e"]) ** 2,
-        batch["p_ce"] + (cfg.eta_e * batch["q_ce"]) ** 2,
-    )
+            mean = lam_d + eta * eta * lam_g * rng.gamma(total_elements, lam_r, size=n)
+        gains.append(rng.exponential(1.0, size=n) * mean)
+    return tuple(gains)

@@ -29,11 +29,13 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from . import analytic
-from .channel import SystemConfig
+from .channel import SystemConfig, links
 from .fbl import CodeSpec
 from .montecarlo import ScenarioKind, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
+_DEFAULT_TRIALS = 100_000
+_DEFAULT_SEED = 1234
 
 
 class ConfigError(Exception):
@@ -148,10 +150,10 @@ def parse_config(raw: object) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
 
-    trials = _require_int(raw, "trials") if "trials" in raw else 100_000
+    trials = _require_int(raw, "trials") if "trials" in raw else _DEFAULT_TRIALS
     if trials < 1:
         raise ConfigError("config error at trials: must be >= 1")
-    seed = _require_int(raw, "seed") if "seed" in raw else 1234
+    seed = _require_int(raw, "seed") if "seed" in raw else _DEFAULT_SEED
 
     scenario_tag = raw.get("scenario", "two_zone_aligned")
     try:
@@ -268,8 +270,10 @@ def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, obj
 
 
 def _has_closed_form(p: _Point) -> bool:
-    """The closed forms model the phase-aligned two-zone system with R >= 1."""
-    return p.scenario is ScenarioKind.TWO_ZONE_ALIGNED and p.cfg.R >= 1
+    """The closed forms model the phase-aligned two-zone system with R >= 1
+    and a surface on every link (eta > 0)."""
+    aligned = p.scenario is ScenarioKind.TWO_ZONE_ALIGNED
+    return aligned and p.cfg.R >= 1 and all(link.eta > 0.0 for link in links(p.cfg))
 
 
 def _closed_form_points(run_cfg: RunConfig) -> list[_Point]:
@@ -278,8 +282,9 @@ def _closed_form_points(run_cfg: RunConfig) -> list[_Point]:
         p
         if isinstance(p.cfg, str) or _has_closed_form(p)
         else p._replace(
-            cfg=f"no closed form for scenario {p.scenario.value} at R={p.cfg.R}; "
-            f"it needs {ScenarioKind.TWO_ZONE_ALIGNED.value} and R >= 1"
+            cfg=f"no closed form for scenario {p.scenario.value} at R={p.cfg.R}, "
+            f"eta_c={p.cfg.eta_c:g}, eta_e={p.cfg.eta_e:g}; it needs "
+            f"{ScenarioKind.TWO_ZONE_ALIGNED.value}, R >= 1 and eta_c, eta_e > 0"
         )
         for p in _config_points(run_cfg)
     ]
@@ -479,8 +484,8 @@ def main(argv=None) -> int:
         "--preset", required=True, choices=("fig2", "fig3", "fig4", "fig5", "fig6")
     )
     p_fig.add_argument("--out", required=True)
-    p_fig.add_argument("--trials", type=int, default=100_000)
-    p_fig.add_argument("--seed", type=int, default=1234)
+    p_fig.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
+    p_fig.add_argument("--seed", type=int, default=_DEFAULT_SEED)
 
     p_cmp = sub.add_parser("compare", help="analytic vs Monte Carlo report")
     p_cmp.add_argument("--config", required=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.special import erfc as _erfc_vec
@@ -56,7 +57,9 @@ class CodeSpec:
             lin = PsiLinearization(beta=math.nan, delta=math.nan, v=math.nan, u=math.nan)
         finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
         if not (finite and lin.v < lin.beta < lin.u):
-            raise ValueError(f"code rate {self.bits}/{self.m} has no finite linearization")
+            # print an integer of more than 15 digits by its leading digits and exponent
+            bits, m = (str(k) if k < 10**15 else f"{Decimal(k):.3e}" for k in (self.bits, self.m))
+            raise ValueError(f"code rate {bits}/{m} has no finite linearization")
 
     @property
     def rate(self) -> float:

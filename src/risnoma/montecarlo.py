@@ -38,7 +38,6 @@ from .channel import (
     SystemConfig,
     _sample_aligned_batch,
     _sample_random_phase_batch,
-    effective_gain,
     fading_key,
 )
 from .fbl import psi_exact_vec
@@ -121,22 +120,21 @@ def _metric_sums(
 def _chunk_sums(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray] | str]]:
     """Draw one chunk of trials once and evaluate each config of a group on it.
 
-    Every config of the group has the same fading key, so the one batch is
-    the batch each would have drawn alone.  The configs are evaluated one
-    at a time to keep memory per chunk bounded; a ValueError while
-    evaluating one becomes that config's error and the rest carry on.
+    Every config of the group has the same fading key, so the one draw of
+    the gains is the draw each would have made alone.  The configs are
+    evaluated one at a time to keep memory per chunk bounded; a ValueError
+    while evaluating one becomes that config's error and the rest carry on.
     """
     cfgs, scenario, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
     head = cfgs[0]
 
     if scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
-        batch = _sample_random_phase_batch(head, rng, n_trials, 2 * head.R)
+        gains = _sample_random_phase_batch(head, rng, n_trials, 2 * head.R)
     else:
-        with_cascade = scenario is ScenarioKind.TWO_ZONE_ALIGNED and head.R > 0
-        batch = _sample_aligned_batch(head, rng, n_trials, with_cascade=with_cascade)
+        with_cascade = scenario is ScenarioKind.TWO_ZONE_ALIGNED
+        gains = _sample_aligned_batch(head, rng, n_trials, with_cascade=with_cascade)
 
-    gains = effective_gain(batch, head)
     out: list[tuple[np.ndarray, np.ndarray] | str] = []
     for cfg in cfgs:
         try:

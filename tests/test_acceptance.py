@@ -192,8 +192,8 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     cfg = make_config()
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 0]))
     n = 1_000_000
-    batch = _sample_aligned_batch(cfg, rng, n, with_cascade=True)
-    t_sorted = np.sort(batch["p_c"] + (cfg.eta_c * batch["q_c"]) ** 2)
+    t = _sample_aligned_batch(cfg, rng, n, with_cascade=True)[0]
+    t_sorted = np.sort(t)
     fit = gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc)
     # evaluate the closed form at every n/m-th order statistic; the exact
     # Kolmogorov distance exceeds the sampled one by at most 1/m

@@ -21,9 +21,9 @@ from risnoma.channel import (
     SystemConfig,
     _sample_aligned_batch,
     _sample_random_phase_batch,
-    effective_gain,
     fading_key,
     gamma_fit,
+    links,
 )
 from risnoma.fbl import CodeSpec
 
@@ -131,17 +131,20 @@ def test_sample_aligned_is_seed_deterministic():
     a = _sample_aligned_batch(cfg, np.random.default_rng(42), 4, with_cascade=True)
     b = _sample_aligned_batch(cfg, np.random.default_rng(42), 4, with_cascade=True)
     c = _sample_aligned_batch(cfg, np.random.default_rng(43), 4, with_cascade=True)
-    for key, arr in a.items():
-        np.testing.assert_array_equal(arr, b[key])
-        assert not np.array_equal(arr, c[key])
+    assert len(a) == 3
+    for arr, arr_b, arr_c in zip(a, b, c):
+        np.testing.assert_array_equal(arr, arr_b)
+        assert not np.array_equal(arr, arr_c)
         assert np.all(arr >= 0.0)
 
 
 def test_sample_aligned_r_zero_has_no_cascade():
-    batch = _sample_aligned_batch(make_config(R=0), np.random.default_rng(7), 4, with_cascade=True)
-    assert np.all(batch["q_c"] == 0.0) and np.all(batch["q_e"] == 0.0)
-    assert np.all(batch["q_ce"] == 0.0)
-    assert np.all(batch["p_c"] > 0.0)
+    cfg = make_config(R=0)
+    gains = _sample_aligned_batch(cfg, np.random.default_rng(7), 4, with_cascade=True)
+    direct = _sample_aligned_batch(cfg, np.random.default_rng(7), 4, with_cascade=False)
+    for gain, power in zip(gains, direct, strict=True):
+        np.testing.assert_array_equal(gain, power)
+        assert np.all(gain > 0.0)
 
 
 def test_direct_draws_unchanged_when_cascade_skipped():
@@ -150,10 +153,10 @@ def test_direct_draws_unchanged_when_cascade_skipped():
     cfg = make_config()
     with_q = _sample_aligned_batch(cfg, np.random.default_rng(11), 64, with_cascade=True)
     no_q = _sample_aligned_batch(cfg, np.random.default_rng(11), 64, with_cascade=False)
-    for key in ("p_c", "p_e", "p_ce"):
-        np.testing.assert_array_equal(with_q[key], no_q[key])
-    assert np.all(no_q["q_c"] == 0.0)
-    assert np.all(with_q["q_c"] > 0.0)
+    rng = np.random.default_rng(11)
+    for gain, power, link in zip(with_q, no_q, links(cfg), strict=True):
+        np.testing.assert_array_equal(power, rng.exponential(link.lam_d, size=64))
+        assert np.all(gain > power)
 
 
 def test_aligned_cascade_matches_exponential_construction():
@@ -161,18 +164,13 @@ def test_aligned_cascade_matches_exponential_construction():
     # scale * standard_exponential(), so the bits equal the plain
     # sqrt(exponential) construction in the same draw order
     cfg = make_config(R=5)
-    batch = _sample_aligned_batch(cfg, np.random.default_rng(19), 300, with_cascade=True)
+    gains = _sample_aligned_batch(cfg, np.random.default_rng(19), 300, with_cascade=True)
     rng = np.random.default_rng(19)
-    for name, lam in (("p_c", cfg.lambda_c), ("p_e", cfg.lambda_e), ("p_ce", cfg.lambda_ce)):
-        np.testing.assert_array_equal(batch[name], rng.exponential(lam, size=300))
-    for name, lam_g, lam_r in (
-        ("q_c", cfg.lambda_gc, cfg.lambda_rc),
-        ("q_e", cfg.lambda_ge, cfg.lambda_re),
-        ("q_ce", cfg.lambda_gce, cfg.lambda_rce),
-    ):
-        g = np.sqrt(rng.exponential(lam_g, size=(300, 5)))
-        h = np.sqrt(rng.exponential(lam_r, size=(300, 5)))
-        np.testing.assert_array_equal(batch[name], np.sum(g * h, axis=1))
+    powers = [rng.exponential(link.lam_d, size=300) for link in links(cfg)]
+    for gain, p, link in zip(gains, powers, links(cfg), strict=True):
+        g = np.sqrt(rng.exponential(link.lam_g, size=(300, 5)))
+        h = np.sqrt(rng.exponential(link.lam_r, size=(300, 5)))
+        np.testing.assert_array_equal(gain, p + (link.eta * np.sum(g * h, axis=1)) ** 2)
 
 
 def test_samplers_ignore_fields_outside_fading_key():
@@ -195,10 +193,7 @@ def test_samplers_ignore_fields_outside_fading_key():
     ):
         a = sample(cfg, np.random.default_rng(23))
         b = sample(other, np.random.default_rng(23))
-        assert a.keys() == b.keys()
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
-        for gain_a, gain_b in zip(effective_gain(a, cfg), effective_gain(b, other)):
+        for gain_a, gain_b in zip(a, b, strict=True):
             np.testing.assert_array_equal(gain_a, gain_b)
 
 
@@ -228,7 +223,7 @@ _GAIN_DIGESTS = {
 def test_sampled_gains_are_bitwise_frozen(case):
     sample, overrides = _GAIN_CASES[case]
     cfg = make_config(eta_c=0.7, eta_e=0.4, **overrides)
-    gains = effective_gain(sample(cfg, np.random.default_rng(2024)), cfg)
+    gains = sample(cfg, np.random.default_rng(2024))
     digest = hashlib.sha256(b"".join(g.tobytes() for g in gains)).hexdigest()
     assert digest == _GAIN_DIGESTS[case]
 
@@ -248,16 +243,18 @@ def test_aligned_moments_match_closed_forms():
     # lambda_c + eta^2 * (var_q + mean_q^2), all moments exact
     cfg = make_config()
     n = 400_000
-    batch = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, with_cascade=True)
-    t = batch["p_c"] + (cfg.eta_c * batch["q_c"]) ** 2
+    t = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, with_cascade=True)[0]
     mean_q = cfg.R * (math.pi / 4.0) * math.sqrt(cfg.lambda_gc * cfg.lambda_rc)
     var_q = cfg.R * (1.0 - _PI_SQ / 16.0) * cfg.lambda_gc * cfg.lambda_rc
     expected = cfg.lambda_c + cfg.eta_c**2 * (var_q + mean_q**2)
     se = float(np.std(t)) / math.sqrt(n)
     assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
-    # and the raw cascade sum matches its own mean
-    se_q = float(np.std(batch["q_c"])) / math.sqrt(n)
-    assert float(np.mean(batch["q_c"])) == pytest.approx(mean_q, abs=5.0 * se_q)
+    # and the raw cascade sum, recovered from the same draws without the
+    # cascade, matches its own mean
+    p_c = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, with_cascade=False)[0]
+    q_c = np.sqrt(t - p_c) / cfg.eta_c
+    se_q = float(np.std(q_c)) / math.sqrt(n)
+    assert float(np.mean(q_c)) == pytest.approx(mean_q, abs=5.0 * se_q)
 
 
 def test_random_phase_moments_match_closed_forms():
@@ -267,20 +264,10 @@ def test_random_phase_moments_match_closed_forms():
     n = 200_000
     total_elements = 2 * cfg.R
     rng = np.random.default_rng(515)
-    batch = _sample_random_phase_batch(cfg, rng, n, total_elements)
+    t = _sample_random_phase_batch(cfg, rng, n, total_elements)[0]
     expected = cfg.lambda_c + cfg.eta_c**2 * total_elements * cfg.lambda_gc * cfg.lambda_rc
-    se = float(np.std(batch["p_c"])) / math.sqrt(n)
-    assert float(np.mean(batch["p_c"])) == pytest.approx(expected, abs=5.0 * se)
-    assert np.all(batch["q_c"] == 0.0)
-
-
-def _random_phase_links(cfg):
-    # (power key, lambda_direct, lambda_g, lambda_r, eta) in sampler order
-    return (
-        ("p_c", cfg.lambda_c, cfg.lambda_gc, cfg.lambda_rc, cfg.eta_c),
-        ("p_e", cfg.lambda_e, cfg.lambda_ge, cfg.lambda_re, cfg.eta_e),
-        ("p_ce", cfg.lambda_ce, cfg.lambda_gce, cfg.lambda_rce, cfg.eta_e),
-    )
+    se = float(np.std(t)) / math.sqrt(n)
+    assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
 
 
 def _reference_random_phase_powers(cfg, rng, n, total_elements):
@@ -290,15 +277,17 @@ def _reference_random_phase_powers(cfg, rng, n, total_elements):
         s = math.sqrt(mean_power / 2.0)
         return rng.normal(0.0, s, size=size) + 1j * rng.normal(0.0, s, size=size)
 
-    out = {}
-    for name, lam_direct, lam_g, lam_r, eta in _random_phase_links(cfg):
+    out = []
+    for link in links(cfg):
         shape = (n, total_elements)
         phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
         reflected = np.sum(
-            complex_normal(lam_g, shape) * np.exp(1j * phi) * complex_normal(lam_r, shape),
+            complex_normal(link.lam_g, shape)
+            * np.exp(1j * phi)
+            * complex_normal(link.lam_r, shape),
             axis=1,
         )
-        out[name] = np.abs(complex_normal(lam_direct, n) + eta * reflected) ** 2
+        out.append(np.abs(complex_normal(link.lam_d, n) + link.eta * reflected) ** 2)
     return out
 
 
@@ -308,12 +297,12 @@ def test_random_phase_second_moments_match_exact_law():
     cfg = make_config()
     n = 200_000
     k = 2 * cfg.R
-    batch = _sample_random_phase_batch(cfg, np.random.default_rng(516), n, k)
-    for name, ld, lg, lr, eta in _random_phase_links(cfg):
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(516), n, k)
+    for name, gain, (ld, lg, lr, eta) in zip("TZW", gains, links(cfg), strict=True):
         expected = 2.0 * (
             ld * ld + 2.0 * ld * eta**2 * lg * k * lr + eta**4 * lg * lg * lr * lr * k * (k + 1)
         )
-        sq = batch[name] ** 2
+        sq = gain**2
         se = float(np.std(sq)) / math.sqrt(n)
         assert float(np.mean(sq)) == pytest.approx(expected, abs=5.0 * se), name
 
@@ -330,44 +319,61 @@ def test_random_phase_law_matches_reference_construction(eta, total_elements, se
     ref = _reference_random_phase_powers(
         cfg, np.random.default_rng(seed + 1000), n, total_elements
     )
-    for name in ("p_c", "p_e", "p_ce"):
-        assert stats.ks_2samp(fast[name], ref[name]).pvalue > 1e-3, name
+    for name, got, want in zip("TZW", fast, ref, strict=True):
+        assert stats.ks_2samp(got, want).pvalue > 1e-3, name
 
 
 def test_random_phase_no_elements_is_exponential():
     cfg = make_config()
-    batch = _sample_random_phase_batch(cfg, np.random.default_rng(604), 50_000, 0)
-    for name, ld, _, _, _ in _random_phase_links(cfg):
-        assert stats.kstest(batch[name], stats.expon(scale=ld).cdf).pvalue > 1e-3, name
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(604), 50_000, 0)
+    for name, gain, link in zip("TZW", gains, links(cfg), strict=True):
+        assert stats.kstest(gain, stats.expon(scale=link.lam_d).cdf).pvalue > 1e-3, name
 
 
 def test_sample_random_phase_batch_interface():
     cfg = make_config()
-    batch = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 16)
-    assert np.all(batch["q_c"] == 0.0) and np.all(batch["q_e"] == 0.0)
-    assert np.all(batch["q_ce"] == 0.0)
-    assert np.all(batch["p_c"] > 0.0) and np.all(batch["p_e"] > 0.0)
-    assert np.all(batch["p_ce"] > 0.0)
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 16)
+    assert len(gains) == 3
+    for gain in gains:
+        assert gain.shape == (4,) and np.all(gain > 0.0)
     # no elements -> plain direct fading
     bare = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 0)
-    assert np.all(bare["p_c"] > 0.0)
+    assert np.all(bare[0] > 0.0)
 
 
 # ------------------------------------------------------------ effective gain
 
-def _batch(**values):
-    return {key: np.array([v]) for key, v in values.items()}
-
-
 def test_effective_gain_link_mapping():
-    cfg = make_config(eta_c=0.5, eta_e=0.25)
-    t, z, w = effective_gain(_batch(p_c=1.0, p_e=2.0, p_ce=3.0, q_c=4.0, q_e=5.0, q_ce=6.0), cfg)
-    assert t[0] == pytest.approx(1.0 + (0.5 * 4.0) ** 2, rel=1e-15)
-    assert z[0] == pytest.approx(2.0 + (0.25 * 5.0) ** 2, rel=1e-15)
-    assert w[0] == pytest.approx(3.0 + (0.25 * 6.0) ** 2, rel=1e-15)
+    # every lambda distinct and eta_c != eta_e, so a gain built from the
+    # wrong link's parameters cannot match the textbook construction
+    cfg = make_config(
+        R=3, eta_c=0.5, eta_e=0.25,
+        lambda_c=1.1, lambda_e=0.3, lambda_ce=1.7,
+        lambda_rc=0.9, lambda_gc=0.8, lambda_re=1.3,
+        lambda_ge=0.35, lambda_rce=0.6, lambda_gce=1.2,
+    )
+    t, z, w = _sample_aligned_batch(cfg, np.random.default_rng(31), 200, with_cascade=True)
+    rng = np.random.default_rng(31)
+    p_c, p_e, p_ce = (
+        rng.exponential(lam, size=200) for lam in (cfg.lambda_c, cfg.lambda_e, cfg.lambda_ce)
+    )
+
+    def cascade(lam_g, lam_r):
+        g = np.sqrt(rng.exponential(lam_g, size=(200, 3)))
+        h = np.sqrt(rng.exponential(lam_r, size=(200, 3)))
+        return np.sum(g * h, axis=1)
+
+    q_c = cascade(cfg.lambda_gc, cfg.lambda_rc)
+    q_e = cascade(cfg.lambda_ge, cfg.lambda_re)
+    q_ce = cascade(cfg.lambda_gce, cfg.lambda_rce)
+    np.testing.assert_allclose(t, p_c + (cfg.eta_c * q_c) ** 2, rtol=1e-15)
+    np.testing.assert_allclose(z, p_e + (cfg.eta_e * q_e) ** 2, rtol=1e-15)
+    np.testing.assert_allclose(w, p_ce + (cfg.eta_e * q_ce) ** 2, rtol=1e-15)
 
 
 def test_effective_gain_eta_zero_reduces_to_direct():
     cfg = make_config(eta_c=0.0, eta_e=0.0)
-    t, z, w = effective_gain(_batch(p_c=1.5, p_e=2.5, p_ce=3.5, q_c=9.0, q_e=9.0, q_ce=9.0), cfg)
-    assert (t[0], z[0], w[0]) == (1.5, 2.5, 3.5)
+    gains = _sample_aligned_batch(cfg, np.random.default_rng(37), 64, with_cascade=True)
+    direct = _sample_aligned_batch(cfg, np.random.default_rng(37), 64, with_cascade=False)
+    for gain, power in zip(gains, direct, strict=True):
+        np.testing.assert_array_equal(gain, power)

@@ -81,6 +81,9 @@ def test_parse_config_alpha_complement_default():
     assert rc.system.alpha_e == pytest.approx(0.8, rel=1e-15)
 
 
+_HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -97,11 +100,17 @@ def test_parse_config_alpha_complement_default():
         {"rho_s_db": 1e308},  # linear power overflows a float
         {"m": 10**50},  # the surrogate's threshold rounds to 0
         {"n_c": 10**9},  # 2**(2*rate) overflows a float
+        *_HUGE_CODES,
     ],
 )
 def test_parse_config_rejects(payload):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         parse_config(payload)
+    # a huge integer is printed by its leading digits and exponent
+    message = str(exc.value)
+    assert len(message) <= 120, message
+    if payload in _HUGE_CODES:
+        assert "has no finite linearization" in message
 
 
 def test_parse_config_unknown_keys_listed_sorted():
@@ -225,6 +234,17 @@ def test_run_no_surface_scenario_has_no_closed_form_rows(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 3
     assert {r[3] for r in rows} == {"mc"}
+
+
+def test_run_eta_zero_has_no_closed_form_rows(tmp_path, capsys):
+    # eta = 0 is a surface that reflects nothing: simulated, not modelled
+    cfg = write_config(tmp_path, {"trials": 256, "eta_c": 0.0})
+    out = tmp_path / "eta0.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 3
+    assert {r[3] for r in rows} == {"mc"}
+    assert "warning:" not in capsys.readouterr().err
 
 
 def test_run_sweep_rows_and_error_points(tmp_path, capsys):
@@ -425,8 +445,13 @@ def test_compare_flags_violated_bound(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["compare", "analytic"])
 @pytest.mark.parametrize(
     "payload, where",
-    [({"R": 0}, "two_zone_aligned at R=0"), ({"scenario": "no_ris"}, "no_ris at R=8")],
-    ids=["R_0", "no_ris"],
+    [
+        ({"R": 0}, "two_zone_aligned at R=0"),
+        ({"scenario": "no_ris"}, "no_ris at R=8"),
+        ({"eta_c": 0.0}, "two_zone_aligned at R=8, eta_c=0, eta_e=1"),
+        ({"eta_e": 0.0}, "two_zone_aligned at R=8, eta_c=1, eta_e=0"),
+    ],
+    ids=["R_0", "no_ris", "eta_c_0", "eta_e_0"],
 )
 def test_closed_form_commands_refuse_points_they_do_not_model(
     tmp_path, capsys, monkeypatch, command, payload, where
