@@ -8,7 +8,7 @@ to a single CDF evaluation at the threshold beta -- the slope times the knee
 width is exactly one -- so every "average" below is one CDF call.
 
 Provides:
-    SinrKind           -- which decoding step's SINR, plus the doubled flag
+    SinrKind, CC, CE, E1, E2 -- the decoding steps (from channel)
     QuadratureRule     -- Gauss-Chebyshev nodes and weights of one order
     chebyshev_rule     -- the cached Gauss-Chebyshev rule of a given order
     effective_gain_cdf -- CDF of T/Z/W at a point
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .channel import GammaFit, SystemConfig, gamma_fit, links
+from .channel import CC, CE, E1, E2, GammaFit, SinrKind, SystemConfig, gamma_fit, links
 from .fbl import CodeSpec, linearization_params
 
 __all__ = [
@@ -47,31 +47,6 @@ __all__ = [
     "avg_bler_ceu_mrc",
     "diversity_order",
 ]
-
-
-@dataclass(frozen=True)
-class SinrKind:
-    """Identifies one decoding step's SINR.
-
-    tag: "cc" (CU decodes its own data after SIC), "ce" (CU decodes the
-    edge user's data), "e1" (CEU decodes the direct phase), "e2" (CEU
-    decodes the relayed phase).  doubled=True denotes the distribution of
-    2*gamma, used by the MRC bound; its CDF at omega is the plain CDF at
-    omega/2.
-    """
-
-    tag: str
-    doubled: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("cc", "ce", "e1", "e2"):
-            raise ValueError(f"unknown SINR kind {self.tag!r}")
-
-
-CC = SinrKind("cc")
-CE = SinrKind("ce")
-E1 = SinrKind("e1")
-E2 = SinrKind("e2")
 
 
 @dataclass(frozen=True)
@@ -150,19 +125,12 @@ def effective_gain_cdf(
     return min(1.0, max(0.0, float(head - corr)))
 
 
-# index into channel.links of the gain under each decoding step's SINR
-_STEP_LINK = {"cc": 0, "ce": 0, "e1": 1, "e2": 2}
-
-
 def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
     """CDF of the decoding step's SINR at threshold omega.
 
-    Maps omega to a threshold on the underlying gain and delegates to
-    effective_gain_cdf:
-        cc:      t = omega / (alpha_c rho_s)
-        ce, e1:  t = omega / (alpha_e rho_s - alpha_c rho_s omega),
-                 saturating to 1 once omega >= alpha_e/alpha_c
-        e2:      t = omega / rho_c
+    Maps omega through the step's inverse SINR map to a threshold on its
+    link's gain and delegates to effective_gain_cdf; at or above the SIC
+    ceiling alpha_e/alpha_c the SINR never reaches omega and the CDF is 1.
     A doubled kind halves omega first (CDF of 2*gamma).
     """
     if omega < 0.0:
@@ -170,17 +138,11 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
     w = omega / 2.0 if kind.doubled else omega
     if w == 0.0:
         return 0.0
-    link = links(cfg)[_STEP_LINK[kind.tag]]
+    t = kind.gain_threshold(w, cfg)
+    if t == math.inf:
+        return 1.0
+    link = links(cfg)[kind.link]
     fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-    if kind.tag == "cc":
-        t = w / (cfg.alpha_c * cfg.rho_s)
-    elif kind.tag in ("ce", "e1"):
-        ratio = cfg.alpha_e / cfg.alpha_c
-        if w >= ratio:
-            return 1.0  # interference-limited SINR can never reach w
-        t = w / (cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w)
-    else:  # e2
-        t = w / cfg.rho_c
     return effective_gain_cdf(t, link.lam_d, fit, link.eta, cfg.quad_order)
 
 
@@ -192,8 +154,7 @@ def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:
     from v to u, and since delta*sqrt(m)*(u - v) = 1 with beta the midpoint,
     this is exactly the CDF evaluated at beta (beta/2 when doubled).
     """
-    lin = linearization_params(code)
-    return sinr_cdf(lin.beta, kind, cfg)
+    return sinr_cdf(linearization_params(code).beta, kind, cfg)
 
 
 def avg_bler_cu(cfg: SystemConfig) -> float:
@@ -203,16 +164,12 @@ def avg_bler_cu(cfg: SystemConfig) -> float:
     message fails to decode; the max of the two step averages is the
     standard analytic stand-in for that union.
     """
-    e_cc = avg_psi(CC, cfg.code_c, cfg)
-    e_ce = avg_psi(CE, cfg.code_e, cfg)
-    return max(e_cc, e_ce)
+    return max(avg_psi(kind, kind.code(cfg), cfg) for kind in (CC, CE))
 
 
 def avg_bler_ceu_sc(cfg: SystemConfig) -> float:
     """Edge user average BLER under selective combining."""
-    e_ce = avg_psi(CE, cfg.code_e, cfg)
-    p_e1 = avg_psi(E1, cfg.code_e, cfg)
-    p_e2 = avg_psi(E2, cfg.code_e, cfg)
+    e_ce, p_e1, p_e2 = (avg_psi(kind, kind.code(cfg), cfg) for kind in (CE, E1, E2))
     val = e_ce * p_e1 + (1.0 - e_ce) * p_e1 * p_e2
     return min(1.0, max(0.0, val))
 
@@ -223,35 +180,34 @@ def avg_bler_ceu_mrc(cfg: SystemConfig) -> float:
     Uses psi(g1 + g2) >= psi(2 g1) psi(2 g2): the combined-phase term
     factors into doubled-SINR averages, each of which is the plain CDF at
     beta/2.  The paper derives it as a lower bound under the gamma fit of
-    the cascade.  Against the exact average of the simulated metric it
-    holds at R = 8 only at low SNR: at the acceptance grid closed/true is
-    0.29 at 0 dB but 1.02, 9.2 and 154 at 5, 10 and 15 dB, because the fit
-    puts more mass in the deep lower tail than the exact cascade law.  The
-    same expression on the exact law stays below the true average there.
+    the cascade, but against the exact average of the simulated metric it
+    holds at R = 8 only at low SNR: closed/true is 0.29 at 0 dB but 1.02,
+    9.2 and 154 at 5, 10 and 15 dB.  The main cause is not the fit's tail
+    but a factor 1/b that effective_gain_cdf leaves out of the gamma
+    density, which makes the closed-form gain CDF too large.
     """
-    e_ce = avg_psi(CE, cfg.code_e, cfg)
-    p_e1 = avg_psi(E1, cfg.code_e, cfg)
-    p_e1_d = avg_psi(SinrKind("e1", doubled=True), cfg.code_e, cfg)
-    p_e2_d = avg_psi(SinrKind("e2", doubled=True), cfg.code_e, cfg)
+    e_ce, p_e1, p_e1_d, p_e2_d = (
+        avg_psi(kind, kind.code(cfg), cfg)
+        for kind in (CE, E1, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
+    )
     val = e_ce * p_e1 + (1.0 - e_ce) * p_e1_d * p_e2_d
     return min(1.0, max(0.0, val))
 
 
 def diversity_order(R: int, scheme: str) -> float:
-    """Asymptotic slope of log BLER versus log SNR for each scheme.
+    """The paper's claimed asymptotic slope of log BLER versus log SNR.
 
-    With kappa the fitted shape parameter for R elements: the central user
-    and the SC edge user achieve (kappa+1)/2 (the CU value is a lower
-    bound); MRC squares it.  Variance factors cancel in kappa, so only R
-    enters.
+    With kappa the fitted shape parameter for R elements the paper claims
+    (kappa+1)/2 for the central user and the SC edge user, and its square
+    for MRC.  These are claims, not the slopes of the closed forms above:
+    there SC and MRC share one slope, twice the central user's.  Variance
+    factors cancel in kappa, so only R enters.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     kappa = gamma_fit(R, 1.0, 1.0).kappa
     half = (kappa + 1.0) / 2.0
-    if scheme == "cu":
-        return half
-    if scheme == "ceu_sc":
+    if scheme in ("cu", "ceu_sc"):
         return half
     if scheme == "ceu_mrc":
         return half * half

@@ -16,6 +16,7 @@ Provides:
     Link                       -- mean powers and surface gain of one link
     links                      -- the T, Z and W links of a config
     fading_key                 -- the config fields the sampled gains depend on
+    SinrKind, CC, CE, E1, E2   -- the decoding steps: link, code, SINR map, ceiling
     _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
     _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
                                   its exact law (gamma-mixed exponential)
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import CodeSpec
+from .fbl import CodeSpec, _short_int
 
 __all__ = [
     "SystemConfig",
@@ -37,6 +38,11 @@ __all__ = [
     "Link",
     "links",
     "fading_key",
+    "SinrKind",
+    "CC",
+    "CE",
+    "E1",
+    "E2",
 ]
 
 _PI_SQ = math.pi * math.pi
@@ -93,7 +99,7 @@ class SystemConfig:
                 f"alpha_e={self.alpha_e}"
             )
         if self.R < 0:
-            raise ValueError(f"element count R must be >= 0, got {self.R}")
+            raise ValueError(f"element count R must be >= 0, got {_short_int(self.R)}")
         for f in fields(self):
             val = getattr(self, f.name)
             # eta = 0 is allowed as an explicit "no surface" in simulation
@@ -102,7 +108,7 @@ class SystemConfig:
             if f.name.startswith("lambda_") and val <= 0.0:
                 raise ValueError(f"{f.name} must be > 0")
         if self.quad_order < 1:
-            raise ValueError(f"quad_order must be >= 1, got {self.quad_order}")
+            raise ValueError(f"quad_order must be >= 1, got {_short_int(self.quad_order)}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,54 @@ def fading_key(cfg: SystemConfig) -> tuple:
     same generator state, so one draw serves both.
     """
     return (cfg.R, links(cfg))
+
+
+@dataclass(frozen=True)
+class SinrKind:
+    """One decoding step: its link, its code and its gain-to-SINR map both ways.
+
+    tag: "cc" (CU decodes its own data after SIC), "ce" (CU decodes the
+    edge user's data), "e1" (CEU decodes the direct phase), "e2" (CEU
+    decodes the relayed phase).  doubled=True denotes 2*SINR, used by the
+    MRC bound; its CDF at omega is the plain CDF at omega/2.
+    """
+
+    tag: str
+    doubled: bool = False
+
+    def __post_init__(self) -> None:
+        if self.tag not in ("cc", "ce", "e1", "e2"):
+            raise ValueError(f"unknown SINR kind {self.tag!r}")
+
+    @property
+    def link(self) -> int:
+        """Index into links(cfg) of the gain X under this step's SINR."""
+        return {"cc": 0, "ce": 0, "e1": 1, "e2": 2}[self.tag]
+
+    def code(self, cfg: SystemConfig) -> CodeSpec:
+        return cfg.code_c if self.tag == "cc" else cfg.code_e
+
+    def ceiling(self, cfg: SystemConfig) -> float:
+        """The SINR's least upper bound: ce and e1 decode under the CU's share."""
+        return cfg.alpha_e / cfg.alpha_c if self.tag in ("ce", "e1") else math.inf
+
+    def sinr(self, gain, cfg: SystemConfig):
+        """SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X (e2),
+        alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1)."""
+        if self.tag in ("cc", "e2"):
+            return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
+        return cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
+
+    def gain_threshold(self, w: float, cfg: SystemConfig) -> float:
+        """The gain X whose SINR is w > 0, or inf if no gain reaches w."""
+        if self.tag in ("cc", "e2"):
+            return w / (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c)
+        room = cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w
+        # the rounded room can reach 0 a few ulps below the ceiling
+        return w / room if w < self.ceiling(cfg) and room > 0.0 else math.inf
+
+
+CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))
 
 
 def _rayleigh_magnitudes_into(

@@ -154,6 +154,8 @@ def parse_config(raw: object) -> RunConfig:
     if trials < 1:
         raise ConfigError("config error at trials: must be >= 1")
     seed = _require_int(raw, "seed") if "seed" in raw else _DEFAULT_SEED
+    if not 0 <= seed < 2**64:
+        raise ConfigError("config error at seed: must lie in [0, 2**64)")
 
     scenario_tag = raw.get("scenario", "two_zone_aligned")
     try:

@@ -37,6 +37,11 @@ _LOG2E_SQ = math.log2(math.e) ** 2
 _SQRT2 = math.sqrt(2.0)
 
 
+def _short_int(k: int) -> str:
+    """k for a message; past 15 digits, by its leading digits and exponent."""
+    return str(k) if abs(k) < 10**15 else f"{Decimal(k):.3e}"
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """A short-packet code: m channel uses carrying `bits` information bits."""
@@ -46,9 +51,9 @@ class CodeSpec:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ValueError(f"blocklength must be >= 1, got {self.m}")
+            raise ValueError(f"blocklength must be >= 1, got {_short_int(self.m)}")
         if self.bits < 1:
-            raise ValueError(f"payload bits must be >= 1, got {self.bits}")
+            raise ValueError(f"payload bits must be >= 1, got {_short_int(self.bits)}")
         # every closed form needs the surrogate: a finite threshold and slope
         # above 0, and knees that float arithmetic keeps apart from beta
         try:
@@ -57,9 +62,8 @@ class CodeSpec:
             lin = PsiLinearization(beta=math.nan, delta=math.nan, v=math.nan, u=math.nan)
         finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
         if not (finite and lin.v < lin.beta < lin.u):
-            # print an integer of more than 15 digits by its leading digits and exponent
-            bits, m = (str(k) if k < 10**15 else f"{Decimal(k):.3e}" for k in (self.bits, self.m))
-            raise ValueError(f"code rate {bits}/{m} has no finite linearization")
+            rate = f"{_short_int(self.bits)}/{_short_int(self.m)}"
+            raise ValueError(f"code rate {rate} has no finite linearization")
 
     @property
     def rate(self) -> float:

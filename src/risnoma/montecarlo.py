@@ -34,13 +34,9 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (
-    SystemConfig,
-    _sample_aligned_batch,
-    _sample_random_phase_batch,
-    fading_key,
-)
-from .fbl import psi_exact_vec
+from .channel import CC, CE, E1, E2, SystemConfig, fading_key
+from .channel import _sample_aligned_batch, _sample_random_phase_batch
+from .fbl import _short_int, psi_exact_vec
 
 __all__ = [
     "BlerEstimate",
@@ -54,9 +50,9 @@ CHUNK_TRIALS = 4096
 _BATCH_TASKS = 16  # most chunk tasks per process-pool message
 
 _USER_METRICS = ("cu", "ceu_sc", "ceu_mrc")
-_STEP_METRICS = ("cc", "ce", "e1", "e2")
+_STEPS = (CC, CE, E1, E2)
+_STEP_METRICS = tuple(step.tag for step in _STEPS)
 _METRICS = _USER_METRICS + _STEP_METRICS
-_SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # counter-based stream: chunk c of master seed s gets its own
     # SeedSequence entropy (s, c); worker assignment cannot change draws
     return np.random.default_rng(
-        np.random.SeedSequence([seed & _SEED_MASK, chunk_index])
+        np.random.SeedSequence([seed, chunk_index])
     )
 
 
@@ -86,22 +82,12 @@ def _metric_sums(
     gains: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sums and sums of squares of every metric for one config on one batch."""
-    gain_t, gain_z, gain_w = gains
-
-    a_c_rho = cfg.alpha_c * cfg.rho_s
-    a_e_rho = cfg.alpha_e * cfg.rho_s
     # a huge SNR overflows the SINRs to inf or NaN; psi refuses the NaNs
     # with this config's error, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        g_cc = a_c_rho * gain_t
-        g_ce = a_e_rho * gain_t / (a_c_rho * gain_t + 1.0)
-        g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
-        g_e2 = cfg.rho_c * gain_w
-
-    eps_cc = psi_exact_vec(g_cc, cfg.code_c)
-    eps_ce = psi_exact_vec(g_ce, cfg.code_e)
-    eps_e1 = psi_exact_vec(g_e1, cfg.code_e)
-    eps_e2 = psi_exact_vec(g_e2, cfg.code_e)
+        sinrs = [step.sinr(gains[step.link], cfg) for step in _STEPS]
+    eps_cc, eps_ce, eps_e1, eps_e2 = (psi_exact_vec(g, s.code(cfg)) for g, s in zip(sinrs, _STEPS))
+    g_e1, g_e2 = sinrs[2:]
 
     # CU fails if either SIC stage fails (inclusion-exclusion of the two)
     cu = eps_ce + eps_cc - eps_ce * eps_cc
@@ -196,6 +182,8 @@ def run_points(
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {_short_int(seed)}")
     groups: dict[tuple, list[int]] = {}
     for i, (cfg, scenario) in enumerate(points):
         groups.setdefault((scenario, fading_key(cfg)), []).append(i)

@@ -191,6 +191,23 @@ def test_sinr_cdf_interference_saturation():
     assert sinr_cdf(ratio, CC, cfg) < 1.0
 
 
+def test_sinr_cdf_is_one_in_the_last_ulp_below_the_ceiling():
+    # there the rounded SIC room alpha_e rho_s - alpha_c rho_s w is already
+    # 0; the SINR cannot reach w, so the CDF is 1, not a division by zero
+    cfg = make_config(alpha_c=0.35, alpha_e=0.65)
+    w = math.nextafter(cfg.alpha_e / cfg.alpha_c, 0.0)
+    for kind in (CE, E1):
+        assert sinr_cdf(w, kind, cfg) == 1.0
+        assert sinr_cdf(0.5 * w, kind, cfg) < 1.0
+
+
+def test_sinr_cdf_at_infinity_is_one():
+    # an infinite threshold is an infinite gain threshold: certain, not 0
+    cfg = make_config()
+    for kind in (CC, CE, E1, E2):
+        assert sinr_cdf(math.inf, kind, cfg) == 1.0
+
+
 def test_sinr_cdf_doubled_halves_threshold_first():
     # CDF of 2*gamma at omega is the plain CDF at omega/2 -- the halving
     # happens before the SINR-to-gain threshold map, not after

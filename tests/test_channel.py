@@ -13,11 +13,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from risnoma.channel import (
+    CC,
+    CE,
+    E1,
+    E2,
     SystemConfig,
     _sample_aligned_batch,
     _sample_random_phase_batch,
@@ -377,3 +381,47 @@ def test_effective_gain_eta_zero_reduces_to_direct():
     direct = _sample_aligned_batch(cfg, np.random.default_rng(37), 64, with_cascade=False)
     for gain, power in zip(gains, direct, strict=True):
         np.testing.assert_array_equal(gain, power)
+
+
+# ------------------------------------------------------- decoding-step table
+
+def test_step_table_links_and_codes():
+    cfg = make_config()
+    assert [step.link for step in (CC, CE, E1, E2)] == [0, 0, 1, 2]
+    assert [step.code(cfg) for step in (CC, CE, E1, E2)] == [cfg.code_c] + [cfg.code_e] * 3
+    assert CE.ceiling(cfg) == E1.ceiling(cfg) == cfg.alpha_e / cfg.alpha_c
+    assert CC.ceiling(cfg) == E2.ceiling(cfg) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    step=st.sampled_from([CC, CE, E1, E2]),
+    alpha_c=st.floats(min_value=0.01, max_value=0.49),
+    rho_s=st.floats(min_value=1e-3, max_value=1e6),
+    rho_c=st.floats(min_value=1e-3, max_value=1e6),
+    share=st.floats(min_value=1e-250, max_value=1.0, exclude_max=True),
+    w=st.floats(min_value=1e-250, max_value=1e250),
+)
+def test_step_sinr_map_inverts_its_gain_threshold(step, alpha_c, rho_s, rho_c, share, w):
+    # the closed forms' inverse map undoes the simulation's forward map
+    cfg = make_config(alpha_c=alpha_c, alpha_e=1.0 - alpha_c, rho_s=rho_s, rho_c=rho_c)
+    ceiling = step.ceiling(cfg)
+    if ceiling < math.inf:
+        w = share * ceiling
+    t = step.gain_threshold(w, cfg)
+    if t == math.inf:
+        # rounding may close the SIC room only in the last ulps below the ceiling
+        assert w >= ceiling * (1.0 - 1e-12)
+    else:
+        assert 0.0 < t < math.inf
+        assert step.sinr(t, cfg) == pytest.approx(w, rel=1e-12)
+        # the forward map on an array gives the float map's bits
+        assert step.sinr(np.array([t]), cfg)[0] == step.sinr(t, cfg)
+
+
+@pytest.mark.parametrize("step", [CE, E1], ids=["ce", "e1"])
+def test_sic_gain_threshold_is_never_at_and_above_the_ceiling(step):
+    cfg = make_config(alpha_c=0.2, alpha_e=0.8)
+    ceiling = step.ceiling(cfg)
+    for w in (ceiling, math.nextafter(ceiling, math.inf), 2.0 * ceiling, 1e300):
+        assert step.gain_threshold(w, cfg) == math.inf

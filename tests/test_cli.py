@@ -101,6 +101,13 @@ _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
         {"m": 10**50},  # the surrogate's threshold rounds to 0
         {"n_c": 10**9},  # 2**(2*rate) overflows a float
         *_HUGE_CODES,
+        {"m": -(10**400)},
+        {"n_e": -(10**400)},
+        {"R": -(10**400)},
+        {"quad_order": -(10**400)},
+        {"seed": -1},  # the chunk streams take a 64-bit seed
+        {"seed": 2**64},
+        {"seed": 10**400},
     ],
 )
 def test_parse_config_rejects(payload):
@@ -530,6 +537,17 @@ def test_exit_code_2_on_non_finite_json_constants(tmp_path, capsys):
         cfg.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_exit_code_2_on_seed_outside_64_bits(tmp_path, capsys, seed):
+    out = tmp_path / "out.csv"
+    argv = ["fig", "--preset", "fig2", "--out", str(out), "--trials", "256", "--seed", seed]
+    assert main(argv) == 2
+    assert "config error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"trials": 256})
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
     assert not out.exists()
 
 

@@ -169,6 +169,40 @@ def test_rejects_nonpositive_trial_count():
         run_trials(make_config(), ALIGNED, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "seed", [-1, 2**64, -(10**400)], ids=["minus_one", "two_to_64", "huge_negative"]
+)
+def test_rejects_seed_outside_64_bits(seed):
+    # the chunk streams take a 64-bit seed, and the CSV records the seed,
+    # so a seed outside that range is refused rather than wrapped onto another
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)") as exc:
+        run_points([(make_config(), ALIGNED)], 256, seed)
+    assert len(str(exc.value)) <= 120
+
+
+def test_largest_seed_is_accepted():
+    got = run_points([(make_config(), ALIGNED)], 256, 2**64 - 1)[0]
+    assert got["cu"].n == 256
+
+
+def test_five_psi_calls_per_config_per_chunk(monkeypatch):
+    # four decoding steps and the MRC sum; SC reuses the e1/e2 values.
+    # perfbench's trace wraps this module attribute, so calls go through it
+    calls = []
+    psi = montecarlo.psi_exact_vec
+
+    def counting_psi(gamma, code):
+        calls.append(len(gamma))
+        return psi(gamma, code)
+
+    monkeypatch.setattr(montecarlo, "psi_exact_vec", counting_psi)
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    points = [(make_config(), ALIGNED), (make_config(rho_s=100.0), ALIGNED)]
+    run_points(points, 2 * CHUNK_TRIALS + 100, 5)
+    # three chunks, each evaluating both configs
+    assert calls == [CHUNK_TRIALS] * 20 + [100] * 10
+
+
 def test_component_and_user_key_sets():
     cfg = make_config()
     users = run_trials(cfg, ALIGNED, 4096, 3)
