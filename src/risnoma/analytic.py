@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
 from .channel import CC, CE, E1, E2, GammaFit, SinrKind, SystemConfig, gamma_fit, links
@@ -61,7 +62,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @functools.cache
@@ -73,12 +73,11 @@ def chebyshev_rule(order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    u = np.arange(1, order + 1, dtype=np.float64)
-    nodes = np.cos((2.0 * u - 1.0) * np.pi / (2.0 * order))
-    weights = (np.pi / order) * np.sqrt(1.0 - nodes * nodes)
+    nodes, weights = chebgauss(order)
+    weights *= np.sqrt(1.0 - nodes * nodes)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def effective_gain_cdf(

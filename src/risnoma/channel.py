@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _PI_SQ = math.pi * math.pi
+_MAX_R = 1024
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,9 @@ class SystemConfig:
                 f"need 0 < alpha_c < alpha_e, got alpha_c={self.alpha_c}, "
                 f"alpha_e={self.alpha_e}"
             )
-        if self.R < 0:
-            raise ValueError(f"element count R must be >= 0, got {_short_int(self.R)}")
+        # at the bound, the aligned sampler's two (4096, R) buffers take 64 MiB
+        if not 0 <= self.R <= _MAX_R:
+            raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_short_int(self.R)}")
         for f in fields(self):
             val = getattr(self, f.name)
             # eta = 0 is allowed as an explicit "no surface" in simulation
@@ -229,22 +231,18 @@ def _rayleigh_magnitudes_into(
 
 
 def _sample_aligned_batch(
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    n: int,
-    with_cascade: bool,
+    cfg: SystemConfig, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
 
     Each gain is p + (eta*q)^2: the direct power p is exponential with mean
     lam_d, and the cascaded sum q adds R independent |g||h| products.  Draw
     order is fixed (the three direct powers, then the three cascades hop by
-    hop); skipping the cascade (with_cascade=False, or R = 0) returns the
-    direct powers from untouched draws, which is what makes the no-surface
-    scenario bit-compatible with eta = 0.
+    hop); at R = 0 the direct powers come from untouched draws, which is
+    what makes no surface bit-compatible with eta = 0.
     """
     powers = [rng.exponential(link.lam_d, size=n) for link in links(cfg)]
-    if not with_cascade or cfg.R == 0:
+    if cfg.R == 0:
         return tuple(powers)
     # two (n, R) buffers serve all three cascades, one per hop
     hop_g = np.empty((n, cfg.R))
@@ -259,27 +257,24 @@ def _sample_aligned_batch(
 
 
 def _sample_random_phase_batch(
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    n: int,
-    total_elements: int,
+    cfg: SystemConfig, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n draws of the gains (T, Z, W) of the single-zone baseline: one
-    surface, uniform random phases.
+    surface of N = 2R elements, uniform random phases.
 
-    Each link's field is h + eta * sum_r g_r e^{j phi_r} h_r over N =
-    total_elements elements, all channels circularly symmetric complex
-    Gaussian.  Since g_r e^{j phi_r} has the law of g_r, the phases change
-    nothing; given the h_r the field is CN(0, lam_d + eta^2 lam_g S) with
-    S = sum_r |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn
-    exactly as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links
-    in the order T, Z, W: the gamma S (skipped when N = 0), then the unit
+    Each link's field is h + eta * sum_r g_r e^{j phi_r} h_r over the N
+    elements, all channels circularly symmetric complex Gaussian.  Since
+    g_r e^{j phi_r} has the law of g_r, the phases change nothing; given
+    the h_r the field is CN(0, lam_d + eta^2 lam_g S) with S = sum_r
+    |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn exactly
+    as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links in the
+    order T, Z, W: the gamma S (skipped when R = 0), then the unit
     exponential.
     """
     gains = []
     for lam_d, lam_g, lam_r, eta in links(cfg):
         mean = lam_d
-        if total_elements > 0:
-            mean = lam_d + eta * eta * lam_g * rng.gamma(total_elements, lam_r, size=n)
+        if cfg.R > 0:
+            mean = lam_d + eta * eta * lam_g * rng.gamma(2 * cfg.R, lam_r, size=n)
         gains.append(rng.exponential(1.0, size=n) * mean)
     return tuple(gains)

@@ -19,8 +19,7 @@ Provides:
     BlerEstimate         -- mean / stderr / n triple
     ScenarioKind         -- aligned two-zone, single-zone random, no surface
     run_points           -- all estimates at many points in one batched call
-    run_trials           -- cu / ceu_sc / ceu_mrc estimates
-    run_component_trials -- per-decoding-step estimates (cc, ce, e1, e2)
+    run_trials           -- all estimates at one point
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -43,16 +42,13 @@ __all__ = [
     "ScenarioKind",
     "run_points",
     "run_trials",
-    "run_component_trials",
 ]
 
 CHUNK_TRIALS = 4096
 _BATCH_TASKS = 16  # most chunk tasks per process-pool message
 
-_USER_METRICS = ("cu", "ceu_sc", "ceu_mrc")
 _STEPS = (CC, CE, E1, E2)
-_STEP_METRICS = tuple(step.tag for step in _STEPS)
-_METRICS = _USER_METRICS + _STEP_METRICS
+_METRICS = ("cu", "ceu_sc", "ceu_mrc") + tuple(step.tag for step in _STEPS)
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,8 @@ class BlerEstimate:
 
 
 class ScenarioKind(Enum):
+    """Two aligned zones of R elements, one random-phase zone of 2R, or no surface (R = 0)."""
+
     TWO_ZONE_ALIGNED = "two_zone_aligned"
     SINGLE_ZONE_RANDOM = "single_zone_random"
     NO_RIS = "no_ris"
@@ -80,8 +78,8 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _metric_sums(
     gains: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: SystemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and sums of squares of every metric for one config on one batch."""
+) -> np.ndarray:
+    """Sums (row 0) and sums of squares (row 1) of every metric for one config on one batch."""
     # a huge SNR overflows the SINRs to inf or NaN; psi refuses the NaNs
     # with this config's error, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,12 +96,10 @@ def _metric_sums(
     mrc = eps_ce * eps_e1 + relay_ok * psi_exact_vec(g_e1 + g_e2, cfg.code_e)
 
     cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
-    sums = np.array([np.add.reduce(c) for c in cols])
-    sqsums = np.array([np.add.reduce(c * c) for c in cols])
-    return sums, sqsums
+    return np.array([[np.add.reduce(c) for c in cols], [np.add.reduce(c * c) for c in cols]])
 
 
-def _chunk_sums(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray] | str]]:
+def _chunk_sums(args) -> list[np.ndarray | str]:
     """Draw one chunk of trials once and evaluate each config of a group on it.
 
     Every config of the group has the same fading key, so the one draw of
@@ -113,21 +109,17 @@ def _chunk_sums(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray] | str]]:
     """
     cfgs, scenario, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
-    head = cfgs[0]
-
     if scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
-        gains = _sample_random_phase_batch(head, rng, n_trials, 2 * head.R)
+        gains = _sample_random_phase_batch(cfgs[0], rng, n_trials)
     else:
-        with_cascade = scenario is ScenarioKind.TWO_ZONE_ALIGNED
-        gains = _sample_aligned_batch(head, rng, n_trials, with_cascade=with_cascade)
-
-    out: list[tuple[np.ndarray, np.ndarray] | str] = []
+        gains = _sample_aligned_batch(cfgs[0], rng, n_trials)
+    out: list[np.ndarray | str] = []
     for cfg in cfgs:
         try:
             out.append(_metric_sums(gains, cfg))
         except ValueError as exc:
             out.append(str(exc))
-    return n_trials, out
+    return out
 
 
 def _worker_count() -> int:
@@ -151,20 +143,20 @@ def _chunksize(n_tasks: int, workers: int) -> int:
     return -(-n_tasks // batches)
 
 
-def _estimates(count: int, total: np.ndarray, total_sq: np.ndarray) -> dict[str, BlerEstimate]:
+def _estimates(n: int, sums: np.ndarray) -> dict[str, BlerEstimate]:
     # the clamp below would turn a NaN mean into 0.0; a non-finite sum is a
     # fault of the program, not of the config, so it is not a ValueError
-    if not (np.isfinite(total).all() and np.isfinite(total_sq).all()):
-        raise RuntimeError(f"internal error: non-finite Monte Carlo sum over {count} trials")
+    if not np.isfinite(sums).all():
+        raise RuntimeError(f"internal error: non-finite Monte Carlo sum over {n} trials")
     out: dict[str, BlerEstimate] = {}
-    for i, name in enumerate(_METRICS):
-        mean = total[i] / count
-        if count > 1:
-            var = max(0.0, (total_sq[i] - count * mean * mean) / (count - 1))
-            stderr = math.sqrt(var / count)
+    for name, total, total_sq in zip(_METRICS, *sums):
+        mean = total / n
+        if n > 1:
+            var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+            stderr = math.sqrt(var / n)
         else:
             stderr = 0.0
-        out[name] = BlerEstimate(mean=float(min(1.0, max(0.0, mean))), stderr=stderr, n=count)
+        out[name] = BlerEstimate(mean=float(min(1.0, max(0.0, mean))), stderr=stderr, n=n)
     return out
 
 
@@ -193,13 +185,13 @@ def run_points(
     tasks = []
     for (scenario, _), members in groups.items():
         cfgs = tuple(points[i][0] for i in members)
+        if scenario is ScenarioKind.NO_RIS:
+            cfgs = tuple(replace(cfg, R=0) for cfg in cfgs)
         for c in range(n_chunks):
             owners.append(members)
             tasks.append((cfgs, scenario, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))
 
-    count = [0] * len(points)
-    total = [np.zeros(len(_METRICS)) for _ in points]
-    total_sq = [np.zeros(len(_METRICS)) for _ in points]
+    sums = np.zeros((len(points), 2, len(_METRICS)))
     errors: list[str | None] = [None] * len(points)
     workers = min(_worker_count(), len(tasks))
     with ExitStack() as stack:
@@ -210,44 +202,23 @@ def run_points(
             results = map(_chunk_sums, tasks)
         # pool.map yields in task order, so every point merges its chunks in
         # chunk order; merging as results arrive holds only a few batches
-        for members, (n_c, per_cfg) in zip(owners, results):
+        for members, per_cfg in zip(owners, results):
             for i, got in zip(members, per_cfg):
-                if errors[i] is not None:
-                    continue
-                if isinstance(got, str):
+                if not isinstance(got, str):
+                    sums[i] += got
+                elif errors[i] is None:
                     errors[i] = got
-                    continue
-                count[i] += n_c
-                total[i] += got[0]
-                total_sq[i] += got[1]
-    return [
-        errors[i] if errors[i] is not None else _estimates(count[i], total[i], total_sq[i])
-        for i in range(len(points))
-    ]
-
-
-def _one_point(
-    cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int, keys: tuple[str, ...]
-) -> dict[str, BlerEstimate]:
-    got = run_points([(cfg, scenario)], n, seed)[0]
-    if isinstance(got, str):
-        raise ValueError(got)
-    return {k: got[k] for k in keys}
+    return [err if err is not None else _estimates(n, s) for err, s in zip(errors, sums)]
 
 
 def run_trials(
     cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int
 ) -> dict[str, BlerEstimate]:
-    """Estimate the three user-level average BLERs over n trials."""
-    return _one_point(cfg, scenario, n, seed, _USER_METRICS)
+    """Every estimate that run_points gives for this one point.
 
-
-def run_component_trials(
-    cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int
-) -> dict[str, BlerEstimate]:
-    """Estimate the four per-decoding-step average BLERs over n trials.
-
-    Same trials (same seed derivation) as run_trials; exposes the cc / ce /
-    e1 / e2 stages individually for oracle comparisons.
+    Raises ValueError with the point's error message.
     """
-    return _one_point(cfg, scenario, n, seed, _STEP_METRICS)
+    (got,) = run_points([(cfg, scenario)], n, seed)
+    if isinstance(got, str):
+        raise ValueError(got)
+    return got

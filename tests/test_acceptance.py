@@ -45,7 +45,7 @@ from risnoma import analytic
 from risnoma.analytic import CC, CE, E1, E2, SinrKind
 from risnoma.channel import SystemConfig, _sample_aligned_batch, gamma_fit
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
-from risnoma.montecarlo import ScenarioKind, run_component_trials, run_trials
+from risnoma.montecarlo import ScenarioKind, run_trials
 
 SEED = 101
 ALIGNED = ScenarioKind.TWO_ZONE_ALIGNED
@@ -192,7 +192,7 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     cfg = make_config()
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 0]))
     n = 1_000_000
-    t = _sample_aligned_batch(cfg, rng, n, with_cascade=True)[0]
+    t = _sample_aligned_batch(cfg, rng, n)[0]
     t_sorted = np.sort(t)
     fit = gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc)
     # evaluate the closed form at every n/m-th order statistic; the exact
@@ -316,7 +316,7 @@ def test_criterion_05_no_surface_oracle():
         linearized = lin.delta * math.sqrt(cfg.code_c.m) * (
             (lin.u - lin.v) - a * (math.exp(-lin.v / a) - math.exp(-lin.u / a))
         )
-        mc = run_component_trials(cfg, ALIGNED, 1_000_000, SEED)["cc"]
+        mc = run_trials(cfg, ALIGNED, 1_000_000, SEED)["cc"]
         # exact stderr of the mean: where every sampled psi rounds to 1 the
         # sample stderr is 0, but the spread of psi is not
         sigma = math.sqrt((miss_sq - miss * miss) / mc.n)

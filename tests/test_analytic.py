@@ -29,7 +29,7 @@ from risnoma.analytic import (
 )
 from risnoma.channel import SystemConfig, gamma_fit
 from risnoma.fbl import CodeSpec, linearization_params
-from risnoma.montecarlo import ScenarioKind, run_component_trials
+from risnoma.montecarlo import ScenarioKind, run_trials
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -372,7 +372,7 @@ def test_relay_direct_variance_default_matches_simulation_better():
     default must be the one the simulation supports.  At 0 dB the relayed
     step has enough error mass to separate them cleanly."""
     cfg = make_config(rho_s=1.0, rho_c=0.1)
-    mc = run_component_trials(cfg, ScenarioKind.TWO_ZONE_ALIGNED, 200_000, 101)["e2"]
+    mc = run_trials(cfg, ScenarioKind.TWO_ZONE_ALIGNED, 200_000, 101)["e2"]
     default = avg_psi(E2, cfg.code_e, cfg)
     # only the relay step reads lambda_ce, so this is the BS->CEU reading
     alternative = avg_psi(E2, cfg.code_e, replace(cfg, lambda_ce=cfg.lambda_e))

@@ -70,6 +70,7 @@ def test_system_config_accepts_reference_point():
         {"lambda_e": 0.0},
         {"lambda_gce": -2.0},
         {"quad_order": 0},
+        {"R": 1025},  # two (4096, R) sampler buffers past 64 MiB
     ],
 )
 def test_system_config_rejects_bad_values(overrides):
@@ -96,6 +97,7 @@ def test_system_config_rejects_non_finite_values(name, value):
 def test_system_config_allows_eta_zero_and_r_zero():
     assert make_config(eta_c=0.0, eta_e=0.0).eta_c == 0.0
     assert make_config(R=0).R == 0
+    assert make_config(R=1024).R == 1024
 
 
 # ---------------------------------------------------------------- gamma fit
@@ -132,9 +134,9 @@ def test_gamma_fit_rejects_degenerate_inputs():
 
 def test_sample_aligned_is_seed_deterministic():
     cfg = make_config()
-    a = _sample_aligned_batch(cfg, np.random.default_rng(42), 4, with_cascade=True)
-    b = _sample_aligned_batch(cfg, np.random.default_rng(42), 4, with_cascade=True)
-    c = _sample_aligned_batch(cfg, np.random.default_rng(43), 4, with_cascade=True)
+    a = _sample_aligned_batch(cfg, np.random.default_rng(42), 4)
+    b = _sample_aligned_batch(cfg, np.random.default_rng(42), 4)
+    c = _sample_aligned_batch(cfg, np.random.default_rng(43), 4)
     assert len(a) == 3
     for arr, arr_b, arr_c in zip(a, b, c):
         np.testing.assert_array_equal(arr, arr_b)
@@ -144,19 +146,19 @@ def test_sample_aligned_is_seed_deterministic():
 
 def test_sample_aligned_r_zero_has_no_cascade():
     cfg = make_config(R=0)
-    gains = _sample_aligned_batch(cfg, np.random.default_rng(7), 4, with_cascade=True)
-    direct = _sample_aligned_batch(cfg, np.random.default_rng(7), 4, with_cascade=False)
-    for gain, power in zip(gains, direct, strict=True):
-        np.testing.assert_array_equal(gain, power)
+    gains = _sample_aligned_batch(cfg, np.random.default_rng(7), 4)
+    rng = np.random.default_rng(7)
+    for gain, link in zip(gains, links(cfg), strict=True):
+        np.testing.assert_array_equal(gain, rng.exponential(link.lam_d, size=4))
         assert np.all(gain > 0.0)
 
 
 def test_direct_draws_unchanged_when_cascade_skipped():
-    # skipping the cascade must not shift the direct-power stream, so the
-    # no-surface scenario stays bit-compatible with eta = 0
+    # skipping the cascade at R = 0 must not shift the direct-power stream,
+    # so no surface stays bit-compatible with eta = 0
     cfg = make_config()
-    with_q = _sample_aligned_batch(cfg, np.random.default_rng(11), 64, with_cascade=True)
-    no_q = _sample_aligned_batch(cfg, np.random.default_rng(11), 64, with_cascade=False)
+    with_q = _sample_aligned_batch(cfg, np.random.default_rng(11), 64)
+    no_q = _sample_aligned_batch(make_config(R=0), np.random.default_rng(11), 64)
     rng = np.random.default_rng(11)
     for gain, power, link in zip(with_q, no_q, links(cfg), strict=True):
         np.testing.assert_array_equal(power, rng.exponential(link.lam_d, size=64))
@@ -168,7 +170,7 @@ def test_aligned_cascade_matches_exponential_construction():
     # scale * standard_exponential(), so the bits equal the plain
     # sqrt(exponential) construction in the same draw order
     cfg = make_config(R=5)
-    gains = _sample_aligned_batch(cfg, np.random.default_rng(19), 300, with_cascade=True)
+    gains = _sample_aligned_batch(cfg, np.random.default_rng(19), 300)
     rng = np.random.default_rng(19)
     powers = [rng.exponential(link.lam_d, size=300) for link in links(cfg)]
     for gain, p, link in zip(gains, powers, links(cfg), strict=True):
@@ -191,32 +193,25 @@ def test_samplers_ignore_fields_outside_fading_key():
         quad_order=7,
     )
     assert fading_key(cfg) == fading_key(other)
-    for sample in (
-        lambda c, rng: _sample_aligned_batch(c, rng, 256, with_cascade=True),
-        lambda c, rng: _sample_random_phase_batch(c, rng, 256, 2 * c.R),
-    ):
-        a = sample(cfg, np.random.default_rng(23))
-        b = sample(other, np.random.default_rng(23))
+    for sample in (_sample_aligned_batch, _sample_random_phase_batch):
+        a = sample(cfg, np.random.default_rng(23), 256)
+        b = sample(other, np.random.default_rng(23), 256)
         for gain_a, gain_b in zip(a, b, strict=True):
             np.testing.assert_array_equal(gain_a, gain_b)
 
 
 # sha256 of the bytes of (T, Z, W) from 512 draws of one seeded stream per
 # case.  A change that moves any bit of any sampled gain changes a digest.
-# The three cases without a cascade draw the same three exponentials in the
-# same order, so they share one digest.
+# The two cases without a surface (R = 0) draw the same three exponentials
+# in the same order, so they share one digest.
 _GAIN_CASES = {
-    "aligned": (lambda c, rng: _sample_aligned_batch(c, rng, 512, with_cascade=True), {}),
-    "aligned_no_cascade": (
-        lambda c, rng: _sample_aligned_batch(c, rng, 512, with_cascade=False), {}
-    ),
-    "aligned_r0": (lambda c, rng: _sample_aligned_batch(c, rng, 512, with_cascade=True), {"R": 0}),
-    "random_phase_16": (lambda c, rng: _sample_random_phase_batch(c, rng, 512, 16), {}),
-    "random_phase_0": (lambda c, rng: _sample_random_phase_batch(c, rng, 512, 0), {}),
+    "aligned": (_sample_aligned_batch, {}),
+    "aligned_r0": (_sample_aligned_batch, {"R": 0}),
+    "random_phase_16": (_sample_random_phase_batch, {}),
+    "random_phase_0": (_sample_random_phase_batch, {"R": 0}),
 }
 _GAIN_DIGESTS = {
     "aligned": "7697d1651905982875ea95b3844bc154fbc8f0b959c3f81bfe4e466cdc470f71",
-    "aligned_no_cascade": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
     "aligned_r0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
     "random_phase_16": "e8e85a2309e20b3d5bd90a24039a8b872a1035d2e075eb24ff62df30c6a62ecb",
     "random_phase_0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
@@ -227,7 +222,7 @@ _GAIN_DIGESTS = {
 def test_sampled_gains_are_bitwise_frozen(case):
     sample, overrides = _GAIN_CASES[case]
     cfg = make_config(eta_c=0.7, eta_e=0.4, **overrides)
-    gains = sample(cfg, np.random.default_rng(2024))
+    gains = sample(cfg, np.random.default_rng(2024), 512)
     digest = hashlib.sha256(b"".join(g.tobytes() for g in gains)).hexdigest()
     assert digest == _GAIN_DIGESTS[case]
 
@@ -247,15 +242,15 @@ def test_aligned_moments_match_closed_forms():
     # lambda_c + eta^2 * (var_q + mean_q^2), all moments exact
     cfg = make_config()
     n = 400_000
-    t = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, with_cascade=True)[0]
+    t = _sample_aligned_batch(cfg, np.random.default_rng(3021), n)[0]
     mean_q = cfg.R * (math.pi / 4.0) * math.sqrt(cfg.lambda_gc * cfg.lambda_rc)
     var_q = cfg.R * (1.0 - _PI_SQ / 16.0) * cfg.lambda_gc * cfg.lambda_rc
     expected = cfg.lambda_c + cfg.eta_c**2 * (var_q + mean_q**2)
     se = float(np.std(t)) / math.sqrt(n)
     assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
-    # and the raw cascade sum, recovered from the same draws without the
-    # cascade, matches its own mean
-    p_c = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, with_cascade=False)[0]
+    # and the raw cascade sum, recovered from the same draws at R = 0,
+    # matches its own mean
+    p_c = _sample_aligned_batch(make_config(R=0), np.random.default_rng(3021), n)[0]
     q_c = np.sqrt(t - p_c) / cfg.eta_c
     se_q = float(np.std(q_c)) / math.sqrt(n)
     assert float(np.mean(q_c)) == pytest.approx(mean_q, abs=5.0 * se_q)
@@ -268,7 +263,7 @@ def test_random_phase_moments_match_closed_forms():
     n = 200_000
     total_elements = 2 * cfg.R
     rng = np.random.default_rng(515)
-    t = _sample_random_phase_batch(cfg, rng, n, total_elements)[0]
+    t = _sample_random_phase_batch(cfg, rng, n)[0]
     expected = cfg.lambda_c + cfg.eta_c**2 * total_elements * cfg.lambda_gc * cfg.lambda_rc
     se = float(np.std(t)) / math.sqrt(n)
     assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
@@ -301,7 +296,7 @@ def test_random_phase_second_moments_match_exact_law():
     cfg = make_config()
     n = 200_000
     k = 2 * cfg.R
-    gains = _sample_random_phase_batch(cfg, np.random.default_rng(516), n, k)
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(516), n)
     for name, gain, (ld, lg, lr, eta) in zip("TZW", gains, links(cfg), strict=True):
         expected = 2.0 * (
             ld * ld + 2.0 * ld * eta**2 * lg * k * lr + eta**4 * lg * lg * lr * lr * k * (k + 1)
@@ -312,14 +307,14 @@ def test_random_phase_second_moments_match_exact_law():
 
 
 @pytest.mark.parametrize(
-    "eta, total_elements, seed", [(1.0, 16, 601), (0.5, 1, 602), (0.0, 16, 603)]
+    "eta, total_elements, seed", [(1.0, 16, 601), (0.5, 2, 602), (0.0, 16, 603)]
 )
 def test_random_phase_law_matches_reference_construction(eta, total_elements, seed):
     # two-sample KS test of every link power against the phase-by-phase
     # construction, on independent streams
-    cfg = make_config(eta_c=eta, eta_e=eta)
+    cfg = make_config(eta_c=eta, eta_e=eta, R=total_elements // 2)
     n = 50_000
-    fast = _sample_random_phase_batch(cfg, np.random.default_rng(seed), n, total_elements)
+    fast = _sample_random_phase_batch(cfg, np.random.default_rng(seed), n)
     ref = _reference_random_phase_powers(
         cfg, np.random.default_rng(seed + 1000), n, total_elements
     )
@@ -328,20 +323,20 @@ def test_random_phase_law_matches_reference_construction(eta, total_elements, se
 
 
 def test_random_phase_no_elements_is_exponential():
-    cfg = make_config()
-    gains = _sample_random_phase_batch(cfg, np.random.default_rng(604), 50_000, 0)
+    cfg = make_config(R=0)
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(604), 50_000)
     for name, gain, link in zip("TZW", gains, links(cfg), strict=True):
         assert stats.kstest(gain, stats.expon(scale=link.lam_d).cdf).pvalue > 1e-3, name
 
 
 def test_sample_random_phase_batch_interface():
     cfg = make_config()
-    gains = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 16)
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4)
     assert len(gains) == 3
     for gain in gains:
         assert gain.shape == (4,) and np.all(gain > 0.0)
     # no elements -> plain direct fading
-    bare = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4, 0)
+    bare = _sample_random_phase_batch(make_config(R=0), np.random.default_rng(9), 4)
     assert np.all(bare[0] > 0.0)
 
 
@@ -356,7 +351,7 @@ def test_effective_gain_link_mapping():
         lambda_rc=0.9, lambda_gc=0.8, lambda_re=1.3,
         lambda_ge=0.35, lambda_rce=0.6, lambda_gce=1.2,
     )
-    t, z, w = _sample_aligned_batch(cfg, np.random.default_rng(31), 200, with_cascade=True)
+    t, z, w = _sample_aligned_batch(cfg, np.random.default_rng(31), 200)
     rng = np.random.default_rng(31)
     p_c, p_e, p_ce = (
         rng.exponential(lam, size=200) for lam in (cfg.lambda_c, cfg.lambda_e, cfg.lambda_ce)
@@ -377,8 +372,8 @@ def test_effective_gain_link_mapping():
 
 def test_effective_gain_eta_zero_reduces_to_direct():
     cfg = make_config(eta_c=0.0, eta_e=0.0)
-    gains = _sample_aligned_batch(cfg, np.random.default_rng(37), 64, with_cascade=True)
-    direct = _sample_aligned_batch(cfg, np.random.default_rng(37), 64, with_cascade=False)
+    gains = _sample_aligned_batch(cfg, np.random.default_rng(37), 64)
+    direct = _sample_aligned_batch(make_config(R=0), np.random.default_rng(37), 64)
     for gain, power in zip(gains, direct, strict=True):
         np.testing.assert_array_equal(gain, power)
 

@@ -108,6 +108,8 @@ _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
         {"seed": -1},  # the chunk streams take a 64-bit seed
         {"seed": 2**64},
         {"seed": 10**400},
+        {"R": 10**20},  # diversity orders of 8e19 once went out
+        {"R": 10**400},  # once an OverflowError in the gamma fit
     ],
 )
 def test_parse_config_rejects(payload):

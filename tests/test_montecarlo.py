@@ -23,7 +23,6 @@ from risnoma.montecarlo import (
     CHUNK_TRIALS,
     ScenarioKind,
     _chunksize,
-    run_component_trials,
     run_points,
     run_trials,
 )
@@ -73,13 +72,17 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
 
 def test_no_surface_scenario_equals_eta_zero():
-    # the no-surface scenario skips the cascade draws without disturbing
-    # the direct-power stream, so it reproduces eta = 0 bitwise
-    cfg = make_config()
-    quiet = run_trials(make_config(eta_c=0.0, eta_e=0.0), ALIGNED, 8192, 42)
-    none = run_trials(cfg, ScenarioKind.NO_RIS, 8192, 42)
-    for key in ("cu", "ceu_sc", "ceu_mrc"):
-        assert quiet[key].mean == none[key].mean
+    # no surface is R = 0 in either sampler; skipping the cascade draws
+    # leaves the direct-power stream untouched, so all four ways of saying
+    # "no surface" give the same estimates bitwise
+    want = run_trials(make_config(eta_c=0.0, eta_e=0.0), ALIGNED, 8192, 42)
+    assert len(want) == 7
+    for cfg, scenario in (
+        (make_config(), ScenarioKind.NO_RIS),
+        (make_config(R=0), ALIGNED),
+        (make_config(R=0), ScenarioKind.SINGLE_ZONE_RANDOM),
+    ):
+        assert run_trials(cfg, scenario, 8192, 42) == want, scenario
 
 
 # -------------------------------------------------------- bitwise estimates
@@ -150,13 +153,12 @@ def test_estimates_are_probabilities_with_sane_stderr():
 def test_non_finite_sum_is_an_internal_error():
     # max(0.0, nan) is 0.0, so clamping alone once turned this NaN sum into
     # BlerEstimate(0.0, 0.0, 4)
-    nan = np.full(7, np.nan)
     with pytest.raises(RuntimeError, match="internal error: non-finite"):
-        montecarlo._estimates(4, nan, nan)
-    sq = np.full(7, 0.25)
-    sq[3] = np.inf
+        montecarlo._estimates(4, np.full((2, 7), np.nan))
+    sums = np.stack([np.full(7, 0.5), np.full(7, 0.25)])
+    sums[1, 3] = np.inf
     with pytest.raises(RuntimeError, match="internal error: non-finite"):
-        montecarlo._estimates(4, np.full(7, 0.5), sq)
+        montecarlo._estimates(4, sums)
 
 
 def test_partial_final_chunk_is_counted():
@@ -204,11 +206,9 @@ def test_five_psi_calls_per_config_per_chunk(monkeypatch):
 
 
 def test_component_and_user_key_sets():
-    cfg = make_config()
-    users = run_trials(cfg, ALIGNED, 4096, 3)
-    steps = run_component_trials(cfg, ALIGNED, 4096, 3)
-    assert set(users) == {"cu", "ceu_sc", "ceu_mrc"}
-    assert set(steps) == {"cc", "ce", "e1", "e2"}
+    # one call gives the three user-level and the four per-step estimates
+    got = run_trials(make_config(), ALIGNED, 4096, 3)
+    assert set(got) == {"cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2"}
 
 
 def test_stderr_shrinks_like_root_n():
@@ -255,7 +255,7 @@ def test_rayleigh_only_average_matches_closed_form():
     closed = lin.delta * math.sqrt(cfg.code_c.m) * (
         (lin.u - lin.v) - a * (math.exp(-lin.v / a) - math.exp(-lin.u / a))
     )
-    mc = run_component_trials(cfg, ALIGNED, 200_000, 101)["cc"]
+    mc = run_trials(cfg, ALIGNED, 200_000, 101)["cc"]
     assert mc.mean == pytest.approx(closed, abs=4.0 * mc.stderr)
 
 
