@@ -9,6 +9,7 @@ width is exactly one -- so every "average" below is one CDF call.
 
 Provides:
     SinrKind, CC, CE, E1, E2 -- the decoding steps (from channel)
+    QUAD_ORDER         -- the Gauss-Chebyshev order sinr_cdf uses
     QuadratureRule     -- Gauss-Chebyshev nodes and weights of one order
     chebyshev_rule     -- the cached Gauss-Chebyshev rule of a given order
     effective_gain_cdf -- CDF of T/Z/W at a point
@@ -32,12 +33,15 @@ from scipy.special import gammainc, gammaln
 from .channel import CC, CE, E1, E2, GammaFit, SinrKind, SystemConfig, gamma_fit, links
 from .fbl import CodeSpec, linearization_params
 
+QUAD_ORDER = 50
+
 __all__ = [
     "SinrKind",
     "CC",
     "CE",
     "E1",
     "E2",
+    "QUAD_ORDER",
     "QuadratureRule",
     "chebyshev_rule",
     "effective_gain_cdf",
@@ -142,7 +146,7 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
         return 1.0
     link = links(cfg)[kind.link]
     fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-    return effective_gain_cdf(t, link.lam_d, fit, link.eta, cfg.quad_order)
+    return effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
 
 
 def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:

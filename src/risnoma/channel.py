@@ -54,16 +54,16 @@ class SystemConfig:
     """Physical parameters of the two-user cooperative link.
 
     SNRs are linear power ratios (transmit power over noise power); the CLI
-    converts from dB exactly once at load.  alpha_c + alpha_e = 1 with the
-    central user taking the smaller share.  lambda_* and eta_* are the
-    mean channel power gains and surface amplitudes of the three links,
-    grouped per link by `links`.
+    converts from dB exactly once at load.  The central user takes the
+    smaller power share alpha_c and the edge user the rest, alpha_e = 1 -
+    alpha_c (a property, not a field).  lambda_* and eta_* are the mean
+    channel power gains and surface amplitudes of the three links, grouped
+    per link by `links`.
     """
 
     rho_s: float
     rho_c: float
     alpha_c: float
-    alpha_e: float
     code_c: CodeSpec
     code_e: CodeSpec
     R: int
@@ -78,7 +78,6 @@ class SystemConfig:
     lambda_ge: float = 0.3
     lambda_rce: float = 1.0
     lambda_gce: float = 0.8
-    quad_order: int = 50
 
     def __post_init__(self) -> None:
         # every check below compares, and NaN compares false, so reject
@@ -89,11 +88,6 @@ class SystemConfig:
                 raise ValueError(f"{f.name} must be finite, got {val}")
         if self.rho_s <= 0.0 or self.rho_c <= 0.0:
             raise ValueError("transmit SNRs must be positive")
-        if abs(self.alpha_c + self.alpha_e - 1.0) > 1e-9:
-            raise ValueError(
-                f"power allocation must satisfy alpha_c + alpha_e = 1, "
-                f"got {self.alpha_c} + {self.alpha_e}"
-            )
         if not (0.0 < self.alpha_c < self.alpha_e):
             raise ValueError(
                 f"need 0 < alpha_c < alpha_e, got alpha_c={self.alpha_c}, "
@@ -109,8 +103,11 @@ class SystemConfig:
                 raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
             if f.name.startswith("lambda_") and val <= 0.0:
                 raise ValueError(f"{f.name} must be > 0")
-        if self.quad_order < 1:
-            raise ValueError(f"quad_order must be >= 1, got {_short_int(self.quad_order)}")
+
+    @property
+    def alpha_e(self) -> float:
+        """The edge user's power share, the complement of alpha_c."""
+        return 1.0 - self.alpha_c
 
 
 @dataclass(frozen=True)
@@ -163,11 +160,14 @@ def links(cfg: SystemConfig) -> tuple[Link, Link, Link]:
 
 
 def fading_key(cfg: SystemConfig) -> tuple:
-    """The config fields that the sampled gains depend on: R and the links.
+    """The config fields that the sampled gains depend on: R and the links,
+    or at R = 0 only the direct mean powers.
 
     Two configs with equal keys draw bitwise the same (T, Z, W) from the
     same generator state, so one draw serves both.
     """
+    if cfg.R == 0:
+        return (0, tuple(link.lam_d for link in links(cfg)))
     return (cfg.R, links(cfg))
 
 
@@ -268,13 +268,11 @@ def _sample_random_phase_batch(
     the h_r the field is CN(0, lam_d + eta^2 lam_g S) with S = sum_r
     |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn exactly
     as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links in the
-    order T, Z, W: the gamma S (skipped when R = 0), then the unit
-    exponential.
+    order T, Z, W: the gamma S (zeros, from no draws, when R = 0), then the
+    unit exponential.
     """
     gains = []
     for lam_d, lam_g, lam_r, eta in links(cfg):
-        mean = lam_d
-        if cfg.R > 0:
-            mean = lam_d + eta * eta * lam_g * rng.gamma(2 * cfg.R, lam_r, size=n)
+        mean = lam_d + eta * eta * lam_g * rng.gamma(2 * cfg.R, lam_r, size=n)
         gains.append(rng.exponential(1.0, size=n) * mean)
     return tuple(gains)

@@ -1,7 +1,7 @@
 """Command-line front end: configs, figure presets, CSV emission, comparisons.
 
 Provides:
-    RunConfig     -- validated bundle of system + experiment parameters
+    RunConfig     -- validated points of a run, with its trial budget and seed
     ConfigError   -- structured config failure carrying the offending key path
     load_config   -- JSON file -> RunConfig with defaults and strict key checks
     cmd_run       -- one sweep (or single point) -> CSV
@@ -70,9 +70,7 @@ def _require_int(raw: dict, key: str) -> int:
 # _build_system; setting both spellings of one SNR is an error.  Every
 # SystemConfig field with a default is a key of its own, read with its type.
 _MODEL_KEYS = {
-    **dict.fromkeys(
-        ("rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c", "alpha_e"), _require_number
-    ),
+    **dict.fromkeys(("rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c"), _require_number),
     **dict.fromkeys(("m", "n_c", "n_e", "R"), _require_int),
     **{
         f.name: _require_int if f.type == "int" else _require_number
@@ -83,24 +81,27 @@ _MODEL_KEYS = {
 _ALL_KEYS = set(_MODEL_KEYS) | {"trials", "seed", "scenario", "sweep"}
 
 # Each sweep axis with the keys a swept value replaces.
-_SWEEP_AXES = {"rho_s_db": ("rho_s",), "R": (), "alpha_c": ("alpha_e",), "m": ()}
+_SWEEP_AXES = {"rho_s_db": ("rho_s",), "R": (), "alpha_c": (), "m": ()}
+
+
+class _Point(NamedTuple):
+    """One axis value of a sweep, with its config or why it has none."""
+
+    scenario: ScenarioKind
+    axis: str
+    value: float
+    cfg: SystemConfig | str
+    suffix: str
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: physics, trial budget, seed, scenario, sweep.
+    """A run's points (the config's sweep, or its own system as one point
+    on the dB SNR axis), trial budget and seed."""
 
-    model_keys holds the config's model keys as given; each sweep point is
-    built from them with the swept key set to its value.
-    """
-
-    system: SystemConfig
+    points: list[_Point]
     trials: int
     seed: int
-    scenario: ScenarioKind
-    sweep_axis: str | None
-    sweep_values: tuple | None
-    model_keys: dict
 
 
 def _db_to_linear(db: float) -> float:
@@ -129,11 +130,27 @@ def _build_system(keys: dict) -> SystemConfig:
     got.setdefault("rho_s", 10.0)  # 10 dB, the reference operating point
     got.setdefault("rho_c", got["rho_s"] / 10.0)
     got.setdefault("alpha_c", 0.1)
-    got.setdefault("alpha_e", 1.0 - got["alpha_c"])
     m = got.pop("m", 100)
     code_c = CodeSpec(m=m, bits=got.pop("n_c", 300))
     code_e = CodeSpec(m=m, bits=got.pop("n_e", 100))
     return SystemConfig(code_c=code_c, code_e=code_e, R=got.pop("R", 8), **got)
+
+
+def _expand(
+    scenario: ScenarioKind, axis: str, values, keys: dict, suffix: str
+) -> list[_Point]:
+    """One point per axis value: the model keys with the swept key set to the
+    value and the keys it replaces dropped.  A value the model refuses keeps
+    its error as the point's config."""
+    kept = {key: value for key, value in keys.items() if key not in _SWEEP_AXES[axis]}
+    points = []
+    for value in values:
+        try:
+            cfg = _build_system({**kept, axis: value})
+        except ValueError as exc:
+            cfg = str(exc)
+        points.append(_Point(scenario, axis, float(value), cfg, suffix))
+    return points
 
 
 def parse_config(raw: object) -> RunConfig:
@@ -144,9 +161,9 @@ def parse_config(raw: object) -> RunConfig:
     if unknown:
         raise ConfigError(f"config error: unknown keys {', '.join(unknown)}")
 
-    model_keys = {key: value for key, value in raw.items() if key in _MODEL_KEYS}
+    keys = {key: value for key, value in raw.items() if key in _MODEL_KEYS}
     try:
-        system = _build_system(model_keys)
+        base = _build_system(keys)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
 
@@ -166,18 +183,19 @@ def parse_config(raw: object) -> RunConfig:
             f"config error at scenario: {scenario_tag!r} not one of {tags}"
         ) from None
 
-    sweep_axis = None
-    sweep_values: tuple | None = None
-    if "sweep" in raw:
+    if "sweep" not in raw:
+        rho_s_db = 10.0 * math.log10(base.rho_s)
+        points = [_Point(scenario, "rho_s_db", rho_s_db, base, "")]
+    else:
         block = raw["sweep"]
         if not isinstance(block, dict) or set(block) != {"axis", "values"}:
             raise ConfigError(
                 "config error at sweep: expected an object with keys axis, values"
             )
-        sweep_axis = block["axis"]
-        if not isinstance(sweep_axis, str) or sweep_axis not in _SWEEP_AXES:
+        axis = block["axis"]
+        if not isinstance(axis, str) or axis not in _SWEEP_AXES:
             raise ConfigError(
-                f"config error at sweep.axis: {sweep_axis!r} not one of "
+                f"config error at sweep.axis: {axis!r} not one of "
                 f"{', '.join(_SWEEP_AXES)}"
             )
         values = block["values"]
@@ -185,19 +203,10 @@ def parse_config(raw: object) -> RunConfig:
             raise ConfigError("config error at sweep.values: expected a nonempty list")
         for i, v in enumerate(values):
             _check_number(v, f"sweep.values[{i}]")
-            if sweep_axis in ("R", "m") and not isinstance(v, int):
+            if axis in ("R", "m") and not isinstance(v, int):
                 raise ConfigError(f"config error at sweep.values[{i}]: expected an integer")
-        sweep_values = tuple(values)
-
-    return RunConfig(
-        system=system,
-        trials=trials,
-        seed=seed,
-        scenario=scenario,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        model_keys=model_keys,
-    )
+        points = _expand(scenario, axis, values, keys, "")
+    return RunConfig(points=points, trials=trials, seed=seed)
 
 
 def _reject_constant(name: str):
@@ -218,43 +227,6 @@ def load_config(path: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Sweep points: each command's one path from its axis values to its output
-
-
-class _Point(NamedTuple):
-    """One axis value of a sweep, with its config or why it has none."""
-
-    scenario: ScenarioKind
-    axis: str
-    value: float
-    cfg: SystemConfig | str
-    suffix: str
-
-
-def _expand(
-    scenario: ScenarioKind, axis: str, values, keys: dict, suffix: str
-) -> list[_Point]:
-    """One point per axis value: the model keys with the swept key set to the
-    value and the keys it replaces dropped.  A value the model refuses keeps
-    its error as the point's config."""
-    kept = {key: value for key, value in keys.items() if key not in _SWEEP_AXES[axis]}
-    points = []
-    for value in values:
-        try:
-            cfg = _build_system({**kept, axis: value})
-        except ValueError as exc:
-            cfg = str(exc)
-        points.append(_Point(scenario, axis, float(value), cfg, suffix))
-    return points
-
-
-def _config_points(run_cfg: RunConfig) -> list[_Point]:
-    """The config's sweep, or its own system as one point on the dB SNR axis."""
-    if run_cfg.sweep_axis is None:
-        rho_s_db = 10.0 * math.log10(run_cfg.system.rho_s)
-        return [_Point(run_cfg.scenario, "rho_s_db", rho_s_db, run_cfg.system, "")]
-    return _expand(
-        run_cfg.scenario, run_cfg.sweep_axis, run_cfg.sweep_values, run_cfg.model_keys, ""
-    )
 
 
 def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, object]]:
@@ -288,7 +260,7 @@ def _closed_form_points(run_cfg: RunConfig) -> list[_Point]:
             f"eta_c={p.cfg.eta_c:g}, eta_e={p.cfg.eta_e:g}; it needs "
             f"{ScenarioKind.TWO_ZONE_ALIGNED.value}, R >= 1 and eta_c, eta_e > 0"
         )
-        for p in _config_points(run_cfg)
+        for p in run_cfg.points
     ]
 
 
@@ -351,7 +323,7 @@ def _write_points(points: list[_Point], trials: int, seed: int, out_path: str) -
 
 
 def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
-    return _write_points(_config_points(run_cfg), run_cfg.trials, run_cfg.seed, out_path)
+    return _write_points(run_cfg.points, run_cfg.trials, run_cfg.seed, out_path)
 
 
 # ---------------------------------------------------------------------------

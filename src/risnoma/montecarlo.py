@@ -13,7 +13,9 @@ the worker pool (capped by the RISNOMA_WORKERS environment variable) only
 affects speed.  Since every point of a call uses the same seed, points that
 share the fading law (channel.fading_key) would draw the same batch; they
 are grouped so that each chunk is drawn once and evaluated for every point
-of its group, and all chunks of one call run in one process pool.
+of its group, and all chunks of one call run in one process pool.  Every
+point that draws only the direct powers (no surface, R = 0, or aligned
+phases with eta_c = eta_e = 0) draws them as the aligned sampler at R = 0.
 
 Provides:
     BlerEstimate         -- mean / stderr / n triple
@@ -168,25 +170,31 @@ def run_points(
     Returns, per point in the given order, a dict of all seven estimates
     (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2) or that point's error message.
     Points whose scenario and fading key agree share one draw per chunk,
-    and every chunk of the call runs in one process pool.  Each point gets
-    the same draws and the same float operations as a call with that point
-    alone.
+    as do all points that draw only the direct powers, and every chunk of
+    the call runs in one process pool.  Each point gets the same draws and
+    the same float operations as a call with that point alone.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {_short_int(seed)}")
     groups: dict[tuple, list[int]] = {}
+    drawn = []
     for i, (cfg, scenario) in enumerate(points):
+        # the gains of a point without a surface term are the direct powers,
+        # drawn bitwise alike by the aligned sampler at R = 0
+        no_surface = scenario is ScenarioKind.NO_RIS or cfg.R == 0
+        aligned = scenario is ScenarioKind.TWO_ZONE_ALIGNED
+        if no_surface or aligned and cfg.eta_c == cfg.eta_e == 0.0:
+            cfg, scenario = replace(cfg, R=0), ScenarioKind.TWO_ZONE_ALIGNED
+        drawn.append(cfg)
         groups.setdefault((scenario, fading_key(cfg)), []).append(i)
 
     n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     owners: list[list[int]] = []
     tasks = []
     for (scenario, _), members in groups.items():
-        cfgs = tuple(points[i][0] for i in members)
-        if scenario is ScenarioKind.NO_RIS:
-            cfgs = tuple(replace(cfg, R=0) for cfg in cfgs)
+        cfgs = tuple(drawn[i] for i in members)
         for c in range(n_chunks):
             owners.append(members)
             tasks.append((cfgs, scenario, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))

@@ -57,7 +57,6 @@ def make_config(**overrides) -> SystemConfig:
         rho_s=10.0,
         rho_c=1.0,
         alpha_c=0.1,
-        alpha_e=0.9,
         code_c=CodeSpec(m=100, bits=300),
         code_e=CodeSpec(m=100, bits=100),
         R=8,
@@ -201,7 +200,7 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     idx = np.linspace(0, n - 1, m_grid).astype(int)
     worst = 0.0
     for i in idx:
-        f = analytic.effective_gain_cdf(float(t_sorted[i]), cfg.lambda_c, fit, cfg.eta_c, cfg.quad_order)
+        f = analytic.effective_gain_cdf(float(t_sorted[i]), cfg.lambda_c, fit, cfg.eta_c, analytic.QUAD_ORDER)
         emp_hi = (i + 1) / n
         emp_lo = i / n
         worst = max(worst, abs(f - emp_hi), abs(f - emp_lo))
@@ -433,7 +432,7 @@ def test_criterion_08_diversity_identities():
 def test_criterion_09_saturation_behavior():
     # first clause: whenever the threshold is unreachable the closed-form
     # step average is exactly one
-    sat_cfg = make_config(alpha_c=0.49, alpha_e=0.51, code_e=CodeSpec(m=100, bits=200))
+    sat_cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     beta = linearization_params(sat_cfg.code_e).beta
     assert beta >= sat_cfg.alpha_e / sat_cfg.alpha_c
     clause_a = analytic.avg_psi(CE, sat_cfg.code_e, sat_cfg) == 1.0
@@ -445,7 +444,7 @@ def test_criterion_09_saturation_behavior():
     # at the reference edge code (beta < alpha_e/alpha_c) the threshold is
     # reachable, but the SIC SINR stays below alpha_e/alpha_c, so every
     # trial's cu is at least psi there: the plateau has the model's floor
-    cfg = make_config(alpha_c=0.49, alpha_e=0.51)
+    cfg = make_config(alpha_c=0.49)
     floor = psi_exact_vec(cfg.alpha_e / cfg.alpha_c, cfg.code_e).item()
     plateau = run_trials(cfg, ALIGNED, 1_000_000, SEED)["cu"]
     clause_floor = plateau.mean >= floor

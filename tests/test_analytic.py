@@ -37,7 +37,6 @@ def make_config(**overrides) -> SystemConfig:
         rho_s=10.0,
         rho_c=1.0,
         alpha_c=0.1,
-        alpha_e=0.9,
         code_c=CodeSpec(m=100, bits=300),
         code_e=CodeSpec(m=100, bits=100),
         R=8,
@@ -194,7 +193,7 @@ def test_sinr_cdf_interference_saturation():
 def test_sinr_cdf_is_one_in_the_last_ulp_below_the_ceiling():
     # there the rounded SIC room alpha_e rho_s - alpha_c rho_s w is already
     # 0; the SINR cannot reach w, so the CDF is 1, not a division by zero
-    cfg = make_config(alpha_c=0.35, alpha_e=0.65)
+    cfg = make_config(alpha_c=0.35)
     w = math.nextafter(cfg.alpha_e / cfg.alpha_c, 0.0)
     for kind in (CE, E1):
         assert sinr_cdf(w, kind, cfg) == 1.0
@@ -254,7 +253,7 @@ def test_avg_psi_frozen_reference_values():
 def test_avg_psi_saturated_step_is_exactly_one():
     # with beta at 3 and near-even power split the ce step's SINR can never
     # reach its threshold, so its average error probability is exactly 1
-    cfg = make_config(alpha_c=0.49, alpha_e=0.51, code_e=CodeSpec(m=100, bits=200))
+    cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     assert cfg.alpha_e / cfg.alpha_c < linearization_params(cfg.code_e).beta
     assert avg_psi(CE, cfg.code_e, cfg) == 1.0
 
@@ -310,7 +309,7 @@ def test_sc_reduces_to_relay_free_term_at_huge_relay_snr():
 def test_combining_collapses_when_first_step_always_fails():
     # e_ce = 1 wipes out the combining branch entirely: both schemes equal
     # the direct-phase average, exactly
-    cfg = make_config(alpha_c=0.49, alpha_e=0.51, code_e=CodeSpec(m=100, bits=200))
+    cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     p_e1 = avg_psi(E1, cfg.code_e, cfg)
     assert avg_bler_ceu_sc(cfg) == p_e1
     assert avg_bler_ceu_mrc(cfg) == p_e1

@@ -10,6 +10,7 @@ reference sampler.
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ def make_config(**overrides) -> SystemConfig:
         rho_s=10.0,
         rho_c=1.0,
         alpha_c=0.1,
-        alpha_e=0.9,
         code_c=CodeSpec(m=100, bits=300),
         code_e=CodeSpec(m=100, bits=100),
         R=8,
@@ -53,7 +53,7 @@ def make_config(**overrides) -> SystemConfig:
 def test_system_config_accepts_reference_point():
     cfg = make_config()
     assert cfg.lambda_gc == 0.8 and cfg.lambda_ge == 0.3
-    assert cfg.eta_c == 1.0 and cfg.quad_order == 50
+    assert cfg.eta_c == 1.0 and cfg.alpha_e == 0.9
 
 
 @pytest.mark.parametrize(
@@ -61,15 +61,13 @@ def test_system_config_accepts_reference_point():
     [
         {"rho_s": 0.0},
         {"rho_c": -1.0},
-        {"alpha_c": 0.2},  # breaks alpha_c + alpha_e = 1
-        {"alpha_c": 0.6, "alpha_e": 0.4},  # order violated
-        {"alpha_c": 0.5, "alpha_e": 0.5},  # strict ordering required
+        {"alpha_c": 0.6},  # order violated
+        {"alpha_c": 0.5},  # strict ordering required
         {"R": -1},
         {"eta_c": 1.5},
         {"eta_e": -0.1},
         {"lambda_e": 0.0},
         {"lambda_gce": -2.0},
-        {"quad_order": 0},
         {"R": 1025},  # two (4096, R) sampler buffers past 64 MiB
     ],
 )
@@ -79,7 +77,7 @@ def test_system_config_rejects_bad_values(overrides):
 
 
 _FLOAT_FIELDS = (
-    "rho_s", "rho_c", "alpha_c", "alpha_e", "eta_c", "eta_e",
+    "rho_s", "rho_c", "alpha_c", "eta_c", "eta_e",
     "lambda_c", "lambda_e", "lambda_ce", "lambda_rc", "lambda_gc",
     "lambda_re", "lambda_ge", "lambda_rce", "lambda_gce",
 )
@@ -92,6 +90,12 @@ _FLOAT_FIELDS = (
 def test_system_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         make_config(**{name: value})
+
+
+def test_alpha_e_follows_alpha_c():
+    # the edge share is the complement, not a field: a new alpha_c is valid
+    cfg = replace(make_config(), alpha_c=0.3)
+    assert cfg.alpha_c == 0.3 and cfg.alpha_e == 0.7
 
 
 def test_system_config_allows_eta_zero_and_r_zero():
@@ -187,10 +191,8 @@ def test_samplers_ignore_fields_outside_fading_key():
         rho_s=1000.0,
         rho_c=3.0,
         alpha_c=0.3,
-        alpha_e=0.7,
         code_c=CodeSpec(m=50, bits=120),
         code_e=CodeSpec(m=200, bits=40),
-        quad_order=7,
     )
     assert fading_key(cfg) == fading_key(other)
     for sample in (_sample_aligned_batch, _sample_random_phase_batch):
@@ -399,7 +401,7 @@ def test_step_table_links_and_codes():
 )
 def test_step_sinr_map_inverts_its_gain_threshold(step, alpha_c, rho_s, rho_c, share, w):
     # the closed forms' inverse map undoes the simulation's forward map
-    cfg = make_config(alpha_c=alpha_c, alpha_e=1.0 - alpha_c, rho_s=rho_s, rho_c=rho_c)
+    cfg = make_config(alpha_c=alpha_c, rho_s=rho_s, rho_c=rho_c)
     ceiling = step.ceiling(cfg)
     if ceiling < math.inf:
         w = share * ceiling
@@ -416,7 +418,7 @@ def test_step_sinr_map_inverts_its_gain_threshold(step, alpha_c, rho_s, rho_c, s
 
 @pytest.mark.parametrize("step", [CE, E1], ids=["ce", "e1"])
 def test_sic_gain_threshold_is_never_at_and_above_the_ceiling(step):
-    cfg = make_config(alpha_c=0.2, alpha_e=0.8)
+    cfg = make_config(alpha_c=0.2)
     ceiling = step.ceiling(cfg)
     for w in (ceiling, math.nextafter(ceiling, math.inf), 2.0 * ceiling, 1e300):
         assert step.gain_threshold(w, cfg) == math.inf

@@ -42,9 +42,7 @@ def read_rows(path):
 
 def swept_rho_c(raw):
     # the relay SNR at the 20 dB point of a rho_s_db sweep over the config
-    (point,) = cli._config_points(
-        parse_config({**raw, "sweep": {"axis": "rho_s_db", "values": [20]}})
-    )
+    (point,) = parse_config({**raw, "sweep": {"axis": "rho_s_db", "values": [20]}}).points
     return point.cfg.rho_c
 
 
@@ -52,33 +50,34 @@ def swept_rho_c(raw):
 
 def test_parse_config_reference_defaults():
     rc = parse_config({})
-    assert rc.system.rho_s == 10.0
-    assert rc.system.rho_c == 1.0
-    assert rc.system.alpha_c == 0.1 and rc.system.alpha_e == 0.9
-    assert rc.system.R == 8
-    assert rc.system.code_c.m == 100 and rc.system.code_c.bits == 300
-    assert rc.system.code_e.bits == 100
+    (point,) = rc.points
+    assert point.cfg.rho_s == 10.0
+    assert point.cfg.rho_c == 1.0
+    assert point.cfg.alpha_c == 0.1 and point.cfg.alpha_e == 0.9
+    assert point.cfg.R == 8
+    assert point.cfg.code_c.m == 100 and point.cfg.code_c.bits == 300
+    assert point.cfg.code_e.bits == 100
     assert rc.trials == 100_000 and rc.seed == 1234
-    assert rc.scenario is ScenarioKind.TWO_ZONE_ALIGNED
-    assert rc.sweep_axis is None
+    assert point.scenario is ScenarioKind.TWO_ZONE_ALIGNED
+    assert (point.axis, point.value, point.suffix) == ("rho_s_db", 10.0, "")
     assert swept_rho_c({}) == pytest.approx(10.0, rel=1e-15)
 
 
 def test_parse_config_db_conversion_and_coupling():
-    rc = parse_config({"rho_s_db": 20})
-    assert rc.system.rho_s == pytest.approx(100.0, rel=1e-15)
-    assert rc.system.rho_c == pytest.approx(10.0, rel=1e-15)
+    cfg = parse_config({"rho_s_db": 20}).points[0].cfg
+    assert cfg.rho_s == pytest.approx(100.0, rel=1e-15)
+    assert cfg.rho_c == pytest.approx(10.0, rel=1e-15)
     # an explicit relay SNR pins it (no coupling during sweeps either)
-    rc = parse_config({"rho_c": 5.0})
-    assert rc.system.rho_c == 5.0
+    cfg = parse_config({"rho_c": 5.0}).points[0].cfg
+    assert cfg.rho_c == 5.0
     assert swept_rho_c({"rho_c": 5.0}) == 5.0
-    rc = parse_config({"rho_c_db": 0})
-    assert rc.system.rho_c == 1.0 and swept_rho_c({"rho_c_db": 0}) == 1.0
+    cfg = parse_config({"rho_c_db": 0}).points[0].cfg
+    assert cfg.rho_c == 1.0 and swept_rho_c({"rho_c_db": 0}) == 1.0
 
 
 def test_parse_config_alpha_complement_default():
-    rc = parse_config({"alpha_c": 0.2})
-    assert rc.system.alpha_e == pytest.approx(0.8, rel=1e-15)
+    cfg = parse_config({"alpha_c": 0.2}).points[0].cfg
+    assert cfg.alpha_e == pytest.approx(0.8, rel=1e-15)
 
 
 _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
@@ -90,7 +89,7 @@ _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
         {"rho_s": 10.0, "rho_s_db": 10.0},  # both spellings
         {"rho_c": 1.0, "rho_c_db": 0.0},
         {"alpha_c": 0.6},  # ordering violated after complement
-        {"alpha_c": 0.2, "alpha_e": 0.9},  # does not sum to one
+        {"alpha_c": 0.2, "alpha_e": 0.9},  # alpha_e follows from alpha_c
         {"trials": 0},
         {"alpha_c": True},  # bool is not a number here
         {"m": 2.5},  # integer keys reject floats
@@ -104,12 +103,13 @@ _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
         {"m": -(10**400)},
         {"n_e": -(10**400)},
         {"R": -(10**400)},
-        {"quad_order": -(10**400)},
+        {"quad_order": -(10**400)},  # the quadrature order is no key
         {"seed": -1},  # the chunk streams take a 64-bit seed
         {"seed": 2**64},
         {"seed": 10**400},
         {"R": 10**20},  # diversity orders of 8e19 once went out
         {"R": 10**400},  # once an OverflowError in the gamma fit
+        {"R": 2000, "sweep": {"axis": "R", "values": [1, 2]}},  # base system checked first
     ],
 )
 def test_parse_config_rejects(payload):
@@ -122,6 +122,12 @@ def test_parse_config_rejects(payload):
         assert "has no finite linearization" in message
 
 
+@pytest.mark.parametrize("key, value", [("alpha_e", 0.9), ("quad_order", 50)])
+def test_parse_config_refuses_derived_and_fixed_values_as_unknown_keys(key, value):
+    with pytest.raises(ConfigError, match=f"unknown keys {key}$"):
+        parse_config({key: value})
+
+
 def test_parse_config_unknown_keys_listed_sorted():
     with pytest.raises(ConfigError, match="bandwidth, zeta"):
         parse_config({"zeta": 1, "bandwidth": 2})
@@ -129,8 +135,9 @@ def test_parse_config_unknown_keys_listed_sorted():
 
 def test_parse_config_sweep_block():
     rc = parse_config({"sweep": {"axis": "rho_s_db", "values": [0, 5, 10]}})
-    assert rc.sweep_axis == "rho_s_db"
-    assert rc.sweep_values == (0, 5, 10)
+    assert [(p.axis, p.value) for p in rc.points] == [
+        ("rho_s_db", 0.0), ("rho_s_db", 5.0), ("rho_s_db", 10.0)
+    ]
     for bad in (
         {"axis": "rho_s_db"},  # missing values
         {"axis": "lambda_c", "values": [1]},  # not a sweepable axis
@@ -179,7 +186,7 @@ def test_every_sweep_value_becomes_one_point(axis, data):
     if axis not in ("R", "m"):
         numbers = st.one_of(numbers, st.floats(allow_nan=False, allow_infinity=False))
     values = data.draw(st.lists(numbers, min_size=1, max_size=4))
-    points = cli._config_points(parse_config({"sweep": {"axis": axis, "values": values}}))
+    points = parse_config({"sweep": {"axis": axis, "values": values}}).points
     assert [p.value for p in points] == [float(v) for v in values]
     assert all(isinstance(p.cfg, (SystemConfig, str)) for p in points)
 
@@ -368,7 +375,7 @@ def test_every_command_evaluates_the_loaded_config(tmp_path, monkeypatch, comman
     out = tmp_path / "point.csv"
     argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
     assert main(argv) in (0, 4)
-    assert [c.rho_s for c in seen] == [parse_config(raw).system.rho_s]
+    assert [c.rho_s for c in seen] == [parse_config(raw).points[0].cfg.rho_s]
 
 
 def test_run_trials_and_seed_overrides(tmp_path):

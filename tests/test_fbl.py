@@ -257,7 +257,7 @@ def test_sc_column_equals_psi_of_max_with_ties():
     # ties the two CEU branches exactly on a quarter of the trials; zeros
     # tie them below the floor
     cfg = SystemConfig(
-        rho_s=10.0, rho_c=1.0, alpha_c=0.1, alpha_e=0.9, code_c=CODE_C, code_e=CODE_E, R=8
+        rho_s=10.0, rho_c=1.0, alpha_c=0.1, code_c=CODE_C, code_e=CODE_E, R=8
     )
     rng = np.random.default_rng(5)
     n = 4096

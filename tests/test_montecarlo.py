@@ -35,7 +35,6 @@ def make_config(**overrides) -> SystemConfig:
         rho_s=10.0,
         rho_c=1.0,
         alpha_c=0.1,
-        alpha_e=0.9,
         code_c=CodeSpec(m=100, bits=300),
         code_e=CodeSpec(m=100, bits=100),
         R=8,
@@ -83,6 +82,31 @@ def test_no_surface_scenario_equals_eta_zero():
         (make_config(R=0), ScenarioKind.SINGLE_ZONE_RANDOM),
     ):
         assert run_trials(cfg, scenario, 8192, 42) == want, scenario
+
+
+def test_points_without_a_surface_term_share_one_draw(monkeypatch):
+    # each point's gains are the direct powers alone, so all five share one
+    # draw per chunk, made by the aligned sampler at R = 0
+    points = [
+        (make_config(R=1), ScenarioKind.NO_RIS),
+        (make_config(R=8), ScenarioKind.NO_RIS),
+        (make_config(R=0), ALIGNED),
+        (make_config(R=0), ScenarioKind.SINGLE_ZONE_RANDOM),
+        (make_config(R=8, eta_c=0.0, eta_e=0.0), ALIGNED),
+    ]
+    calls = []
+    for name in ("_sample_aligned_batch", "_sample_random_phase_batch"):
+        sample = getattr(montecarlo, name)
+
+        def counting(cfg, rng, n, name=name, sample=sample):
+            calls.append((name, cfg.R))
+            return sample(cfg, rng, n)
+
+        monkeypatch.setattr(montecarlo, name, counting)
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    got = run_points(points, 2 * CHUNK_TRIALS, 42)
+    assert calls == [("_sample_aligned_batch", 0)] * 2
+    assert all(est == got[0] for est in got)
 
 
 # -------------------------------------------------------- bitwise estimates
@@ -414,7 +438,7 @@ def test_apply_axis_semantics():
     # a sweep point is the config's model keys with the swept key set; the
     # sweeps above build theirs on the reference defaults, make_config()
     cfg = make_config()
-    assert cli.parse_config({}).system == cfg
+    assert cli.parse_config({}).points[0].cfg == cfg
     coupled = _axis_cfg("rho_s_db", 20.0)
     assert coupled.rho_s == pytest.approx(100.0, rel=1e-15)
     assert coupled.rho_c == pytest.approx(10.0, rel=1e-15)
@@ -428,8 +452,6 @@ def test_apply_axis_semantics():
     assert _axis_cfg("R", 3).R == 3
     swapped = _axis_cfg("alpha_c", 0.3)
     assert swapped.alpha_c == 0.3 and swapped.alpha_e == 0.7
-    # an explicit alpha_e is replaced by the complement too
-    assert _axis_cfg("alpha_c", 0.3, {"alpha_c": 0.2, "alpha_e": 0.8}) == swapped
 
     resized = _axis_cfg("m", 250)
     assert resized.code_c == CodeSpec(m=250, bits=cfg.code_c.bits)

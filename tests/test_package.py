@@ -1,10 +1,16 @@
-"""Every name a module exports through __all__, or the benchmark traces, exists."""
+"""Every name a module exports through __all__, or the benchmark traces, exists,
+and the README lists every config key."""
 
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
+
+from risnoma import cli
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 _MODULES = ["risnoma", "risnoma.analytic", "risnoma.channel", "risnoma.fbl", "risnoma.montecarlo"]
 
@@ -25,7 +31,7 @@ def test_channel_exports_the_link_table():
 def test_perfbench_traced_names_exist():
     # the benchmark wraps these module attributes by name; a rename that
     # misses one leaves its layer metrics reading 0 without any error
-    layer_map = Path(__file__).resolve().parent.parent / "perfbench" / "layer_map.json"
+    layer_map = _ROOT / "perfbench" / "layer_map.json"
     metrics = json.loads(layer_map.read_text(encoding="utf-8"))["metrics"]
     missing = []
     for name in sorted({name for metric in metrics.values() for name in metric["from"]}):
@@ -34,3 +40,12 @@ def test_perfbench_traced_names_exist():
             missing.append(name)
     # the benchmark still wraps cli.run_trials, which cli no longer imports
     assert missing in ([], ["cli.run_trials"])
+
+
+def test_readme_config_table_lists_every_key():
+    # the first column of each row under "### Config keys" names its keys
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert listed == cli._ALL_KEYS
