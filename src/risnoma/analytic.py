@@ -5,7 +5,9 @@ direct-plus-reflected gain (exponential plus squared-gamma), the SINR CDFs
 it induces for each decoding step, and the averaged BLERs.  Averages of the
 piecewise-linear BLER surrogate reduce, via the first-order midpoint rule,
 to a single CDF evaluation at the threshold beta -- the slope times the knee
-width is exactly one -- so every "average" below is one CDF call.
+width is exactly one -- so nearly every "average" below is one CDF call.
+The exception is a SIC step whose SINR ceiling lies inside the knee window,
+where the CDF is integrated up to the ceiling instead.
 
 Provides:
     SinrKind, CC, CE, E1, E2 -- the decoding steps (from channel)
@@ -152,12 +154,26 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
 def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:
     """Average linearized BLER of one decoding step.
 
-    The midpoint (first-order Riemann) reduction: the average of the linear
-    surrogate over the fading is delta*sqrt(m) * integral of the SINR CDF
-    from v to u, and since delta*sqrt(m)*(u - v) = 1 with beta the midpoint,
-    this is exactly the CDF evaluated at beta (beta/2 when doubled).
+    The average of the linear surrogate over the fading is delta*sqrt(m)
+    times the integral of the SINR CDF F from v to u.  The midpoint
+    (first-order Riemann) reduction replaces it by F(beta): since
+    delta*sqrt(m)*(u - v) = 1 with beta the midpoint, that is one CDF call.
+    A SIC step's CDF jumps to 1 at its ceiling c (2c when doubled); when c
+    lies inside (v, u) the midpoint loses that mass, so the average is then
+    delta*sqrt(m)*(integral of F over [v, c] + (u - c)), the integral from
+    the Gauss-Chebyshev rule of order QUAD_ORDER.
     """
-    return sinr_cdf(linearization_params(code).beta, kind, cfg)
+    lin = linearization_params(code)
+    ceiling = kind.ceiling(cfg) * (2.0 if kind.doubled else 1.0)
+    if not lin.v < ceiling < lin.u:
+        return sinr_cdf(lin.beta, kind, cfg)
+    rule = chebyshev_rule(QUAD_ORDER)
+    half = (ceiling - lin.v) / 2.0
+    below = half * sum(
+        w * sinr_cdf(lin.v + half * (x + 1.0), kind, cfg)
+        for x, w in zip(rule.nodes, rule.weights)
+    )
+    return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
 
 
 def avg_bler_cu(cfg: SystemConfig) -> float:

@@ -17,13 +17,16 @@ Provides:
     links                      -- the T, Z and W links of a config
     fading_key                 -- the config fields the sampled gains depend on
     SinrKind, CC, CE, E1, E2   -- the decoding steps: link, code, SINR map, ceiling
-    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
+    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W,
+                                  element by element, so one draw serves
+                                  every smaller R as a prefix
     _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
                                   its exact law (gamma-mixed exponential)
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -93,7 +96,9 @@ class SystemConfig:
                 f"need 0 < alpha_c < alpha_e, got alpha_c={self.alpha_c}, "
                 f"alpha_e={self.alpha_e}"
             )
-        # at the bound, the aligned sampler's two (4096, R) buffers take 64 MiB
+        # the aligned sampler draws element by element and holds no (n, R)
+        # buffer, so memory per chunk does not grow with R; the bound caps
+        # its element loop (a 4096-trial chunk at R = 1024 takes about 0.2 s)
         if not 0 <= self.R <= _MAX_R:
             raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_short_int(self.R)}")
         for f in fields(self):
@@ -219,41 +224,41 @@ class SinrKind:
 CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))
 
 
-def _rayleigh_magnitudes_into(
-    rng: np.random.Generator, mean_power: float, out: np.ndarray
-) -> None:
-    # |h| with E|h|^2 = mean_power, i.e. sqrt of an exponential draw.
-    # exponential(scale) is scale * standard_exponential(), so filling a
-    # reused buffer in place gives the same bits with no fresh temporary.
-    rng.standard_exponential(out=out)
-    out *= mean_power
-    np.sqrt(out, out=out)
-
-
 def _sample_aligned_batch(
-    cfg: SystemConfig, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Iterable[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | dict[int, tuple[np.ndarray, ...]]:
     """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
 
     Each gain is p + (eta*q)^2: the direct power p is exponential with mean
-    lam_d, and the cascaded sum q adds R independent |g||h| products.  Draw
-    order is fixed (the three direct powers, then the three cascades hop by
-    hop); at R = 0 the direct powers come from untouched draws, which is
-    what makes no surface bit-compatible with eta = 0.
+    lam_d, and the cascaded sum q adds R independent |g||h| products, each
+    sqrt(lam_g lam_r) times sqrt(e_g e_h) for unit exponentials e_g, e_h.
+    Draw order is fixed: the three direct powers, then element by element,
+    for r = 0..R-1, the (e_g, e_h) pair of each link T, Z, W.  So the draws
+    of element r never depend on R, and the running sums after k elements
+    are what a draw at R = k would give, bit for bit.  At R = 0 the direct
+    powers come from untouched draws, which is what makes no surface
+    bit-compatible with eta = 0.
+
+    Returns (T, Z, W) at cfg.R, or with counts (element counts in [0, R])
+    a dict from each count to its (T, Z, W), all from this one draw.
     """
-    powers = [rng.exponential(link.lam_d, size=n) for link in links(cfg)]
-    if cfg.R == 0:
-        return tuple(powers)
-    # two (n, R) buffers serve all three cascades, one per hop
-    hop_g = np.empty((n, cfg.R))
-    hop_r = np.empty((n, cfg.R))
-    gains = []
-    for p, (_, lam_g, lam_r, eta) in zip(powers, links(cfg)):
-        _rayleigh_magnitudes_into(rng, lam_g, hop_g)
-        _rayleigh_magnitudes_into(rng, lam_r, hop_r)
-        hop_g *= hop_r
-        gains.append(p + (eta * np.sum(hop_g, axis=1)) ** 2)
-    return tuple(gains)
+    powers = tuple(rng.exponential(link.lam_d, size=n) for link in links(cfg))
+    wanted = {cfg.R} if counts is None else set(counts)
+    if not all(0 <= k <= cfg.R for k in wanted):
+        raise ValueError(f"element counts must lie in [0, {cfg.R}], got {sorted(wanted)}")
+    scales = [link.eta * math.sqrt(link.lam_g * link.lam_r) for link in links(cfg)]
+    sums = np.zeros((3, n))
+    pairs = np.empty((3, 2, n))  # one (e_g, e_h) pair per link
+    prods = np.empty((3, n))
+    by_count = {0: powers} if 0 in wanted else {}
+    for k in range(1, cfg.R + 1):
+        rng.standard_exponential(out=pairs)
+        np.multiply(pairs[:, 0], pairs[:, 1], out=prods)
+        np.sqrt(prods, out=prods)
+        sums += prods
+        if k in wanted:
+            by_count[k] = tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
+    return by_count[cfg.R] if counts is None else by_count
 
 
 def _sample_random_phase_batch(

@@ -10,12 +10,17 @@ Determinism: trials are partitioned into fixed 4096-trial chunks; chunk c
 draws from a generator seeded by (master seed, c); partial sums are merged
 in chunk order.  The result is bitwise identical for any worker count, so
 the worker pool (capped by the RISNOMA_WORKERS environment variable) only
-affects speed.  Since every point of a call uses the same seed, points that
-share the fading law (channel.fading_key) would draw the same batch; they
-are grouped so that each chunk is drawn once and evaluated for every point
-of its group, and all chunks of one call run in one process pool.  Every
+affects speed.  Since every point of a call uses the same seed, points
+that would draw the same batch are grouped so that each chunk is drawn once
+and evaluated for every point of its group, and all chunks of one call run
+in one process pool.  Random-phase points group on their fading law
+(channel.fading_key).  The aligned sampler draws its cascades element by
+element, so its gains at R elements are a prefix of any draw at a larger R:
+aligned points group on their links alone, and each chunk is drawn once at
+the group's largest R, with the gains at every R the group needs.  Every
 point that draws only the direct powers (no surface, R = 0, or aligned
-phases with eta_c = eta_e = 0) draws them as the aligned sampler at R = 0.
+phases with eta_c = eta_e = 0) draws them as the aligned sampler at R = 0,
+grouped on the direct mean powers.
 
 Provides:
     BlerEstimate         -- mean / stderr / n triple
@@ -35,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import CC, CE, E1, E2, SystemConfig, fading_key
+from .channel import CC, CE, E1, E2, SystemConfig, fading_key, links
 from .channel import _sample_aligned_batch, _sample_random_phase_batch
 from .fbl import _short_int, psi_exact_vec
 
@@ -104,21 +109,25 @@ def _metric_sums(
 def _chunk_sums(args) -> list[np.ndarray | str]:
     """Draw one chunk of trials once and evaluate each config of a group on it.
 
-    Every config of the group has the same fading key, so the one draw of
-    the gains is the draw each would have made alone.  The configs are
+    The configs of a group draw alike: random-phase ones share a fading
+    key, and aligned ones share their links and differ at most in R, so
+    each takes the gains at its own R from the one aligned draw.  Either
+    way a config gets the draw it would have made alone.  The configs are
     evaluated one at a time to keep memory per chunk bounded; a ValueError
     while evaluating one becomes that config's error and the rest carry on.
     """
     cfgs, scenario, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
     if scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
-        gains = _sample_random_phase_batch(cfgs[0], rng, n_trials)
+        by_count = {cfgs[0].R: _sample_random_phase_batch(cfgs[0], rng, n_trials)}
     else:
-        gains = _sample_aligned_batch(cfgs[0], rng, n_trials)
+        # one draw at the group's largest R holds every smaller R as a prefix
+        top = max(cfgs, key=lambda cfg: cfg.R)
+        by_count = _sample_aligned_batch(top, rng, n_trials, counts={cfg.R for cfg in cfgs})
     out: list[np.ndarray | str] = []
     for cfg in cfgs:
         try:
-            out.append(_metric_sums(gains, cfg))
+            out.append(_metric_sums(by_count[cfg.R], cfg))
         except ValueError as exc:
             out.append(str(exc))
     return out
@@ -169,8 +178,9 @@ def run_points(
 
     Returns, per point in the given order, a dict of all seven estimates
     (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2) or that point's error message.
-    Points whose scenario and fading key agree share one draw per chunk,
-    as do all points that draw only the direct powers, and every chunk of
+    Random-phase points with one fading key share one draw per chunk, as
+    do aligned points with the same links at any R, and points that draw
+    only the direct powers with the same direct means; every chunk of
     the call runs in one process pool.  Each point gets the same draws and
     the same float operations as a call with that point alone.
     """
@@ -188,7 +198,10 @@ def run_points(
         if no_surface or aligned and cfg.eta_c == cfg.eta_e == 0.0:
             cfg, scenario = replace(cfg, R=0), ScenarioKind.TWO_ZONE_ALIGNED
         drawn.append(cfg)
-        groups.setdefault((scenario, fading_key(cfg)), []).append(i)
+        # aligned gains at R elements are a prefix of a draw at any larger
+        # R, so aligned points with a surface group on their links alone
+        prefix = scenario is ScenarioKind.TWO_ZONE_ALIGNED and cfg.R > 0
+        groups.setdefault((scenario, links(cfg) if prefix else fading_key(cfg)), []).append(i)
 
     n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     owners: list[list[int]] = []

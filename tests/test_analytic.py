@@ -269,6 +269,35 @@ def test_avg_psi_agrees_with_quadrature_of_the_cdf():
         assert avg_psi(kind, code, cfg) == pytest.approx(reference, abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha_c", [0.46, 0.49])
+@pytest.mark.parametrize("kind", [CE, E1], ids=["ce", "e1"])
+def test_avg_psi_with_the_ceiling_inside_the_knee_window(kind, alpha_c):
+    # the SIC ceiling alpha_e/alpha_c (1.17 and 1.04) lies inside the knee
+    # window [0.78, 1.22] of the rate-1 code: the CDF jumps to 1 there, and
+    # the average keeps that mass, as adaptive quadrature of the CDF shows
+    cfg = make_config(alpha_c=alpha_c)
+    lin = linearization_params(cfg.code_e)
+    ceiling = kind.ceiling(cfg)
+    assert lin.v < ceiling < lin.u
+    integral, _ = quad(
+        lambda w: sinr_cdf(w, kind, cfg), lin.v, lin.u, points=[ceiling], limit=200
+    )
+    reference = lin.delta * math.sqrt(cfg.code_e.m) * integral
+    assert avg_psi(kind, cfg.code_e, cfg) == pytest.approx(reference, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha_c", [0.1, 0.45])
+def test_avg_psi_outside_the_ceiling_case_is_the_cdf_at_threshold(alpha_c):
+    # the ceiling lies above u (9.0 and 1.22 against 1.217), so every step,
+    # doubled or not, keeps the midpoint reduction bit for bit
+    cfg = make_config(alpha_c=alpha_c)
+    kinds = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
+    for kind in kinds:
+        code = kind.code(cfg)
+        beta = linearization_params(code).beta
+        assert avg_psi(kind, code, cfg) == sinr_cdf(beta, kind, cfg)
+
+
 # ----------------------------------------------------------- user-level BLER
 
 def test_avg_bler_cu_is_max_of_steps():

@@ -68,7 +68,7 @@ def test_system_config_accepts_reference_point():
         {"eta_e": -0.1},
         {"lambda_e": 0.0},
         {"lambda_gce": -2.0},
-        {"R": 1025},  # two (4096, R) sampler buffers past 64 MiB
+        {"R": 1025},  # past the cap on the aligned sampler's element loop
     ],
 )
 def test_system_config_rejects_bad_values(overrides):
@@ -170,17 +170,39 @@ def test_direct_draws_unchanged_when_cascade_skipped():
 
 
 def test_aligned_cascade_matches_exponential_construction():
-    # the cascades fill reused buffers in place; exponential(scale) is
-    # scale * standard_exponential(), so the bits equal the plain
-    # sqrt(exponential) construction in the same draw order
+    # the cascades fill reused buffers in place, element by element; the
+    # bits equal the plain construction from unit exponentials drawn in the
+    # same order: the direct powers, then per element an (e_g, e_h) pair
+    # for each link in turn
     cfg = make_config(R=5)
     gains = _sample_aligned_batch(cfg, np.random.default_rng(19), 300)
     rng = np.random.default_rng(19)
     powers = [rng.exponential(link.lam_d, size=300) for link in links(cfg)]
-    for gain, p, link in zip(gains, powers, links(cfg), strict=True):
-        g = np.sqrt(rng.exponential(link.lam_g, size=(300, 5)))
-        h = np.sqrt(rng.exponential(link.lam_r, size=(300, 5)))
-        np.testing.assert_array_equal(gain, p + (link.eta * np.sum(g * h, axis=1)) ** 2)
+    sums = [np.zeros(300) for _ in links(cfg)]
+    for _ in range(cfg.R):
+        for s in sums:
+            s += np.sqrt(rng.exponential(1.0, size=300) * rng.exponential(1.0, size=300))
+    for gain, p, s, link in zip(gains, powers, sums, links(cfg), strict=True):
+        scale = link.eta * math.sqrt(link.lam_g * link.lam_r)
+        np.testing.assert_array_equal(gain, p + (scale * s) ** 2)
+
+
+def test_aligned_gains_at_fewer_elements_are_a_prefix_of_one_draw():
+    # element r's draws never depend on R, so one draw at R = 8 holds the
+    # gains of a draw at any smaller R from the same generator state
+    cfg = make_config(eta_c=0.7, eta_e=0.4)
+    by_count = _sample_aligned_batch(cfg, np.random.default_rng(29), 300, counts=[0, 1, 3, 8])
+    assert sorted(by_count) == [0, 1, 3, 8]
+    for count, gains in by_count.items():
+        alone = _sample_aligned_batch(replace(cfg, R=count), np.random.default_rng(29), 300)
+        for gain, want in zip(gains, alone, strict=True):
+            np.testing.assert_array_equal(gain, want)
+
+
+@pytest.mark.parametrize("counts", [[9], [-1], [0, 8, 9]])
+def test_aligned_counts_outside_the_draw_are_refused(counts):
+    with pytest.raises(ValueError, match="element counts"):
+        _sample_aligned_batch(make_config(), np.random.default_rng(0), 4, counts=counts)
 
 
 def test_samplers_ignore_fields_outside_fading_key():
@@ -213,7 +235,7 @@ _GAIN_CASES = {
     "random_phase_0": (_sample_random_phase_batch, {"R": 0}),
 }
 _GAIN_DIGESTS = {
-    "aligned": "7697d1651905982875ea95b3844bc154fbc8f0b959c3f81bfe4e466cdc470f71",
+    "aligned": "901f4f7de600b7ac80beb241b95a0ca28c512e935f4bd34ae65b7b6058ba9db4",
     "aligned_r0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
     "random_phase_16": "e8e85a2309e20b3d5bd90a24039a8b872a1035d2e075eb24ff62df30c6a62ecb",
     "random_phase_0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
@@ -244,18 +266,28 @@ def test_aligned_moments_match_closed_forms():
     # lambda_c + eta^2 * (var_q + mean_q^2), all moments exact
     cfg = make_config()
     n = 400_000
-    t = _sample_aligned_batch(cfg, np.random.default_rng(3021), n)[0]
+    by_count = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, counts=[0, 1, 3, 8])
+    t = by_count[cfg.R][0]
     mean_q = cfg.R * (math.pi / 4.0) * math.sqrt(cfg.lambda_gc * cfg.lambda_rc)
     var_q = cfg.R * (1.0 - _PI_SQ / 16.0) * cfg.lambda_gc * cfg.lambda_rc
     expected = cfg.lambda_c + cfg.eta_c**2 * (var_q + mean_q**2)
     se = float(np.std(t)) / math.sqrt(n)
     assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
-    # and the raw cascade sum, recovered from the same draws at R = 0,
-    # matches its own mean
-    p_c = _sample_aligned_batch(make_config(R=0), np.random.default_rng(3021), n)[0]
-    q_c = np.sqrt(t - p_c) / cfg.eta_c
-    se_q = float(np.std(q_c)) / math.sqrt(n)
-    assert float(np.mean(q_c)) == pytest.approx(mean_q, abs=5.0 * se_q)
+    # every link's cascade sum after 1, 3 and 8 elements of the one draw,
+    # recovered from the gains and the direct powers, has the exact mean
+    # and variance of a sum of that many |g||h| products
+    for count in (1, 3, 8):
+        for name, gain, p, link in zip("TZW", by_count[count], by_count[0], links(cfg)):
+            q = np.sqrt(gain - p) / link.eta
+            hop = link.lam_g * link.lam_r
+            dev = (q - np.mean(q)) ** 2
+            se_mean = float(np.std(q)) / math.sqrt(n)
+            se_var = float(np.std(dev)) / math.sqrt(n)
+            exact_mean = count * (math.pi / 4.0) * math.sqrt(hop)
+            exact_var = count * (1.0 - _PI_SQ / 16.0) * hop
+            assert float(np.mean(q)) == pytest.approx(exact_mean, abs=5.0 * se_mean), (name, count)
+            assert float(np.var(q, ddof=1)) == pytest.approx(exact_var, abs=5.0 * se_var), (
+                name, count)
 
 
 def test_random_phase_moments_match_closed_forms():
@@ -358,15 +390,16 @@ def test_effective_gain_link_mapping():
     p_c, p_e, p_ce = (
         rng.exponential(lam, size=200) for lam in (cfg.lambda_c, cfg.lambda_e, cfg.lambda_ce)
     )
+    hops = [(cfg.lambda_gc, cfg.lambda_rc), (cfg.lambda_ge, cfg.lambda_re),
+            (cfg.lambda_gce, cfg.lambda_rce)]
+    q_c, q_e, q_ce = (np.zeros(200) for _ in hops)
+    # element by element, one |g||h| product per link in the order T, Z, W
+    for _ in range(3):
+        for q, (lam_g, lam_r) in zip((q_c, q_e, q_ce), hops):
+            g = np.sqrt(rng.exponential(lam_g, size=200))
+            h = np.sqrt(rng.exponential(lam_r, size=200))
+            q += g * h
 
-    def cascade(lam_g, lam_r):
-        g = np.sqrt(rng.exponential(lam_g, size=(200, 3)))
-        h = np.sqrt(rng.exponential(lam_r, size=(200, 3)))
-        return np.sum(g * h, axis=1)
-
-    q_c = cascade(cfg.lambda_gc, cfg.lambda_rc)
-    q_e = cascade(cfg.lambda_ge, cfg.lambda_re)
-    q_ce = cascade(cfg.lambda_gce, cfg.lambda_rce)
     np.testing.assert_allclose(t, p_c + (cfg.eta_c * q_c) ** 2, rtol=1e-15)
     np.testing.assert_allclose(z, p_e + (cfg.eta_e * q_e) ** 2, rtol=1e-15)
     np.testing.assert_allclose(w, p_ce + (cfg.eta_e * q_ce) ** 2, rtol=1e-15)

@@ -419,11 +419,11 @@ def test_fig3_preset_mixes_baseline_rows(tmp_path):
 # keeps the random draws must keep these bytes; a change meant to alter the
 # draws updates the digest and says why.
 FIG_DIGESTS = {
-    "fig2": "6327ce54f24f00394c1977636f054f2e47310db0a35700ed8cbb80afaa2fe80a",
-    "fig3": "f60b82a7f31f906a648bcf32180a3d122da778d8b404a25cd03cd14564888e77",
-    "fig4": "dbf693b8bd74e1a1efcfa38b6c28048ddc2d77542ca4691288b9c00abf2b6c10",
-    "fig5": "970329e87b883450aa3b653c0c6be8e6591713fc44f0e2b45fdb429d62b49dbd",
-    "fig6": "640baa1eff184ea2277401096fa82f14040d93f04c3f5fd11060439eef083d75",
+    "fig2": "0a339c0ae3defca09950af3a93e96cf696e8e4550d822e0c54d1a67af6da9a6a",
+    "fig3": "646b768e36d87ee3a3513a197b7cae764deb91ae3f7f1a112f8c1aa01a12e8cc",
+    "fig4": "fc57daf547ff8e2524a8cb2c958cc0706c9065382a044d5db2ce5bcfed15e856",
+    "fig5": "e4ef46a0c971fb48bcdf3c63f95dc348f60b8d1ad7df246e17fd40f011e8e6c8",
+    "fig6": "db87a0badce166721df7417aa9eccc6e2fdb5e73fc91eb597300a3e5ffc70de3",
 }
 
 

@@ -8,6 +8,7 @@ gamma fit, so they exercise the simulation independently of the analytics.
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -98,9 +99,9 @@ def test_points_without_a_surface_term_share_one_draw(monkeypatch):
     for name in ("_sample_aligned_batch", "_sample_random_phase_batch"):
         sample = getattr(montecarlo, name)
 
-        def counting(cfg, rng, n, name=name, sample=sample):
+        def counting(cfg, rng, n, name=name, sample=sample, **kwargs):
             calls.append((name, cfg.R))
-            return sample(cfg, rng, n)
+            return sample(cfg, rng, n, **kwargs)
 
         monkeypatch.setattr(montecarlo, name, counting)
     monkeypatch.setenv("RISNOMA_WORKERS", "1")
@@ -138,11 +139,11 @@ def _fig_points() -> list:
 # A change meant to keep the random draws and the float operations must keep
 # these digests; a change meant to alter them updates a digest and says why.
 _POINT_DIGESTS = {
-    ScenarioKind.TWO_ZONE_ALIGNED: "74797efb768df90859511415538169a162cf4ff5dcda65cea04888605003ff20",
+    ScenarioKind.TWO_ZONE_ALIGNED: "8e346a90e0f60ff756875dc49c9eabadc0fbf45135aa401ff2a41519fda329c0",
     ScenarioKind.SINGLE_ZONE_RANDOM: "18a0f3a1a166cbf9b7ad65d7318fb52abac521dae671c77bea49ae08a8a8b973",
     ScenarioKind.NO_RIS: "88db0a38a02d7578d234e3c5188e1a1c51c3786da47f3abdc4956845ac3f3318",
 }
-_FIG_POINTS_DIGEST = "2f0bb8fdf5b4abcb3b5c684a7c1d05b95eed0e0e3cc6f7b5e2dddf7e637a2d84"
+_FIG_POINTS_DIGEST = "8c661461d946e73438c7f28facfe684cc5498d89db30813fa3494eeff4c4c7ba"
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
@@ -418,20 +419,34 @@ def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
     assert cli.cmd_fig("fig5", str(tmp_path / "fig5.csv"), 8192, 1234) == 0
     assert pools == [2]
 
-    # the 10 dB and 15 dB curves draw each chunk once per element count:
-    # 8 element counts x 2 chunks
+    # the 10 dB and 15 dB curves at all 8 element counts draw each chunk
+    # once, at R = 8, and take every smaller R as a prefix: 1 draw x 2 chunks
     draws = []
     sample = montecarlo._sample_aligned_batch
 
     def counting_sample(*args, **kwargs):
-        draws.append(args[2])
+        draws.append((args[2], args[0].R, sorted(kwargs["counts"])))
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_sample_aligned_batch", counting_sample)
     monkeypatch.setenv("RISNOMA_WORKERS", "1")
     assert cli.cmd_fig("fig5", str(tmp_path / "fig5_serial.csv"), 8192, 1234) == 0
-    assert draws == [CHUNK_TRIALS] * 16
+    assert draws == [(CHUNK_TRIALS, 8, list(range(1, 9)))] * 2
     assert (tmp_path / "fig5.csv").read_bytes() == (tmp_path / "fig5_serial.csv").read_bytes()
+
+
+def test_chunk_memory_does_not_grow_with_the_element_count():
+    # the aligned sampler draws element by element, so one chunk at the
+    # largest R a config allows holds no (4096, R) buffer
+    args = ((make_config(R=1024),), ALIGNED, CHUNK_TRIALS, 9, 0)
+    tracemalloc.start()
+    try:
+        (got,) = montecarlo._chunk_sums(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(got, str)
+    assert peak < 4 * 2**20
 
 
 def test_apply_axis_semantics():
