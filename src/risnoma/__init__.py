@@ -13,7 +13,7 @@ Two independent evaluation paths over the same system model:
 The CLI (`python -m risnoma`) writes both as CSV and cross-checks them.
 """
 
-from .analytic import avg_bler_ceu_mrc, avg_bler_ceu_sc, avg_bler_cu, diversity_order
+from .analytic import avg_bler_ceu_mrc, avg_bler_ceu_sc, avg_bler_cu, avg_blers, diversity_order
 from .channel import SystemConfig
 from .fbl import CodeSpec
 from .montecarlo import BlerEstimate, ScenarioKind, run_trials
@@ -25,6 +25,7 @@ __all__ = [
     "CodeSpec",
     "ScenarioKind",
     "BlerEstimate",
+    "avg_blers",
     "avg_bler_cu",
     "avg_bler_ceu_sc",
     "avg_bler_ceu_mrc",

@@ -17,6 +17,7 @@ Provides:
     effective_gain_cdf -- CDF of T/Z/W at a point
     sinr_cdf           -- CDF of the step's SINR (threshold-mapped)
     avg_psi            -- average linearized BLER of one decoding step
+    avg_blers          -- all three user-level averages from six step averages
     avg_bler_cu        -- central user average BLER (analytic form)
     avg_bler_ceu_sc    -- edge user average BLER, selective combining
     avg_bler_ceu_mrc   -- edge user average BLER, MRC (lower bound)
@@ -49,6 +50,7 @@ __all__ = [
     "effective_gain_cdf",
     "sinr_cdf",
     "avg_psi",
+    "avg_blers",
     "avg_bler_cu",
     "avg_bler_ceu_sc",
     "avg_bler_ceu_mrc",
@@ -176,41 +178,46 @@ def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:
     return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
 
 
-def avg_bler_cu(cfg: SystemConfig) -> float:
-    """Central user average BLER: max of the two decoding steps' averages.
+def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:
+    """The user-level average BLERs (cu, ceu_sc, ceu_mrc), each clamped to [0, 1].
 
-    SIC at the CU fails if either the edge user's message or its own
-    message fails to decode; the max of the two step averages is the
-    standard analytic stand-in for that union.
+    The six step averages they need (cc, ce, e1, e2, doubled e1 and e2) are
+    each computed once.  cu: SIC at the CU fails if either the edge user's
+    message or its own fails to decode; the max of the two step averages is
+    the standard analytic stand-in for that union.  ceu_sc: the edge user
+    under selective combining.  ceu_mrc: the edge user under MRC, the
+    paper's analytic lower bound from psi(g1 + g2) >= psi(2 g1) psi(2 g2):
+    the combined-phase term factors into doubled-SINR averages, each of
+    which is the plain CDF at beta/2.  The paper derives it as a lower bound
+    under the gamma fit of the cascade, but against the exact average of
+    the simulated metric it holds at R = 8 only at low SNR: closed/true is
+    0.29 at 0 dB but 1.02, 9.2 and 154 at 5, 10 and 15 dB.  The main cause
+    is not the fit's tail but a factor 1/b that effective_gain_cdf leaves
+    out of the gamma density, which makes the closed-form gain CDF too large.
     """
-    return max(avg_psi(kind, kind.code(cfg), cfg) for kind in (CC, CE))
+    e_cc, e_ce, p_e1, p_e2, p_e1_d, p_e2_d = (
+        avg_psi(kind, kind.code(cfg), cfg)
+        for kind in (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
+    )
+    cu = max(e_cc, e_ce)
+    sc = e_ce * p_e1 + (1.0 - e_ce) * p_e1 * p_e2
+    mrc = e_ce * p_e1 + (1.0 - e_ce) * p_e1_d * p_e2_d
+    return tuple(min(1.0, max(0.0, val)) for val in (cu, sc, mrc))
+
+
+def avg_bler_cu(cfg: SystemConfig) -> float:
+    """Central user average BLER: the cu part of avg_blers."""
+    return avg_blers(cfg)[0]
 
 
 def avg_bler_ceu_sc(cfg: SystemConfig) -> float:
-    """Edge user average BLER under selective combining."""
-    e_ce, p_e1, p_e2 = (avg_psi(kind, kind.code(cfg), cfg) for kind in (CE, E1, E2))
-    val = e_ce * p_e1 + (1.0 - e_ce) * p_e1 * p_e2
-    return min(1.0, max(0.0, val))
+    """Edge user average BLER under selective combining: the ceu_sc part of avg_blers."""
+    return avg_blers(cfg)[1]
 
 
 def avg_bler_ceu_mrc(cfg: SystemConfig) -> float:
-    """Edge user average BLER under MRC -- the paper's analytic lower bound.
-
-    Uses psi(g1 + g2) >= psi(2 g1) psi(2 g2): the combined-phase term
-    factors into doubled-SINR averages, each of which is the plain CDF at
-    beta/2.  The paper derives it as a lower bound under the gamma fit of
-    the cascade, but against the exact average of the simulated metric it
-    holds at R = 8 only at low SNR: closed/true is 0.29 at 0 dB but 1.02,
-    9.2 and 154 at 5, 10 and 15 dB.  The main cause is not the fit's tail
-    but a factor 1/b that effective_gain_cdf leaves out of the gamma
-    density, which makes the closed-form gain CDF too large.
-    """
-    e_ce, p_e1, p_e1_d, p_e2_d = (
-        avg_psi(kind, kind.code(cfg), cfg)
-        for kind in (CE, E1, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
-    )
-    val = e_ce * p_e1 + (1.0 - e_ce) * p_e1_d * p_e2_d
-    return min(1.0, max(0.0, val))
+    """Edge user average BLER under MRC, the paper's lower bound: the ceu_mrc part of avg_blers."""
+    return avg_blers(cfg)[2]
 
 
 def diversity_order(R: int, scheme: str) -> float:

@@ -15,7 +15,6 @@ Provides:
     gamma_fit                  -- moment-matched (kappa, b) for R elements
     Link                       -- mean powers and surface gain of one link
     links                      -- the T, Z and W links of a config
-    fading_key                 -- the config fields the sampled gains depend on
     SinrKind, CC, CE, E1, E2   -- the decoding steps: link, code, SINR map, ceiling
     _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W,
                                   element by element, so one draw serves
@@ -40,7 +39,6 @@ __all__ = [
     "gamma_fit",
     "Link",
     "links",
-    "fading_key",
     "SinrKind",
     "CC",
     "CE",
@@ -162,18 +160,6 @@ def links(cfg: SystemConfig) -> tuple[Link, Link, Link]:
         Link(cfg.lambda_e, cfg.lambda_ge, cfg.lambda_re, cfg.eta_e),
         Link(cfg.lambda_ce, cfg.lambda_gce, cfg.lambda_rce, cfg.eta_e),
     )
-
-
-def fading_key(cfg: SystemConfig) -> tuple:
-    """The config fields that the sampled gains depend on: R and the links,
-    or at R = 0 only the direct mean powers.
-
-    Two configs with equal keys draw bitwise the same (T, Z, W) from the
-    same generator state, so one draw serves both.
-    """
-    if cfg.R == 0:
-        return (0, tuple(link.lam_d for link in links(cfg)))
-    return (cfg.R, links(cfg))
 
 
 @dataclass(frozen=True)

@@ -277,11 +277,8 @@ def _simulate(points: list[_Point], trials: int, seed: int) -> list[tuple[_Point
 
 
 def _analytic_rows(cfg: SystemConfig) -> list[tuple[str, str, float]]:
-    return [
-        ("cu", "analytic", analytic.avg_bler_cu(cfg)),
-        ("ceu_sc", "analytic", analytic.avg_bler_ceu_sc(cfg)),
-        ("ceu_mrc", "analytic_lb", analytic.avg_bler_ceu_mrc(cfg)),
-    ]
+    cu, sc, mrc = analytic.avg_blers(cfg)
+    return [("cu", "analytic", cu), ("ceu_sc", "analytic", sc), ("ceu_mrc", "analytic_lb", mrc)]
 
 
 def _check_bler(bler: float, where: str) -> None:

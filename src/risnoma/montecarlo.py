@@ -13,14 +13,7 @@ the worker pool (capped by the RISNOMA_WORKERS environment variable) only
 affects speed.  Since every point of a call uses the same seed, points
 that would draw the same batch are grouped so that each chunk is drawn once
 and evaluated for every point of its group, and all chunks of one call run
-in one process pool.  Random-phase points group on their fading law
-(channel.fading_key).  The aligned sampler draws its cascades element by
-element, so its gains at R elements are a prefix of any draw at a larger R:
-aligned points group on their links alone, and each chunk is drawn once at
-the group's largest R, with the gains at every R the group needs.  Every
-point that draws only the direct powers (no surface, R = 0, or aligned
-phases with eta_c = eta_e = 0) draws them as the aligned sampler at R = 0,
-grouped on the direct mean powers.
+in one process pool.  run_points states the grouping rule in one place.
 
 Provides:
     BlerEstimate         -- mean / stderr / n triple
@@ -40,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import CC, CE, E1, E2, SystemConfig, fading_key, links
+from .channel import CC, CE, E1, E2, SystemConfig, links
 from .channel import _sample_aligned_batch, _sample_random_phase_batch
 from .fbl import _short_int, psi_exact_vec
 
@@ -109,12 +102,12 @@ def _metric_sums(
 def _chunk_sums(args) -> list[np.ndarray | str]:
     """Draw one chunk of trials once and evaluate each config of a group on it.
 
-    The configs of a group draw alike: random-phase ones share a fading
-    key, and aligned ones share their links and differ at most in R, so
-    each takes the gains at its own R from the one aligned draw.  Either
-    way a config gets the draw it would have made alone.  The configs are
-    evaluated one at a time to keep memory per chunk bounded; a ValueError
-    while evaluating one becomes that config's error and the rest carry on.
+    The configs of a group draw alike (run_points states the rule); aligned
+    ones may differ in R, so each takes the gains at its own R from the one
+    aligned draw.  Either way a config gets the draw it would have made
+    alone.  The configs are evaluated one at a time to keep memory per
+    chunk bounded; a ValueError while evaluating one becomes that config's
+    error and the rest carry on.
     """
     cfgs, scenario, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
@@ -143,6 +136,10 @@ def _worker_count() -> int:
         if cap < 1:
             raise ValueError(f"RISNOMA_WORKERS must be >= 1, got {cap}")
         return cap
+    # the CPUs this process may run on, which an affinity mask can limit
+    # below the host's count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -178,11 +175,10 @@ def run_points(
 
     Returns, per point in the given order, a dict of all seven estimates
     (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2) or that point's error message.
-    Random-phase points with one fading key share one draw per chunk, as
-    do aligned points with the same links at any R, and points that draw
-    only the direct powers with the same direct means; every chunk of
-    the call runs in one process pool.  Each point gets the same draws and
-    the same float operations as a call with that point alone.
+    Points that draw alike share one draw per chunk (the grouping loop
+    below states the rule), and every chunk of the call runs in one process
+    pool.  Each point gets the same draws and the same float operations as
+    a call with that point alone.
     """
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
@@ -191,17 +187,22 @@ def run_points(
     groups: dict[tuple, list[int]] = {}
     drawn = []
     for i, (cfg, scenario) in enumerate(points):
-        # the gains of a point without a surface term are the direct powers,
-        # drawn bitwise alike by the aligned sampler at R = 0
-        no_surface = scenario is ScenarioKind.NO_RIS or cfg.R == 0
+        # which points share a chunk's draw.  A point with no surface term
+        # (no surface, R = 0, or aligned phases with eta_c = eta_e = 0) gains
+        # only the direct powers, drawn bitwise alike by the aligned sampler
+        # at R = 0, so it keys on their means.  Aligned gains at R elements
+        # are a prefix of a draw at any larger R, so an aligned point keys on
+        # its links alone.  A random-phase point draws its gammas first, so
+        # it keys on R and its links.
         aligned = scenario is ScenarioKind.TWO_ZONE_ALIGNED
+        no_surface = scenario is ScenarioKind.NO_RIS or cfg.R == 0
         if no_surface or aligned and cfg.eta_c == cfg.eta_e == 0.0:
             cfg, scenario = replace(cfg, R=0), ScenarioKind.TWO_ZONE_ALIGNED
+            key = tuple(link.lam_d for link in links(cfg))
+        else:
+            key = links(cfg) if aligned else (cfg.R, links(cfg))
         drawn.append(cfg)
-        # aligned gains at R elements are a prefix of a draw at any larger
-        # R, so aligned points with a surface group on their links alone
-        prefix = scenario is ScenarioKind.TWO_ZONE_ALIGNED and cfg.R > 0
-        groups.setdefault((scenario, links(cfg) if prefix else fading_key(cfg)), []).append(i)
+        groups.setdefault((scenario, key), []).append(i)
 
     n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     owners: list[list[int]] = []

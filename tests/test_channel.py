@@ -26,11 +26,11 @@ from risnoma.channel import (
     SystemConfig,
     _sample_aligned_batch,
     _sample_random_phase_batch,
-    fading_key,
     gamma_fit,
     links,
 )
 from risnoma.fbl import CodeSpec
+from risnoma.montecarlo import ScenarioKind
 
 _PI_SQ = math.pi * math.pi
 
@@ -205,9 +205,9 @@ def test_aligned_counts_outside_the_draw_are_refused(counts):
         _sample_aligned_batch(make_config(), np.random.default_rng(0), 4, counts=counts)
 
 
-def test_samplers_ignore_fields_outside_fading_key():
-    # run_points draws one batch for every config with the same fading key,
-    # so no sampler may read a field outside it
+def test_samplers_ignore_fields_outside_fading_key(draws):
+    # run_points draws one batch for every config that differs only in
+    # fields outside its grouping key, so no sampler may read such a field
     cfg = make_config()
     other = make_config(
         rho_s=1000.0,
@@ -216,7 +216,9 @@ def test_samplers_ignore_fields_outside_fading_key():
         code_c=CodeSpec(m=50, bits=120),
         code_e=CodeSpec(m=200, bits=40),
     )
-    assert fading_key(cfg) == fading_key(other)
+    for scenario in (ScenarioKind.TWO_ZONE_ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM):
+        calls, _ = draws([(cfg, scenario), (other, scenario)])
+        assert len(calls) == 1, scenario
     for sample in (_sample_aligned_batch, _sample_random_phase_batch):
         a = sample(cfg, np.random.default_rng(23), 256)
         b = sample(other, np.random.default_rng(23), 256)
@@ -257,8 +259,18 @@ def test_sampled_gains_are_bitwise_frozen(case):
      ("lambda_ce", 2.0), ("lambda_rc", 2.0), ("lambda_gc", 2.0), ("lambda_re", 2.0),
      ("lambda_ge", 2.0), ("lambda_rce", 2.0), ("lambda_gce", 2.0)],
 )
-def test_fading_key_changes_with_every_fading_field(field, value):
-    assert fading_key(make_config(**{field: value})) != fading_key(make_config())
+def test_fading_key_changes_with_every_fading_field(draws, field, value):
+    # every fading field splits run_points' groups, except R between aligned
+    # points: their gains at fewer elements are a prefix of one draw at the
+    # largest R
+    pair = (make_config(), make_config(**{field: value}))
+    aligned, _ = draws([(cfg, ScenarioKind.TWO_ZONE_ALIGNED) for cfg in pair])
+    random_phase, _ = draws([(cfg, ScenarioKind.SINGLE_ZONE_RANDOM) for cfg in pair])
+    assert len(random_phase) == 2
+    if field == "R":
+        assert aligned == [("_sample_aligned_batch", 8)]
+    else:
+        assert len(aligned) == 2
 
 
 def test_aligned_moments_match_closed_forms():

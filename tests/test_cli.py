@@ -320,7 +320,13 @@ def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
 @pytest.mark.parametrize("bad", [math.nan, 1.5])
 @pytest.mark.parametrize("command", ["run", "compare", "analytic"])
 def test_bler_outside_unit_interval_is_an_internal_error(tmp_path, monkeypatch, command, bad):
-    monkeypatch.setattr(analytic, "avg_bler_ceu_sc", lambda cfg: bad)
+    avg_blers = analytic.avg_blers
+
+    def bad_sc(cfg):
+        cu, _, mrc = avg_blers(cfg)
+        return cu, bad, mrc
+
+    monkeypatch.setattr(analytic, "avg_blers", bad_sc)
     cfg = write_config(tmp_path, {"trials": 256})
     out = tmp_path / "bad.csv"
     argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
@@ -364,18 +370,35 @@ def test_every_command_evaluates_the_loaded_config(tmp_path, monkeypatch, comman
     # rebuild the config it was given
     raw = {"rho_s_db": 3, "trials": 256}
     seen = []
-    avg_bler_cu = analytic.avg_bler_cu
+    avg_blers = analytic.avg_blers
 
     def recording(cfg):
         seen.append(cfg)
-        return avg_bler_cu(cfg)
+        return avg_blers(cfg)
 
-    monkeypatch.setattr(analytic, "avg_bler_cu", recording)
+    monkeypatch.setattr(analytic, "avg_blers", recording)
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "point.csv"
     argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
     assert main(argv) in (0, 4)
     assert [c.rho_s for c in seen] == [parse_config(raw).points[0].cfg.rho_s]
+
+
+@pytest.mark.parametrize("raw, calls", [({}, 6), ({"alpha_c": 0.49}, 104)])
+def test_closed_form_rows_evaluate_each_step_once(monkeypatch, raw, calls):
+    # six step averages (cc, ce, e1, e2, doubled e1 and e2), each one CDF
+    # call, except that at alpha_c = 0.49 the SIC ceiling lies inside the
+    # knee window of ce and e1, whose averages then take QUAD_ORDER each
+    got = []
+    cdf = analytic.effective_gain_cdf
+
+    def counting(*args):
+        got.append(args)
+        return cdf(*args)
+
+    monkeypatch.setattr(analytic, "effective_gain_cdf", counting)
+    cli._analytic_rows(parse_config(raw).points[0].cfg)
+    assert len(got) == calls
 
 
 def test_run_trials_and_seed_overrides(tmp_path):

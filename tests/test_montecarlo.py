@@ -8,6 +8,7 @@ gamma fit, so they exercise the simulation independently of the analytics.
 
 import hashlib
 import math
+import os
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -85,7 +86,7 @@ def test_no_surface_scenario_equals_eta_zero():
         assert run_trials(cfg, scenario, 8192, 42) == want, scenario
 
 
-def test_points_without_a_surface_term_share_one_draw(monkeypatch):
+def test_points_without_a_surface_term_share_one_draw(draws):
     # each point's gains are the direct powers alone, so all five share one
     # draw per chunk, made by the aligned sampler at R = 0
     points = [
@@ -95,19 +96,18 @@ def test_points_without_a_surface_term_share_one_draw(monkeypatch):
         (make_config(R=0), ScenarioKind.SINGLE_ZONE_RANDOM),
         (make_config(R=8, eta_c=0.0, eta_e=0.0), ALIGNED),
     ]
-    calls = []
-    for name in ("_sample_aligned_batch", "_sample_random_phase_batch"):
-        sample = getattr(montecarlo, name)
-
-        def counting(cfg, rng, n, name=name, sample=sample, **kwargs):
-            calls.append((name, cfg.R))
-            return sample(cfg, rng, n, **kwargs)
-
-        monkeypatch.setattr(montecarlo, name, counting)
-    monkeypatch.setenv("RISNOMA_WORKERS", "1")
-    got = run_points(points, 2 * CHUNK_TRIALS, 42)
+    calls, got = draws(points, 2 * CHUNK_TRIALS)
     assert calls == [("_sample_aligned_batch", 0)] * 2
     assert all(est == got[0] for est in got)
+
+
+def test_random_phase_at_zero_eta_keeps_its_own_draw(draws):
+    # at eta_c = eta_e = 0 the random-phase gains have the law of the direct
+    # powers, but the sampler draws its gammas first, so its bits differ
+    # from the no-surface draw and it must not join that group
+    zero_eta = make_config(eta_c=0.0, eta_e=0.0)
+    calls, _ = draws([(make_config(R=0), ALIGNED), (zero_eta, ScenarioKind.SINGLE_ZONE_RANDOM)])
+    assert calls == [("_sample_aligned_batch", 0), ("_sample_random_phase_batch", 8)]
 
 
 # -------------------------------------------------------- bitwise estimates
@@ -368,6 +368,18 @@ def test_overflowing_point_raises_no_numpy_warning():
     _assert_same(got[0], alone, 10)
 
 
+def test_point_reports_its_first_failing_chunk(monkeypatch):
+    # every chunk fails with its own message; one worker runs them in order
+    chunks = iter(range(3))
+
+    def failing(gains, cfg):
+        raise ValueError(f"chunk {next(chunks)} failed")
+
+    monkeypatch.setattr(montecarlo, "_metric_sums", failing)
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    assert run_points([(make_config(), ALIGNED)], 3 * CHUNK_TRIALS, 5) == ["chunk 0 failed"]
+
+
 def test_run_points_reports_errors_per_point():
     cfg = make_config()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -392,6 +404,17 @@ def test_batched_sweep_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("RISNOMA_WORKERS", "3")
     pooled = run_points(points, n, 123)
     assert serial == pooled
+
+
+def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
+    # an affinity mask of one CPU on a 64-CPU host sizes the pool at 1
+    monkeypatch.delenv("RISNOMA_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert montecarlo._worker_count() == 1
+    # where the platform has no affinity call, the host's count serves
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert montecarlo._worker_count() == 64
 
 
 def test_chunksize_gives_each_worker_an_equal_share():
