@@ -15,6 +15,13 @@ that would draw the same batch are grouped so that each chunk is drawn once
 and evaluated for every point of its group, and all chunks of one call run
 in one process pool.  run_points states the grouping rule in one place.
 
+Per config and chunk the hot path makes two psi calls: one at code_c for
+the cc step, and one at code_e on a (4, n) block of the ce, e1 and e2 SINRs
+and the MRC sum.  psi is elementwise, so the block gives the bits of four
+separate calls; the memory it holds is one config's, whatever the group
+size.  The pool hands out the chunk tasks in batches, at least four per
+worker and at most 16 tasks each, so the workers finish close together.
+
 Provides:
     BlerEstimate         -- mean / stderr / n triple
     ScenarioKind         -- aligned two-zone, single-zone random, no surface
@@ -80,12 +87,19 @@ def _metric_sums(
     gains: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: SystemConfig
 ) -> np.ndarray:
     """Sums (row 0) and sums of squares (row 1) of every metric for one config on one batch."""
-    # a huge SNR overflows the SINRs to inf or NaN; psi refuses the NaNs
-    # with this config's error, so numpy need not warn about them
+    # two psi calls: cc at code_c, and one block of the four code_e SINRs
+    # (ce, e1, e2 and the MRC sum).  A huge SNR overflows the SINRs to inf
+    # or NaN; psi refuses the NaNs with this config's error, so numpy need
+    # not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        sinrs = [step.sinr(gains[step.link], cfg) for step in _STEPS]
-    eps_cc, eps_ce, eps_e1, eps_e2 = (psi_exact_vec(g, s.code(cfg)) for g, s in zip(sinrs, _STEPS))
-    g_e1, g_e2 = sinrs[2:]
+        g_cc = CC.sinr(gains[CC.link], cfg)
+        block = np.empty((4, len(g_cc)))
+        for row, step in zip(block, (CE, E1, E2)):
+            row[...] = step.sinr(gains[step.link], cfg)
+        g_e1, g_e2 = block[1:3]
+        np.add(g_e1, g_e2, out=block[3])
+    eps_cc = psi_exact_vec(g_cc, cfg.code_c)
+    eps_ce, eps_e1, eps_e2, eps_mrc = psi_exact_vec(block, cfg.code_e)
 
     # CU fails if either SIC stage fails (inclusion-exclusion of the two)
     cu = eps_ce + eps_cc - eps_ce * eps_cc
@@ -93,7 +107,7 @@ def _metric_sums(
     # SC decodes at max(g_e1, g_e2), whose psi is already in eps_e1 or eps_e2
     relay_ok = 1.0 - eps_ce
     sc = eps_ce * eps_e1 + relay_ok * np.where(g_e1 >= g_e2, eps_e1, eps_e2)
-    mrc = eps_ce * eps_e1 + relay_ok * psi_exact_vec(g_e1 + g_e2, cfg.code_e)
+    mrc = eps_ce * eps_e1 + relay_ok * eps_mrc
 
     cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
     return np.array([[np.add.reduce(c) for c in cols], [np.add.reduce(c * c) for c in cols]])
@@ -144,11 +158,12 @@ def _worker_count() -> int:
 
 
 def _chunksize(n_tasks: int, workers: int) -> int:
-    # the same number of batches per worker, each of at most _BATCH_TASKS
-    # tasks: workers get equal shares, and the sums one batch returns stay
-    # small however many points and chunks the call has
-    batches = workers * -(-n_tasks // (workers * _BATCH_TASKS))
-    return -(-n_tasks // batches)
+    # at least four batches per worker, of 1 to _BATCH_TASKS tasks.  A free
+    # worker takes the next batch, so no worker ends more than one batch,
+    # at most a quarter of its share, behind that share (with fewer than
+    # four tasks per worker, one task behind).  The cap keeps the sums one
+    # batch returns small however many points and chunks the call has
+    return max(1, min(_BATCH_TASKS, n_tasks // (4 * workers)))
 
 
 def _estimates(n: int, sums: np.ndarray) -> dict[str, BlerEstimate]:

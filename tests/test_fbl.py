@@ -131,6 +131,15 @@ def test_psi_exact_vec_handles_zero_block():
     assert out.tolist() == [1.0] * 5
 
 
+def _reference_q_arg(gl: np.ndarray, code: CodeSpec) -> np.ndarray:
+    """The Q argument (C - rate) / sqrt(V / m) at SINRs at or above the floor."""
+    r = 1.0 + gl
+    cap = np.log2(r)
+    with np.errstate(over="ignore"):  # r * r past 1e154
+        disp = (math.log2(math.e) ** 2) * (1.0 - 1.0 / (r * r))
+    return (cap - code.rate) * np.sqrt(code.m / disp)
+
+
 def _reference_psi_exact_vec(gamma, code: CodeSpec) -> np.ndarray:
     """The masked two-pass psi that the in-place kernel replaced.
 
@@ -145,12 +154,7 @@ def _reference_psi_exact_vec(gamma, code: CodeSpec) -> np.ndarray:
     live = g >= _GAMMA_FLOOR
     if not np.any(live):
         return out
-    gl = g[live]
-    r = 1.0 + gl
-    cap = np.log2(r)
-    with np.errstate(over="ignore"):  # r * r past 1e154
-        disp = (math.log2(math.e) ** 2) * (1.0 - 1.0 / (r * r))
-    arg = (cap - code.rate) * np.sqrt(code.m / disp)
+    arg = _reference_q_arg(g[live], code)
     np.clip(arg, -38.0, 38.0, out=arg)
     out[live] = 0.5 * scipy_erfc(arg / math.sqrt(2.0))
     np.clip(out, 0.0, 1.0, out=out)
@@ -190,6 +194,21 @@ _SPECIAL_SINRS = np.array(
 def test_psi_kernel_matches_masked_reference_bitwise(code):
     rng = np.random.default_rng(20261018)
     _assert_same_bits(_quiet_psi(_SPECIAL_SINRS, code), _reference_psi_exact_vec(_SPECIAL_SINRS, code))
+    # the kernel does not clip the Q argument, the reference clips it at
+    # +-38.  SINRs whose Q argument lies in [37, 39] or [-39, -37] cover the
+    # clip and erfc's underflow band, where psi runs through the subnormals
+    # to 0 (Q argument 37.55 to 37.68).  At m = 1e12 no SINR at or above
+    # the floor has a negative Q argument
+    grid = np.logspace(-12.0, 13.0, 250_001)
+    z = _reference_q_arg(grid, code)
+    high = grid[(37.0 <= z) & (z <= 39.0)]
+    low = grid[(-39.0 <= z) & (z <= -37.0)]
+    want_high = _reference_psi_exact_vec(high, code)
+    assert (want_high == 0.0).any()
+    assert ((0.0 < want_high) & (want_high < np.finfo(np.float64).tiny)).any()
+    assert low.size > 0 or code.m == 10**12
+    _assert_same_bits(_quiet_psi(high, code), want_high)
+    _assert_same_bits(_quiet_psi(low, code), _reference_psi_exact_vec(low, code))
     for size in (1, 7, 64, 4096):
         for _ in range(8):
             # ordinary SINRs over twelve decades, salted with special values

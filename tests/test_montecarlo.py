@@ -212,22 +212,27 @@ def test_largest_seed_is_accepted():
     assert got["cu"].n == 256
 
 
-def test_five_psi_calls_per_config_per_chunk(monkeypatch):
-    # four decoding steps and the MRC sum; SC reuses the e1/e2 values.
-    # perfbench's trace wraps this module attribute, so calls go through it
+def test_two_psi_calls_per_config_per_chunk(monkeypatch):
+    # cc at code_c, then one (4, n) block at code_e: ce, e1, e2 and the MRC
+    # sum; SC reuses the e1/e2 values.  perfbench's trace wraps this module
+    # attribute, so calls go through it
     calls = []
     psi = montecarlo.psi_exact_vec
 
     def counting_psi(gamma, code):
-        calls.append(len(gamma))
+        calls.append((np.shape(gamma), code))
         return psi(gamma, code)
 
     monkeypatch.setattr(montecarlo, "psi_exact_vec", counting_psi)
     monkeypatch.setenv("RISNOMA_WORKERS", "1")
-    points = [(make_config(), ALIGNED), (make_config(rho_s=100.0), ALIGNED)]
+    cfg = make_config()
+    assert cfg.code_c != cfg.code_e
+    points = [(cfg, ALIGNED), (make_config(rho_s=100.0), ALIGNED)]
     run_points(points, 2 * CHUNK_TRIALS + 100, 5)
     # three chunks, each evaluating both configs
-    assert calls == [CHUNK_TRIALS] * 20 + [100] * 10
+    full = [((CHUNK_TRIALS,), cfg.code_c), ((4, CHUNK_TRIALS), cfg.code_e)]
+    tail = [((100,), cfg.code_c), ((4, 100), cfg.code_e)]
+    assert calls == full * 4 + tail * 2
 
 
 def test_component_and_user_key_sets():
@@ -417,16 +422,36 @@ def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
     assert montecarlo._worker_count() == 64
 
 
+def _finish_times(costs, size: int, workers: int) -> list[float]:
+    # pool.map cuts the tasks into batches of `size` in order, and the
+    # first worker to be free takes the next batch
+    free = [0.0] * workers
+    for start in range(0, len(costs), size):
+        free[free.index(min(free))] += sum(costs[start:start + size])
+    return free
+
+
 def test_chunksize_gives_each_worker_an_equal_share():
-    # 25 chunks on 2 workers were once cut 8/8/8/1, idling one worker
-    assert _chunksize(25, 2) == 13
     for workers in (2, 3, 4):
-        for n_tasks in range(1, 200):
+        for n_tasks in range(1, 300):
             size = _chunksize(n_tasks, workers)
             assert 1 <= size <= 16
-            if n_tasks <= 16 * workers:
-                # one batch per worker
-                assert size == -(-n_tasks // workers)
+            if n_tasks >= 4 * workers:
+                # at least four batches per worker
+                assert -(-n_tasks // size) >= 4 * workers
+            finish = _finish_times([1.0] * n_tasks, size, workers)
+            assert max(finish) - min(finish) <= size
+    # fig's 25 chunks on 2 workers (the last of 1696 trials) went out as
+    # one batch per worker: 13 full chunks on one, 11 and the tail on the
+    # other.  Now no worker ends more than one batch behind its share, and
+    # a batch is at most a quarter of a share
+    costs = [1.0] * 24 + [1696 / CHUNK_TRIALS]
+    size = _chunksize(len(costs), 2)
+    share = sum(costs) / 2
+    assert size <= share / 4
+    assert share - min(_finish_times(costs, size, 2)) <= size
+    # compare at 1e6 trials still ships 16 tasks per message
+    assert _chunksize(245, 2) == 16
 
 
 def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
