@@ -13,7 +13,7 @@ Two independent evaluation paths over the same system model:
 The CLI (`python -m risnoma`) writes both as CSV and cross-checks them.
 """
 
-from .analytic import avg_bler_ceu_mrc, avg_bler_ceu_sc, avg_bler_cu, avg_blers, diversity_order
+from .analytic import avg_blers, diversity_order
 from .channel import SystemConfig
 from .fbl import CodeSpec
 from .montecarlo import BlerEstimate, ScenarioKind, run_trials
@@ -26,9 +26,6 @@ __all__ = [
     "ScenarioKind",
     "BlerEstimate",
     "avg_blers",
-    "avg_bler_cu",
-    "avg_bler_ceu_sc",
-    "avg_bler_ceu_mrc",
     "diversity_order",
     "run_trials",
     "__version__",

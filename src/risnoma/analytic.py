@@ -10,7 +10,6 @@ The exception is a SIC step whose SINR ceiling lies inside the knee window,
 where the CDF is integrated up to the ceiling instead.
 
 Provides:
-    SinrKind, CC, CE, E1, E2 -- the decoding steps (from channel)
     QUAD_ORDER         -- the Gauss-Chebyshev order sinr_cdf uses
     QuadratureRule     -- Gauss-Chebyshev nodes and weights of one order
     chebyshev_rule     -- the cached Gauss-Chebyshev rule of a given order
@@ -18,9 +17,6 @@ Provides:
     sinr_cdf           -- CDF of the step's SINR (threshold-mapped)
     avg_psi            -- average linearized BLER of one decoding step
     avg_blers          -- all three user-level averages from six step averages
-    avg_bler_cu        -- central user average BLER (analytic form)
-    avg_bler_ceu_sc    -- edge user average BLER, selective combining
-    avg_bler_ceu_mrc   -- edge user average BLER, MRC (lower bound)
     diversity_order    -- asymptotic log-log BLER slopes
 """
 from __future__ import annotations
@@ -34,16 +30,11 @@ from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
 from .channel import CC, CE, E1, E2, GammaFit, SinrKind, SystemConfig, gamma_fit, links
-from .fbl import CodeSpec, linearization_params
+from .fbl import linearization_params
 
 QUAD_ORDER = 50
 
 __all__ = [
-    "SinrKind",
-    "CC",
-    "CE",
-    "E1",
-    "E2",
     "QUAD_ORDER",
     "QuadratureRule",
     "chebyshev_rule",
@@ -51,9 +42,6 @@ __all__ = [
     "sinr_cdf",
     "avg_psi",
     "avg_blers",
-    "avg_bler_cu",
-    "avg_bler_ceu_sc",
-    "avg_bler_ceu_mrc",
     "diversity_order",
 ]
 
@@ -136,16 +124,14 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
     """CDF of the decoding step's SINR at threshold omega.
 
     Maps omega through the step's inverse SINR map to a threshold on its
-    link's gain and delegates to effective_gain_cdf; at or above the SIC
-    ceiling alpha_e/alpha_c the SINR never reaches omega and the CDF is 1.
-    A doubled kind halves omega first (CDF of 2*gamma).
+    link's gain and delegates to effective_gain_cdf; at or above the step's
+    ceiling the SINR never reaches omega and the CDF is 1.
     """
     if omega < 0.0:
         raise ValueError(f"omega must be >= 0, got {omega}")
-    w = omega / 2.0 if kind.doubled else omega
-    if w == 0.0:
+    if omega == 0.0:
         return 0.0
-    t = kind.gain_threshold(w, cfg)
+    t = kind.gain_threshold(omega, cfg)
     if t == math.inf:
         return 1.0
     link = links(cfg)[kind.link]
@@ -153,20 +139,21 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
     return effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
 
 
-def avg_psi(kind: SinrKind, code: CodeSpec, cfg: SystemConfig) -> float:
-    """Average linearized BLER of one decoding step.
+def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
+    """Average linearized BLER of one decoding step, under the step's code.
 
     The average of the linear surrogate over the fading is delta*sqrt(m)
     times the integral of the SINR CDF F from v to u.  The midpoint
     (first-order Riemann) reduction replaces it by F(beta): since
     delta*sqrt(m)*(u - v) = 1 with beta the midpoint, that is one CDF call.
-    A SIC step's CDF jumps to 1 at its ceiling c (2c when doubled); when c
-    lies inside (v, u) the midpoint loses that mass, so the average is then
+    A SIC step's CDF jumps to 1 at its ceiling c; when c lies inside
+    (v, u) the midpoint loses that mass, so the average is then
     delta*sqrt(m)*(integral of F over [v, c] + (u - c)), the integral from
     the Gauss-Chebyshev rule of order QUAD_ORDER.
     """
+    code = kind.code(cfg)
     lin = linearization_params(code)
-    ceiling = kind.ceiling(cfg) * (2.0 if kind.doubled else 1.0)
+    ceiling = kind.ceiling(cfg)
     if not lin.v < ceiling < lin.u:
         return sinr_cdf(lin.beta, kind, cfg)
     rule = chebyshev_rule(QUAD_ORDER)
@@ -196,28 +183,13 @@ def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:
     out of the gamma density, which makes the closed-form gain CDF too large.
     """
     e_cc, e_ce, p_e1, p_e2, p_e1_d, p_e2_d = (
-        avg_psi(kind, kind.code(cfg), cfg)
+        avg_psi(kind, cfg)
         for kind in (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
     )
     cu = max(e_cc, e_ce)
     sc = e_ce * p_e1 + (1.0 - e_ce) * p_e1 * p_e2
     mrc = e_ce * p_e1 + (1.0 - e_ce) * p_e1_d * p_e2_d
     return tuple(min(1.0, max(0.0, val)) for val in (cu, sc, mrc))
-
-
-def avg_bler_cu(cfg: SystemConfig) -> float:
-    """Central user average BLER: the cu part of avg_blers."""
-    return avg_blers(cfg)[0]
-
-
-def avg_bler_ceu_sc(cfg: SystemConfig) -> float:
-    """Edge user average BLER under selective combining: the ceu_sc part of avg_blers."""
-    return avg_blers(cfg)[1]
-
-
-def avg_bler_ceu_mrc(cfg: SystemConfig) -> float:
-    """Edge user average BLER under MRC, the paper's lower bound: the ceu_mrc part of avg_blers."""
-    return avg_blers(cfg)[2]
 
 
 def diversity_order(R: int, scheme: str) -> float:

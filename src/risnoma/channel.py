@@ -16,9 +16,9 @@ Provides:
     Link                       -- mean powers and surface gain of one link
     links                      -- the T, Z and W links of a config
     SinrKind, CC, CE, E1, E2   -- the decoding steps: link, code, SINR map, ceiling
-    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W,
-                                  element by element, so one draw serves
-                                  every smaller R as a prefix
+    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
+                                  per element count, element by element, so
+                                  one draw serves every smaller R as a prefix
     _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
                                   its exact law (gamma-mixed exponential)
 """
@@ -94,9 +94,10 @@ class SystemConfig:
                 f"need 0 < alpha_c < alpha_e, got alpha_c={self.alpha_c}, "
                 f"alpha_e={self.alpha_e}"
             )
-        # the aligned sampler draws element by element and holds no (n, R)
-        # buffer, so memory per chunk does not grow with R; the bound caps
-        # its element loop (a 4096-trial chunk at R = 1024 takes about 0.2 s)
+        # the bound caps the aligned sampler's element loop (a 4096-trial
+        # chunk at R = 1024 takes about 0.2 s) and the gains a chunk holds:
+        # one (T, Z, W) per distinct R of an aligned group, 96 KiB each at
+        # 4096 trials, so about 96 MiB if a sweep takes all 1025 values
         if not 0 <= self.R <= _MAX_R:
             raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_short_int(self.R)}")
         for f in fields(self):
@@ -169,7 +170,8 @@ class SinrKind:
     tag: "cc" (CU decodes its own data after SIC), "ce" (CU decodes the
     edge user's data), "e1" (CEU decodes the direct phase), "e2" (CEU
     decodes the relayed phase).  doubled=True denotes 2*SINR, used by the
-    MRC bound; its CDF at omega is the plain CDF at omega/2.
+    MRC bound: its ceiling is twice the plain one, and its gain threshold
+    at w is the plain threshold at w/2.
     """
 
     tag: str
@@ -189,17 +191,21 @@ class SinrKind:
 
     def ceiling(self, cfg: SystemConfig) -> float:
         """The SINR's least upper bound: ce and e1 decode under the CU's share."""
-        return cfg.alpha_e / cfg.alpha_c if self.tag in ("ce", "e1") else math.inf
+        ceiling = cfg.alpha_e / cfg.alpha_c if self.tag in ("ce", "e1") else math.inf
+        return 2.0 * ceiling if self.doubled else ceiling
 
     def sinr(self, gain, cfg: SystemConfig):
-        """SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X (e2),
-        alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1)."""
+        """Plain SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X
+        (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1).  It ignores
+        doubled, since the simulation never doubles a step."""
         if self.tag in ("cc", "e2"):
             return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
         return cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
 
     def gain_threshold(self, w: float, cfg: SystemConfig) -> float:
         """The gain X whose SINR is w > 0, or inf if no gain reaches w."""
+        if self.doubled:
+            return SinrKind(self.tag).gain_threshold(w / 2.0, cfg)
         if self.tag in ("cc", "e2"):
             return w / (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c)
         room = cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w
@@ -212,7 +218,7 @@ CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))
 
 def _sample_aligned_batch(
     cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Iterable[int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | dict[int, tuple[np.ndarray, ...]]:
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
 
     Each gain is p + (eta*q)^2: the direct power p is exponential with mean
@@ -225,8 +231,10 @@ def _sample_aligned_batch(
     powers come from untouched draws, which is what makes no surface
     bit-compatible with eta = 0.
 
-    Returns (T, Z, W) at cfg.R, or with counts (element counts in [0, R])
-    a dict from each count to its (T, Z, W), all from this one draw.
+    Returns a dict from each element count in counts (each in [0, R];
+    default {cfg.R}) to its (T, Z, W), all from this one draw.  The element
+    loop holds no (n, R) buffer, but the dict keeps one (T, Z, W), 24n
+    bytes, per count: memory grows with the number of distinct counts.
     """
     powers = tuple(rng.exponential(link.lam_d, size=n) for link in links(cfg))
     wanted = {cfg.R} if counts is None else set(counts)
@@ -244,7 +252,7 @@ def _sample_aligned_batch(
         sums += prods
         if k in wanted:
             by_count[k] = tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
-    return by_count[cfg.R] if counts is None else by_count
+    return by_count
 
 
 def _sample_random_phase_batch(

@@ -29,8 +29,9 @@ __all__ = [
     "psi_linear",
 ]
 
-# below this SINR the Q argument is far past -38 for any sane code; the
-# dispersion also vanishes (m/V divides by zero), so return the limit value
+# below this SINR erfc's argument lies far below -5.8636, where scipy's
+# erfc is exactly 2, and the dispersion term m/V divides by zero; such
+# entries are set to their limit value 1
 _GAMMA_FLOOR = 1e-12
 _LOG2E_SQ = math.log2(math.e) ** 2
 _SQRT2 = math.sqrt(2.0)

@@ -119,9 +119,10 @@ def _chunk_sums(args) -> list[np.ndarray | str]:
     The configs of a group draw alike (run_points states the rule); aligned
     ones may differ in R, so each takes the gains at its own R from the one
     aligned draw.  Either way a config gets the draw it would have made
-    alone.  The configs are evaluated one at a time to keep memory per
-    chunk bounded; a ValueError while evaluating one becomes that config's
-    error and the rest carry on.
+    alone.  The configs are evaluated one at a time, so only one config's
+    SINRs are alive at once; the gains stay alive for the whole loop, one
+    (T, Z, W) per distinct R.  A ValueError while evaluating one becomes
+    that config's error and the rest carry on.
     """
     cfgs, scenario, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)

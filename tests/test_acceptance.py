@@ -42,8 +42,8 @@ from scipy.integrate import quad
 from scipy.special import k0
 
 from risnoma import analytic
-from risnoma.analytic import CC, CE, E1, E2, SinrKind
-from risnoma.channel import SystemConfig, _sample_aligned_batch, gamma_fit
+from risnoma.channel import CC, CE, E1, E2, SinrKind, SystemConfig, gamma_fit
+from risnoma.channel import _sample_aligned_batch
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import ScenarioKind, run_trials
 
@@ -191,7 +191,7 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     cfg = make_config()
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 0]))
     n = 1_000_000
-    t = _sample_aligned_batch(cfg, rng, n)[0]
+    t = _sample_aligned_batch(cfg, rng, n)[cfg.R][0]
     t_sorted = np.sort(t)
     fit = gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc)
     # evaluate the closed form at every n/m-th order statistic; the exact
@@ -221,8 +221,8 @@ def test_criterion_03_analytic_tracks_simulation(grid_estimates):
     for db in DB_GRID:
         cfg = at_db(db)
         pairs = (
-            ("cu", analytic.avg_bler_cu(cfg)),
-            ("ceu_sc", analytic.avg_bler_ceu_sc(cfg)),
+            ("cu", analytic.avg_blers(cfg)[0]),
+            ("ceu_sc", analytic.avg_blers(cfg)[1]),
         )
         for metric, closed in pairs:
             mc = grid_estimates[db][metric]
@@ -260,7 +260,7 @@ def test_criterion_04_mrc_bound_and_tightness():
     bound_ok = True
     for db in DB_GRID:
         ref, err = refs[db]
-        closed = analytic.avg_bler_ceu_mrc(at_db(db))
+        closed = analytic.avg_blers(at_db(db))[2]
         holds = closed <= ref + err
         bound_ok = bound_ok and holds
         ratios.append(closed / ref)
@@ -347,7 +347,7 @@ def test_criterion_06_midpoint_vs_adaptive_integral():
         lin = linearization_params(code)
         integral, _ = quad(lambda w: analytic.sinr_cdf(w, kind, cfg), lin.v, lin.u, limit=200)
         reference = lin.delta * math.sqrt(code.m) * integral
-        worst = max(worst, abs(analytic.avg_psi(kind, code, cfg) - reference))
+        worst = max(worst, abs(analytic.avg_psi(kind, cfg) - reference))
     ok = worst <= 1e-3
     detail = _report(6, "midpoint audit", ok, f"max |midpoint - adaptive| {worst:.3e} <= 1e-3")
     assert ok, detail
@@ -375,7 +375,7 @@ def test_criterion_07_ordering_properties():
         sc, mrc = est[ALIGNED]["ceu_sc"], est[ALIGNED]["ceu_mrc"]
         if not mrc.mean <= sc.mean + 3.0 * math.hypot(sc.stderr, mrc.stderr):
             violations.append(f"{db:g}dB mc mrc>sc")
-        if not analytic.avg_bler_ceu_mrc(cfg) <= analytic.avg_bler_ceu_sc(cfg):
+        if not analytic.avg_blers(cfg)[2] <= analytic.avg_blers(cfg)[1]:
             violations.append(f"{db:g}dB analytic mrc>sc")
 
     # (d): nonincreasing in the element count at 10 and 15 dB
@@ -390,7 +390,7 @@ def test_criterion_07_ordering_properties():
                     violations.append(f"{db:g}dB R={R} mc not nonincreasing")
             prev = cur
             if R > 1 and not (
-                analytic.avg_bler_ceu_sc(cfg) <= analytic.avg_bler_ceu_sc(at_db(db, R=R - 1))
+                analytic.avg_blers(cfg)[1] <= analytic.avg_blers(at_db(db, R=R - 1))[1]
             ):
                 violations.append(f"{db:g}dB R={R} analytic not nonincreasing")
 
@@ -414,8 +414,8 @@ def test_criterion_08_diversity_identities():
         lo_cfg = make_config(rho_s=1e6, rho_c=1e5, R=R)
         hi_cfg = make_config(rho_s=1e8, rho_c=1e7, R=R)
         slope = (
-            math.log10(analytic.avg_psi(CC, lo_cfg.code_c, lo_cfg))
-            - math.log10(analytic.avg_psi(CC, hi_cfg.code_c, hi_cfg))
+            math.log10(analytic.avg_psi(CC, lo_cfg))
+            - math.log10(analytic.avg_psi(CC, hi_cfg))
         ) / 2.0
         target = (gamma_fit(R, 1.0, 1.0).kappa + 1.0) / 2.0
         holds = abs(slope - target) <= 0.1 * target
@@ -435,7 +435,7 @@ def test_criterion_09_saturation_behavior():
     sat_cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     beta = linearization_params(sat_cfg.code_e).beta
     assert beta >= sat_cfg.alpha_e / sat_cfg.alpha_c
-    clause_a = analytic.avg_psi(CE, sat_cfg.code_e, sat_cfg) == 1.0
+    clause_a = analytic.avg_psi(CE, sat_cfg) == 1.0
 
     # second clause: the simulated central-user average at that config
     mc = run_trials(sat_cfg, ALIGNED, 1_000_000, SEED)["cu"]

@@ -13,21 +13,14 @@ import pytest
 from scipy.integrate import quad
 
 from risnoma.analytic import (
-    CC,
-    CE,
-    E1,
-    E2,
-    SinrKind,
-    avg_bler_ceu_mrc,
-    avg_bler_ceu_sc,
-    avg_bler_cu,
+    avg_blers,
     avg_psi,
     chebyshev_rule,
     diversity_order,
     effective_gain_cdf,
     sinr_cdf,
 )
-from risnoma.channel import SystemConfig, gamma_fit
+from risnoma.channel import CC, CE, E1, E2, SinrKind, SystemConfig, gamma_fit
 from risnoma.fbl import CodeSpec, linearization_params
 from risnoma.montecarlo import ScenarioKind, run_trials
 
@@ -239,15 +232,15 @@ def test_avg_psi_is_cdf_at_threshold():
     cfg = make_config()
     for kind, code in ((CC, cfg.code_c), (CE, cfg.code_e), (E2, cfg.code_e)):
         beta = linearization_params(code).beta
-        assert avg_psi(kind, code, cfg) == sinr_cdf(beta, kind, cfg)
+        assert avg_psi(kind, cfg) == sinr_cdf(beta, kind, cfg)
 
 
 def test_avg_psi_frozen_reference_values():
     cfg = make_config()
-    assert avg_psi(CC, cfg.code_c, cfg) == pytest.approx(0.00883534880260821, rel=1e-12)
-    assert avg_psi(CE, cfg.code_e, cfg) == pytest.approx(3.939500607907397e-12, rel=1e-12)
-    assert avg_psi(E1, cfg.code_e, cfg) == pytest.approx(1.7799043625452978e-09, rel=1e-12)
-    assert avg_psi(E2, cfg.code_e, cfg) == pytest.approx(7.191806899568875e-07, rel=1e-12)
+    assert avg_psi(CC, cfg) == pytest.approx(0.00883534880260821, rel=1e-12)
+    assert avg_psi(CE, cfg) == pytest.approx(3.939500607907397e-12, rel=1e-12)
+    assert avg_psi(E1, cfg) == pytest.approx(1.7799043625452978e-09, rel=1e-12)
+    assert avg_psi(E2, cfg) == pytest.approx(7.191806899568875e-07, rel=1e-12)
 
 
 def test_avg_psi_saturated_step_is_exactly_one():
@@ -255,7 +248,7 @@ def test_avg_psi_saturated_step_is_exactly_one():
     # reach its threshold, so its average error probability is exactly 1
     cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     assert cfg.alpha_e / cfg.alpha_c < linearization_params(cfg.code_e).beta
-    assert avg_psi(CE, cfg.code_e, cfg) == 1.0
+    assert avg_psi(CE, cfg) == 1.0
 
 
 def test_avg_psi_agrees_with_quadrature_of_the_cdf():
@@ -266,7 +259,7 @@ def test_avg_psi_agrees_with_quadrature_of_the_cdf():
         lin = linearization_params(code)
         integral, _ = quad(lambda w: sinr_cdf(w, kind, cfg), lin.v, lin.u, limit=200)
         reference = lin.delta * math.sqrt(code.m) * integral
-        assert avg_psi(kind, code, cfg) == pytest.approx(reference, abs=1e-3)
+        assert avg_psi(kind, cfg) == pytest.approx(reference, abs=1e-3)
 
 
 @pytest.mark.parametrize("alpha_c", [0.46, 0.49])
@@ -283,7 +276,7 @@ def test_avg_psi_with_the_ceiling_inside_the_knee_window(kind, alpha_c):
         lambda w: sinr_cdf(w, kind, cfg), lin.v, lin.u, points=[ceiling], limit=200
     )
     reference = lin.delta * math.sqrt(cfg.code_e.m) * integral
-    assert avg_psi(kind, cfg.code_e, cfg) == pytest.approx(reference, abs=1e-3)
+    assert avg_psi(kind, cfg) == pytest.approx(reference, abs=1e-3)
 
 
 @pytest.mark.parametrize("alpha_c", [0.1, 0.45])
@@ -295,32 +288,32 @@ def test_avg_psi_outside_the_ceiling_case_is_the_cdf_at_threshold(alpha_c):
     for kind in kinds:
         code = kind.code(cfg)
         beta = linearization_params(code).beta
-        assert avg_psi(kind, code, cfg) == sinr_cdf(beta, kind, cfg)
+        assert avg_psi(kind, cfg) == sinr_cdf(beta, kind, cfg)
 
 
 # ----------------------------------------------------------- user-level BLER
 
 def test_avg_bler_cu_is_max_of_steps():
     cfg = make_config()
-    e_cc = avg_psi(CC, cfg.code_c, cfg)
-    e_ce = avg_psi(CE, cfg.code_e, cfg)
-    assert avg_bler_cu(cfg) == max(e_cc, e_ce)
+    e_cc = avg_psi(CC, cfg)
+    e_ce = avg_psi(CE, cfg)
+    assert avg_blers(cfg)[0] == max(e_cc, e_ce)
     # at the reference point the own-data step dominates
-    assert avg_bler_cu(cfg) == e_cc
+    assert avg_blers(cfg)[0] == e_cc
 
 
 def test_user_level_frozen_reference_values():
     cfg = make_config()
-    assert avg_bler_cu(cfg) == pytest.approx(0.00883534880260821, rel=1e-12)
-    assert avg_bler_ceu_sc(cfg) == pytest.approx(1.2800798594418767e-15, rel=1e-12)
-    assert avg_bler_ceu_mrc(cfg) == pytest.approx(3.015418298334436e-19, rel=1e-12)
+    assert avg_blers(cfg)[0] == pytest.approx(0.00883534880260821, rel=1e-12)
+    assert avg_blers(cfg)[1] == pytest.approx(1.2800798594418767e-15, rel=1e-12)
+    assert avg_blers(cfg)[2] == pytest.approx(3.015418298334436e-19, rel=1e-12)
 
 
 def test_sc_algebra_bounds():
     cfg = make_config()
-    e_ce = avg_psi(CE, cfg.code_e, cfg)
-    p_e1 = avg_psi(E1, cfg.code_e, cfg)
-    sc = avg_bler_ceu_sc(cfg)
+    e_ce = avg_psi(CE, cfg)
+    p_e1 = avg_psi(E1, cfg)
+    sc = avg_blers(cfg)[1]
     # sc = p_e1 * (e_ce + (1 - e_ce) p_e2) <= p_e1, and >= e_ce * p_e1
     assert e_ce * p_e1 <= sc <= p_e1
 
@@ -328,20 +321,20 @@ def test_sc_algebra_bounds():
 def test_sc_reduces_to_relay_free_term_at_huge_relay_snr():
     # when the relayed phase never fails, only the direct phase remains
     cfg = make_config(rho_c=1e15)
-    e_ce = avg_psi(CE, cfg.code_e, cfg)
-    p_e1 = avg_psi(E1, cfg.code_e, cfg)
-    p_e2 = avg_psi(E2, cfg.code_e, cfg)
+    e_ce = avg_psi(CE, cfg)
+    p_e1 = avg_psi(E1, cfg)
+    p_e2 = avg_psi(E2, cfg)
     assert p_e2 < 1e-10
-    assert abs(avg_bler_ceu_sc(cfg) - e_ce * p_e1) <= p_e2
+    assert abs(avg_blers(cfg)[1] - e_ce * p_e1) <= p_e2
 
 
 def test_combining_collapses_when_first_step_always_fails():
     # e_ce = 1 wipes out the combining branch entirely: both schemes equal
     # the direct-phase average, exactly
     cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
-    p_e1 = avg_psi(E1, cfg.code_e, cfg)
-    assert avg_bler_ceu_sc(cfg) == p_e1
-    assert avg_bler_ceu_mrc(cfg) == p_e1
+    p_e1 = avg_psi(E1, cfg)
+    assert avg_blers(cfg)[1] == p_e1
+    assert avg_blers(cfg)[2] == p_e1
 
 
 @pytest.mark.parametrize("rho_s", [1.0, 10.0, 316.0])
@@ -350,14 +343,13 @@ def test_mrc_bound_never_exceeds_sc(rho_s, R):
     # the doubled-SINR averages are CDFs at beta/2 <= CDFs at beta, so the
     # MRC bound is dominated by the SC expression configuration-wide
     cfg = make_config(rho_s=rho_s, rho_c=rho_s / 10.0, R=R)
-    assert avg_bler_ceu_mrc(cfg) <= avg_bler_ceu_sc(cfg)
+    assert avg_blers(cfg)[2] <= avg_blers(cfg)[1]
 
 
 def test_bler_outputs_are_probabilities():
     for rho_db in (-10.0, 0.0, 20.0):
         cfg = make_config(rho_s=10.0 ** (rho_db / 10.0), rho_c=10.0 ** (rho_db / 10.0) / 10.0)
-        for fn in (avg_bler_cu, avg_bler_ceu_sc, avg_bler_ceu_mrc):
-            val = fn(cfg)
+        for val in avg_blers(cfg):
             assert 0.0 <= val <= 1.0
 
 
@@ -386,7 +378,7 @@ def test_high_snr_slope_tracks_diversity_order():
     # 80 dB for R = 2 must sit within 10% of the predicted asymptotic order
     lo = make_config(R=2, rho_s=1e6, rho_c=1e5)
     hi = make_config(R=2, rho_s=1e8, rho_c=1e7)
-    slope = (math.log10(avg_bler_cu(lo)) - math.log10(avg_bler_cu(hi))) / 2.0
+    slope = (math.log10(avg_blers(lo)[0]) - math.log10(avg_blers(hi)[0])) / 2.0
     predicted = diversity_order(2, "cu")
     assert slope == pytest.approx(1.6070924711444872, rel=1e-9)
     assert abs(slope - predicted) <= 0.1 * predicted
@@ -401,9 +393,9 @@ def test_relay_direct_variance_default_matches_simulation_better():
     step has enough error mass to separate them cleanly."""
     cfg = make_config(rho_s=1.0, rho_c=0.1)
     mc = run_trials(cfg, ScenarioKind.TWO_ZONE_ALIGNED, 200_000, 101)["e2"]
-    default = avg_psi(E2, cfg.code_e, cfg)
+    default = avg_psi(E2, cfg)
     # only the relay step reads lambda_ce, so this is the BS->CEU reading
-    alternative = avg_psi(E2, cfg.code_e, replace(cfg, lambda_ce=cfg.lambda_e))
+    alternative = avg_psi(E2, replace(cfg, lambda_ce=cfg.lambda_e))
     assert abs(default - mc.mean) < abs(alternative - mc.mean)
     # frozen adjudication levels: default within ~6 stderr, alternative ~3x farther
     assert abs(default - mc.mean) < 2.5e-3

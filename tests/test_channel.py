@@ -35,6 +35,11 @@ from risnoma.montecarlo import ScenarioKind
 _PI_SQ = math.pi * math.pi
 
 
+def _aligned(cfg, rng, n):
+    """The aligned sampler's (T, Z, W) at cfg.R."""
+    return _sample_aligned_batch(cfg, rng, n)[cfg.R]
+
+
 def make_config(**overrides) -> SystemConfig:
     base = dict(
         rho_s=10.0,
@@ -138,9 +143,9 @@ def test_gamma_fit_rejects_degenerate_inputs():
 
 def test_sample_aligned_is_seed_deterministic():
     cfg = make_config()
-    a = _sample_aligned_batch(cfg, np.random.default_rng(42), 4)
-    b = _sample_aligned_batch(cfg, np.random.default_rng(42), 4)
-    c = _sample_aligned_batch(cfg, np.random.default_rng(43), 4)
+    a = _aligned(cfg, np.random.default_rng(42), 4)
+    b = _aligned(cfg, np.random.default_rng(42), 4)
+    c = _aligned(cfg, np.random.default_rng(43), 4)
     assert len(a) == 3
     for arr, arr_b, arr_c in zip(a, b, c):
         np.testing.assert_array_equal(arr, arr_b)
@@ -150,7 +155,7 @@ def test_sample_aligned_is_seed_deterministic():
 
 def test_sample_aligned_r_zero_has_no_cascade():
     cfg = make_config(R=0)
-    gains = _sample_aligned_batch(cfg, np.random.default_rng(7), 4)
+    gains = _aligned(cfg, np.random.default_rng(7), 4)
     rng = np.random.default_rng(7)
     for gain, link in zip(gains, links(cfg), strict=True):
         np.testing.assert_array_equal(gain, rng.exponential(link.lam_d, size=4))
@@ -161,8 +166,8 @@ def test_direct_draws_unchanged_when_cascade_skipped():
     # skipping the cascade at R = 0 must not shift the direct-power stream,
     # so no surface stays bit-compatible with eta = 0
     cfg = make_config()
-    with_q = _sample_aligned_batch(cfg, np.random.default_rng(11), 64)
-    no_q = _sample_aligned_batch(make_config(R=0), np.random.default_rng(11), 64)
+    with_q = _aligned(cfg, np.random.default_rng(11), 64)
+    no_q = _aligned(make_config(R=0), np.random.default_rng(11), 64)
     rng = np.random.default_rng(11)
     for gain, power, link in zip(with_q, no_q, links(cfg), strict=True):
         np.testing.assert_array_equal(power, rng.exponential(link.lam_d, size=64))
@@ -175,7 +180,7 @@ def test_aligned_cascade_matches_exponential_construction():
     # same order: the direct powers, then per element an (e_g, e_h) pair
     # for each link in turn
     cfg = make_config(R=5)
-    gains = _sample_aligned_batch(cfg, np.random.default_rng(19), 300)
+    gains = _aligned(cfg, np.random.default_rng(19), 300)
     rng = np.random.default_rng(19)
     powers = [rng.exponential(link.lam_d, size=300) for link in links(cfg)]
     sums = [np.zeros(300) for _ in links(cfg)]
@@ -194,7 +199,7 @@ def test_aligned_gains_at_fewer_elements_are_a_prefix_of_one_draw():
     by_count = _sample_aligned_batch(cfg, np.random.default_rng(29), 300, counts=[0, 1, 3, 8])
     assert sorted(by_count) == [0, 1, 3, 8]
     for count, gains in by_count.items():
-        alone = _sample_aligned_batch(replace(cfg, R=count), np.random.default_rng(29), 300)
+        alone = _aligned(replace(cfg, R=count), np.random.default_rng(29), 300)
         for gain, want in zip(gains, alone, strict=True):
             np.testing.assert_array_equal(gain, want)
 
@@ -219,7 +224,7 @@ def test_samplers_ignore_fields_outside_fading_key(draws):
     for scenario in (ScenarioKind.TWO_ZONE_ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM):
         calls, _ = draws([(cfg, scenario), (other, scenario)])
         assert len(calls) == 1, scenario
-    for sample in (_sample_aligned_batch, _sample_random_phase_batch):
+    for sample in (_aligned, _sample_random_phase_batch):
         a = sample(cfg, np.random.default_rng(23), 256)
         b = sample(other, np.random.default_rng(23), 256)
         for gain_a, gain_b in zip(a, b, strict=True):
@@ -231,8 +236,8 @@ def test_samplers_ignore_fields_outside_fading_key(draws):
 # The two cases without a surface (R = 0) draw the same three exponentials
 # in the same order, so they share one digest.
 _GAIN_CASES = {
-    "aligned": (_sample_aligned_batch, {}),
-    "aligned_r0": (_sample_aligned_batch, {"R": 0}),
+    "aligned": (_aligned, {}),
+    "aligned_r0": (_aligned, {"R": 0}),
     "random_phase_16": (_sample_random_phase_batch, {}),
     "random_phase_0": (_sample_random_phase_batch, {"R": 0}),
 }
@@ -397,7 +402,7 @@ def test_effective_gain_link_mapping():
         lambda_rc=0.9, lambda_gc=0.8, lambda_re=1.3,
         lambda_ge=0.35, lambda_rce=0.6, lambda_gce=1.2,
     )
-    t, z, w = _sample_aligned_batch(cfg, np.random.default_rng(31), 200)
+    t, z, w = _aligned(cfg, np.random.default_rng(31), 200)
     rng = np.random.default_rng(31)
     p_c, p_e, p_ce = (
         rng.exponential(lam, size=200) for lam in (cfg.lambda_c, cfg.lambda_e, cfg.lambda_ce)
@@ -419,8 +424,8 @@ def test_effective_gain_link_mapping():
 
 def test_effective_gain_eta_zero_reduces_to_direct():
     cfg = make_config(eta_c=0.0, eta_e=0.0)
-    gains = _sample_aligned_batch(cfg, np.random.default_rng(37), 64)
-    direct = _sample_aligned_batch(make_config(R=0), np.random.default_rng(37), 64)
+    gains = _aligned(cfg, np.random.default_rng(37), 64)
+    direct = _aligned(make_config(R=0), np.random.default_rng(37), 64)
     for gain, power in zip(gains, direct, strict=True):
         np.testing.assert_array_equal(gain, power)
 
