@@ -14,9 +14,9 @@ The CLI (`python -m risnoma`) writes both as CSV and cross-checks them.
 """
 
 from .analytic import avg_blers, diversity_order
-from .channel import SystemConfig
+from .channel import ScenarioKind, SystemConfig
 from .fbl import CodeSpec
-from .montecarlo import BlerEstimate, ScenarioKind, run_trials
+from .montecarlo import BlerEstimate, run_trials
 
 __version__ = "0.1.0"
 

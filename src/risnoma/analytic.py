@@ -11,8 +11,8 @@ where the CDF is integrated up to the ceiling instead.
 
 Provides:
     QUAD_ORDER         -- the Gauss-Chebyshev order sinr_cdf uses
-    QuadratureRule     -- Gauss-Chebyshev nodes and weights of one order
-    chebyshev_rule     -- the cached Gauss-Chebyshev rule of a given order
+    chebyshev_rule     -- the cached Gauss-Chebyshev (nodes, weights) of an order
+    unmodeled          -- why the closed forms do not model a config, or None
     effective_gain_cdf -- CDF of T/Z/W at a point
     sinr_cdf           -- CDF of the step's SINR (threshold-mapped)
     avg_psi            -- average linearized BLER of one decoding step
@@ -23,21 +23,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
-from .channel import CC, CE, E1, E2, GammaFit, SinrKind, SystemConfig, gamma_fit, links
+from .channel import CC, CE, E1, E2, GammaFit, ScenarioKind, SinrKind, SystemConfig
+from .channel import gamma_fit, links
 from .fbl import linearization_params
 
 QUAD_ORDER = 50
 
 __all__ = [
     "QUAD_ORDER",
-    "QuadratureRule",
     "chebyshev_rule",
+    "unmodeled",
     "effective_gain_cdf",
     "sinr_cdf",
     "avg_psi",
@@ -46,26 +46,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Chebyshev rule of the first kind on (-1, 1).
+@functools.cache
+def chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Chebyshev rule of the first kind of order U on (-1, 1), as (nodes, weights).
 
     nodes[u] = cos((2u-1)pi/(2U)) for u = 1..U (strictly decreasing) and
-    weights[u] = (pi/U)*sqrt(1 - nodes[u]^2), so that
-    sum(weights * f(nodes)) approximates the plain integral of f over (-1, 1).
-    The arrays are read-only because every caller shares the cached rule.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-@functools.cache
-def chebyshev_rule(order: int) -> QuadratureRule:
-    """Gauss-Chebyshev quadrature rule of the given order on (-1, 1).
-
-    The sqrt(1-x^2) weight function is folded into the returned weights, so
-    sum(weights * f(nodes)) targets the unweighted integral of f.
+    weights[u] = (pi/U)*sqrt(1 - nodes[u]^2): the sqrt(1-x^2) weight
+    function is folded into the weights, so sum(weights * f(nodes))
+    approximates the plain integral of f over (-1, 1).  The arrays are
+    read-only because every caller shares the cached rule.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -73,7 +62,19 @@ def chebyshev_rule(order: int) -> QuadratureRule:
     weights *= np.sqrt(1.0 - nodes * nodes)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return nodes, weights
+
+
+def unmodeled(cfg: SystemConfig) -> str | None:
+    """Why the closed forms do not model cfg (the reason states their domain), or None."""
+    aligned = cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
+    if aligned and cfg.R >= 1 and min(cfg.eta_c, cfg.eta_e) > 0.0:
+        return None
+    return (
+        f"no closed form for scenario {cfg.scenario.value} at R={cfg.R}, "
+        f"eta_c={cfg.eta_c:g}, eta_e={cfg.eta_e:g}; it needs "
+        f"{ScenarioKind.TWO_ZONE_ALIGNED.value}, R >= 1 and eta_c, eta_e > 0"
+    )
 
 
 def effective_gain_cdf(
@@ -106,10 +107,10 @@ def effective_gain_cdf(
     head = gammainc(shape, sqrt_t / (eta * fit.b))
 
     front = sqrt_t / (2.0 * eta)
-    rule = chebyshev_rule(quad_order)
-    zeta = front * (rule.nodes + 1.0)
+    nodes, weights = chebyshev_rule(quad_order)
+    zeta = front * (nodes + 1.0)
     log_terms = (
-        np.log(rule.weights)
+        np.log(weights)
         + math.log(front)
         + fit.kappa * (np.log(zeta) - math.log(fit.b))
         - gammaln(shape)
@@ -125,8 +126,11 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
 
     Maps omega through the step's inverse SINR map to a threshold on its
     link's gain and delegates to effective_gain_cdf; at or above the step's
-    ceiling the SINR never reaches omega and the CDF is 1.
+    ceiling the SINR never reaches omega and the CDF is 1.  A config the
+    closed forms do not model is refused with unmodeled's reason.
     """
+    if why := unmodeled(cfg):
+        raise ValueError(why)
     if omega < 0.0:
         raise ValueError(f"omega must be >= 0, got {omega}")
     if omega == 0.0:
@@ -156,11 +160,10 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     ceiling = kind.ceiling(cfg)
     if not lin.v < ceiling < lin.u:
         return sinr_cdf(lin.beta, kind, cfg)
-    rule = chebyshev_rule(QUAD_ORDER)
     half = (ceiling - lin.v) / 2.0
     below = half * sum(
         w * sinr_cdf(lin.v + half * (x + 1.0), kind, cfg)
-        for x, w in zip(rule.nodes, rule.weights)
+        for x, w in zip(*chebyshev_rule(QUAD_ORDER))
     )
     return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
 

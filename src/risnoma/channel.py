@@ -10,7 +10,8 @@ symmetric g_r unchanged in law, so given the h_r a link power is exponential
 with mean lambda_d + eta^2 lambda_g sum_r |h_r|^2, and that sum is gamma.
 
 Provides:
-    SystemConfig               -- full physical configuration (linear SNRs)
+    ScenarioKind               -- aligned two-zone, single-zone random, no surface
+    SystemConfig               -- one point: physical parameters (linear SNRs), scenario
     GammaFit                   -- (kappa, b) gamma approximation of q
     gamma_fit                  -- moment-matched (kappa, b) for R elements
     Link                       -- mean powers and surface gain of one link
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +36,7 @@ import numpy as np
 from .fbl import CodeSpec, _short_int
 
 __all__ = [
+    "ScenarioKind",
     "SystemConfig",
     "GammaFit",
     "gamma_fit",
@@ -50,9 +53,17 @@ _PI_SQ = math.pi * math.pi
 _MAX_R = 1024
 
 
+class ScenarioKind(Enum):
+    """Two aligned zones of R elements, one random-phase zone of 2R, or no surface (R = 0)."""
+
+    TWO_ZONE_ALIGNED = "two_zone_aligned"
+    SINGLE_ZONE_RANDOM = "single_zone_random"
+    NO_RIS = "no_ris"
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """Physical parameters of the two-user cooperative link.
+    """One point: physical parameters of the two-user link, and scenario.
 
     SNRs are linear power ratios (transmit power over noise power); the CLI
     converts from dB exactly once at load.  The central user takes the
@@ -79,8 +90,11 @@ class SystemConfig:
     lambda_ge: float = 0.3
     lambda_rce: float = 1.0
     lambda_gce: float = 0.8
+    scenario: ScenarioKind = ScenarioKind.TWO_ZONE_ALIGNED
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, ScenarioKind):
+            raise ValueError(f"scenario must be a ScenarioKind, got {self.scenario!r}")
         # every check below compares, and NaN compares false, so reject
         # non-finite values before anything else
         for f in fields(self):
@@ -207,7 +221,9 @@ class SinrKind:
         if self.doubled:
             return SinrKind(self.tag).gain_threshold(w / 2.0, cfg)
         if self.tag in ("cc", "e2"):
-            return w / (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c)
+            scale = cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c
+            # alpha_c * rho_s can underflow to 0, and then every SINR is 0
+            return w / scale if scale > 0.0 else math.inf
         room = cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w
         # the rounded room can reach 0 a few ulps below the ceiling
         return w / room if w < self.ceiling(cfg) and room > 0.0 else math.inf

@@ -17,6 +17,9 @@ byte-identical (LF line endings).  ``source`` is ``mc``/``analytic`` with
 ``analytic_lb`` marking the combining-bound row; presets that overlay several
 scenarios or SNR contexts append a suffix (``mc_no_ris``, ``mc_single_zone``,
 ``mc_10db``, ...) which keeps one schema across every emitted file.
+
+A point is one SystemConfig, so ``scenario`` is a model key read by its
+field's type, and analytic.unmodeled rules which points get closed forms.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from . import analytic
-from .channel import SystemConfig, links
+from .channel import ScenarioKind, SystemConfig
 from .fbl import CodeSpec
-from .montecarlo import ScenarioKind, run_points
+from .montecarlo import run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 _DEFAULT_TRIALS = 100_000
@@ -65,20 +68,25 @@ def _require_int(raw: dict, key: str) -> int:
     return value
 
 
+def _require_scenario(raw: dict, key: str) -> ScenarioKind:
+    try:
+        return ScenarioKind(raw[key])
+    except ValueError:
+        tags = ", ".join(k.value for k in ScenarioKind)
+        raise ConfigError(f"config error at {key}: {raw[key]!r} not one of {tags}") from None
+
+
 # Flat snake_case config keys that describe the system, each with its reader.
 # *_db keys are conveniences converted to linear exactly once, in
 # _build_system; setting both spellings of one SNR is an error.  Every
-# SystemConfig field with a default is a key of its own, read with its type.
+# SystemConfig field with a default is a key of its own, read by its type.
+_READERS = {"int": _require_int, "float": _require_number, "ScenarioKind": _require_scenario}
 _MODEL_KEYS = {
     **dict.fromkeys(("rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c"), _require_number),
     **dict.fromkeys(("m", "n_c", "n_e", "R"), _require_int),
-    **{
-        f.name: _require_int if f.type == "int" else _require_number
-        for f in fields(SystemConfig)
-        if f.default is not MISSING
-    },
+    **{f.name: _READERS[f.type] for f in fields(SystemConfig) if f.default is not MISSING},
 }
-_ALL_KEYS = set(_MODEL_KEYS) | {"trials", "seed", "scenario", "sweep"}
+_ALL_KEYS = set(_MODEL_KEYS) | {"trials", "seed", "sweep"}
 
 # Each sweep axis with the keys a swept value replaces.
 _SWEEP_AXES = {"rho_s_db": ("rho_s",), "R": (), "alpha_c": (), "m": ()}
@@ -87,7 +95,6 @@ _SWEEP_AXES = {"rho_s_db": ("rho_s",), "R": (), "alpha_c": (), "m": ()}
 class _Point(NamedTuple):
     """One axis value of a sweep, with its config or why it has none."""
 
-    scenario: ScenarioKind
     axis: str
     value: float
     cfg: SystemConfig | str
@@ -136,9 +143,7 @@ def _build_system(keys: dict) -> SystemConfig:
     return SystemConfig(code_c=code_c, code_e=code_e, R=got.pop("R", 8), **got)
 
 
-def _expand(
-    scenario: ScenarioKind, axis: str, values, keys: dict, suffix: str
-) -> list[_Point]:
+def _expand(axis: str, values, keys: dict, suffix: str) -> list[_Point]:
     """One point per axis value: the model keys with the swept key set to the
     value and the keys it replaces dropped.  A value the model refuses keeps
     its error as the point's config."""
@@ -149,7 +154,7 @@ def _expand(
             cfg = _build_system({**kept, axis: value})
         except ValueError as exc:
             cfg = str(exc)
-        points.append(_Point(scenario, axis, float(value), cfg, suffix))
+        points.append(_Point(axis, float(value), cfg, suffix))
     return points
 
 
@@ -174,18 +179,9 @@ def parse_config(raw: object) -> RunConfig:
     if not 0 <= seed < 2**64:
         raise ConfigError("config error at seed: must lie in [0, 2**64)")
 
-    scenario_tag = raw.get("scenario", "two_zone_aligned")
-    try:
-        scenario = ScenarioKind(scenario_tag)
-    except ValueError:
-        tags = ", ".join(k.value for k in ScenarioKind)
-        raise ConfigError(
-            f"config error at scenario: {scenario_tag!r} not one of {tags}"
-        ) from None
-
     if "sweep" not in raw:
         rho_s_db = 10.0 * math.log10(base.rho_s)
-        points = [_Point(scenario, "rho_s_db", rho_s_db, base, "")]
+        points = [_Point("rho_s_db", rho_s_db, base, "")]
     else:
         block = raw["sweep"]
         if not isinstance(block, dict) or set(block) != {"axis", "values"}:
@@ -205,7 +201,7 @@ def parse_config(raw: object) -> RunConfig:
             _check_number(v, f"sweep.values[{i}]")
             if axis in ("R", "m") and not isinstance(v, int):
                 raise ConfigError(f"config error at sweep.values[{i}]: expected an integer")
-        points = _expand(scenario, axis, values, keys, "")
+        points = _expand(axis, values, keys, "")
     return RunConfig(points=points, trials=trials, seed=seed)
 
 
@@ -243,30 +239,17 @@ def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, obj
     return [(p, got) for p, got in zip(points, outcomes) if not isinstance(got, str)]
 
 
-def _has_closed_form(p: _Point) -> bool:
-    """The closed forms model the phase-aligned two-zone system with R >= 1
-    and a surface on every link (eta > 0)."""
-    aligned = p.scenario is ScenarioKind.TWO_ZONE_ALIGNED
-    return aligned and p.cfg.R >= 1 and all(link.eta > 0.0 for link in links(p.cfg))
-
-
 def _closed_form_points(run_cfg: RunConfig) -> list[_Point]:
     """The config's points, each one the closed forms do not model failed."""
     return [
-        p
-        if isinstance(p.cfg, str) or _has_closed_form(p)
-        else p._replace(
-            cfg=f"no closed form for scenario {p.scenario.value} at R={p.cfg.R}, "
-            f"eta_c={p.cfg.eta_c:g}, eta_e={p.cfg.eta_e:g}; it needs "
-            f"{ScenarioKind.TWO_ZONE_ALIGNED.value}, R >= 1 and eta_c, eta_e > 0"
-        )
+        p if isinstance(p.cfg, str) else p._replace(cfg=analytic.unmodeled(p.cfg) or p.cfg)
         for p in run_cfg.points
     ]
 
 
 def _simulate(points: list[_Point], trials: int, seed: int) -> list[tuple[_Point, dict]]:
     """Monte Carlo estimates of every point that has a config, in one call."""
-    valid = [(p.cfg, p.scenario) for p in points if not isinstance(p.cfg, str)]
+    valid = [p.cfg for p in points if not isinstance(p.cfg, str)]
     results = iter(run_points(valid, trials, seed))
     outcomes = [p.cfg if isinstance(p.cfg, str) else next(results) for p in points]
     return _drop_failed(points, outcomes)
@@ -301,26 +284,23 @@ def _write_csv(out_path: str, rows: list[tuple]) -> None:
         fh.write(text)
 
 
-def _write_points(points: list[_Point], trials: int, seed: int, out_path: str) -> int:
+def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
     """Simulate the points and write their rows: MC always, closed forms
     where they model the point's system."""
     rows: list[tuple] = []
-    for p, est in _simulate(points, trials, seed):
+    seed = run_cfg.seed
+    for p, est in _simulate(run_cfg.points, run_cfg.trials, seed):
         for metric in ("cu", "ceu_sc", "ceu_mrc"):
             e = est[metric]
             rows.append(
                 (p.axis, p.value, metric, "mc" + p.suffix, e.mean, e.stderr, e.n, seed)
             )
-        if _has_closed_form(p):
+        if analytic.unmodeled(p.cfg) is None:
             for metric, source, bler in _analytic_rows(p.cfg):
                 rows.append((p.axis, p.value, metric, source + p.suffix, bler, 0.0, 0, seed))
     _write_csv(out_path, rows)
     print(f"wrote {out_path}: {len(rows)} rows")
     return 0
-
-
-def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
-    return _write_points(run_cfg.points, run_cfg.trials, run_cfg.seed, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +314,27 @@ _R_GRID = tuple(range(1, 9))
 
 
 def _preset_runs(preset: str):
-    """(scenario, axis, values, model keys, suffix) tuples making up one preset."""
+    """(axis, values, model keys, suffix) tuples making up one preset."""
     at_10db, at_15db = {"rho_s_db": 10.0}, {"rho_s_db": 15.0}
-    aligned = ScenarioKind.TWO_ZONE_ALIGNED
     runs = {
-        "fig2": [(aligned, "rho_s_db", _DB_GRID, {}, "")],
+        "fig2": [("rho_s_db", _DB_GRID, {}, "")],
         "fig3": [
-            (aligned, "rho_s_db", _DB_GRID, {}, ""),
-            (ScenarioKind.NO_RIS, "rho_s_db", _DB_GRID, {}, "_no_ris"),
+            ("rho_s_db", _DB_GRID, {}, ""),
+            ("rho_s_db", _DB_GRID, {"scenario": "no_ris"}, "_no_ris"),
         ],
         "fig4": [
-            (aligned, "rho_s_db", _DB_GRID, {}, ""),
-            (ScenarioKind.SINGLE_ZONE_RANDOM, "rho_s_db", _DB_GRID, {}, "_single_zone"),
+            ("rho_s_db", _DB_GRID, {}, ""),
+            ("rho_s_db", _DB_GRID, {"scenario": "single_zone_random"}, "_single_zone"),
         ],
-        "fig5": [
-            (aligned, "R", _R_GRID, at_10db, "_10db"),
-            (aligned, "R", _R_GRID, at_15db, "_15db"),
-        ],
-        "fig6": [(aligned, "alpha_c", _ALPHA_GRID, at_10db, "")],
+        "fig5": [("R", _R_GRID, at_10db, "_10db"), ("R", _R_GRID, at_15db, "_15db")],
+        "fig6": [("alpha_c", _ALPHA_GRID, at_10db, "")],
     }
     return runs[preset]
 
 
 def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
     points = [point for run in _preset_runs(preset) for point in _expand(*run)]
-    return _write_points(points, trials, seed, out_path)
+    return cmd_run(RunConfig(points, trials, seed), out_path)
 
 
 # ---------------------------------------------------------------------------

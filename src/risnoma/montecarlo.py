@@ -24,7 +24,6 @@ worker and at most 16 tasks each, so the workers finish close together.
 
 Provides:
     BlerEstimate         -- mean / stderr / n triple
-    ScenarioKind         -- aligned two-zone, single-zone random, no surface
     run_points           -- all estimates at many points in one batched call
     run_trials           -- all estimates at one point
 """
@@ -36,17 +35,15 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
-from .channel import CC, CE, E1, E2, SystemConfig, links
+from .channel import CC, CE, E1, E2, ScenarioKind, SystemConfig, links
 from .channel import _sample_aligned_batch, _sample_random_phase_batch
 from .fbl import _short_int, psi_exact_vec
 
 __all__ = [
     "BlerEstimate",
-    "ScenarioKind",
     "run_points",
     "run_trials",
 ]
@@ -65,14 +62,6 @@ class BlerEstimate:
     mean: float
     stderr: float
     n: int
-
-
-class ScenarioKind(Enum):
-    """Two aligned zones of R elements, one random-phase zone of 2R, or no surface (R = 0)."""
-
-    TWO_ZONE_ALIGNED = "two_zone_aligned"
-    SINGLE_ZONE_RANDOM = "single_zone_random"
-    NO_RIS = "no_ris"
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -124,9 +113,9 @@ def _chunk_sums(args) -> list[np.ndarray | str]:
     (T, Z, W) per distinct R.  A ValueError while evaluating one becomes
     that config's error and the rest carry on.
     """
-    cfgs, scenario, n_trials, seed, chunk_index = args
+    cfgs, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
-    if scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
+    if cfgs[0].scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
         by_count = {cfgs[0].R: _sample_random_phase_batch(cfgs[0], rng, n_trials)}
     else:
         # one draw at the group's largest R holds every smaller R as a prefix
@@ -185,9 +174,9 @@ def _estimates(n: int, sums: np.ndarray) -> dict[str, BlerEstimate]:
 
 
 def run_points(
-    points: Sequence[tuple[SystemConfig, ScenarioKind]], n: int, seed: int
+    cfgs: Sequence[SystemConfig], n: int, seed: int
 ) -> list[dict[str, BlerEstimate] | str]:
-    """Estimate every metric at each (config, scenario) point over n trials.
+    """Estimate every metric at each point, one config each, over n trials.
 
     Returns, per point in the given order, a dict of all seven estimates
     (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2) or that point's error message.
@@ -202,7 +191,7 @@ def run_points(
         raise ValueError(f"seed must lie in [0, 2**64), got {_short_int(seed)}")
     groups: dict[tuple, list[int]] = {}
     drawn = []
-    for i, (cfg, scenario) in enumerate(points):
+    for i, cfg in enumerate(cfgs):
         # which points share a chunk's draw.  A point with no surface term
         # (no surface, R = 0, or aligned phases with eta_c = eta_e = 0) gains
         # only the direct powers, drawn bitwise alike by the aligned sampler
@@ -210,27 +199,27 @@ def run_points(
         # are a prefix of a draw at any larger R, so an aligned point keys on
         # its links alone.  A random-phase point draws its gammas first, so
         # it keys on R and its links.
-        aligned = scenario is ScenarioKind.TWO_ZONE_ALIGNED
-        no_surface = scenario is ScenarioKind.NO_RIS or cfg.R == 0
+        aligned = cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
+        no_surface = cfg.scenario is ScenarioKind.NO_RIS or cfg.R == 0
         if no_surface or aligned and cfg.eta_c == cfg.eta_e == 0.0:
-            cfg, scenario = replace(cfg, R=0), ScenarioKind.TWO_ZONE_ALIGNED
+            cfg = replace(cfg, R=0, scenario=ScenarioKind.TWO_ZONE_ALIGNED)
             key = tuple(link.lam_d for link in links(cfg))
         else:
             key = links(cfg) if aligned else (cfg.R, links(cfg))
         drawn.append(cfg)
-        groups.setdefault((scenario, key), []).append(i)
+        groups.setdefault((cfg.scenario, key), []).append(i)
 
     n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     owners: list[list[int]] = []
     tasks = []
-    for (scenario, _), members in groups.items():
-        cfgs = tuple(drawn[i] for i in members)
+    for members in groups.values():
+        group = tuple(drawn[i] for i in members)
         for c in range(n_chunks):
             owners.append(members)
-            tasks.append((cfgs, scenario, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))
+            tasks.append((group, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))
 
-    sums = np.zeros((len(points), 2, len(_METRICS)))
-    errors: list[str | None] = [None] * len(points)
+    sums = np.zeros((len(cfgs), 2, len(_METRICS)))
+    errors: list[str | None] = [None] * len(cfgs)
     workers = min(_worker_count(), len(tasks))
     with ExitStack() as stack:
         if workers > 1:
@@ -249,14 +238,12 @@ def run_points(
     return [err if err is not None else _estimates(n, s) for err, s in zip(errors, sums)]
 
 
-def run_trials(
-    cfg: SystemConfig, scenario: ScenarioKind, n: int, seed: int
-) -> dict[str, BlerEstimate]:
+def run_trials(cfg: SystemConfig, n: int, seed: int) -> dict[str, BlerEstimate]:
     """Every estimate that run_points gives for this one point.
 
     Raises ValueError with the point's error message.
     """
-    (got,) = run_points([(cfg, scenario)], n, seed)
+    (got,) = run_points([cfg], n, seed)
     if isinstance(got, str):
         raise ValueError(got)
     return got

@@ -35,6 +35,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ from scipy.integrate import quad
 from scipy.special import k0
 
 from risnoma import analytic
-from risnoma.channel import CC, CE, E1, E2, SinrKind, SystemConfig, gamma_fit
+from risnoma.channel import CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, gamma_fit
 from risnoma.channel import _sample_aligned_batch
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
-from risnoma.montecarlo import ScenarioKind, run_trials
+from risnoma.montecarlo import run_trials
 
 SEED = 101
 ALIGNED = ScenarioKind.TWO_ZONE_ALIGNED
@@ -79,7 +80,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> str:
 @pytest.fixture(scope="module")
 def grid_estimates():
     # one million trials per grid point
-    return {db: run_trials(at_db(db), ALIGNED, 1_000_000, SEED) for db in DB_GRID}
+    return {db: run_trials(at_db(db), 1_000_000, SEED) for db in DB_GRID}
 
 
 # Exact-law reference for criterion 4.  Per trial the simulation averages
@@ -253,7 +254,7 @@ def test_criterion_04_mrc_bound_and_tightness():
         refs[db] = ref, abs(ref - _exact_law_ceu_mrc(at_db(db), 2e-3))
     worst_step = max(err / ref for ref, err in refs.values())
     exact = refs[check_db][0]
-    mc = run_trials(at_db(check_db), ALIGNED, 1_000_000, SEED)["ceu_mrc"]
+    mc = run_trials(at_db(check_db), 1_000_000, SEED)["ceu_mrc"]
     z = abs(mc.mean - exact) / mc.stderr
 
     bound_rows, ratios = [], []
@@ -315,7 +316,7 @@ def test_criterion_05_no_surface_oracle():
         linearized = lin.delta * math.sqrt(cfg.code_c.m) * (
             (lin.u - lin.v) - a * (math.exp(-lin.v / a) - math.exp(-lin.u / a))
         )
-        mc = run_trials(cfg, ALIGNED, 1_000_000, SEED)["cc"]
+        mc = run_trials(cfg, 1_000_000, SEED)["cc"]
         # exact stderr of the mean: where every sampled psi rounds to 1 the
         # sample stderr is 0, but the spread of psi is not
         sigma = math.sqrt((miss_sq - miss * miss) / mc.n)
@@ -362,7 +363,7 @@ def test_criterion_07_ordering_properties():
     for db in (0.0, 5.0, 10.0, 15.0, 20.0):
         cfg = at_db(db)
         est = {
-            kind: run_trials(cfg, kind, n, SEED)
+            kind: run_trials(replace(cfg, scenario=kind), n, SEED)
             for kind in (ALIGNED, ScenarioKind.NO_RIS, ScenarioKind.SINGLE_ZONE_RANDOM)
         }
         for metric in ("ceu_sc", "ceu_mrc"):
@@ -383,7 +384,7 @@ def test_criterion_07_ordering_properties():
         prev = None
         for R in range(1, 9):
             cfg = at_db(db, R=R)
-            cur = run_trials(cfg, ALIGNED, n, SEED)["ceu_sc"]
+            cur = run_trials(cfg, n, SEED)["ceu_sc"]
             if prev is not None:
                 slack = 3.0 * math.hypot(prev.stderr, cur.stderr)
                 if not cur.mean <= prev.mean + slack:
@@ -438,7 +439,7 @@ def test_criterion_09_saturation_behavior():
     clause_a = analytic.avg_psi(CE, sat_cfg) == 1.0
 
     # second clause: the simulated central-user average at that config
-    mc = run_trials(sat_cfg, ALIGNED, 1_000_000, SEED)["cu"]
+    mc = run_trials(sat_cfg, 1_000_000, SEED)["cu"]
     clause_b = mc.mean >= 0.9
 
     # at the reference edge code (beta < alpha_e/alpha_c) the threshold is
@@ -446,7 +447,7 @@ def test_criterion_09_saturation_behavior():
     # trial's cu is at least psi there: the plateau has the model's floor
     cfg = make_config(alpha_c=0.49)
     floor = psi_exact_vec(cfg.alpha_e / cfg.alpha_c, cfg.code_e).item()
-    plateau = run_trials(cfg, ALIGNED, 1_000_000, SEED)["cu"]
+    plateau = run_trials(cfg, 1_000_000, SEED)["cu"]
     clause_floor = plateau.mean >= floor
     ok = clause_a and clause_b and clause_floor
     detail = _report(

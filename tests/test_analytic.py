@@ -19,10 +19,11 @@ from risnoma.analytic import (
     diversity_order,
     effective_gain_cdf,
     sinr_cdf,
+    unmodeled,
 )
-from risnoma.channel import CC, CE, E1, E2, SinrKind, SystemConfig, gamma_fit
+from risnoma.channel import CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, gamma_fit
 from risnoma.fbl import CodeSpec, linearization_params
-from risnoma.montecarlo import ScenarioKind, run_trials
+from risnoma.montecarlo import run_trials
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -45,14 +46,15 @@ FIT8 = gamma_fit(8, 0.8, 1.0)
 
 def test_chebyshev_rule_basic_structure():
     rule = chebyshev_rule(50)
-    assert len(rule.nodes) == 50 and len(rule.weights) == 50
-    assert all(-1.0 < x < 1.0 for x in rule.nodes)
-    assert all(w > 0.0 for w in rule.weights)
+    nodes, weights = rule
+    assert len(nodes) == 50 and len(weights) == 50
+    assert all(-1.0 < x < 1.0 for x in nodes)
+    assert all(w > 0.0 for w in weights)
     with pytest.raises(ValueError):
         chebyshev_rule(0)
     # one cached rule is shared by every caller, so its arrays are read-only
     assert chebyshev_rule(50) is rule
-    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_chebyshev_rule_semicircle_exactness():
@@ -60,19 +62,17 @@ def test_chebyshev_rule_semicircle_exactness():
     # order 1 is the documented exception (single node at 0, weight pi,
     # giving pi instead of pi/2).
     for order in (2, 3, 5, 17, 50):
-        rule = chebyshev_rule(order)
-        total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(rule.nodes, rule.weights))
+        total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(*chebyshev_rule(order)))
         assert total == pytest.approx(math.pi / 2.0, abs=5e-15)
-    one = chebyshev_rule(1)
-    total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(one.nodes, one.weights))
+    total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(*chebyshev_rule(1)))
     assert total == pytest.approx(math.pi, abs=5e-15)
 
 
 def test_chebyshev_rule_weight_sum_order_100():
     # sum of weights = integral of 1/sqrt(1-x^2) sampled by the rule;
     # frozen value documents the rule normalization at high order
-    rule = chebyshev_rule(100)
-    assert math.fsum(rule.weights) == pytest.approx(2.0000822490709864, rel=1e-14)
+    _, weights = chebyshev_rule(100)
+    assert math.fsum(weights) == pytest.approx(2.0000822490709864, rel=1e-14)
 
 
 def test_chebyshev_rule_exact_for_polynomials_times_semicircle():
@@ -80,9 +80,8 @@ def test_chebyshev_rule_exact_for_polynomials_times_semicircle():
     # integrands of the form p(x) * sqrt(1-x^2) with p a low-degree
     # polynomial; int x^2 sqrt(1-x^2) dx over [-1,1] = pi/8
     for order in (3, 8, 50):
-        rule = chebyshev_rule(order)
         total = math.fsum(
-            w * (x * x) * math.sqrt(1.0 - x * x) for x, w in zip(rule.nodes, rule.weights)
+            w * (x * x) * math.sqrt(1.0 - x * x) for x, w in zip(*chebyshev_rule(order))
         )
         assert total == pytest.approx(math.pi / 8.0, abs=5e-15)
 
@@ -392,7 +391,7 @@ def test_relay_direct_variance_default_matches_simulation_better():
     default must be the one the simulation supports.  At 0 dB the relayed
     step has enough error mass to separate them cleanly."""
     cfg = make_config(rho_s=1.0, rho_c=0.1)
-    mc = run_trials(cfg, ScenarioKind.TWO_ZONE_ALIGNED, 200_000, 101)["e2"]
+    mc = run_trials(cfg, 200_000, 101)["e2"]
     default = avg_psi(E2, cfg)
     # only the relay step reads lambda_ce, so this is the BS->CEU reading
     alternative = avg_psi(E2, replace(cfg, lambda_ce=cfg.lambda_e))
@@ -400,3 +399,36 @@ def test_relay_direct_variance_default_matches_simulation_better():
     # frozen adjudication levels: default within ~6 stderr, alternative ~3x farther
     assert abs(default - mc.mean) < 2.5e-3
     assert abs(alternative - mc.mean) > 3.5e-3
+
+
+# ------------------------------------------------------------ model domain
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"scenario": ScenarioKind.SINGLE_ZONE_RANDOM}, "single_zone_random at R=8"),
+        ({"scenario": ScenarioKind.NO_RIS}, "no_ris at R=8"),
+        ({"R": 0}, "two_zone_aligned at R=0"),
+        ({"eta_c": 0.0}, "two_zone_aligned at R=8, eta_c=0, eta_e=1"),
+    ],
+    ids=["single_zone_random", "no_ris", "R_0", "eta_c_0"],
+)
+def test_closed_forms_refuse_configs_they_do_not_model(overrides, where):
+    # a baseline once got the aligned model's numbers from avg_blers; now
+    # every closed-form number refuses it with the reason compare prints
+    cfg = make_config(**overrides)
+    reason = unmodeled(cfg)
+    assert reason.startswith(f"no closed form for scenario {where}")
+    with pytest.raises(ValueError) as exc:
+        avg_psi(E1, cfg)
+    assert str(exc.value) == reason
+    with pytest.raises(ValueError) as exc:
+        avg_blers(cfg)
+    assert str(exc.value) == reason
+    assert unmodeled(make_config()) is None
+
+
+def test_avg_blers_is_one_when_the_sinr_scale_underflows():
+    # at the least subnormal rho_s the cc SINR scale rounds to 0, and the
+    # ce and e1 thresholds overflow: every step but e2 always fails
+    assert avg_blers(make_config(rho_s=5e-324, rho_c=1.0)) == (1.0, 1.0, 1.0)

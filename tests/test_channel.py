@@ -23,6 +23,7 @@ from risnoma.channel import (
     CE,
     E1,
     E2,
+    ScenarioKind,
     SystemConfig,
     _sample_aligned_batch,
     _sample_random_phase_batch,
@@ -30,7 +31,6 @@ from risnoma.channel import (
     links,
 )
 from risnoma.fbl import CodeSpec
-from risnoma.montecarlo import ScenarioKind
 
 _PI_SQ = math.pi * math.pi
 
@@ -101,6 +101,13 @@ def test_alpha_e_follows_alpha_c():
     # the edge share is the complement, not a field: a new alpha_c is valid
     cfg = replace(make_config(), alpha_c=0.3)
     assert cfg.alpha_c == 0.3 and cfg.alpha_e == 0.7
+
+
+def test_system_config_refuses_a_scenario_that_is_not_a_scenario_kind():
+    # the CLI reads the JSON tag into a ScenarioKind; the config takes only the enum
+    assert make_config().scenario is ScenarioKind.TWO_ZONE_ALIGNED
+    with pytest.raises(ValueError, match="scenario must be a ScenarioKind, got 'no_ris'"):
+        make_config(scenario="no_ris")
 
 
 def test_system_config_allows_eta_zero_and_r_zero():
@@ -222,7 +229,7 @@ def test_samplers_ignore_fields_outside_fading_key(draws):
         code_e=CodeSpec(m=200, bits=40),
     )
     for scenario in (ScenarioKind.TWO_ZONE_ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM):
-        calls, _ = draws([(cfg, scenario), (other, scenario)])
+        calls, _ = draws([replace(cfg, scenario=scenario), replace(other, scenario=scenario)])
         assert len(calls) == 1, scenario
     for sample in (_aligned, _sample_random_phase_batch):
         a = sample(cfg, np.random.default_rng(23), 256)
@@ -269,8 +276,10 @@ def test_fading_key_changes_with_every_fading_field(draws, field, value):
     # points: their gains at fewer elements are a prefix of one draw at the
     # largest R
     pair = (make_config(), make_config(**{field: value}))
-    aligned, _ = draws([(cfg, ScenarioKind.TWO_ZONE_ALIGNED) for cfg in pair])
-    random_phase, _ = draws([(cfg, ScenarioKind.SINGLE_ZONE_RANDOM) for cfg in pair])
+    aligned, _ = draws(list(pair))
+    random_phase, _ = draws(
+        [replace(cfg, scenario=ScenarioKind.SINGLE_ZONE_RANDOM) for cfg in pair]
+    )
     assert len(random_phase) == 2
     if field == "R":
         assert aligned == [("_sample_aligned_batch", 8)]
@@ -464,6 +473,14 @@ def test_step_sinr_map_inverts_its_gain_threshold(step, alpha_c, rho_s, rho_c, s
         assert step.sinr(t, cfg) == pytest.approx(w, rel=1e-12)
         # the forward map on an array gives the float map's bits
         assert step.sinr(np.array([t]), cfg)[0] == step.sinr(t, cfg)
+
+
+def test_gain_threshold_is_inf_when_the_sinr_scale_underflows():
+    # at the least subnormal rho_s, alpha_c * rho_s rounds to 0, so every cc
+    # SINR is 0 and no gain reaches w; this once divided by zero
+    cfg = make_config(rho_s=5e-324, rho_c=1.0)
+    assert cfg.alpha_c * cfg.rho_s == 0.0
+    assert CC.gain_threshold(1.0, cfg) == math.inf
 
 
 @pytest.mark.parametrize("step", [CE, E1], ids=["ce", "e1"])

@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import analytic, cli
-from risnoma.channel import SystemConfig
+from risnoma.channel import ScenarioKind, SystemConfig
 from risnoma.cli import (
     ConfigError,
     load_config,
     main,
     parse_config,
 )
-from risnoma.montecarlo import ScenarioKind
 
 CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 
@@ -58,7 +57,7 @@ def test_parse_config_reference_defaults():
     assert point.cfg.code_c.m == 100 and point.cfg.code_c.bits == 300
     assert point.cfg.code_e.bits == 100
     assert rc.trials == 100_000 and rc.seed == 1234
-    assert point.scenario is ScenarioKind.TWO_ZONE_ALIGNED
+    assert point.cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
     assert (point.axis, point.value, point.suffix) == ("rho_s_db", 10.0, "")
     assert swept_rho_c({}) == pytest.approx(10.0, rel=1e-15)
 
@@ -171,7 +170,7 @@ _JSON_SCALARS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(cli._ALL_KEYS - {"scenario", "sweep"})), _JSON_SCALARS)
+@given(st.sampled_from(sorted(cli._ALL_KEYS - {"sweep"})), _JSON_SCALARS)
 def test_parse_config_refuses_only_with_config_error(key, value):
     try:
         parse_config({key: value})
@@ -506,6 +505,21 @@ def test_closed_form_commands_refuse_points_they_do_not_model(
     assert f"no closed form for scenario {where}" in err
     assert "config error: 1 of 1 sweep points failed" in err
     assert simulated == []
+
+
+@pytest.mark.parametrize("command", ["compare", "analytic"])
+def test_underflowing_sinr_scale_is_a_sure_failure_not_a_crash(tmp_path, capsys, command):
+    # at the least subnormal rho_s, alpha_c * rho_s rounds to 0; the closed
+    # forms once died on it with a ZeroDivisionError and exit 1
+    cfg = write_config(tmp_path, {"rho_s": 5e-324, "rho_c": 1.0, "trials": 4096})
+    assert main([command, "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    if command == "analytic":
+        for metric in ("cu", "ceu_sc", "ceu_mrc"):
+            assert f"  {metric:8s} 1.0000000000e+00" in out
+    else:
+        assert out.count("analytic=1.000000e+00  mc=1.000000e+00 +- 0.000000e+00") == 3
+        assert "comparison passed" in out
 
 
 @pytest.mark.parametrize("command", ["compare", "analytic"])

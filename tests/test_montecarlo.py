@@ -12,6 +12,7 @@ import os
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import cli, montecarlo
-from risnoma.channel import SystemConfig
+from risnoma.channel import ScenarioKind, SystemConfig
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
-    ScenarioKind,
     _chunksize,
     run_points,
     run_trials,
@@ -48,11 +48,11 @@ def make_config(**overrides) -> SystemConfig:
 # -------------------------------------------------------------- determinism
 
 def test_same_seed_reproduces_bitwise():
-    cfg = make_config()
     for scenario in (ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM):
-        a = run_trials(cfg, scenario, 10_000, 77)
-        b = run_trials(cfg, scenario, 10_000, 77)
-        c = run_trials(cfg, scenario, 10_000, 78)
+        cfg = make_config(scenario=scenario)
+        a = run_trials(cfg, 10_000, 77)
+        b = run_trials(cfg, 10_000, 77)
+        c = run_trials(cfg, 10_000, 78)
         for key in ("cu", "ceu_sc", "ceu_mrc"):
             assert a[key].mean == b[key].mean, scenario
             assert a[key].stderr == b[key].stderr, scenario
@@ -60,13 +60,13 @@ def test_same_seed_reproduces_bitwise():
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    cfg = make_config()
     n = 3 * CHUNK_TRIALS  # several chunks so the pool actually splits work
     for scenario in ScenarioKind:
+        cfg = make_config(scenario=scenario)
         monkeypatch.setenv("RISNOMA_WORKERS", "1")
-        serial = run_trials(cfg, scenario, n, 123)
+        serial = run_trials(cfg, n, 123)
         monkeypatch.setenv("RISNOMA_WORKERS", "3")
-        pooled = run_trials(cfg, scenario, n, 123)
+        pooled = run_trials(cfg, n, 123)
         for key in ("cu", "ceu_sc", "ceu_mrc"):
             assert serial[key].mean == pooled[key].mean, scenario
             assert serial[key].stderr == pooled[key].stderr, scenario
@@ -76,25 +76,25 @@ def test_no_surface_scenario_equals_eta_zero():
     # no surface is R = 0 in either sampler; skipping the cascade draws
     # leaves the direct-power stream untouched, so all four ways of saying
     # "no surface" give the same estimates bitwise
-    want = run_trials(make_config(eta_c=0.0, eta_e=0.0), ALIGNED, 8192, 42)
+    want = run_trials(make_config(eta_c=0.0, eta_e=0.0), 8192, 42)
     assert len(want) == 7
-    for cfg, scenario in (
-        (make_config(), ScenarioKind.NO_RIS),
-        (make_config(R=0), ALIGNED),
-        (make_config(R=0), ScenarioKind.SINGLE_ZONE_RANDOM),
+    for cfg in (
+        make_config(scenario=ScenarioKind.NO_RIS),
+        make_config(R=0),
+        make_config(R=0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM),
     ):
-        assert run_trials(cfg, scenario, 8192, 42) == want, scenario
+        assert run_trials(cfg, 8192, 42) == want, cfg.scenario
 
 
 def test_points_without_a_surface_term_share_one_draw(draws):
     # each point's gains are the direct powers alone, so all five share one
     # draw per chunk, made by the aligned sampler at R = 0
     points = [
-        (make_config(R=1), ScenarioKind.NO_RIS),
-        (make_config(R=8), ScenarioKind.NO_RIS),
-        (make_config(R=0), ALIGNED),
-        (make_config(R=0), ScenarioKind.SINGLE_ZONE_RANDOM),
-        (make_config(R=8, eta_c=0.0, eta_e=0.0), ALIGNED),
+        make_config(R=1, scenario=ScenarioKind.NO_RIS),
+        make_config(R=8, scenario=ScenarioKind.NO_RIS),
+        make_config(R=0),
+        make_config(R=0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM),
+        make_config(R=8, eta_c=0.0, eta_e=0.0),
     ]
     calls, got = draws(points, 2 * CHUNK_TRIALS)
     assert calls == [("_sample_aligned_batch", 0)] * 2
@@ -105,8 +105,8 @@ def test_random_phase_at_zero_eta_keeps_its_own_draw(draws):
     # at eta_c = eta_e = 0 the random-phase gains have the law of the direct
     # powers, but the sampler draws its gammas first, so its bits differ
     # from the no-surface draw and it must not join that group
-    zero_eta = make_config(eta_c=0.0, eta_e=0.0)
-    calls, _ = draws([(make_config(R=0), ALIGNED), (zero_eta, ScenarioKind.SINGLE_ZONE_RANDOM)])
+    zero_eta = make_config(eta_c=0.0, eta_e=0.0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM)
+    calls, _ = draws([make_config(R=0), zero_eta])
     assert calls == [("_sample_aligned_batch", 0), ("_sample_random_phase_batch", 8)]
 
 
@@ -127,9 +127,9 @@ def _estimate_digest(results) -> str:
 
 
 def _fig_points() -> list:
-    # every (config, scenario) point of the fig2..fig6 presets, in preset order
+    # every config of the fig2..fig6 presets, in preset order
     return [
-        (p.cfg, p.scenario)
+        p.cfg
         for preset in ("fig2", "fig3", "fig4", "fig5", "fig6")
         for run in cli._preset_runs(preset)
         for p in cli._expand(*run)
@@ -148,8 +148,8 @@ _FIG_POINTS_DIGEST = "8c661461d946e73438c7f28facfe684cc5498d89db30813fa3494eeff4
 
 @pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
 def test_point_estimates_are_bitwise_frozen(scenario):
-    cfg = make_config(rho_s=10.0 ** 0.5, rho_c=10.0 ** -0.5)
-    got = run_points([(cfg, scenario)], CHUNK_TRIALS + 1000, 2024)
+    cfg = make_config(rho_s=10.0 ** 0.5, rho_c=10.0 ** -0.5, scenario=scenario)
+    got = run_points([cfg], CHUNK_TRIALS + 1000, 2024)
     assert _estimate_digest(got) == _POINT_DIGESTS[scenario]
 
 
@@ -165,10 +165,9 @@ def test_fig_point_estimates_are_bitwise_frozen():
 # ---------------------------------------------------------- estimate shape
 
 def test_estimates_are_probabilities_with_sane_stderr():
-    cfg = make_config()
     n = 8192
     for scenario in (ALIGNED, ScenarioKind.NO_RIS, ScenarioKind.SINGLE_ZONE_RANDOM):
-        est = run_trials(cfg, scenario, n, 5)
+        est = run_trials(make_config(scenario=scenario), n, 5)
         for e in est.values():
             assert 0.0 <= e.mean <= 1.0
             assert 0.0 <= e.stderr <= 0.5 / math.sqrt(n)
@@ -187,13 +186,13 @@ def test_non_finite_sum_is_an_internal_error():
 
 
 def test_partial_final_chunk_is_counted():
-    est = run_trials(make_config(), ALIGNED, CHUNK_TRIALS + 904, 9)
+    est = run_trials(make_config(), CHUNK_TRIALS + 904, 9)
     assert est["cu"].n == CHUNK_TRIALS + 904
 
 
 def test_rejects_nonpositive_trial_count():
     with pytest.raises(ValueError):
-        run_trials(make_config(), ALIGNED, 0, 1)
+        run_trials(make_config(), 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -203,12 +202,12 @@ def test_rejects_seed_outside_64_bits(seed):
     # the chunk streams take a 64-bit seed, and the CSV records the seed,
     # so a seed outside that range is refused rather than wrapped onto another
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)") as exc:
-        run_points([(make_config(), ALIGNED)], 256, seed)
+        run_points([make_config()], 256, seed)
     assert len(str(exc.value)) <= 120
 
 
 def test_largest_seed_is_accepted():
-    got = run_points([(make_config(), ALIGNED)], 256, 2**64 - 1)[0]
+    got = run_points([make_config()], 256, 2**64 - 1)[0]
     assert got["cu"].n == 256
 
 
@@ -227,7 +226,7 @@ def test_two_psi_calls_per_config_per_chunk(monkeypatch):
     monkeypatch.setenv("RISNOMA_WORKERS", "1")
     cfg = make_config()
     assert cfg.code_c != cfg.code_e
-    points = [(cfg, ALIGNED), (make_config(rho_s=100.0), ALIGNED)]
+    points = [cfg, make_config(rho_s=100.0)]
     run_points(points, 2 * CHUNK_TRIALS + 100, 5)
     # three chunks, each evaluating both configs
     full = [((CHUNK_TRIALS,), cfg.code_c), ((4, CHUNK_TRIALS), cfg.code_e)]
@@ -237,7 +236,7 @@ def test_two_psi_calls_per_config_per_chunk(monkeypatch):
 
 def test_component_and_user_key_sets():
     # one call gives the three user-level and the four per-step estimates
-    got = run_trials(make_config(), ALIGNED, 4096, 3)
+    got = run_trials(make_config(), 4096, 3)
     assert set(got) == {"cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2"}
 
 
@@ -245,8 +244,8 @@ def test_stderr_shrinks_like_root_n():
     # quadrupling the trial count should halve the standard error; at 0 dB
     # the cu metric has plenty of variance for the ratio to be stable
     cfg = make_config(rho_s=1.0, rho_c=0.1)
-    small = run_trials(cfg, ALIGNED, 40_960, 31)["cu"].stderr
-    large = run_trials(cfg, ALIGNED, 163_840, 31)["cu"].stderr
+    small = run_trials(cfg, 40_960, 31)["cu"].stderr
+    large = run_trials(cfg, 163_840, 31)["cu"].stderr
     assert small / large == pytest.approx(2.0, rel=0.2)
 
 
@@ -254,7 +253,7 @@ def test_stderr_shrinks_like_root_n():
 
 def test_mrc_never_exceeds_sc():
     cfg = make_config(rho_s=1.0, rho_c=0.1)
-    est = run_trials(cfg, ALIGNED, 20_000, 11)
+    est = run_trials(cfg, 20_000, 11)
     assert est["ceu_mrc"].mean <= est["ceu_sc"].mean
 
 
@@ -285,7 +284,7 @@ def test_rayleigh_only_average_matches_closed_form():
     closed = lin.delta * math.sqrt(cfg.code_c.m) * (
         (lin.u - lin.v) - a * (math.exp(-lin.v / a) - math.exp(-lin.u / a))
     )
-    mc = run_trials(cfg, ALIGNED, 200_000, 101)["cc"]
+    mc = run_trials(cfg, 200_000, 101)["cc"]
     assert mc.mean == pytest.approx(closed, abs=4.0 * mc.stderr)
 
 
@@ -294,17 +293,17 @@ def test_rayleigh_only_average_matches_closed_form():
 def _axis_cfg(axis, value, keys=None):
     # the config of one sweep point over the given model keys (the reference
     # defaults, make_config(), if none), as the CLI builds it
-    (point,) = cli._expand(ALIGNED, axis, [value], keys or {}, "")
+    (point,) = cli._expand(axis, [value], keys or {}, "")
     return point.cfg
 
 
 def _axis_points(scenario, axis, values):
-    # the (config, scenario) points of a sweep, as the CLI builds them
-    return [(_axis_cfg(axis, value), scenario) for value in values]
+    # the configs of a sweep in one scenario, as the CLI builds them
+    return [replace(_axis_cfg(axis, value), scenario=scenario) for value in values]
 
 
 def test_single_value_sweep_matches_run_trials():
-    direct = run_trials(make_config(rho_s=100.0, rho_c=10.0), ALIGNED, 8192, 55)
+    direct = run_trials(make_config(rho_s=100.0, rho_c=10.0), 8192, 55)
     got = run_points(_axis_points(ALIGNED, "rho_s_db", [20.0]), 8192, 55)
     assert len(got) == 1 and not isinstance(got[0], str)
     for key in ("cu", "ceu_sc", "ceu_mrc"):
@@ -312,7 +311,7 @@ def test_single_value_sweep_matches_run_trials():
 
 
 def test_sweep_records_per_point_errors_and_continues():
-    pts = cli._expand(ALIGNED, "alpha_c", [0.1, 0.6, 0.2], {}, "")
+    pts = cli._expand("alpha_c", [0.1, 0.6, 0.2], {}, "")
     assert [isinstance(p.cfg, SystemConfig) for p in pts] == [True, False, True]
     assert "alpha_c" in pts[1].cfg
     ran = cli._simulate(pts, 4096, 8)
@@ -321,7 +320,7 @@ def test_sweep_records_per_point_errors_and_continues():
 
 
 def test_sweep_records_overflowing_db_value_as_point_error():
-    pts = cli._expand(ALIGNED, "rho_s_db", [1e308], {}, "")
+    pts = cli._expand("rho_s_db", [1e308], {}, "")
     assert "rho_s must be finite" in pts[0].cfg
 
 
@@ -347,7 +346,7 @@ def test_batched_sweep_matches_lone_run_trials(scenario, axis):
     got = run_points(_axis_points(scenario, axis, _AXIS_VALUES[axis]), n, 61)
     for value, est in zip(_AXIS_VALUES[axis], got):
         assert not isinstance(est, str)
-        alone = run_trials(_axis_cfg(axis, value), scenario, n, 61)
+        alone = run_trials(replace(_axis_cfg(axis, value), scenario=scenario), n, 61)
         _assert_same(est, alone, (scenario, axis, value))
 
 
@@ -358,7 +357,7 @@ def test_failing_point_leaves_its_group_intact():
         got = run_points(_axis_points(ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
     assert not isinstance(got[0], str)
     assert "SINR must be >= 0 and not NaN" in got[1]
-    alone = run_trials(_axis_cfg("rho_s_db", 10), ALIGNED, 8192, 5)
+    alone = run_trials(_axis_cfg("rho_s_db", 10), 8192, 5)
     _assert_same(got[0], alone, 10)
 
 
@@ -369,7 +368,7 @@ def test_overflowing_point_raises_no_numpy_warning():
         warnings.simplefilter("error")
         got = run_points(_axis_points(ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
     assert "SINR must be >= 0 and not NaN" in got[1]
-    alone = run_trials(_axis_cfg("rho_s_db", 10), ALIGNED, 8192, 5)
+    alone = run_trials(_axis_cfg("rho_s_db", 10), 8192, 5)
     _assert_same(got[0], alone, 10)
 
 
@@ -382,14 +381,14 @@ def test_point_reports_its_first_failing_chunk(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_metric_sums", failing)
     monkeypatch.setenv("RISNOMA_WORKERS", "1")
-    assert run_points([(make_config(), ALIGNED)], 3 * CHUNK_TRIALS, 5) == ["chunk 0 failed"]
+    assert run_points([make_config()], 3 * CHUNK_TRIALS, 5) == ["chunk 0 failed"]
 
 
 def test_run_points_reports_errors_per_point():
     cfg = make_config()
     with np.errstate(over="ignore", invalid="ignore"):
         got = run_points(
-            [(_axis_cfg("rho_s_db", 3079), ALIGNED), (cfg, ALIGNED)], 4096, 5
+            [_axis_cfg("rho_s_db", 3079), cfg], 4096, 5
         )
     assert "SINR must be >= 0 and not NaN" in got[0]
     assert set(got[1]) == {"cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2"}
@@ -399,7 +398,7 @@ def test_batched_sweep_worker_count_does_not_change_results(monkeypatch):
     # two operating points per element count share each draw, as in fig5,
     # plus a second scenario, so tasks differ in size
     points = [
-        (_axis_cfg(axis, value), scenario)
+        replace(_axis_cfg(axis, value), scenario=scenario)
         for scenario in (ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM)
         for axis, value in (("rho_s_db", 10.0), ("rho_s_db", 15.0), ("R", 2))
     ]
@@ -486,7 +485,7 @@ def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
 def test_chunk_memory_does_not_grow_with_the_element_count():
     # the aligned sampler draws element by element, so one chunk at the
     # largest R a config allows holds no (4096, R) buffer
-    args = ((make_config(R=1024),), ALIGNED, CHUNK_TRIALS, 9, 0)
+    args = ((make_config(R=1024),), CHUNK_TRIALS, 9, 0)
     tracemalloc.start()
     try:
         (got,) = montecarlo._chunk_sums(args)

@@ -77,3 +77,16 @@ def test_readme_library_names_every_export():
         if name != "__version__" and not re.search(rf"\b{name}\b", section)
     ]
     assert missing == []
+
+
+def test_readme_library_snippet_runs(monkeypatch):
+    # the Library section's code block runs as written, so a signature
+    # change cannot leave it stale
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library", 1)[1].split("\n## ", 1)[0]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    names: dict = {}
+    exec(compile(snippet, "README.md", "exec"), names)
+    assert all(0.0 <= names[key] <= 1.0 for key in ("cu", "ceu_sc", "ceu_mrc"))
+    assert names["mc"].n == 1_000_000 and names["mc_baseline"].n == 100_000
