@@ -14,7 +14,7 @@ The CLI (`python -m risnoma`) writes both as CSV and cross-checks them.
 """
 
 from .analytic import avg_blers, diversity_order
-from .channel import ScenarioKind, SystemConfig
+from .channel import REFERENCE, ScenarioKind, SystemConfig
 from .fbl import CodeSpec
 from .montecarlo import BlerEstimate, run_trials
 
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemConfig",
+    "REFERENCE",
     "CodeSpec",
     "ScenarioKind",
     "BlerEstimate",

@@ -12,6 +12,8 @@ with mean lambda_d + eta^2 lambda_g sum_r |h_r|^2, and that sum is gamma.
 Provides:
     ScenarioKind               -- aligned two-zone, single-zone random, no surface
     SystemConfig               -- one point: physical parameters (linear SNRs), scenario
+    REFERENCE                  -- the paper's reference system; the CLI fills
+                                  every omitted config key from it
     GammaFit                   -- (kappa, b) gamma approximation of q
     gamma_fit                  -- moment-matched (kappa, b) for R elements
     Link                       -- mean powers and surface gain of one link
@@ -38,6 +40,7 @@ from .fbl import CodeSpec, _short_int
 __all__ = [
     "ScenarioKind",
     "SystemConfig",
+    "REFERENCE",
     "GammaFit",
     "gamma_fit",
     "Link",
@@ -126,6 +129,16 @@ class SystemConfig:
     def alpha_e(self) -> float:
         """The edge user's power share, the complement of alpha_c."""
         return 1.0 - self.alpha_c
+
+
+# The paper's reference system: 10 dB transmit SNR, the relay phase 10 dB
+# below it, alpha_c = 0.1, 300- and 100-bit packets in m = 100 channel uses
+# (the CLI's one m key sets both codes, so they share it), and R = 8 elements
+# per zone, with every other field at its default.
+REFERENCE = SystemConfig(
+    rho_s=10.0, rho_c=1.0, alpha_c=0.1,
+    code_c=CodeSpec(m=100, bits=300), code_e=CodeSpec(m=100, bits=100), R=8,
+)
 
 
 @dataclass(frozen=True)

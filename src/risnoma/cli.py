@@ -32,8 +32,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from . import analytic
-from .channel import ScenarioKind, SystemConfig
-from .fbl import CodeSpec
+from .channel import REFERENCE, ScenarioKind, SystemConfig
+from .fbl import CodeSpec, _short_int
 from .montecarlo import run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
@@ -69,11 +69,16 @@ def _require_int(raw: dict, key: str) -> int:
 
 
 def _require_scenario(raw: dict, key: str) -> ScenarioKind:
+    value = raw[key]
     try:
-        return ScenarioKind(raw[key])
+        return ScenarioKind(value)
     except ValueError:
+        # echo the value as briefly as the numeric keys do
+        shown = _short_int(value) if isinstance(value, int) else repr(value)
+        if len(shown) > 24:
+            shown = shown[:21] + "..."
         tags = ", ".join(k.value for k in ScenarioKind)
-        raise ConfigError(f"config error at {key}: {raw[key]!r} not one of {tags}") from None
+        raise ConfigError(f"config error at {key}: {shown} not one of {tags}") from None
 
 
 # Flat snake_case config keys that describe the system, each with its reader.
@@ -120,7 +125,8 @@ def _db_to_linear(db: float) -> float:
 
 
 def _build_system(keys: dict) -> SystemConfig:
-    """Model keys -> SystemConfig, filling reference defaults.
+    """Model keys -> SystemConfig: each omitted key takes REFERENCE's value,
+    except rho_c, which follows rho_s 10 dB below it.
 
     Raises ConfigError for a value of the wrong JSON type or an SNR given in
     both spellings, and ValueError when the model refuses the values.
@@ -134,13 +140,11 @@ def _build_system(keys: dict) -> SystemConfig:
     for key in ("rho_s", "rho_c"):
         if f"{key}_db" in got:
             got[key] = _db_to_linear(got.pop(f"{key}_db"))
-    got.setdefault("rho_s", 10.0)  # 10 dB, the reference operating point
-    got.setdefault("rho_c", got["rho_s"] / 10.0)
-    got.setdefault("alpha_c", 0.1)
-    m = got.pop("m", 100)
-    code_c = CodeSpec(m=m, bits=got.pop("n_c", 300))
-    code_e = CodeSpec(m=m, bits=got.pop("n_e", 100))
-    return SystemConfig(code_c=code_c, code_e=code_e, R=got.pop("R", 8), **got)
+    got.setdefault("rho_c", got.get("rho_s", REFERENCE.rho_s) / 10.0)
+    m = got.pop("m", REFERENCE.code_c.m)
+    got["code_c"] = CodeSpec(m=m, bits=got.pop("n_c", REFERENCE.code_c.bits))
+    got["code_e"] = CodeSpec(m=m, bits=got.pop("n_e", REFERENCE.code_e.bits))
+    return replace(REFERENCE, **got)
 
 
 def _expand(axis: str, values, keys: dict, suffix: str) -> list[_Point]:
@@ -159,7 +163,8 @@ def _expand(axis: str, values, keys: dict, suffix: str) -> list[_Point]:
 
 
 def parse_config(raw: object) -> RunConfig:
-    """Validate a decoded JSON object into a RunConfig, filling reference defaults."""
+    """Validate a decoded JSON object into a RunConfig; omitted model keys
+    take REFERENCE's values (see _build_system)."""
     if not isinstance(raw, dict):
         raise ConfigError("config error: top level must be a JSON object")
     unknown = sorted(set(raw) - _ALL_KEYS)

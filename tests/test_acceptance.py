@@ -43,7 +43,9 @@ from scipy.integrate import quad
 from scipy.special import k0
 
 from risnoma import analytic
-from risnoma.channel import CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, gamma_fit
+from risnoma.channel import (
+    CC, CE, E1, E2, REFERENCE, ScenarioKind, SinrKind, SystemConfig, gamma_fit,
+)
 from risnoma.channel import _sample_aligned_batch
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import run_trials
@@ -54,16 +56,7 @@ DB_GRID = (0.0, 5.0, 10.0, 15.0)
 
 
 def make_config(**overrides) -> SystemConfig:
-    base = dict(
-        rho_s=10.0,
-        rho_c=1.0,
-        alpha_c=0.1,
-        code_c=CodeSpec(m=100, bits=300),
-        code_e=CodeSpec(m=100, bits=100),
-        R=8,
-    )
-    base.update(overrides)
-    return SystemConfig(**base)
+    return replace(REFERENCE, **overrides)
 
 
 def at_db(db: float, **overrides) -> SystemConfig:

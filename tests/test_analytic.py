@@ -21,22 +21,15 @@ from risnoma.analytic import (
     sinr_cdf,
     unmodeled,
 )
-from risnoma.channel import CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, gamma_fit
+from risnoma.channel import (
+    CC, CE, E1, E2, REFERENCE, ScenarioKind, SinrKind, SystemConfig, gamma_fit,
+)
 from risnoma.fbl import CodeSpec, linearization_params
 from risnoma.montecarlo import run_trials
 
 
 def make_config(**overrides) -> SystemConfig:
-    base = dict(
-        rho_s=10.0,
-        rho_c=1.0,
-        alpha_c=0.1,
-        code_c=CodeSpec(m=100, bits=300),
-        code_e=CodeSpec(m=100, bits=100),
-        R=8,
-    )
-    base.update(overrides)
-    return SystemConfig(**base)
+    return replace(REFERENCE, **overrides)
 
 
 FIT8 = gamma_fit(8, 0.8, 1.0)

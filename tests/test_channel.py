@@ -23,6 +23,7 @@ from risnoma.channel import (
     CE,
     E1,
     E2,
+    REFERENCE,
     ScenarioKind,
     SystemConfig,
     _sample_aligned_batch,
@@ -41,16 +42,7 @@ def _aligned(cfg, rng, n):
 
 
 def make_config(**overrides) -> SystemConfig:
-    base = dict(
-        rho_s=10.0,
-        rho_c=1.0,
-        alpha_c=0.1,
-        code_c=CodeSpec(m=100, bits=300),
-        code_e=CodeSpec(m=100, bits=100),
-        R=8,
-    )
-    base.update(overrides)
-    return SystemConfig(**base)
+    return replace(REFERENCE, **overrides)
 
 
 # ------------------------------------------------------------ configuration

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import analytic, cli
-from risnoma.channel import ScenarioKind, SystemConfig
+from risnoma.channel import REFERENCE, ScenarioKind, SystemConfig
 from risnoma.cli import (
     ConfigError,
     load_config,
@@ -60,6 +60,17 @@ def test_parse_config_reference_defaults():
     assert point.cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
     assert (point.axis, point.value, point.suffix) == ("rho_s_db", 10.0, "")
     assert swept_rho_c({}) == pytest.approx(10.0, rel=1e-15)
+
+
+def test_parse_config_of_no_keys_is_the_reference_system():
+    (point,) = parse_config({}).points
+    assert point.cfg == REFERENCE
+
+
+def test_reference_codes_share_the_one_blocklength_key():
+    # a config has one m key for both codes, so an omitted m can give
+    # REFERENCE only if its two codes agree on m
+    assert REFERENCE.code_c.m == REFERENCE.code_e.m
 
 
 def test_parse_config_db_conversion_and_coupling():
@@ -109,6 +120,8 @@ _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
         {"R": 10**20},  # diversity orders of 8e19 once went out
         {"R": 10**400},  # once an OverflowError in the gamma fit
         {"R": 2000, "sweep": {"axis": "R", "values": [1, 2]}},  # base system checked first
+        {"scenario": 10**400},  # an unknown tag is echoed briefly
+        {"scenario": "x" * 5000},
     ],
 )
 def test_parse_config_rejects(payload):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
-from risnoma.channel import SystemConfig
+from risnoma.channel import REFERENCE, SystemConfig
 from risnoma.fbl import (
     _GAMMA_FLOOR,
     CodeSpec,
@@ -19,10 +19,9 @@ from risnoma.fbl import (
 )
 from risnoma.montecarlo import _metric_sums
 
-# the two working points used throughout: a rate-3 control code and a
-# rate-1 payload code, both over 100 channel uses
-CODE_C = CodeSpec(m=100, bits=300)
-CODE_E = CodeSpec(m=100, bits=100)
+# the two working points used throughout: the reference system's rate-3
+# control code and rate-1 payload code, both over 100 channel uses
+CODE_C, CODE_E = REFERENCE.code_c, REFERENCE.code_e
 
 
 def test_code_spec_validation():
@@ -272,12 +271,10 @@ def _reference_metric_sums(gains, cfg: SystemConfig):
 
 
 def test_sc_column_equals_psi_of_max_with_ties():
-    # rho_c = 1 makes g_e2 equal to gain_w, so copying g_e1 into gain_w
-    # ties the two CEU branches exactly on a quarter of the trials; zeros
-    # tie them below the floor
-    cfg = SystemConfig(
-        rho_s=10.0, rho_c=1.0, alpha_c=0.1, code_c=CODE_C, code_e=CODE_E, R=8
-    )
+    # the reference rho_c = 1 makes g_e2 equal to gain_w, so copying g_e1
+    # into gain_w ties the two CEU branches exactly on a quarter of the
+    # trials; zeros tie them below the floor
+    cfg = REFERENCE
     rng = np.random.default_rng(5)
     n = 4096
     gain_t, gain_z, gain_w = (rng.exponential(3.0, n) for _ in range(3))

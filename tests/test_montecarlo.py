@@ -9,6 +9,8 @@ gamma fit, so they exercise the simulation independently of the analytics.
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import cli, montecarlo
-from risnoma.channel import ScenarioKind, SystemConfig
+from risnoma.channel import REFERENCE, ScenarioKind, SystemConfig
 from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
@@ -33,16 +35,7 @@ ALIGNED = ScenarioKind.TWO_ZONE_ALIGNED
 
 
 def make_config(**overrides) -> SystemConfig:
-    base = dict(
-        rho_s=10.0,
-        rho_c=1.0,
-        alpha_c=0.1,
-        code_c=CodeSpec(m=100, bits=300),
-        code_e=CodeSpec(m=100, bits=100),
-        R=8,
-    )
-    base.update(overrides)
-    return SystemConfig(**base)
+    return replace(REFERENCE, **overrides)
 
 
 # -------------------------------------------------------------- determinism
@@ -143,7 +136,29 @@ _POINT_DIGESTS = {
     ScenarioKind.SINGLE_ZONE_RANDOM: "18a0f3a1a166cbf9b7ad65d7318fb52abac521dae671c77bea49ae08a8a8b973",
     ScenarioKind.NO_RIS: "88db0a38a02d7578d234e3c5188e1a1c51c3786da47f3abdc4956845ac3f3318",
 }
-_FIG_POINTS_DIGEST = "8c661461d946e73438c7f28facfe684cc5498d89db30813fa3494eeff4c4c7ba"
+# numpy's AVX-512 (X86_V4) log2 rounds some entries of psi_exact_vec
+# differently from its baseline path, and the fig points' estimates see it;
+# so their pin is keyed by the path numpy dispatches float64 log2 to.
+_FIG_POINTS_DIGESTS = {
+    "X86_V4": "8c661461d946e73438c7f28facfe684cc5498d89db30813fa3494eeff4c4c7ba",
+    "baseline(X86_V2)": "46053db39f8e032542cf0512d90e3f46a873451ea5ed90063c69c15983c86fa5",
+}
+
+
+def _log2_path() -> str:
+    """The SIMD path numpy takes for float64 log2 in this process."""
+    from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+
+    info = opt_func_info(func_name="^log2$", signature="float64")
+    return info["log2"]["dd"]["current"]
+
+
+def _fig_points_digest() -> str:
+    # 81 points in one call: several fading groups, shared draws, and a
+    # partial last chunk
+    points = _fig_points()
+    assert len(points) == 81
+    return _estimate_digest(run_points(points, 2 * CHUNK_TRIALS + 300, 77))
 
 
 @pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
@@ -154,12 +169,28 @@ def test_point_estimates_are_bitwise_frozen(scenario):
 
 
 def test_fig_point_estimates_are_bitwise_frozen():
-    # 81 points in one call: several fading groups, shared draws, and a
-    # partial last chunk
-    points = _fig_points()
-    assert len(points) == 81
-    got = run_points(points, 2 * CHUNK_TRIALS + 300, 77)
-    assert _estimate_digest(got) == _FIG_POINTS_DIGEST
+    path = _log2_path()
+    assert path in _FIG_POINTS_DIGESTS, f"no fig-points pin for numpy's log2 path {path}"
+    assert _fig_points_digest() == _FIG_POINTS_DIGESTS[path]
+
+
+def test_fig_point_estimates_match_the_baseline_log2_pin():
+    # the baseline pin, checked in a child with numpy's X86_V4 dispatch off,
+    # so both pins are checked on an AVX-512 host; where log2 already takes
+    # the baseline path this repeats the test above
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_montecarlo as t; "
+        "print(t._log2_path(), t._fig_points_digest())"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    child = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(os.path.abspath(__file__))],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    path, digest = child.stdout.split()
+    assert path == "baseline(X86_V2)"
+    assert digest == _FIG_POINTS_DIGESTS[path]
 
 
 # ---------------------------------------------------------- estimate shape
