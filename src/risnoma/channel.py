@@ -10,7 +10,7 @@ symmetric g_r unchanged in law, so given the h_r a link power is exponential
 with mean lambda_d + eta^2 lambda_g sum_r |h_r|^2, and that sum is gamma.
 
 Provides:
-    ScenarioKind               -- aligned two-zone, single-zone random, no surface
+    ScenarioKind               -- aligned two-zone or single-zone random phases
     SystemConfig               -- one point: physical parameters (linear SNRs), scenario
     REFERENCE                  -- the paper's reference system; the CLI fills
                                   every omitted config key from it
@@ -57,11 +57,10 @@ _MAX_R = 1024
 
 
 class ScenarioKind(Enum):
-    """Two aligned zones of R elements, one random-phase zone of 2R, or no surface (R = 0)."""
+    """Two aligned zones of R elements, or one random-phase zone of 2R; no surface is R = 0."""
 
     TWO_ZONE_ALIGNED = "two_zone_aligned"
     SINGLE_ZONE_RANDOM = "single_zone_random"
-    NO_RIS = "no_ris"
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,8 @@ class SystemConfig:
             raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_short_int(self.R)}")
         for f in fields(self):
             val = getattr(self, f.name)
-            # eta = 0 is allowed as an explicit "no surface" in simulation
+            # eta = 0, a surface that reflects nothing, is simulated; the
+            # closed forms do not model it (analytic.unmodeled)
             if f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
                 raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
             if f.name.startswith("lambda_") and val <= 0.0:

@@ -15,11 +15,12 @@ The CSV schema is frozen: header ``axis,value,metric,source,bler,stderr,n,seed``
 rows sorted by (value, metric, source), numeric columns in %.10e so reruns are
 byte-identical (LF line endings).  ``source`` is ``mc``/``analytic`` with
 ``analytic_lb`` marking the combining-bound row; presets that overlay several
-scenarios or SNR contexts append a suffix (``mc_no_ris``, ``mc_single_zone``,
+systems or SNR contexts append a suffix (``mc_no_ris``, ``mc_single_zone``,
 ``mc_10db``, ...) which keeps one schema across every emitted file.
 
 A point is one SystemConfig, so ``scenario`` is a model key read by its
 field's type, and analytic.unmodeled rules which points get closed forms.
+No surface is ``R = 0``: fig3's ``_no_ris`` baseline is fig2's sweep at R = 0.
 """
 
 from __future__ import annotations
@@ -68,17 +69,21 @@ def _require_int(raw: dict, key: str) -> int:
     return value
 
 
+def _echo(value: object) -> str:
+    # a refused value as a message shows it: an integer by _short_int, any
+    # other value by its repr cut to 24 characters
+    if isinstance(value, int):
+        return _short_int(value)
+    shown = repr(value)
+    return shown if len(shown) <= 24 else shown[:21] + "..."
+
+
 def _require_scenario(raw: dict, key: str) -> ScenarioKind:
-    value = raw[key]
     try:
-        return ScenarioKind(value)
+        return ScenarioKind(raw[key])
     except ValueError:
-        # echo the value as briefly as the numeric keys do
-        shown = _short_int(value) if isinstance(value, int) else repr(value)
-        if len(shown) > 24:
-            shown = shown[:21] + "..."
         tags = ", ".join(k.value for k in ScenarioKind)
-        raise ConfigError(f"config error at {key}: {shown} not one of {tags}") from None
+        raise ConfigError(f"config error at {key}: {_echo(raw[key])} not one of {tags}") from None
 
 
 # Flat snake_case config keys that describe the system, each with its reader.
@@ -196,7 +201,7 @@ def parse_config(raw: object) -> RunConfig:
         axis = block["axis"]
         if not isinstance(axis, str) or axis not in _SWEEP_AXES:
             raise ConfigError(
-                f"config error at sweep.axis: {axis!r} not one of "
+                f"config error at sweep.axis: {_echo(axis)} not one of "
                 f"{', '.join(_SWEEP_AXES)}"
             )
         values = block["values"]
@@ -325,7 +330,7 @@ def _preset_runs(preset: str):
         "fig2": [("rho_s_db", _DB_GRID, {}, "")],
         "fig3": [
             ("rho_s_db", _DB_GRID, {}, ""),
-            ("rho_s_db", _DB_GRID, {"scenario": "no_ris"}, "_no_ris"),
+            ("rho_s_db", _DB_GRID, {"R": 0}, "_no_ris"),
         ],
         "fig4": [
             ("rho_s_db", _DB_GRID, {}, ""),

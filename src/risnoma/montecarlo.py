@@ -11,9 +11,10 @@ draws from a generator seeded by (master seed, c); partial sums are merged
 in chunk order.  The result is bitwise identical for any worker count, so
 the worker pool (capped by the RISNOMA_WORKERS environment variable) only
 affects speed.  Since every point of a call uses the same seed, points
-that would draw the same batch are grouped so that each chunk is drawn once
-and evaluated for every point of its group, and all chunks of one call run
-in one process pool.  run_points states the grouping rule in one place.
+whose sampler reads the same inputs are grouped so that each chunk is
+drawn once and evaluated for every point of its group, and all chunks of
+one call run in one process pool.  run_points states the grouping rule in
+one place; no surface is R = 0 and groups like any other point.
 
 Per config and chunk the hot path makes two psi calls: one at code_c for
 the cc step, and one at code_e on a (4, n) block of the ce, e1 and e2 SINRs
@@ -34,7 +35,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,30 +191,19 @@ def run_points(
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {_short_int(seed)}")
     groups: dict[tuple, list[int]] = {}
-    drawn = []
     for i, cfg in enumerate(cfgs):
-        # which points share a chunk's draw.  A point with no surface term
-        # (no surface, R = 0, or aligned phases with eta_c = eta_e = 0) gains
-        # only the direct powers, drawn bitwise alike by the aligned sampler
-        # at R = 0, so it keys on their means.  Aligned gains at R elements
-        # are a prefix of a draw at any larger R, so an aligned point keys on
-        # its links alone.  A random-phase point draws its gammas first, so
-        # it keys on R and its links.
+        # points share a chunk's draw when their sampler reads the same
+        # inputs.  Aligned gains at R elements are a prefix of a draw at any
+        # larger R, so an aligned point keys on its links alone; a
+        # random-phase point keys on R and its links
         aligned = cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
-        no_surface = cfg.scenario is ScenarioKind.NO_RIS or cfg.R == 0
-        if no_surface or aligned and cfg.eta_c == cfg.eta_e == 0.0:
-            cfg = replace(cfg, R=0, scenario=ScenarioKind.TWO_ZONE_ALIGNED)
-            key = tuple(link.lam_d for link in links(cfg))
-        else:
-            key = links(cfg) if aligned else (cfg.R, links(cfg))
-        drawn.append(cfg)
-        groups.setdefault((cfg.scenario, key), []).append(i)
+        groups.setdefault((cfg.scenario, links(cfg), None if aligned else cfg.R), []).append(i)
 
     n_chunks = (n + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     owners: list[list[int]] = []
     tasks = []
     for members in groups.values():
-        group = tuple(drawn[i] for i in members)
+        group = tuple(cfgs[i] for i in members)
         for c in range(n_chunks):
             owners.append(members)
             tasks.append((group, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))

@@ -400,11 +400,10 @@ def test_relay_direct_variance_default_matches_simulation_better():
     "overrides, where",
     [
         ({"scenario": ScenarioKind.SINGLE_ZONE_RANDOM}, "single_zone_random at R=8"),
-        ({"scenario": ScenarioKind.NO_RIS}, "no_ris at R=8"),
         ({"R": 0}, "two_zone_aligned at R=0"),
         ({"eta_c": 0.0}, "two_zone_aligned at R=8, eta_c=0, eta_e=1"),
     ],
-    ids=["single_zone_random", "no_ris", "R_0", "eta_c_0"],
+    ids=["single_zone_random", "R_0", "eta_c_0"],
 )
 def test_closed_forms_refuse_configs_they_do_not_model(overrides, where):
     # a baseline once got the aligned model's numbers from avg_blers; now

@@ -122,6 +122,9 @@ _HUGE_CODES = [{"m": 10**400}, {"n_c": 10**400}]
         {"R": 2000, "sweep": {"axis": "R", "values": [1, 2]}},  # base system checked first
         {"scenario": 10**400},  # an unknown tag is echoed briefly
         {"scenario": "x" * 5000},
+        {"sweep": {"axis": "x" * 5000, "values": [1]}},  # so is a bad sweep axis
+        {"sweep": {"axis": 10**400, "values": [1]}},
+        {"sweep": {"axis": list(range(1000)), "values": [1]}},
     ],
 )
 def test_parse_config_rejects(payload):
@@ -143,6 +146,17 @@ def test_parse_config_refuses_derived_and_fixed_values_as_unknown_keys(key, valu
 def test_parse_config_unknown_keys_listed_sorted():
     with pytest.raises(ConfigError, match="bandwidth, zeta"):
         parse_config({"zeta": 1, "bandwidth": 2})
+
+
+def test_no_ris_is_not_a_scenario(tmp_path, capsys):
+    # no surface is R = 0; the retired scenario tag is a config error that
+    # lists the two scenarios, and run writes no CSV for it
+    cfg = write_config(tmp_path, {"trials": 256, "scenario": "no_ris"})
+    out = tmp_path / "none.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'no_ris' not one of two_zone_aligned, single_zone_random" in err
+    assert not out.exists()
 
 
 def test_parse_config_sweep_block():
@@ -256,7 +270,7 @@ def test_run_output_is_bytewise_reproducible(tmp_path):
 
 
 def test_run_no_surface_scenario_has_no_closed_form_rows(tmp_path):
-    cfg = write_config(tmp_path, {"trials": 2048, "scenario": "no_ris"})
+    cfg = write_config(tmp_path, {"trials": 2048, "R": 0})
     out = tmp_path / "none.csv"
     main(["run", "--config", cfg, "--out", str(out)])
     rows = read_rows(out)
@@ -498,11 +512,10 @@ def test_compare_flags_violated_bound(tmp_path, capsys):
     "payload, where",
     [
         ({"R": 0}, "two_zone_aligned at R=0"),
-        ({"scenario": "no_ris"}, "no_ris at R=8"),
         ({"eta_c": 0.0}, "two_zone_aligned at R=8, eta_c=0, eta_e=1"),
         ({"eta_e": 0.0}, "two_zone_aligned at R=8, eta_c=1, eta_e=0"),
     ],
-    ids=["R_0", "no_ris", "eta_c_0", "eta_e_0"],
+    ids=["R_0", "eta_c_0", "eta_e_0"],
 )
 def test_closed_form_commands_refuse_points_they_do_not_model(
     tmp_path, capsys, monkeypatch, command, payload, where

@@ -33,6 +33,14 @@ from risnoma.montecarlo import (
 
 ALIGNED = ScenarioKind.TWO_ZONE_ALIGNED
 
+# the overrides of the reference system that give each simulated system: the
+# two scenarios, and no surface, which is R = 0 in either
+_SYSTEMS = {
+    "two_zone_aligned": {},
+    "single_zone_random": {"scenario": ScenarioKind.SINGLE_ZONE_RANDOM},
+    "no_ris": {"R": 0},
+}
+
 
 def make_config(**overrides) -> SystemConfig:
     return replace(REFERENCE, **overrides)
@@ -54,50 +62,52 @@ def test_same_seed_reproduces_bitwise():
 
 def test_worker_count_does_not_change_results(monkeypatch):
     n = 3 * CHUNK_TRIALS  # several chunks so the pool actually splits work
-    for scenario in ScenarioKind:
-        cfg = make_config(scenario=scenario)
+    for system, overrides in _SYSTEMS.items():
+        cfg = make_config(**overrides)
         monkeypatch.setenv("RISNOMA_WORKERS", "1")
         serial = run_trials(cfg, n, 123)
         monkeypatch.setenv("RISNOMA_WORKERS", "3")
         pooled = run_trials(cfg, n, 123)
         for key in ("cu", "ceu_sc", "ceu_mrc"):
-            assert serial[key].mean == pooled[key].mean, scenario
-            assert serial[key].stderr == pooled[key].stderr, scenario
+            assert serial[key].mean == pooled[key].mean, system
+            assert serial[key].stderr == pooled[key].stderr, system
 
 
 def test_no_surface_scenario_equals_eta_zero():
     # no surface is R = 0 in either sampler; skipping the cascade draws
-    # leaves the direct-power stream untouched, so all four ways of saying
-    # "no surface" give the same estimates bitwise
+    # leaves the direct-power stream untouched, so R = 0 in both scenarios
+    # and an aligned surface that reflects nothing give the same estimates
+    # bitwise, though each keys its own draw
     want = run_trials(make_config(eta_c=0.0, eta_e=0.0), 8192, 42)
     assert len(want) == 7
-    for cfg in (
-        make_config(scenario=ScenarioKind.NO_RIS),
-        make_config(R=0),
-        make_config(R=0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM),
-    ):
+    for cfg in (make_config(R=0), make_config(R=0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM)):
         assert run_trials(cfg, 8192, 42) == want, cfg.scenario
 
 
-def test_points_without_a_surface_term_share_one_draw(draws):
-    # each point's gains are the direct powers alone, so all five share one
-    # draw per chunk, made by the aligned sampler at R = 0
-    points = [
-        make_config(R=1, scenario=ScenarioKind.NO_RIS),
-        make_config(R=8, scenario=ScenarioKind.NO_RIS),
-        make_config(R=0),
-        make_config(R=0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM),
-        make_config(R=8, eta_c=0.0, eta_e=0.0),
-    ]
+def test_fig3_baseline_is_a_prefix_of_the_aligned_draw(draws, monkeypatch):
+    # fig3's no-surface baseline is its aligned sweep at R = 0: the same
+    # links, so its gains are the zero-element prefix of the aligned draw,
+    # and the 22 points make one draw per chunk
+    points = [p.cfg for run in cli._preset_runs("fig3") for p in cli._expand(*run)]
+    assert len(points) == 22 and {cfg.R for cfg in points} == {0, 8}
+    counts = []
+    sample = montecarlo._sample_aligned_batch
+
+    def recording(*args, **kwargs):
+        counts.append(sorted(kwargs["counts"]))
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_sample_aligned_batch", recording)
     calls, got = draws(points, 2 * CHUNK_TRIALS)
-    assert calls == [("_sample_aligned_batch", 0)] * 2
-    assert all(est == got[0] for est in got)
+    assert calls == [("_sample_aligned_batch", 8)] * 2
+    assert counts == [[0, 8]] * 2
+    assert got[11:] == run_points(points[11:], 2 * CHUNK_TRIALS, 42)
 
 
 def test_random_phase_at_zero_eta_keeps_its_own_draw(draws):
     # at eta_c = eta_e = 0 the random-phase gains have the law of the direct
     # powers, but the sampler draws its gammas first, so its bits differ
-    # from the no-surface draw and it must not join that group
+    # from the aligned draw and it keys a draw of its own
     zero_eta = make_config(eta_c=0.0, eta_e=0.0, scenario=ScenarioKind.SINGLE_ZONE_RANDOM)
     calls, _ = draws([make_config(R=0), zero_eta])
     assert calls == [("_sample_aligned_batch", 0), ("_sample_random_phase_batch", 8)]
@@ -132,9 +142,9 @@ def _fig_points() -> list:
 # A change meant to keep the random draws and the float operations must keep
 # these digests; a change meant to alter them updates a digest and says why.
 _POINT_DIGESTS = {
-    ScenarioKind.TWO_ZONE_ALIGNED: "8e346a90e0f60ff756875dc49c9eabadc0fbf45135aa401ff2a41519fda329c0",
-    ScenarioKind.SINGLE_ZONE_RANDOM: "18a0f3a1a166cbf9b7ad65d7318fb52abac521dae671c77bea49ae08a8a8b973",
-    ScenarioKind.NO_RIS: "88db0a38a02d7578d234e3c5188e1a1c51c3786da47f3abdc4956845ac3f3318",
+    "two_zone_aligned": "8e346a90e0f60ff756875dc49c9eabadc0fbf45135aa401ff2a41519fda329c0",
+    "single_zone_random": "18a0f3a1a166cbf9b7ad65d7318fb52abac521dae671c77bea49ae08a8a8b973",
+    "no_ris": "88db0a38a02d7578d234e3c5188e1a1c51c3786da47f3abdc4956845ac3f3318",
 }
 # numpy's AVX-512 (X86_V4) log2 rounds some entries of psi_exact_vec
 # differently from its baseline path, and the fig points' estimates see it;
@@ -161,11 +171,11 @@ def _fig_points_digest() -> str:
     return _estimate_digest(run_points(points, 2 * CHUNK_TRIALS + 300, 77))
 
 
-@pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
-def test_point_estimates_are_bitwise_frozen(scenario):
-    cfg = make_config(rho_s=10.0 ** 0.5, rho_c=10.0 ** -0.5, scenario=scenario)
+@pytest.mark.parametrize("system", list(_SYSTEMS))
+def test_point_estimates_are_bitwise_frozen(system):
+    cfg = make_config(rho_s=10.0 ** 0.5, rho_c=10.0 ** -0.5, **_SYSTEMS[system])
     got = run_points([cfg], CHUNK_TRIALS + 1000, 2024)
-    assert _estimate_digest(got) == _POINT_DIGESTS[scenario]
+    assert _estimate_digest(got) == _POINT_DIGESTS[system]
 
 
 def test_fig_point_estimates_are_bitwise_frozen():
@@ -197,8 +207,8 @@ def test_fig_point_estimates_match_the_baseline_log2_pin():
 
 def test_estimates_are_probabilities_with_sane_stderr():
     n = 8192
-    for scenario in (ALIGNED, ScenarioKind.NO_RIS, ScenarioKind.SINGLE_ZONE_RANDOM):
-        est = run_trials(make_config(scenario=scenario), n, 5)
+    for overrides in _SYSTEMS.values():
+        est = run_trials(make_config(**overrides), n, 5)
         for e in est.values():
             assert 0.0 <= e.mean <= 1.0
             assert 0.0 <= e.stderr <= 0.5 / math.sqrt(n)
@@ -328,14 +338,14 @@ def _axis_cfg(axis, value, keys=None):
     return point.cfg
 
 
-def _axis_points(scenario, axis, values):
-    # the configs of a sweep in one scenario, as the CLI builds them
-    return [replace(_axis_cfg(axis, value), scenario=scenario) for value in values]
+def _axis_points(axis, values, **overrides):
+    # the configs of a sweep, as the CLI builds them, with the overrides set
+    return [replace(_axis_cfg(axis, value), **overrides) for value in values]
 
 
 def test_single_value_sweep_matches_run_trials():
     direct = run_trials(make_config(rho_s=100.0, rho_c=10.0), 8192, 55)
-    got = run_points(_axis_points(ALIGNED, "rho_s_db", [20.0]), 8192, 55)
+    got = run_points(_axis_points("rho_s_db", [20.0]), 8192, 55)
     assert len(got) == 1 and not isinstance(got[0], str)
     for key in ("cu", "ceu_sc", "ceu_mrc"):
         assert got[0][key].mean == direct[key].mean
@@ -369,23 +379,25 @@ _AXIS_VALUES = {
 
 
 @pytest.mark.parametrize("axis", sorted(_AXIS_VALUES))
-@pytest.mark.parametrize("scenario", list(ScenarioKind), ids=lambda k: k.value)
-def test_batched_sweep_matches_lone_run_trials(scenario, axis):
+@pytest.mark.parametrize("system", list(_SYSTEMS))
+def test_batched_sweep_matches_lone_run_trials(system, axis):
     # points of one sweep share their draws; each must still get exactly
-    # what a lone run_trials at that value gives
+    # what a lone run_trials at that value gives.  Without a surface an R
+    # sweep is three R = 0 points
     n = CHUNK_TRIALS + 500  # two chunks, the last one partial
-    got = run_points(_axis_points(scenario, axis, _AXIS_VALUES[axis]), n, 61)
+    overrides = _SYSTEMS[system]
+    got = run_points(_axis_points(axis, _AXIS_VALUES[axis], **overrides), n, 61)
     for value, est in zip(_AXIS_VALUES[axis], got):
         assert not isinstance(est, str)
-        alone = run_trials(replace(_axis_cfg(axis, value), scenario=scenario), n, 61)
-        _assert_same(est, alone, (scenario, axis, value))
+        alone = run_trials(replace(_axis_cfg(axis, value), **overrides), n, 61)
+        _assert_same(est, alone, (system, axis, value))
 
 
 def test_failing_point_leaves_its_group_intact():
     # 3079 dB overflows the SINRs to NaN while evaluating; the point at
     # 10 dB draws from the same batch and must be unaffected
     with np.errstate(over="ignore", invalid="ignore"):
-        got = run_points(_axis_points(ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
+        got = run_points(_axis_points("rho_s_db", [10, 3079]), 8192, 5)
     assert not isinstance(got[0], str)
     assert "SINR must be >= 0 and not NaN" in got[1]
     alone = run_trials(_axis_cfg("rho_s_db", 10), 8192, 5)
@@ -397,7 +409,7 @@ def test_overflowing_point_raises_no_numpy_warning():
     # is reported only as the point's own error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = run_points(_axis_points(ALIGNED, "rho_s_db", [10, 3079]), 8192, 5)
+        got = run_points(_axis_points("rho_s_db", [10, 3079]), 8192, 5)
     assert "SINR must be >= 0 and not NaN" in got[1]
     alone = run_trials(_axis_cfg("rho_s_db", 10), 8192, 5)
     _assert_same(got[0], alone, 10)

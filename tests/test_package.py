@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from risnoma import cli
+from risnoma import ScenarioKind, cli
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,13 +58,25 @@ def test_perfbench_traced_names_exist():
     assert missing in ([], ["cli.run_trials"])
 
 
-def test_readme_config_table_lists_every_key():
-    # the first column of each row under "### Config keys" names its keys
+def _config_rows() -> list[list[str]]:
+    # the cells of each row under "### Config keys"
     readme = (_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
-    rows = [line for line in section.splitlines() if line.startswith("| `")]
-    listed = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    return [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_config_table_lists_every_key():
+    # the first column of each row names its keys
+    listed = {key for row in _config_rows() for key in re.findall(r"`(\w+)`", row[0])}
     assert listed == cli._ALL_KEYS
+
+
+def test_readme_scenario_row_lists_every_scenario():
+    # the default and meaning cells of the scenario row name exactly the
+    # values the config key accepts
+    (row,) = [row for row in _config_rows() if row[0].strip() == "`scenario`"]
+    listed = {tag for cell in row[1:] for tag in re.findall(r"`(\w+)`", cell)}
+    assert listed == {kind.value for kind in ScenarioKind}
 
 
 def test_readme_library_names_every_export():
