@@ -126,15 +126,14 @@ def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
 
     Maps omega through the step's inverse SINR map to a threshold on its
     link's gain and delegates to effective_gain_cdf; at or above the step's
-    ceiling the SINR never reaches omega and the CDF is 1.  A config the
-    closed forms do not model is refused with unmodeled's reason.
+    ceiling the SINR never reaches omega and the CDF is 1.  omega = 0 maps
+    to gain 0 (CDF 0), or to inf if the SINR scale underflows to 0.  A
+    config the closed forms do not model is refused with unmodeled's reason.
     """
     if why := unmodeled(cfg):
         raise ValueError(why)
     if omega < 0.0:
         raise ValueError(f"omega must be >= 0, got {omega}")
-    if omega == 0.0:
-        return 0.0
     t = kind.gain_threshold(omega, cfg)
     if t == math.inf:
         return 1.0

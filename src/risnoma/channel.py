@@ -28,14 +28,14 @@ Provides:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import CodeSpec, _short_int
+from .fbl import CodeSpec, _as_int, _short_int
 
 __all__ = [
     "ScenarioKind",
@@ -97,12 +97,19 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, ScenarioKind):
             raise ValueError(f"scenario must be a ScenarioKind, got {self.scenario!r}")
-        # every check below compares, and NaN compares false, so reject
-        # non-finite values before anything else
+        # NaN compares false, so each field is checked finite before its range
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(val):
+            if f.type == "int":
+                object.__setattr__(self, f.name, _as_int(f.name, val))
+            elif f.type == "float" and not math.isfinite(val):
                 raise ValueError(f"{f.name} must be finite, got {val}")
+            # eta = 0, a surface that reflects nothing, is simulated; the
+            # closed forms do not model it (analytic.unmodeled)
+            elif f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
+                raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
+            elif f.name.startswith("lambda_") and val <= 0.0:
+                raise ValueError(f"{f.name} must be > 0")
         if self.rho_s <= 0.0 or self.rho_c <= 0.0:
             raise ValueError("transmit SNRs must be positive")
         if not (0.0 < self.alpha_c < self.alpha_e):
@@ -116,14 +123,6 @@ class SystemConfig:
         # 4096 trials, so about 96 MiB if a sweep takes all 1025 values
         if not 0 <= self.R <= _MAX_R:
             raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_short_int(self.R)}")
-        for f in fields(self):
-            val = getattr(self, f.name)
-            # eta = 0, a surface that reflects nothing, is simulated; the
-            # closed forms do not model it (analytic.unmodeled)
-            if f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
-                raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
-            if f.name.startswith("lambda_") and val <= 0.0:
-                raise ValueError(f"{f.name} must be > 0")
 
     @property
     def alpha_e(self) -> float:
@@ -246,7 +245,7 @@ CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))
 
 
 def _sample_aligned_batch(
-    cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Iterable[int] | None = None
+    cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Collection[int]
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
 
@@ -260,26 +259,23 @@ def _sample_aligned_batch(
     powers come from untouched draws, which is what makes no surface
     bit-compatible with eta = 0.
 
-    Returns a dict from each element count in counts (each in [0, R];
-    default {cfg.R}) to its (T, Z, W), all from this one draw.  The element
+    Returns a dict from each element count in counts (each in [0, R], which
+    the caller ensures) to its (T, Z, W), all from this one draw.  The element
     loop holds no (n, R) buffer, but the dict keeps one (T, Z, W), 24n
     bytes, per count: memory grows with the number of distinct counts.
     """
     powers = tuple(rng.exponential(link.lam_d, size=n) for link in links(cfg))
-    wanted = {cfg.R} if counts is None else set(counts)
-    if not all(0 <= k <= cfg.R for k in wanted):
-        raise ValueError(f"element counts must lie in [0, {cfg.R}], got {sorted(wanted)}")
     scales = [link.eta * math.sqrt(link.lam_g * link.lam_r) for link in links(cfg)]
     sums = np.zeros((3, n))
     pairs = np.empty((3, 2, n))  # one (e_g, e_h) pair per link
     prods = np.empty((3, n))
-    by_count = {0: powers} if 0 in wanted else {}
+    by_count = {0: powers} if 0 in counts else {}
     for k in range(1, cfg.R + 1):
         rng.standard_exponential(out=pairs)
         np.multiply(pairs[:, 0], pairs[:, 1], out=prods)
         np.sqrt(prods, out=prods)
         sums += prods
-        if k in wanted:
+        if k in counts:
             by_count[k] = tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
     return by_count
 

@@ -10,11 +10,11 @@ Provides:
     psi_exact_vec        -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an array,
                             through erfc with no clip of its argument
     linearization_params -- beta, delta, v, u for a CodeSpec
-    psi_linear           -- the 1 / ramp / 0 surrogate
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -26,7 +26,6 @@ __all__ = [
     "PsiLinearization",
     "psi_exact_vec",
     "linearization_params",
-    "psi_linear",
 ]
 
 # below this SINR erfc's argument lies far below -5.8636, where scipy's
@@ -42,6 +41,13 @@ def _short_int(k: int) -> str:
     return str(k) if abs(k) < 10**15 else f"{Decimal(k):.3e}"
 
 
+def _as_int(name: str, val) -> int:
+    """val as an int if operator.index takes it and it is not a bool; else ValueError."""
+    if isinstance(val, bool) or not hasattr(type(val), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {val!r:.24}")
+    return operator.index(val)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """A short-packet code: m channel uses carrying `bits` information bits."""
@@ -50,6 +56,8 @@ class CodeSpec:
     bits: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "bits"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError(f"blocklength must be >= 1, got {_short_int(self.m)}")
         if self.bits < 1:
@@ -134,16 +142,3 @@ def linearization_params(code: CodeSpec) -> PsiLinearization:
     delta = 1.0 / math.sqrt(2.0 * math.pi * (2.0 ** (2.0 * rate) - 1.0))
     half_width = 1.0 / (2.0 * delta * math.sqrt(code.m))
     return PsiLinearization(beta=beta, delta=delta, v=beta - half_width, u=beta + half_width)
-
-
-def psi_linear(gamma: float, lin: PsiLinearization) -> float:
-    """Piecewise-linear BLER surrogate: 1 below v, ramp, 0 above u.
-
-    The ramp is 1/2 - delta*sqrt(m)*(gamma - beta); since u - v equals
-    1/(delta*sqrt(m)), the slope is recovered from the knees alone.
-    """
-    if gamma <= lin.v:
-        return 1.0
-    if gamma >= lin.u:
-        return 0.0
-    return 0.5 - (gamma - lin.beta) / (lin.u - lin.v)

@@ -77,10 +77,10 @@ def _metric_sums(
     gains: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: SystemConfig
 ) -> np.ndarray:
     """Sums (row 0) and sums of squares (row 1) of every metric for one config on one batch."""
-    # two psi calls: cc at code_c, and one block of the four code_e SINRs
-    # (ce, e1, e2 and the MRC sum).  A huge SNR overflows the SINRs to inf
-    # or NaN; psi refuses the NaNs with this config's error, so numpy need
-    # not warn about them
+    # two psi calls: cc at its code, and one block of the ce, e1 and e2
+    # SINRs and the MRC sum, which share ce's code.  A huge SNR overflows
+    # the SINRs to inf or NaN; psi refuses the NaNs with this config's
+    # error, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         g_cc = CC.sinr(gains[CC.link], cfg)
         block = np.empty((4, len(g_cc)))
@@ -88,16 +88,16 @@ def _metric_sums(
             row[...] = step.sinr(gains[step.link], cfg)
         g_e1, g_e2 = block[1:3]
         np.add(g_e1, g_e2, out=block[3])
-    eps_cc = psi_exact_vec(g_cc, cfg.code_c)
-    eps_ce, eps_e1, eps_e2, eps_mrc = psi_exact_vec(block, cfg.code_e)
+    eps_cc = psi_exact_vec(g_cc, CC.code(cfg))
+    eps_ce, eps_e1, eps_e2, eps_mrc = psi_exact_vec(block, CE.code(cfg))
 
     # CU fails if either SIC stage fails (inclusion-exclusion of the two)
     cu = eps_ce + eps_cc - eps_ce * eps_cc
     # CEU: direct-only when the relay failed to decode, combined otherwise.
     # SC decodes at max(g_e1, g_e2), whose psi is already in eps_e1 or eps_e2
-    relay_ok = 1.0 - eps_ce
-    sc = eps_ce * eps_e1 + relay_ok * np.where(g_e1 >= g_e2, eps_e1, eps_e2)
-    mrc = eps_ce * eps_e1 + relay_ok * eps_mrc
+    direct_only, relay_ok = eps_ce * eps_e1, 1.0 - eps_ce
+    sc = direct_only + relay_ok * np.where(g_e1 >= g_e2, eps_e1, eps_e2)
+    mrc = direct_only + relay_ok * eps_mrc
 
     cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
     return np.array([[np.add.reduce(c) for c in cols], [np.add.reduce(c * c) for c in cols]])

@@ -184,7 +184,7 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     cfg = make_config()
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 0]))
     n = 1_000_000
-    t = _sample_aligned_batch(cfg, rng, n)[cfg.R][0]
+    t = _sample_aligned_batch(cfg, rng, n, counts=[cfg.R])[cfg.R][0]
     t_sorted = np.sort(t)
     fit = gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc)
     # evaluate the closed form at every n/m-th order statistic; the exact

@@ -161,6 +161,14 @@ def test_sinr_cdf_zero_threshold_is_zero():
         sinr_cdf(-0.5, CC, cfg)
 
 
+def test_sinr_cdf_at_zero_is_one_when_the_sinr_scale_underflows():
+    # alpha_c * rho_s rounds to 0, so every cc SINR is 0 and P(SINR <= 0) = 1
+    cfg = make_config(rho_s=5e-324)
+    assert cfg.alpha_c * cfg.rho_s == 0.0
+    assert sinr_cdf(0.0, CC, cfg) == 1.0
+    assert sinr_cdf(0.0, CE, cfg) == 0.0
+
+
 def test_sinr_cdf_interference_saturation():
     # the ce / e1 SINRs are interference-limited: below alpha_e/alpha_c the
     # CDF is a proper mixture, at or above it the event is certain
@@ -299,6 +307,13 @@ def test_user_level_frozen_reference_values():
     assert avg_blers(cfg)[0] == pytest.approx(0.00883534880260821, rel=1e-12)
     assert avg_blers(cfg)[1] == pytest.approx(1.2800798594418767e-15, rel=1e-12)
     assert avg_blers(cfg)[2] == pytest.approx(3.015418298334436e-19, rel=1e-12)
+
+
+def test_numpy_integer_element_count_gives_the_reference_averages():
+    # the config stores a numpy integer as an int
+    cfg = make_config(R=np.int64(8))
+    assert type(cfg.R) is int
+    assert avg_blers(cfg) == avg_blers(make_config())
 
 
 def test_sc_algebra_bounds():

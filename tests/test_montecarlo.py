@@ -20,6 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.integrate import quad
+from scipy.special import roots_genlaguerre
 
 from risnoma import cli, montecarlo
 from risnoma.channel import REFERENCE, ScenarioKind, SystemConfig
@@ -226,6 +229,16 @@ def test_non_finite_sum_is_an_internal_error():
         montecarlo._estimates(4, sums)
 
 
+def test_one_trial_has_zero_stderr():
+    est = run_trials(make_config(), 1, 9)
+    assert all(e.n == 1 and e.stderr == 0.0 for e in est.values())
+
+
+def test_run_trials_raises_the_point_error():
+    with pytest.raises(ValueError, match="SINR must be >= 0 and not NaN"):
+        run_trials(_axis_cfg("rho_s_db", 3079), 4096, 5)
+
+
 def test_partial_final_chunk_is_counted():
     est = run_trials(make_config(), CHUNK_TRIALS + 904, 9)
     assert est["cu"].n == CHUNK_TRIALS + 904
@@ -327,6 +340,98 @@ def test_rayleigh_only_average_matches_closed_form():
     )
     mc = run_trials(cfg, 200_000, 101)["cc"]
     assert mc.mean == pytest.approx(closed, abs=4.0 * mc.stderr)
+
+
+# the differential check: each decoding step's simulated average against
+# its exact-law integral over random configs, both paths written out here.
+# Per step, the fields of its link: direct mean, cascade hops, amplitude
+_DIFF_LINKS = {
+    "cc": ("lambda_c", "lambda_gc", "lambda_rc", "eta_c"),
+    "ce": ("lambda_c", "lambda_gc", "lambda_rc", "eta_c"),
+    "e1": ("lambda_e", "lambda_ge", "lambda_re", "eta_e"),
+    "e2": ("lambda_ce", "lambda_gce", "lambda_rce", "eta_e"),
+}
+_DIFF_EXAMPLES = 30  # per case, with and without a surface
+_DIFF_TRIALS = 20_000
+# a family-wise false-alarm rate of 1e-3 over every row the check can judge
+_DIFF_Z = stats.norm.isf(1e-3 / (2 * len(_DIFF_LINKS) * 2 * _DIFF_EXAMPLES))
+
+
+def _diff_sinr(tag, x, cfg):
+    a_c, a_e = cfg.alpha_c * cfg.rho_s, cfg.alpha_e * cfg.rho_s
+    if tag in ("cc", "e2"):
+        return (a_c if tag == "cc" else cfg.rho_c) * x
+    # ce and e1 decode the edge user's share under the central user's
+    return a_e * x / (a_c * x + 1.0)
+
+
+@st.composite
+def _exact_law_configs(draw, surface):
+    # without a surface (R = 0), or random-phase with R = 1..8: the two
+    # cases whose gains have an exact law
+    def db(lo, hi):
+        return 10.0 ** (draw(st.floats(lo, hi)) / 10.0)
+
+    m = draw(st.integers(50, 299))
+    # the nine link means, each drawn once, in a fixed order
+    names = dict.fromkeys(name for link in _DIFF_LINKS.values() for name in link[:3])
+    lambdas = {name: draw(st.floats(0.1, 2.0)) for name in names}
+    return SystemConfig(
+        rho_s=db(-5.0, 25.0), rho_c=db(-10.0, 20.0), alpha_c=draw(st.floats(0.03, 0.45)),
+        code_c=CodeSpec(m, draw(st.integers(50, 399))),
+        code_e=CodeSpec(m, draw(st.integers(30, 199))),
+        R=draw(st.integers(1, 8)) if surface else 0,
+        eta_c=draw(st.floats(0.2, 1.0)), eta_e=draw(st.floats(0.2, 1.0)),
+        scenario=ScenarioKind.SINGLE_ZONE_RANDOM if surface else ALIGNED,
+        **lambdas,
+    )
+
+
+def _exact_step_average(cfg, tag):
+    """E[psi(sinr(X))] by quadrature over the exact law of the step's gain X.
+
+    Without a surface X ~ Exp(lam_d).  With 2R random-phase elements X | S ~
+    Exp(lam_d + eta^2 lam_g S) over S ~ Gamma(2R, scale lam_r), the mixture
+    taken at generalized Gauss-Laguerre nodes.  The integral breaks at the
+    gain where the SINR reaches the code's threshold, where psi falls.
+    """
+    lam_d, lam_g, lam_r, eta = (getattr(cfg, name) for name in _DIFF_LINKS[tag])
+    code = cfg.code_c if tag == "cc" else cfg.code_e
+    if cfg.R == 0:
+        means, weights = np.array([lam_d]), np.array([1.0])
+    else:
+        nodes, weights = roots_genlaguerre(60, 2 * cfg.R - 1)
+        means, weights = lam_d + eta * eta * lam_g * lam_r * nodes, weights / weights.sum()
+
+    def integrand(x):
+        density = np.sum(weights * np.exp(-x / means) / means)
+        return float(psi_exact_vec(np.float64(_diff_sinr(tag, x, cfg)), code)) * density
+
+    beta = 2.0 ** code.rate - 1.0
+    if tag in ("cc", "e2"):
+        cross = beta / _diff_sinr(tag, 1.0, cfg)
+    else:
+        room = cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * beta
+        cross = beta / room if room > 0.0 else math.inf
+    edges = (0.0, cross, math.inf) if cross < math.inf else (0.0, math.inf)
+    return sum(quad(integrand, lo, hi, limit=200)[0] for lo, hi in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("surface", [False, True], ids=["no_surface", "random_phase"])
+@settings(max_examples=_DIFF_EXAMPLES, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_step_averages_match_their_exact_law_integrals(surface, data):
+    # a row is judged only where the simulation resolves it, n*min(E, 1 - E)
+    # >= 50 trials on each side; the z bound is Bonferroni over all rows
+    cfg = data.draw(_exact_law_configs(surface), label="cfg")
+    est = run_trials(cfg, _DIFF_TRIALS, 99)
+    for tag in _DIFF_LINKS:
+        exact = _exact_step_average(cfg, tag)
+        if _DIFF_TRIALS * min(exact, 1.0 - exact) < 50:
+            continue
+        mc = est[tag]
+        z = (mc.mean - exact) / mc.stderr
+        assert abs(z) <= _DIFF_Z, (tag, exact, mc, z)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -462,6 +567,15 @@ def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
     # where the platform has no affinity call, the host's count serves
     monkeypatch.delattr(os, "sched_getaffinity")
     assert montecarlo._worker_count() == 64
+
+
+@pytest.mark.parametrize(
+    ("env", "message"), [("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got 0")]
+)
+def test_worker_cap_must_be_a_positive_integer(monkeypatch, env, message):
+    monkeypatch.setenv("RISNOMA_WORKERS", env)
+    with pytest.raises(ValueError, match=f"RISNOMA_WORKERS {message}"):
+        montecarlo._worker_count()
 
 
 def _finish_times(costs, size: int, workers: int) -> list[float]:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from risnoma import ScenarioKind, cli
+from risnoma.montecarlo import CHUNK_TRIALS
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +57,29 @@ def test_perfbench_traced_names_exist():
             missing.append(name)
     # the benchmark still wraps cli.run_trials, which cli no longer imports
     assert missing in ([], ["cli.run_trials"])
+
+
+def test_perfbench_work_counts_read_the_right_arguments(tmp_path, monkeypatch):
+    # the benchmark counts work from argument positions: the trials from
+    # args[2] of both samplers, the SINR elements from args[0] of psi and
+    # the rows from args[1] of _write_csv.  fig4 at one chunk draws once per
+    # scenario and evaluates 5 SINRs (4 steps and the MRC sum) per trial at
+    # each of its 22 points
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    layers, spans = importlib.import_module("layers"), importlib.import_module("spans")
+    tracer = spans.Tracer()
+    layers.trace_compute(tracer)
+    out = tmp_path / "fig4.csv"
+    try:
+        assert cli.cmd_fig("fig4", str(out), CHUNK_TRIALS, 1234) == 0
+    finally:
+        tracer.restore()
+    work = {name: row["work"] for name, row in spans.summarize(tracer.spans).items()}
+    assert work["channel.sample_aligned"] == CHUNK_TRIALS
+    assert work["channel.sample_random_phase"] == CHUNK_TRIALS
+    assert work["fbl.psi_exact_vec"] == 22 * 5 * CHUNK_TRIALS
+    assert work["cli.write_csv"] == len(out.read_text(encoding="utf-8").splitlines()) - 1
 
 
 def _config_rows() -> list[list[str]]:
