@@ -5,13 +5,18 @@ and cross-checked against quadrature of the defining integrals; structural
 identities (midpoint reduction, saturation, doubling) are tested exactly.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from risnoma import cli
 from risnoma.analytic import (
     avg_blers,
     avg_psi,
@@ -439,3 +444,87 @@ def test_avg_blers_is_one_when_the_sinr_scale_underflows():
     # at the least subnormal rho_s the cc SINR scale rounds to 0, and the
     # ce and e1 thresholds overflow: every step but e2 always fails
     assert avg_blers(make_config(rho_s=5e-324, rho_c=1.0)) == (1.0, 1.0, 1.0)
+
+
+# ------------------------------------------------------ bitwise closed forms
+
+_STEPS = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
+
+
+def _closed_form_configs() -> list[SystemConfig]:
+    # every fig2..fig6 point the closed forms model, a grid that puts the SIC
+    # ceiling of ce and e1 inside their knee window, and a few element counts
+    figs = [
+        p.cfg
+        for preset in ("fig2", "fig3", "fig4", "fig5", "fig6")
+        for run in cli._preset_runs(preset)
+        for p in cli._expand(*run)
+        if unmodeled(p.cfg) is None
+    ]
+    ceiling = [
+        make_config(alpha_c=float(a), rho_s=10.0 ** (db / 10.0), rho_c=10.0 ** (db / 10.0 - 1.0))
+        for a in np.linspace(0.45, 0.4999, 12)
+        for db in (5, 10, 20)
+    ]
+    return figs + ceiling + [make_config(R=R) for R in (1, 2, 4, 32, 256)]
+
+
+def _closed_form_digest() -> str:
+    """sha256 over float.hex of avg_blers and the six step averages, config by config.
+
+    The CSVs print %.10e, which cannot see a change in the last bits of a
+    closed form; this digest can.
+    """
+    h = hashlib.sha256()
+    for i, cfg in enumerate(_closed_form_configs()):
+        vals = (*avg_blers(cfg), *(avg_psi(kind, cfg) for kind in _STEPS))
+        h.update(f"{i} {' '.join(float(v).hex() for v in vals)}\n".encode())
+    return h.hexdigest()
+
+
+def _log_exp_path() -> str:
+    """The SIMD paths numpy takes for float64 log and exp in this process."""
+    from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+
+    return ", ".join(
+        f"{f} {opt_func_info(func_name=f'^{f}$', signature='float64')[f]['dd']['current']}"
+        for f in ("log", "exp")
+    )
+
+
+# The correction sum's log and exp round some last bits differently on each
+# of numpy's SIMD paths, so the pin is keyed by the paths this process takes.
+# A change meant to keep the closed forms' float operations keeps these.
+_CLOSED_FORM_DIGESTS = {
+    "log X86_V4, exp X86_V4": "b9c90a8d1cdf5da75cc6101d010d5b1d303e59f63e09cee37e4c10d248e9048b",
+    "log X86_V3, exp X86_V3": "a4ef13644731553943ccef5a9d79f2a42761041a32f70386841db15bee44818b",
+    "log baseline(X86_V2), exp baseline(X86_V2)": (
+        "a4ef13644731553943ccef5a9d79f2a42761041a32f70386841db15bee44818b"
+    ),
+}
+
+
+def test_closed_forms_are_bitwise_frozen():
+    path = _log_exp_path()
+    assert path in _CLOSED_FORM_DIGESTS, f"no closed-form pin for numpy's paths {path}"
+    assert _closed_form_digest() == _CLOSED_FORM_DIGESTS[path]
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
+def test_closed_forms_match_the_pins_of_the_slower_simd_paths(disabled):
+    # each slower path's pin, checked in a child with numpy's faster dispatch
+    # off, so every pin is checked on an AVX-512 host; where a path is
+    # already the one this process takes, this repeats the test above
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_analytic as t; "
+        "print(t._log_exp_path() + '|' + t._closed_form_digest())"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+    child = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(os.path.abspath(__file__))],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    path, digest = child.stdout.strip().split("|")
+    assert path in _CLOSED_FORM_DIGESTS, f"no closed-form pin for numpy's paths {path}"
+    assert digest == _CLOSED_FORM_DIGESTS[path]
