@@ -7,14 +7,17 @@ piecewise-linear BLER surrogate reduce, via the first-order midpoint rule,
 to a single CDF evaluation at the threshold beta -- the slope times the knee
 width is exactly one -- so nearly every "average" below is one CDF call.
 The exception is a SIC step whose SINR ceiling lies inside the knee window,
-where the CDF is integrated up to the ceiling instead.
+where the CDF is integrated up to the ceiling instead.  The two CDFs take a
+float or an array of thresholds, with each entry's bits those of a call on
+it alone, so that integral too is one call, on the rule's nodes: every
+point costs six CDF calls, one per step average.
 
 Provides:
     QUAD_ORDER         -- the Gauss-Chebyshev order sinr_cdf uses
     chebyshev_rule     -- the cached Gauss-Chebyshev (nodes, weights) of an order
     unmodeled          -- why the closed forms do not model a config, or None
-    effective_gain_cdf -- CDF of T/Z/W at a point
-    sinr_cdf           -- CDF of the step's SINR (threshold-mapped)
+    effective_gain_cdf -- CDF of T/Z/W at each of an array of points
+    sinr_cdf           -- CDF of the step's SINR at each of an array of thresholds
     avg_psi            -- average linearized BLER of one decoding step
     avg_blers          -- all three user-level averages from six step averages
     diversity_order    -- asymptotic log-log BLER slopes
@@ -77,69 +80,66 @@ def unmodeled(cfg: SystemConfig) -> str | None:
     )
 
 
-def effective_gain_cdf(
-    t: float,
-    direct_var: float,
-    fit: GammaFit,
-    eta: float,
-    quad_order: int,
-) -> float:
-    """CDF at t of gain = p + (eta*q)^2, p ~ Exp(direct_var), q ~ fit.
+def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_order: int):
+    """CDF at each threshold t (float or array) of gain = p + (eta*q)^2,
+    p ~ Exp(direct_var), q ~ fit; an array of t's shape, or a float.
 
     Evaluates the regularized-incomplete-gamma head minus a Gauss-Chebyshev
     correction sum over transformed nodes zeta_u = (sqrt(t)/(2 eta))(xi_u+1).
     Each correction term is a product of factors that can over- or
     underflow on their own, so its logarithm is summed first and
     exponentiated once; the combined exponent is <= 0 by construction, and
-    deep-tail evaluations stay finite and positive.
+    deep-tail evaluations stay finite and positive.  Each entry's bits are
+    those of a call on it alone.  At t = 0 the logarithms are -inf and the
+    CDF 0; t = inf, a threshold no gain reaches, gives 1.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if not t.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
+        raise ValueError("t must be >= 0 and not NaN")
     if direct_var <= 0.0:
         raise ValueError("direct_var must be positive")
     if eta <= 0.0:
         raise ValueError("eta must be positive for the analytic CDF")
-    if t == 0.0:
-        return 0.0
 
-    sqrt_t = math.sqrt(t)
     shape = fit.kappa + 1.0
-    head = gammainc(shape, sqrt_t / (eta * fit.b))
-
-    front = sqrt_t / (2.0 * eta)
+    head = gammainc(shape, np.sqrt(t) / (eta * fit.b))
+    # at t = inf the head is 1 and the correction is taken at t = 0: none
+    t = np.where(t < math.inf, t, 0.0)
+    front = (np.sqrt(t) / (2.0 * eta))[..., None]
     nodes, weights = chebyshev_rule(quad_order)
     zeta = front * (nodes + 1.0)
-    log_terms = (
-        np.log(weights)
-        + math.log(front)
-        + fit.kappa * (np.log(zeta) - math.log(fit.b))
-        - gammaln(shape)
-        + (eta * eta * zeta * zeta - t) / direct_var
-        - zeta / fit.b
-    )
-    corr = np.sum(np.exp(log_terms))
-    return min(1.0, max(0.0, float(head - corr)))
+    with np.errstate(divide="ignore"):
+        log_terms = (
+            np.log(weights)
+            + np.log(front)
+            + fit.kappa * (np.log(zeta) - math.log(fit.b))
+            - gammaln(shape)
+            + (eta * eta * zeta * zeta - t[..., None]) / direct_var
+            - zeta / fit.b
+        )
+    corr = np.sum(np.exp(log_terms), axis=-1)
+    return np.clip(head - corr, 0.0, 1.0)[()]
 
 
-def sinr_cdf(omega: float, kind: SinrKind, cfg: SystemConfig) -> float:
-    """CDF of the decoding step's SINR at threshold omega.
+def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):
+    """CDF of the decoding step's SINR at each threshold omega (float or array).
 
-    Maps omega through the step's inverse SINR map to a threshold on its
-    link's gain and delegates to effective_gain_cdf; at or above the step's
-    ceiling the SINR never reaches omega and the CDF is 1.  omega = 0 maps
-    to gain 0 (CDF 0), or to inf if the SINR scale underflows to 0.  A
-    config the closed forms do not model is refused with unmodeled's reason.
+    Maps omega through the step's inverse SINR map to thresholds on its
+    link's gain and makes one effective_gain_cdf call on them all; at or
+    above the step's ceiling the SINR never reaches omega, the gain
+    threshold is inf and the CDF 1.  omega = 0 maps to gain 0 (CDF 0), or
+    to inf if the SINR scale underflows to 0.  A config the closed forms do
+    not model is refused with unmodeled's reason, and a negative or NaN
+    omega with ValueError.
     """
     if why := unmodeled(cfg):
         raise ValueError(why)
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    t = kind.gain_threshold(omega, cfg)
-    if t == math.inf:
-        return 1.0
+    omega = np.asarray(omega, dtype=float)
+    if not omega.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
+        raise ValueError("omega must be >= 0 and not NaN")
     link = links(cfg)[kind.link]
     fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-    return effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
+    return effective_gain_cdf(kind.gain_threshold(omega, cfg), link.lam_d, fit, link.eta, QUAD_ORDER)
 
 
 def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
@@ -152,18 +152,18 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     A SIC step's CDF jumps to 1 at its ceiling c; when c lies inside
     (v, u) the midpoint loses that mass, so the average is then
     delta*sqrt(m)*(integral of F over [v, c] + (u - c)), the integral from
-    the Gauss-Chebyshev rule of order QUAD_ORDER.
+    the Gauss-Chebyshev rule of order QUAD_ORDER: one CDF call on its nodes.
     """
     code = kind.code(cfg)
     lin = linearization_params(code)
     ceiling = kind.ceiling(cfg)
     if not lin.v < ceiling < lin.u:
-        return sinr_cdf(lin.beta, kind, cfg)
+        return float(sinr_cdf(lin.beta, kind, cfg))
     half = (ceiling - lin.v) / 2.0
-    below = half * sum(
-        w * sinr_cdf(lin.v + half * (x + 1.0), kind, cfg)
-        for x, w in zip(*chebyshev_rule(QUAD_ORDER))
-    )
+    nodes, weights = chebyshev_rule(QUAD_ORDER)
+    cdf = sinr_cdf(lin.v + half * (nodes + 1.0), kind, cfg)
+    # summed left to right, node by node: a dot product rounds differently
+    below = half * float(np.cumsum(weights * cdf)[-1])
     return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
 
 

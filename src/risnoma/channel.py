@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import CodeSpec, _as_int, _short_int
+from .fbl import CodeSpec, _as_float, _as_int, _short_int
 
 __all__ = [
     "ScenarioKind",
@@ -97,16 +97,15 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, ScenarioKind):
             raise ValueError(f"scenario must be a ScenarioKind, got {self.scenario!r}")
-        # NaN compares false, so each field is checked finite before its range
+        # NaN compares false, so each number is checked finite before its range
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type == "int":
-                object.__setattr__(self, f.name, _as_int(f.name, val))
-            elif f.type == "float" and not math.isfinite(val):
-                raise ValueError(f"{f.name} must be finite, got {val}")
+            if f.type in ("int", "float"):
+                val = (_as_int if f.type == "int" else _as_float)(f.name, val)
+                object.__setattr__(self, f.name, val)
             # eta = 0, a surface that reflects nothing, is simulated; the
             # closed forms do not model it (analytic.unmodeled)
-            elif f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
+            if f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
                 raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
             elif f.name.startswith("lambda_") and val <= 0.0:
                 raise ValueError(f"{f.name} must be > 0")
@@ -228,17 +227,24 @@ class SinrKind:
             return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
         return cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
 
-    def gain_threshold(self, w: float, cfg: SystemConfig) -> float:
-        """The gain X whose SINR is w > 0, or inf if no gain reaches w."""
+    def gain_threshold(self, w, cfg: SystemConfig):
+        """The gain X whose SINR is w >= 0 (float or array), or inf where no
+        gain reaches w; an array of w's shape, or a float."""
         if self.doubled:
             return SinrKind(self.tag).gain_threshold(w / 2.0, cfg)
-        if self.tag in ("cc", "e2"):
-            scale = cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c
-            # alpha_c * rho_s can underflow to 0, and then every SINR is 0
-            return w / scale if scale > 0.0 else math.inf
-        room = cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w
-        # the rounded room can reach 0 a few ulps below the ceiling
-        return w / room if w < self.ceiling(cfg) and room > 0.0 else math.inf
+        w = np.asarray(w, dtype=float)
+        # no gain reaches w where the room is 0: where alpha_c * rho_s
+        # underflows to 0 (0 * inf is then NaN, masked here), at and above
+        # the ceiling, and where the rounded SIC room reaches 0 a few ulps
+        # below it; a room of a few subnormals overflows the threshold to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.tag in ("cc", "e2"):
+                room = cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c
+            else:
+                room = np.where(
+                    w < self.ceiling(cfg), cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w, 0.0
+                )
+            return np.divide(w, room, out=np.full_like(w, math.inf), where=room > 0.0)[()]
 
 
 CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))

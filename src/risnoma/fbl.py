@@ -14,6 +14,7 @@ Provides:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -46,6 +47,19 @@ def _as_int(name: str, val) -> int:
     if isinstance(val, bool) or not hasattr(type(val), "__index__"):
         raise ValueError(f"{name} must be an integer, got {val!r:.24}")
     return operator.index(val)
+
+
+def _as_float(name: str, val) -> float:
+    """val as a float if it is a finite real number and not a bool; else ValueError."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {val!r:.24}")
+    try:
+        num = float(val)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} must be finite, got {_short_int(val)}") from None
+    if not math.isfinite(num):
+        raise ValueError(f"{name} must be finite, got {num}")
+    return num
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from risnoma import cli
@@ -38,6 +41,8 @@ def make_config(**overrides) -> SystemConfig:
 
 
 FIT8 = gamma_fit(8, 0.8, 1.0)
+# the six steps a point averages: cc, ce, e1, e2, and doubled e1 and e2
+_STEPS = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
 
 
 # ---------------------------------------------------------------- quadrature
@@ -89,8 +94,15 @@ def test_chebyshev_rule_exact_for_polynomials_times_semicircle():
 def test_gain_cdf_edges_and_validation():
     assert effective_gain_cdf(0.0, 1.0, FIT8, 1.0, 50) == 0.0
     assert effective_gain_cdf(1e6, 1.0, FIT8, 1.0, 50) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        effective_gain_cdf(-1.0, 1.0, FIT8, 1.0, 50)
+    # a threshold no gain reaches is certain, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert effective_gain_cdf(math.inf, 1.0, FIT8, 1.0, 50) == 1.0
+        got = effective_gain_cdf(np.array([0.0, 30.98393048665198, math.inf]), 1.0, FIT8, 1.0, 50)
+    assert got.tolist() == [0.0, effective_gain_cdf(30.98393048665198, 1.0, FIT8, 1.0, 50), 1.0]
+    for t in (-1.0, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="t must be >= 0 and not NaN"):
+            effective_gain_cdf(t, 1.0, FIT8, 1.0, 50)
     with pytest.raises(ValueError):
         effective_gain_cdf(1.0, 0.0, FIT8, 1.0, 50)
     with pytest.raises(ValueError):
@@ -162,8 +174,11 @@ def test_sinr_cdf_zero_threshold_is_zero():
     cfg = make_config()
     for kind in (CC, CE, E1, E2):
         assert sinr_cdf(0.0, kind, cfg) == 0.0
-    with pytest.raises(ValueError):
-        sinr_cdf(-0.5, CC, cfg)
+        # the ce and e1 maps send NaN to an infinite gain threshold, which
+        # once read as a certain event
+        for omega in (-0.5, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="omega must be >= 0 and not NaN"):
+                sinr_cdf(omega, kind, cfg)
 
 
 def test_sinr_cdf_at_zero_is_one_when_the_sinr_scale_underflows():
@@ -203,6 +218,36 @@ def test_sinr_cdf_at_infinity_is_one():
     cfg = make_config()
     for kind in (CC, CE, E1, E2):
         assert sinr_cdf(math.inf, kind, cfg) == 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    alpha_c=st.floats(min_value=0.05, max_value=0.4999),
+    rho_db=st.floats(min_value=-10.0, max_value=30.0),
+    R=st.integers(min_value=1, max_value=64),
+    shares=st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=16),
+)
+def test_sinr_cdf_on_an_array_gives_the_bits_of_one_call_per_element(alpha_c, rho_db, R, shares):
+    # 0, the ceiling, the float just below it, values above it, inf, the
+    # knee window's quadrature nodes and random fractions of the ceiling
+    # (of beta where there is no ceiling): one array call, one warning-free
+    # pass, the same bits as a call per element
+    rho_s = 10.0 ** (rho_db / 10.0)
+    cfg = make_config(alpha_c=alpha_c, rho_s=rho_s, rho_c=rho_s / 10.0, R=R)
+    nodes, _ = chebyshev_rule(50)
+    for kind in _STEPS:
+        lin = linearization_params(kind.code(cfg))
+        c = kind.ceiling(cfg)
+        scale = c if c < math.inf else lin.beta
+        omega = [0.0, math.inf, *(scale * s for s in shares)]
+        omega += list(lin.v + (lin.u - lin.v) / 2.0 * (nodes + 1.0))
+        if c < math.inf:
+            omega += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), 2.0 * c, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sinr_cdf(np.array(omega), kind, cfg)
+        assert got.shape == (len(omega),)
+        assert [v.hex() for v in got.tolist()] == [float(sinr_cdf(w, kind, cfg)).hex() for w in omega]
 
 
 def test_sinr_cdf_doubled_halves_threshold_first():
@@ -289,8 +334,7 @@ def test_avg_psi_outside_the_ceiling_case_is_the_cdf_at_threshold(alpha_c):
     # the ceiling lies above u (9.0 and 1.22 against 1.217), so every step,
     # doubled or not, keeps the midpoint reduction bit for bit
     cfg = make_config(alpha_c=alpha_c)
-    kinds = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
-    for kind in kinds:
+    for kind in _STEPS:
         code = kind.code(cfg)
         beta = linearization_params(code).beta
         assert avg_psi(kind, cfg) == sinr_cdf(beta, kind, cfg)
@@ -447,9 +491,6 @@ def test_avg_blers_is_one_when_the_sinr_scale_underflows():
 
 
 # ------------------------------------------------------ bitwise closed forms
-
-_STEPS = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
-
 
 def _closed_form_configs() -> list[SystemConfig]:
     # every fig2..fig6 point the closed forms model, a grid that puts the SIC

@@ -10,6 +10,7 @@ reference sampler.
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,31 @@ def test_system_config_accepts_reference_point():
 def test_system_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
         make_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("rho_s", "10", "must be a real number, got '10'"),
+        ("alpha_c", None, "must be a real number, got None"),
+        ("eta_c", True, "must be a real number, got True"),
+        ("lambda_c", True, "must be a real number, got True"),
+        ("lambda_e", np.bool_(True), "must be a real number"),
+        ("rho_s", 10**400, "must be finite, got 1.000e+400"),
+    ],
+    ids=["str", "none", "bool_eta", "bool_lambda", "numpy_bool", "int_past_float_range"],
+)
+def test_system_config_float_fields_take_only_real_numbers(name, value, message):
+    # a string or None once raised TypeError, a bool was stored as is, and an
+    # integer past the float range raised OverflowError
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} {message}")):
+        make_config(**{name: value})
+
+
+def test_system_config_stores_each_float_field_as_a_float():
+    cfg = make_config(rho_s=10, rho_c=np.float32(1.0), lambda_e=np.float64(0.3))
+    assert (type(cfg.rho_s), type(cfg.rho_c), type(cfg.lambda_e)) == (float, float, float)
+    assert cfg == make_config()
 
 
 _FLOAT_FIELDS = (

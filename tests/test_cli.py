@@ -410,11 +410,11 @@ def test_every_command_evaluates_the_loaded_config(tmp_path, monkeypatch, comman
     assert [c.rho_s for c in seen] == [parse_config(raw).points[0].cfg.rho_s]
 
 
-@pytest.mark.parametrize("raw, calls", [({}, 6), ({"alpha_c": 0.49}, 104)])
+@pytest.mark.parametrize("raw, calls", [({}, 6), ({"alpha_c": 0.49}, 6)])
 def test_closed_form_rows_evaluate_each_step_once(monkeypatch, raw, calls):
     # six step averages (cc, ce, e1, e2, doubled e1 and e2), each one CDF
-    # call, except that at alpha_c = 0.49 the SIC ceiling lies inside the
-    # knee window of ce and e1, whose averages then take QUAD_ORDER each
+    # call; at alpha_c = 0.49 the SIC ceiling lies inside the knee window of
+    # ce and e1, whose averages then take one call on QUAD_ORDER thresholds
     got = []
     cdf = analytic.effective_gain_cdf
 
