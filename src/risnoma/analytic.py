@@ -91,7 +91,8 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     exponentiated once; the combined exponent is <= 0 by construction, and
     deep-tail evaluations stay finite and positive.  Each entry's bits are
     those of a call on it alone.  At t = 0 the logarithms are -inf and the
-    CDF 0; t = inf, a threshold no gain reaches, gives 1.
+    CDF 0; t = inf, a threshold no gain reaches, gives 1.  A NaN CDF, where
+    the quadrature overflows, is refused with ValueError.
     """
     t = np.asarray(t, dtype=float)
     if not t.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
@@ -102,13 +103,15 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
         raise ValueError("eta must be positive for the analytic CDF")
 
     shape = fit.kappa + 1.0
-    head = gammainc(shape, np.sqrt(t) / (eta * fit.b))
-    # at t = inf the head is 1 and the correction is taken at t = 0: none
-    t = np.where(t < math.inf, t, 0.0)
-    front = (np.sqrt(t) / (2.0 * eta))[..., None]
-    nodes, weights = chebyshev_rule(quad_order)
-    zeta = front * (nodes + 1.0)
-    with np.errstate(divide="ignore"):
+    # a subnormal eta, or a tiny one at a huge t, overflows sqrt(t)/eta and
+    # makes the sum NaN; that is refused below, so numpy need not warn
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        head = gammainc(shape, np.sqrt(t) / (eta * fit.b))
+        # at t = inf the head is 1 and the correction is taken at t = 0: none
+        t = np.where(t < math.inf, t, 0.0)
+        front = (np.sqrt(t) / (2.0 * eta))[..., None]
+        nodes, weights = chebyshev_rule(quad_order)
+        zeta = front * (nodes + 1.0)
         log_terms = (
             np.log(weights)
             + np.log(front)
@@ -117,8 +120,10 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
             + (eta * eta * zeta * zeta - t[..., None]) / direct_var
             - zeta / fit.b
         )
-    corr = np.sum(np.exp(log_terms), axis=-1)
-    return np.clip(head - corr, 0.0, 1.0)[()]
+        cdf = np.clip(head - np.sum(np.exp(log_terms), axis=-1), 0.0, 1.0)
+    if np.isnan(cdf).any():
+        raise ValueError(f"gain CDF is NaN at eta={float(eta)!r}: its quadrature overflows")
+    return cdf[()]
 
 
 def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import CodeSpec, _as_float, _as_int, _short_int
+from .fbl import CodeSpec, _as_float, _as_int, _echo
 
 __all__ = [
     "ScenarioKind",
@@ -63,6 +63,20 @@ class ScenarioKind(Enum):
     SINGLE_ZONE_RANDOM = "single_zone_random"
 
 
+def _as_scenario(name: str, val) -> ScenarioKind:
+    """val as a ScenarioKind if it is one or is one's tag; else ValueError."""
+    try:
+        return ScenarioKind(val)
+    except ValueError:
+        tags = ", ".join(k.value for k in ScenarioKind)
+        raise ValueError(f"{name} must be one of {tags}, got {_echo(val)}") from None
+
+
+# the reader of each SystemConfig field type: it returns the value as that
+# type, or refuses it with ValueError (the CLI reads its config keys with them)
+_READERS = {"int": _as_int, "float": _as_float, "ScenarioKind": _as_scenario}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """One point: physical parameters of the two-user link, and scenario.
@@ -72,7 +86,8 @@ class SystemConfig:
     smaller power share alpha_c and the edge user the rest, alpha_e = 1 -
     alpha_c (a property, not a field).  lambda_* and eta_* are the mean
     channel power gains and surface amplitudes of the three links, grouped
-    per link by `links`.
+    per link by `links`.  Each int, float and scenario field is read by its
+    type's reader in _READERS, so a scenario tag is stored as its ScenarioKind.
     """
 
     rho_s: float
@@ -95,13 +110,11 @@ class SystemConfig:
     scenario: ScenarioKind = ScenarioKind.TWO_ZONE_ALIGNED
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, ScenarioKind):
-            raise ValueError(f"scenario must be a ScenarioKind, got {self.scenario!r}")
         # NaN compares false, so each number is checked finite before its range
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.type in ("int", "float"):
-                val = (_as_int if f.type == "int" else _as_float)(f.name, val)
+            if f.type in _READERS:
+                val = _READERS[f.type](f.name, val)
                 object.__setattr__(self, f.name, val)
             # eta = 0, a surface that reflects nothing, is simulated; the
             # closed forms do not model it (analytic.unmodeled)
@@ -121,7 +134,7 @@ class SystemConfig:
         # one (T, Z, W) per distinct R of an aligned group, 96 KiB each at
         # 4096 trials, so about 96 MiB if a sweep takes all 1025 values
         if not 0 <= self.R <= _MAX_R:
-            raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_short_int(self.R)}")
+            raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_echo(self.R)}")
 
     @property
     def alpha_e(self) -> float:

@@ -21,6 +21,13 @@ systems or SNR contexts append a suffix (``mc_no_ris``, ``mc_single_zone``,
 A point is one SystemConfig, so ``scenario`` is a model key read by its
 field's type, and analytic.unmodeled rules which points get closed forms.
 No surface is ``R = 0``: fig3's ``_no_ris`` baseline is fig2's sweep at R = 0.
+
+Each rule has one owner.  Every value is read by the library's reader of
+its type (fbl._as_float, fbl._as_int, channel._as_scenario), and the trial
+count and seed by montecarlo's own check, so a refusal is the library's
+message behind ``config error: ``.  Every BLER is checked where it is made:
+the gain CDF refuses NaN, avg_blers clamps to [0, 1], and the Monte Carlo
+refuses a non-finite sum and clamps each mean.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from . import analytic
-from .channel import REFERENCE, ScenarioKind, SystemConfig
-from .fbl import CodeSpec, _short_int
-from .montecarlo import run_points
+from .channel import _READERS, REFERENCE, SystemConfig
+from .fbl import CodeSpec, _as_float, _as_int, _echo
+from .montecarlo import _check_budget, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 _DEFAULT_TRIALS = 100_000
@@ -43,57 +50,26 @@ _DEFAULT_SEED = 1234
 
 
 class ConfigError(Exception):
-    """Invalid configuration; message includes the offending key path."""
+    """Invalid configuration, its message naming the offending key path:
+    ``config error at <key>: ...`` for the file's structure, or ``config
+    error: `` and the library's own refusal of a value at that key."""
 
 
-def _check_number(value: object, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config error at {where}: expected a number")
+def _read(read, *args):
+    """read(*args), with its ValueError raised as a ConfigError."""
     try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ConfigError(f"config error at {where}: must be finite")
+        return read(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config error: {exc}") from exc
 
 
-def _require_number(raw: dict, key: str) -> float:
-    _check_number(raw[key], key)
-    return float(raw[key])
-
-
-def _require_int(raw: dict, key: str) -> int:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config error at {key}: expected an integer")
-    return value
-
-
-def _echo(value: object) -> str:
-    # a refused value as a message shows it: an integer by _short_int, any
-    # other value by its repr cut to 24 characters
-    if isinstance(value, int):
-        return _short_int(value)
-    shown = repr(value)
-    return shown if len(shown) <= 24 else shown[:21] + "..."
-
-
-def _require_scenario(raw: dict, key: str) -> ScenarioKind:
-    try:
-        return ScenarioKind(raw[key])
-    except ValueError:
-        tags = ", ".join(k.value for k in ScenarioKind)
-        raise ConfigError(f"config error at {key}: {_echo(raw[key])} not one of {tags}") from None
-
-
-# Flat snake_case config keys that describe the system, each with its reader.
-# *_db keys are conveniences converted to linear exactly once, in
-# _build_system; setting both spellings of one SNR is an error.  Every
-# SystemConfig field with a default is a key of its own, read by its type.
-_READERS = {"int": _require_int, "float": _require_number, "ScenarioKind": _require_scenario}
+# Flat snake_case config keys that describe the system, each with the
+# library's reader of its type.  *_db keys are conveniences converted to
+# linear exactly once, in _build_system; setting both spellings of one SNR
+# is an error.  Every SystemConfig field with a default is a key of its own.
 _MODEL_KEYS = {
-    **dict.fromkeys(("rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c"), _require_number),
-    **dict.fromkeys(("m", "n_c", "n_e", "R"), _require_int),
+    **dict.fromkeys(("rho_s", "rho_s_db", "rho_c", "rho_c_db", "alpha_c"), _as_float),
+    **dict.fromkeys(("m", "n_c", "n_e", "R"), _as_int),
     **{f.name: _READERS[f.type] for f in fields(SystemConfig) if f.default is not MISSING},
 }
 _ALL_KEYS = set(_MODEL_KEYS) | {"trials", "seed", "sweep"}
@@ -133,15 +109,16 @@ def _build_system(keys: dict) -> SystemConfig:
     """Model keys -> SystemConfig: each omitted key takes REFERENCE's value,
     except rho_c, which follows rho_s 10 dB below it.
 
-    Raises ConfigError for a value of the wrong JSON type or an SNR given in
-    both spellings, and ValueError when the model refuses the values.
+    Raises ConfigError for a value of the wrong JSON type, a non-finite
+    number or an SNR given in both spellings, and ValueError when the model
+    refuses the values.
     """
     for key in ("rho_s", "rho_c"):
         if key in keys and f"{key}_db" in keys:
             raise ConfigError(
                 f"config error at {key}_db: give {key} in dB or linear, not both"
             )
-    got = {key: read(keys, key) for key, read in _MODEL_KEYS.items() if key in keys}
+    got = {key: _read(read, key, keys[key]) for key, read in _MODEL_KEYS.items() if key in keys}
     for key in ("rho_s", "rho_c"):
         if f"{key}_db" in got:
             got[key] = _db_to_linear(got.pop(f"{key}_db"))
@@ -177,17 +154,10 @@ def parse_config(raw: object) -> RunConfig:
         raise ConfigError(f"config error: unknown keys {', '.join(unknown)}")
 
     keys = {key: value for key, value in raw.items() if key in _MODEL_KEYS}
-    try:
-        base = _build_system(keys)
-    except ValueError as exc:
-        raise ConfigError(f"config error: {exc}") from exc
-
-    trials = _require_int(raw, "trials") if "trials" in raw else _DEFAULT_TRIALS
-    if trials < 1:
-        raise ConfigError("config error at trials: must be >= 1")
-    seed = _require_int(raw, "seed") if "seed" in raw else _DEFAULT_SEED
-    if not 0 <= seed < 2**64:
-        raise ConfigError("config error at seed: must lie in [0, 2**64)")
+    base = _read(_build_system, keys)
+    trials = _read(_as_int, "trials", raw.get("trials", _DEFAULT_TRIALS))
+    seed = _read(_as_int, "seed", raw.get("seed", _DEFAULT_SEED))
+    _read(_check_budget, trials, seed)
 
     if "sweep" not in raw:
         rho_s_db = 10.0 * math.log10(base.rho_s)
@@ -208,22 +178,19 @@ def parse_config(raw: object) -> RunConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError("config error at sweep.values: expected a nonempty list")
         for i, v in enumerate(values):
-            _check_number(v, f"sweep.values[{i}]")
-            if axis in ("R", "m") and not isinstance(v, int):
-                raise ConfigError(f"config error at sweep.values[{i}]: expected an integer")
+            # a finite number, and of the swept key's type
+            _read(_as_float, f"sweep.values[{i}]", v)
+            _read(_MODEL_KEYS[axis], f"sweep.values[{i}]", v)
         points = _expand(axis, values, keys, "")
     return RunConfig(points=points, trials=trials, seed=seed)
-
-
-def _reject_constant(name: str):
-    # json.load accepts NaN, Infinity and -Infinity, which are not JSON
-    raise ConfigError(f"config error: {name} in config; numbers must be finite")
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
+            # json.load takes NaN, Infinity and -Infinity, which the reader
+            # of every value refuses in parse_config
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config error: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -274,18 +241,10 @@ def _analytic_rows(cfg: SystemConfig) -> list[tuple[str, str, float]]:
     return [("cu", "analytic", cu), ("ceu_sc", "analytic", sc), ("ceu_mrc", "analytic_lb", mrc)]
 
 
-def _check_bler(bler: float, where: str) -> None:
-    # a BLER outside [0, 1] or NaN is a fault of the program, not of the
-    # config, so it must not be a ValueError (which main reports as exit 2)
-    if not 0.0 <= bler <= 1.0:
-        raise RuntimeError(f"internal error: BLER {bler!r} at {where} is not in [0, 1]")
-
-
 def _write_csv(out_path: str, rows: list[tuple]) -> None:
     rows = sorted(rows, key=lambda r: (r[1], r[2], r[3]))
     lines = [_CSV_HEADER]
     for axis, value, metric, source, bler, stderr, n, seed in rows:
-        _check_bler(bler, f"{axis}={value!r} {metric} {source}")
         lines.append(
             f"{axis},{value:.10e},{metric},{source},{bler:.10e},{stderr:.10e},{n},{seed}"
         )
@@ -361,8 +320,6 @@ def _compare_point(
     lines = [f"[{label}] n={trials} seed={seed}"]
     for metric, source, value in _analytic_rows(cfg):
         mc = est[metric]
-        _check_bler(value, f"[{label}] {metric} {source}")
-        _check_bler(mc.mean, f"[{label}] {metric} mc")
         ratio = value / mc.mean if mc.mean > 0.0 else math.inf
         if source == "analytic_lb":
             # Bound semantics: the closed form must not exceed the estimate.
@@ -407,10 +364,9 @@ def cmd_compare(run_cfg: RunConfig) -> int:
 def cmd_analytic(run_cfg: RunConfig) -> int:
     points = _closed_form_points(run_cfg)
     for p, cfg in _drop_failed(points, [p.cfg for p in points]):
-        label = f"{p.axis}={p.value:g}"
-        print(f"[{label}]")
-        for metric, source, value in _analytic_rows(cfg):
-            _check_bler(value, f"[{label}] {metric} {source}")
+        rows = _analytic_rows(cfg)  # before the header: a refused point prints nothing
+        print(f"[{p.axis}={p.value:g}]")
+        for metric, source, value in rows:
             tag = " (lower bound)" if source == "analytic_lb" else ""
             print(f"  {metric:8s} {value:.10e}{tag}")
         for scheme in ("cu", "ceu_sc", "ceu_mrc"):

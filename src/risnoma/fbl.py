@@ -37,28 +37,33 @@ _LOG2E_SQ = math.log2(math.e) ** 2
 _SQRT2 = math.sqrt(2.0)
 
 
-def _short_int(k: int) -> str:
-    """k for a message; past 15 digits, by its leading digits and exponent."""
-    return str(k) if abs(k) < 10**15 else f"{Decimal(k):.3e}"
+def _echo(val) -> str:
+    """A refused value as a message shows it: an integer past 15 digits by
+    its leading digits and exponent, any other value by its repr cut to 24
+    characters."""
+    if isinstance(val, int) and abs(val) >= 10**15:
+        return f"{Decimal(val):.3e}"
+    shown = repr(val)
+    return shown if len(shown) <= 24 else shown[:21] + "..."
 
 
 def _as_int(name: str, val) -> int:
     """val as an int if operator.index takes it and it is not a bool; else ValueError."""
     if isinstance(val, bool) or not hasattr(type(val), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {val!r:.24}")
+        raise ValueError(f"{name} must be an integer, got {_echo(val)}")
     return operator.index(val)
 
 
 def _as_float(name: str, val) -> float:
     """val as a float if it is a finite real number and not a bool; else ValueError."""
     if isinstance(val, bool) or not isinstance(val, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {val!r:.24}")
+        raise ValueError(f"{name} must be a real number, got {_echo(val)}")
     try:
         num = float(val)
     except OverflowError:  # an integer past the float range
-        raise ValueError(f"{name} must be finite, got {_short_int(val)}") from None
+        raise ValueError(f"{name} must be finite, got {_echo(val)}") from None
     if not math.isfinite(num):
-        raise ValueError(f"{name} must be finite, got {num}")
+        raise ValueError(f"{name} must be finite, got {_echo(num)}")
     return num
 
 
@@ -73,9 +78,9 @@ class CodeSpec:
         for name in ("m", "bits"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.m < 1:
-            raise ValueError(f"blocklength must be >= 1, got {_short_int(self.m)}")
+            raise ValueError(f"blocklength must be >= 1, got {_echo(self.m)}")
         if self.bits < 1:
-            raise ValueError(f"payload bits must be >= 1, got {_short_int(self.bits)}")
+            raise ValueError(f"payload bits must be >= 1, got {_echo(self.bits)}")
         # every closed form needs the surrogate: a finite threshold and slope
         # above 0, and knees that float arithmetic keeps apart from beta
         try:
@@ -84,7 +89,7 @@ class CodeSpec:
             lin = PsiLinearization(beta=math.nan, delta=math.nan, v=math.nan, u=math.nan)
         finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
         if not (finite and lin.v < lin.beta < lin.u):
-            rate = f"{_short_int(self.bits)}/{_short_int(self.m)}"
+            rate = f"{_echo(self.bits)}/{_echo(self.m)}"
             raise ValueError(f"code rate {rate} has no finite linearization")
 
     @property

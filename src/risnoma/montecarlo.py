@@ -41,7 +41,7 @@ import numpy as np
 
 from .channel import CC, CE, E1, E2, ScenarioKind, SystemConfig, links
 from .channel import _sample_aligned_batch, _sample_random_phase_batch
-from .fbl import _short_int, psi_exact_vec
+from .fbl import _echo, psi_exact_vec
 
 __all__ = [
     "BlerEstimate",
@@ -174,6 +174,14 @@ def _estimates(n: int, sums: np.ndarray) -> dict[str, BlerEstimate]:
     return out
 
 
+def _check_budget(n: int, seed: int) -> None:
+    """Refuse a trial count below 1 or a seed outside 64 bits with ValueError."""
+    if n < 1:
+        raise ValueError(f"trial count must be >= 1, got {_echo(n)}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {_echo(seed)}")
+
+
 def run_points(
     cfgs: Sequence[SystemConfig], n: int, seed: int
 ) -> list[dict[str, BlerEstimate] | str]:
@@ -186,10 +194,7 @@ def run_points(
     pool.  Each point gets the same draws and the same float operations as
     a call with that point alone.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {_short_int(seed)}")
+    _check_budget(n, seed)
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         # points share a chunk's draw when their sampler reads the same

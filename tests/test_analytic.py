@@ -490,6 +490,17 @@ def test_avg_blers_is_one_when_the_sinr_scale_underflows():
     assert avg_blers(make_config(rho_s=5e-324, rho_c=1.0)) == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("eta", ["eta_c", "eta_e"])
+def test_closed_forms_refuse_a_nan_gain_cdf(eta):
+    # a subnormal eta overflows sqrt(t)/eta in the gain CDF's quadrature;
+    # the NaN once came out of avg_blers' clamp as BLER 0, with warnings
+    cfg = make_config(**{eta: 1e-320})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^gain CDF is NaN at eta=1e-320: "):
+            avg_blers(cfg)
+
+
 # ------------------------------------------------------ bitwise closed forms
 
 def _closed_form_configs() -> list[SystemConfig]:

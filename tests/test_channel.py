@@ -125,9 +125,12 @@ def test_alpha_e_follows_alpha_c():
 
 
 def test_system_config_refuses_a_scenario_that_is_not_a_scenario_kind():
-    # the CLI reads the JSON tag into a ScenarioKind; the config takes only the enum
+    # the config takes a ScenarioKind or its tag, which the CLI reads from JSON
     assert make_config().scenario is ScenarioKind.TWO_ZONE_ALIGNED
-    with pytest.raises(ValueError, match="scenario must be a ScenarioKind, got 'no_ris'"):
+    random = make_config(scenario="single_zone_random").scenario
+    assert random is ScenarioKind.SINGLE_ZONE_RANDOM
+    tags = "two_zone_aligned, single_zone_random"
+    with pytest.raises(ValueError, match=f"^scenario must be one of {tags}, got 'no_ris'$"):
         make_config(scenario="no_ris")
 
 

@@ -10,6 +10,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from risnoma.cli import (
     main,
     parse_config,
 )
+from risnoma.montecarlo import run_points
 
 CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 
@@ -155,7 +158,7 @@ def test_no_ris_is_not_a_scenario(tmp_path, capsys):
     out = tmp_path / "none.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "'no_ris' not one of two_zone_aligned, single_zone_random" in err
+    assert "scenario must be one of two_zone_aligned, single_zone_random, got 'no_ris'" in err
     assert not out.exists()
 
 
@@ -179,10 +182,46 @@ def test_parse_config_sweep_block():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400])
 def test_parse_config_rejects_non_finite_numbers(bad):
-    with pytest.raises(ConfigError, match=r"at sweep\.values\[1\]: must be finite"):
+    sweep_value = r"^config error: sweep\.values\[1\] must be finite, got "
+    with pytest.raises(ConfigError, match=sweep_value):
         parse_config({"sweep": {"axis": "rho_s_db", "values": [0, bad]}})
-    with pytest.raises(ConfigError, match="at alpha_c: must be finite"):
+    with pytest.raises(ConfigError, match="^config error: alpha_c must be finite, got "):
         parse_config({"alpha_c": bad})
+
+
+@pytest.mark.parametrize(
+    "raw, refuse",
+    [
+        ({"alpha_c": math.nan}, lambda: replace(REFERENCE, alpha_c=math.nan)),
+        ({"R": 1.5}, lambda: replace(REFERENCE, R=1.5)),
+        ({"scenario": "mesh"}, lambda: replace(REFERENCE, scenario="mesh")),
+        ({"trials": 0}, lambda: run_points([REFERENCE], 0, 1234)),
+        ({"seed": -1}, lambda: run_points([REFERENCE], 256, -1)),
+    ],
+    ids=["float", "int", "scenario", "trials", "seed"],
+)
+def test_config_refusals_are_the_librarys_own(raw, refuse):
+    # the CLI reads each value through the library's own rule, so the two
+    # messages cannot drift apart
+    with pytest.raises(ValueError) as lib:
+        refuse()
+    with pytest.raises(ConfigError) as got:
+        parse_config(raw)
+    assert str(got.value) == f"config error: {lib.value}"
+
+
+@pytest.mark.parametrize(
+    "axis, field, bad",
+    [("rho_s_db", "rho_s", math.inf), ("alpha_c", "alpha_c", "0.2"), ("R", "R", 2.5)],
+)
+def test_sweep_value_refusals_are_the_librarys_own(axis, field, bad):
+    # the library names the field and the CLI the key path, in one wording
+    with pytest.raises(ValueError) as lib:
+        replace(REFERENCE, **{field: bad})
+    with pytest.raises(ConfigError) as got:
+        parse_config({"sweep": {"axis": axis, "values": [1, bad]}})
+    reason = str(lib.value).removeprefix(f"{field} ")
+    assert str(got.value) == f"config error: sweep.values[1] {reason}"
 
 
 # every value a JSON decoder can give one key: numbers of any size or
@@ -343,21 +382,20 @@ def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
     assert {float(r[1]) for r in read_rows(out)} == {10.0}
 
 
-@pytest.mark.parametrize("bad", [math.nan, 1.5])
+@pytest.mark.parametrize("eta", ["eta_c", "eta_e"])
 @pytest.mark.parametrize("command", ["run", "compare", "analytic"])
-def test_bler_outside_unit_interval_is_an_internal_error(tmp_path, monkeypatch, command, bad):
-    avg_blers = analytic.avg_blers
-
-    def bad_sc(cfg):
-        cu, _, mrc = avg_blers(cfg)
-        return cu, bad, mrc
-
-    monkeypatch.setattr(analytic, "avg_blers", bad_sc)
-    cfg = write_config(tmp_path, {"trials": 256})
-    out = tmp_path / "bad.csv"
+def test_nan_gain_cdf_exits_2_with_the_kernels_reason(tmp_path, capsys, command, eta):
+    # a subnormal eta once printed closed-form BLERs of 0 with three numpy
+    # warnings and exit 0 (compare died on log10(0) instead)
+    cfg = write_config(tmp_path, {"trials": 256, eta: 1e-320})
+    out = tmp_path / "nan.csv"
     argv = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
-    with pytest.raises(RuntimeError, match=r"internal error: BLER .* ceu_sc analytic"):
-        main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: gain CDF is NaN at eta=1e-320: its quadrature overflows\n"
+    assert "[" not in captured.out  # analytic prints no partial block
     assert not out.exists()
 
 
@@ -617,9 +655,19 @@ def test_exit_code_2_on_seed_outside_64_bits(tmp_path, capsys, seed):
     out = tmp_path / "out.csv"
     argv = ["fig", "--preset", "fig2", "--out", str(out), "--trials", "256", "--seed", seed]
     assert main(argv) == 2
-    assert "config error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+    shown = {"-1": "-1", str(2**64): "1.845e+19"}[seed]
+    message = f"config error: seed must lie in [0, 2**64), got {shown}\n"
+    assert capsys.readouterr().err == message
     cfg = write_config(tmp_path, {"trials": 256})
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+    assert capsys.readouterr().err == message
+    # the config key gives the same message
+    cfg = write_config(tmp_path, {"trials": 256, "seed": int(seed)})
+    for command in ("analytic", "compare"):
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == message
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
