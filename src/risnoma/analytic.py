@@ -57,10 +57,9 @@ def chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     weights[u] = (pi/U)*sqrt(1 - nodes[u]^2): the sqrt(1-x^2) weight
     function is folded into the weights, so sum(weights * f(nodes))
     approximates the plain integral of f over (-1, 1).  The arrays are
-    read-only because every caller shares the cached rule.
+    read-only because every caller shares the cached rule.  chebgauss
+    refuses an order below 1 with ValueError.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     nodes, weights = chebgauss(order)
     weights *= np.sqrt(1.0 - nodes * nodes)
     nodes.flags.writeable = False
@@ -156,17 +155,19 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     delta*sqrt(m)*(u - v) = 1 with beta the midpoint, that is one CDF call.
     A SIC step's CDF jumps to 1 at its ceiling c; when c lies inside
     (v, u) the midpoint loses that mass, so the average is then
-    delta*sqrt(m)*(integral of F over [v, c] + (u - c)), the integral from
-    the Gauss-Chebyshev rule of order QUAD_ORDER: one CDF call on its nodes.
+    delta*sqrt(m)*(integral of F over [max(v, 0), c] + (u - c)), the
+    integral from the Gauss-Chebyshev rule of order QUAD_ORDER: one CDF call
+    on its nodes.  F is 0 below 0, where a short code's knee v can lie.
     """
     code = kind.code(cfg)
     lin = linearization_params(code)
     ceiling = kind.ceiling(cfg)
     if not lin.v < ceiling < lin.u:
         return float(sinr_cdf(lin.beta, kind, cfg))
-    half = (ceiling - lin.v) / 2.0
+    lo = max(lin.v, 0.0)
+    half = (ceiling - lo) / 2.0
     nodes, weights = chebyshev_rule(QUAD_ORDER)
-    cdf = sinr_cdf(lin.v + half * (nodes + 1.0), kind, cfg)
+    cdf = sinr_cdf(lo + half * (nodes + 1.0), kind, cfg)
     # summed left to right, node by node: a dot product rounds differently
     below = half * float(np.cumsum(weights * cdf)[-1])
     return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
@@ -206,10 +207,8 @@ def diversity_order(R: int, scheme: str) -> float:
     (kappa+1)/2 for the central user and the SC edge user, and its square
     for MRC.  These are claims, not the slopes of the closed forms above:
     there SC and MRC share one slope, twice the central user's.  Variance
-    factors cancel in kappa, so only R enters.
+    factors cancel in kappa, so only R enters; gamma_fit refuses R < 1.
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
     kappa = gamma_fit(R, 1.0, 1.0).kappa
     half = (kappa + 1.0) / 2.0
     if scheme in ("cu", "ceu_sc"):

@@ -328,7 +328,7 @@ def _compare_point(
         elif mc.mean < _MC_RESOLUTION:
             verdict = "SKIP"
         else:
-            ok = abs(math.log10(value) - math.log10(mc.mean)) <= _DECADE_TOL
+            ok = 10.0**-_DECADE_TOL <= ratio <= 10.0**_DECADE_TOL
             verdict = "PASS" if ok else "FAIL"
         verdicts.append(verdict)
         lines.append(
@@ -342,8 +342,9 @@ def _compare_point(
 def cmd_compare(run_cfg: RunConfig) -> int:
     """Analytic vs MC per metric; exit 0 only if no row fails.
 
-    cu / ceu_sc rows are judged on |log10 analytic - log10 mc| <= 0.3
-    wherever the MC mean resolves (>= 1e-4; SKIP otherwise); the ceu_mrc row
+    cu / ceu_sc rows are judged on their ratio analytic/mc, which must lie
+    in [10**-0.3, 10**0.3], wherever the MC mean resolves (>= 1e-4; SKIP
+    otherwise), so a closed form that underflows to 0 fails; the ceu_mrc row
     is judged as a lower bound (FAIL iff analytic exceeds mc + 3*stderr).
     Failed sweep points, and points the closed forms do not model, are
     reported and skipped, as in cmd_run.

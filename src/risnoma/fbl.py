@@ -29,10 +29,6 @@ __all__ = [
     "linearization_params",
 ]
 
-# below this SINR erfc's argument lies far below -5.8636, where scipy's
-# erfc is exactly 2, and the dispersion term m/V divides by zero; such
-# entries are set to their limit value 1
-_GAMMA_FLOOR = 1e-12
 _LOG2E_SQ = math.log2(math.e) ** 2
 _SQRT2 = math.sqrt(2.0)
 
@@ -85,10 +81,11 @@ class CodeSpec:
         # above 0, and knees that float arithmetic keeps apart from beta
         try:
             lin = linearization_params(self)
+            finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
+            ok = finite and lin.v < lin.beta < lin.u
         except (OverflowError, ZeroDivisionError):
-            lin = PsiLinearization(beta=math.nan, delta=math.nan, v=math.nan, u=math.nan)
-        finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
-        if not (finite and lin.v < lin.beta < lin.u):
+            ok = False
+        if not ok:
             rate = f"{_echo(self.bits)}/{_echo(self.m)}"
             raise ValueError(f"code rate {rate} has no finite linearization")
 
@@ -116,7 +113,8 @@ class PsiLinearization:
 def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     """Instantaneous BLER at each SINR under the normal approximation.
 
-    Defined as 1 at gamma = 0 (zero capacity, zero dispersion limit).
+    1 at gamma = 0, by the formula itself: the dispersion term m/V is inf
+    there, the Q argument -inf and erfc(-inf) = 2.
     Strictly decreasing in gamma, exactly 0.5 where capacity equals rate.
     Elementwise over an array of any shape, with each entry's bits
     independent of its neighbours, so stacking the SINRs of several steps
@@ -128,11 +126,9 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     Raises ValueError on a negative or NaN SINR.
     """
     g = np.asarray(gamma, dtype=np.float64)
-    lo = g.min(initial=np.inf)  # NaN if any entry is NaN
-    if not lo >= 0.0:
+    if not g.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
         raise ValueError("SINR must be >= 0 and not NaN")
-    # one pass over two buffers; every entry goes through the formula, and
-    # those below the floor are set to their limit afterwards
+    # one pass over two buffers; every entry goes through the formula
     out = np.empty_like(g)
     buf = np.empty_like(g)
     with np.errstate(over="ignore", divide="ignore"):
@@ -149,8 +145,6 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
         np.divide(out, _SQRT2, out=out)
         _erfc_vec(out, out=out)
         np.multiply(0.5, out, out=out)
-    if lo < _GAMMA_FLOOR:
-        out[g < _GAMMA_FLOOR] = 1.0
     return out
 
 

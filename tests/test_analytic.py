@@ -312,18 +312,24 @@ def test_avg_psi_agrees_with_quadrature_of_the_cdf():
         assert avg_psi(kind, cfg) == pytest.approx(reference, abs=1e-3)
 
 
-@pytest.mark.parametrize("alpha_c", [0.46, 0.49])
+@pytest.mark.parametrize(
+    "alpha_c, code_e",
+    [(0.46, REFERENCE.code_e), (0.49, REFERENCE.code_e), (0.45, CodeSpec(m=2, bits=1))],
+    ids=["0.46", "0.49", "m2-0.45"],
+)
 @pytest.mark.parametrize("kind", [CE, E1], ids=["ce", "e1"])
-def test_avg_psi_with_the_ceiling_inside_the_knee_window(kind, alpha_c):
+def test_avg_psi_with_the_ceiling_inside_the_knee_window(kind, alpha_c, code_e):
     # the SIC ceiling alpha_e/alpha_c (1.17 and 1.04) lies inside the knee
     # window [0.78, 1.22] of the rate-1 code: the CDF jumps to 1 there, and
-    # the average keeps that mass, as adaptive quadrature of the CDF shows
-    cfg = make_config(alpha_c=alpha_c)
+    # the average keeps that mass, as adaptive quadrature of the CDF shows.
+    # The m = 2 code's window [-0.47, 1.30] holds its ceiling 1.22 and starts
+    # below SINR 0, where the CDF is 0, so the integral starts at 0
+    cfg = make_config(alpha_c=alpha_c, code_e=code_e)
     lin = linearization_params(cfg.code_e)
     ceiling = kind.ceiling(cfg)
     assert lin.v < ceiling < lin.u
     integral, _ = quad(
-        lambda w: sinr_cdf(w, kind, cfg), lin.v, lin.u, points=[ceiling], limit=200
+        lambda w: sinr_cdf(w, kind, cfg), max(lin.v, 0.0), lin.u, points=[ceiling], limit=200
     )
     reference = lin.delta * math.sqrt(cfg.code_e.m) * integral
     assert avg_psi(kind, cfg) == pytest.approx(reference, abs=1e-3)

@@ -5,6 +5,7 @@ its header, ordering, number formatting, and line endings are pinned here.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -584,6 +585,40 @@ def test_underflowing_sinr_scale_is_a_sure_failure_not_a_crash(tmp_path, capsys,
     else:
         assert out.count("analytic=1.000000e+00  mc=1.000000e+00 +- 0.000000e+00") == 3
         assert "comparison passed" in out
+
+
+def test_compare_fails_a_closed_form_that_underflows_to_zero(tmp_path, capsys):
+    # at 600 dB the cu and ceu_sc closed forms are 0 while the simulation
+    # resolves both; compare once took log10(0) and exited 2
+    cfg = write_config(tmp_path, {"alpha_c": 0.45, "rho_s_db": 600, "trials": 4096})
+    assert main(["compare", "--config", cfg]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    for metric in ("cu", "ceu_sc"):
+        (line,) = [line for line in lines if line.startswith(f"  {metric:8s} ")]
+        assert "analytic=0.000000e+00" in line
+        assert line.endswith("ratio=0.000e+00  FAIL")
+    assert lines[-1] == "comparison FAILED"
+
+
+def test_closed_form_commands_run_on_every_accepted_config(tmp_path, capsys):
+    # parse_config accepts all 324 configs of this grid: short codes whose
+    # knee v lies below SINR 0 (m = 1, 2), extreme SNRs and power splits.
+    # analytic always reports, and compare always judges
+    failures = []
+    grid = itertools.product(
+        (1, 2, 4, 100), (1, 10, 300), (1, 10, 100), (0.05, 0.45, 0.49), (-30, 10, 600)
+    )
+    for m, n_c, n_e, alpha_c, rho_s_db in grid:
+        raw = {"m": m, "n_c": n_c, "n_e": n_e, "alpha_c": alpha_c, "rho_s_db": rho_s_db}
+        cfg = write_config(tmp_path, {**raw, "trials": 256})
+        for command, codes in (("analytic", (0,)), ("compare", (0, 4))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--config", cfg])
+            err = capsys.readouterr().err
+            if code not in codes:
+                failures.append((command, raw, code, err.strip()))
+    assert failures == []
 
 
 @pytest.mark.parametrize("command", ["compare", "analytic"])

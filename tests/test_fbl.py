@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
 from risnoma.channel import REFERENCE, SystemConfig
-from risnoma.fbl import (
-    _GAMMA_FLOOR,
-    CodeSpec,
-    linearization_params,
-    psi_exact_vec,
-)
+from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
 from risnoma.montecarlo import _metric_sums
 
 # the two working points used throughout: the reference system's rate-3
@@ -135,33 +130,27 @@ def test_psi_exact_vec_handles_zero_block():
 
 
 def _reference_q_arg(gl: np.ndarray, code: CodeSpec) -> np.ndarray:
-    """The Q argument (C - rate) / sqrt(V / m) at SINRs at or above the floor."""
+    """The Q argument (C - rate) / sqrt(V / m) at each SINR; -inf where 1 + gamma is 1."""
     r = 1.0 + gl
     cap = np.log2(r)
-    with np.errstate(over="ignore"):  # r * r past 1e154
+    # r * r overflows past 1e154, and m / V divides by zero where V is 0
+    with np.errstate(over="ignore", divide="ignore"):
         disp = (math.log2(math.e) ** 2) * (1.0 - 1.0 / (r * r))
-    return (cap - code.rate) * np.sqrt(code.m / disp)
+        return (cap - code.rate) * np.sqrt(code.m / disp)
 
 
 def _reference_psi_exact_vec(gamma, code: CodeSpec) -> np.ndarray:
-    """The masked two-pass psi that the in-place kernel replaced.
+    """The two-pass psi that the in-place kernel replaced.
 
-    Entries below the floor are 1; the rest are gathered, evaluated in
-    fresh temporaries and scattered back.  Kept here as the bitwise
-    reference for the kernel.
+    Every entry is evaluated in fresh temporaries, with the Q argument
+    clipped to [-38, 38] and the result to [0, 1].  Kept here as the
+    bitwise reference for the kernel.
     """
     g = np.asarray(gamma, dtype=np.float64)
     if not np.all(g >= 0.0):
         raise ValueError("SINR must be >= 0 and not NaN")
-    out = np.ones(g.shape, dtype=np.float64)
-    live = g >= _GAMMA_FLOOR
-    if not np.any(live):
-        return out
-    arg = _reference_q_arg(g[live], code)
-    np.clip(arg, -38.0, 38.0, out=arg)
-    out[live] = 0.5 * scipy_erfc(arg / math.sqrt(2.0))
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
+    arg = np.clip(_reference_q_arg(g, code), -38.0, 38.0)
+    return np.clip(0.5 * scipy_erfc(arg / math.sqrt(2.0)), 0.0, 1.0)
 
 
 def _quiet_psi(gamma, code: CodeSpec) -> np.ndarray:
@@ -178,18 +167,18 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-# exact zeros (both signs), values below and at the floor, the whole
-# ordinary range, and values whose r * r overflows
+# exact zeros (both signs), values so small that 1 + gamma rounds to 1 or
+# nearly so, the whole ordinary range, and values whose r * r overflows
 _SPECIAL_SINRS = np.array(
-    [0.0, -0.0, 1e-300, 1e-17, 1e-13, _GAMMA_FLOOR, 2e-12, 1e-9, 1e-3, 0.5, 1.0,
+    [0.0, -0.0, 1e-300, 1e-17, 1e-13, 1e-12, 2e-12, 1e-9, 1e-3, 0.5, 1.0,
      7.0, 1e3, 1e9, 1e154, 1e200, 1e300, math.inf]
 )
 
 
 @pytest.mark.parametrize(
     "code",
-    # at m = 1e12 the formula below the floor no longer clips to psi = 1,
-    # so only the floor's limit value keeps the reference's 1
+    # at m = 1e12 and rate 1e-12, psi falls from 1 to 1/2 between SINRs
+    # 3e-15 and 7e-13, so the kernel and the reference must agree there too
     [CODE_C, CODE_E, CodeSpec(m=37, bits=11), CodeSpec(m=2000, bits=6000),
      CodeSpec(m=10**12, bits=1)],
     ids=lambda c: f"m{c.m}-n{c.bits}",
@@ -200,8 +189,9 @@ def test_psi_kernel_matches_masked_reference_bitwise(code):
     # the kernel does not clip the Q argument, the reference clips it at
     # +-38.  SINRs whose Q argument lies in [37, 39] or [-39, -37] cover the
     # clip and erfc's underflow band, where psi runs through the subnormals
-    # to 0 (Q argument 37.55 to 37.68).  At m = 1e12 no SINR at or above
-    # the floor has a negative Q argument
+    # to 0 (Q argument 37.55 to 37.68).  At m = 1e12 the Q argument is
+    # negative only below SINR 7e-13, and there 1 + gamma rounds so coarsely
+    # that it jumps from -33 straight to -inf, never into [-39, -37]
     grid = np.logspace(-12.0, 13.0, 250_001)
     z = _reference_q_arg(grid, code)
     high = grid[(37.0 <= z) & (z <= 39.0)]
@@ -219,6 +209,23 @@ def test_psi_kernel_matches_masked_reference_bitwise(code):
             salt = rng.random(size) < 0.2
             g[salt] = rng.choice(_SPECIAL_SINRS, salt.sum())
             _assert_same_bits(_quiet_psi(g, code), _reference_psi_exact_vec(g, code))
+
+
+# (gamma, psi) at m = 1e12 and 1 bit, frozen from mpmath at 50 digits as
+# _PSI_REFERENCE is: psi falls from 1 to 1/2 below SINR 1e-12 here
+_PSI_LONG_CODE_REFERENCE = (
+    (2e-13, 0.78222631511478418),
+    (6e-13, 0.53388176766810815),
+    (9e-13, 0.43873430440410116),
+)
+
+
+def test_psi_exact_vec_follows_the_formula_at_tiny_sinrs():
+    # 1 + gamma keeps gamma only to a multiple of 2**-52, so the kernel is within
+    # 8.3e-5 of these values; a floor that set psi to 1 here reads 1.0
+    grid, reference = (np.array(col) for col in zip(*_PSI_LONG_CODE_REFERENCE))
+    got = _quiet_psi(grid, CodeSpec(m=10**12, bits=1))
+    assert got.tolist() == pytest.approx(reference.tolist(), rel=1e-3)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-13, 0.9, 7.0, 1e300, math.inf])
