@@ -120,8 +120,10 @@ class SystemConfig:
             # closed forms do not model it (analytic.unmodeled)
             if f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
                 raise ValueError(f"{f.name} must lie in [0, 1], got {val}")
-            elif f.name.startswith("lambda_") and val <= 0.0:
-                raise ValueError(f"{f.name} must be > 0")
+            # 1e100 keeps every drawn gain finite (at most about 2e209), so
+            # eta = 0 never multiplies an inf; gains first overflow near 1e149
+            elif f.name.startswith("lambda_") and not (0.0 < val <= 1e100):
+                raise ValueError(f"{f.name} must lie in (0, 1e100], got {val}")
         if self.rho_s <= 0.0 or self.rho_c <= 0.0:
             raise ValueError("transmit SNRs must be positive")
         if not (0.0 < self.alpha_c < self.alpha_e):
@@ -235,10 +237,12 @@ class SinrKind:
     def sinr(self, gain, cfg: SystemConfig):
         """Plain SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X
         (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1).  It ignores
-        doubled, since the simulation never doubles a step."""
+        doubled, since the simulation never doubles a step.  A SIC ratio is
+        capped at its ceiling, its limit, also where overflow makes it NaN."""
         if self.tag in ("cc", "e2"):
             return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
-        return cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
+        ratio = cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
+        return np.fmin(ratio, self.ceiling(cfg))
 
     def gain_threshold(self, w, cfg: SystemConfig):
         """The gain X whose SINR is w >= 0 (float or array), or inf where no

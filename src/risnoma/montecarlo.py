@@ -23,6 +23,9 @@ separate calls; the memory it holds is one config's, whatever the group
 size.  The pool hands out the chunk tasks in batches, at least four per
 worker and at most 16 tasks each, so the workers finish close together.
 
+No point fails: SystemConfig bounds the link means, so every drawn gain is
+finite, and the SIC steps cap their SINR at its ceiling, so no SINR is NaN.
+
 Provides:
     BlerEstimate         -- mean / stderr / n triple
     run_points           -- all estimates at many points in one batched call
@@ -79,8 +82,8 @@ def _metric_sums(
     """Sums (row 0) and sums of squares (row 1) of every metric for one config on one batch."""
     # two psi calls: cc at its code, and one block of the ce, e1 and e2
     # SINRs and the MRC sum, which share ce's code.  A huge SNR overflows
-    # the SINRs to inf or NaN; psi refuses the NaNs with this config's
-    # error, so numpy need not warn about them
+    # the SINRs to inf, where psi is 0, and a SIC ratio to inf/inf, which
+    # the step caps at its ceiling; neither is a fault, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         g_cc = CC.sinr(gains[CC.link], cfg)
         block = np.empty((4, len(g_cc)))
@@ -103,7 +106,7 @@ def _metric_sums(
     return np.array([[np.add.reduce(c) for c in cols], [np.add.reduce(c * c) for c in cols]])
 
 
-def _chunk_sums(args) -> list[np.ndarray | str]:
+def _chunk_sums(args) -> list[np.ndarray]:
     """Draw one chunk of trials once and evaluate each config of a group on it.
 
     The configs of a group draw alike (run_points states the rule); aligned
@@ -111,8 +114,7 @@ def _chunk_sums(args) -> list[np.ndarray | str]:
     aligned draw.  Either way a config gets the draw it would have made
     alone.  The configs are evaluated one at a time, so only one config's
     SINRs are alive at once; the gains stay alive for the whole loop, one
-    (T, Z, W) per distinct R.  A ValueError while evaluating one becomes
-    that config's error and the rest carry on.
+    (T, Z, W) per distinct R.
     """
     cfgs, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
@@ -122,13 +124,7 @@ def _chunk_sums(args) -> list[np.ndarray | str]:
         # one draw at the group's largest R holds every smaller R as a prefix
         top = max(cfgs, key=lambda cfg: cfg.R)
         by_count = _sample_aligned_batch(top, rng, n_trials, counts={cfg.R for cfg in cfgs})
-    out: list[np.ndarray | str] = []
-    for cfg in cfgs:
-        try:
-            out.append(_metric_sums(by_count[cfg.R], cfg))
-        except ValueError as exc:
-            out.append(str(exc))
-    return out
+    return [_metric_sums(by_count[cfg.R], cfg) for cfg in cfgs]
 
 
 def _worker_count() -> int:
@@ -184,15 +180,14 @@ def _check_budget(n: int, seed: int) -> None:
 
 def run_points(
     cfgs: Sequence[SystemConfig], n: int, seed: int
-) -> list[dict[str, BlerEstimate] | str]:
+) -> list[dict[str, BlerEstimate]]:
     """Estimate every metric at each point, one config each, over n trials.
 
     Returns, per point in the given order, a dict of all seven estimates
-    (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2) or that point's error message.
-    Points that draw alike share one draw per chunk (the grouping loop
-    below states the rule), and every chunk of the call runs in one process
-    pool.  Each point gets the same draws and the same float operations as
-    a call with that point alone.
+    (cu, ceu_sc, ceu_mrc, cc, ce, e1, e2).  Points that draw alike share
+    one draw per chunk (the grouping loop below states the rule), and every
+    chunk of the call runs in one process pool.  Each point gets the same
+    draws and the same float operations as a call with that point alone.
     """
     _check_budget(n, seed)
     groups: dict[tuple, list[int]] = {}
@@ -214,7 +209,6 @@ def run_points(
             tasks.append((group, min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), seed, c))
 
     sums = np.zeros((len(cfgs), 2, len(_METRICS)))
-    errors: list[str | None] = [None] * len(cfgs)
     workers = min(_worker_count(), len(tasks))
     with ExitStack() as stack:
         if workers > 1:
@@ -226,19 +220,10 @@ def run_points(
         # chunk order; merging as results arrive holds only a few batches
         for members, per_cfg in zip(owners, results):
             for i, got in zip(members, per_cfg):
-                if not isinstance(got, str):
-                    sums[i] += got
-                elif errors[i] is None:
-                    errors[i] = got
-    return [err if err is not None else _estimates(n, s) for err, s in zip(errors, sums)]
+                sums[i] += got
+    return [_estimates(n, s) for s in sums]
 
 
 def run_trials(cfg: SystemConfig, n: int, seed: int) -> dict[str, BlerEstimate]:
-    """Every estimate that run_points gives for this one point.
-
-    Raises ValueError with the point's error message.
-    """
-    (got,) = run_points([cfg], n, seed)
-    if isinstance(got, str):
-        raise ValueError(got)
-    return got
+    """Every estimate that run_points gives for this one point."""
+    return run_points([cfg], n, seed)[0]

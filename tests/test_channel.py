@@ -66,6 +66,7 @@ def test_system_config_accepts_reference_point():
         {"eta_e": -0.1},
         {"lambda_e": 0.0},
         {"lambda_gce": -2.0},
+        {"lambda_rc": math.nextafter(1e100, math.inf)},  # past the bound on link means
         {"R": 1025},  # past the cap on the aligned sampler's element loop
         {"R": 2.5},  # element counts are integers, not a gamma fit's extrapolation
         {"R": 8.0},

@@ -196,10 +196,11 @@ def test_parse_config_rejects_non_finite_numbers(bad):
         ({"alpha_c": math.nan}, lambda: replace(REFERENCE, alpha_c=math.nan)),
         ({"R": 1.5}, lambda: replace(REFERENCE, R=1.5)),
         ({"scenario": "mesh"}, lambda: replace(REFERENCE, scenario="mesh")),
+        ({"lambda_rc": 1e200}, lambda: replace(REFERENCE, lambda_rc=1e200)),
         ({"trials": 0}, lambda: run_points([REFERENCE], 0, 1234)),
         ({"seed": -1}, lambda: run_points([REFERENCE], 256, -1)),
     ],
-    ids=["float", "int", "scenario", "trials", "seed"],
+    ids=["float", "int", "scenario", "lambda", "trials", "seed"],
 )
 def test_config_refusals_are_the_librarys_own(raw, refuse):
     # the CLI reads each value through the library's own rule, so the two
@@ -349,24 +350,25 @@ def test_run_sweep_rows_and_error_points(tmp_path, capsys):
 
 def test_sweep_partial_failure_is_counted(tmp_path, capsys):
     cfg = write_config(
-        tmp_path, {"trials": 512, "sweep": {"axis": "rho_s_db", "values": [10, 3079]}}
+        tmp_path, {"trials": 512, "sweep": {"axis": "alpha_c", "values": [0.1, 0.6]}}
     )
     out = tmp_path / "partial.csv"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "warning: rho_s_db=3079.0: SINR must be >= 0 and not NaN" in err
+    assert "warning: alpha_c=0.6: need 0 < alpha_c < alpha_e" in err
     assert "1 of 2 sweep points failed" in err
-    assert {float(r[1]) for r in read_rows(out)} == {10.0}
+    assert {float(r[1]) for r in read_rows(out)} == {0.1}
     # compare reports the point that ran; at 512 trials its MRC bound
     # fails as in test_compare_flags_violated_bound
     assert main(["compare", "--config", cfg]) == 4
     captured = capsys.readouterr()
     assert "1 of 2 sweep points failed" in captured.err
-    assert "[rho_s_db=10]" in captured.out and "[rho_s_db=3079]" not in captured.out
+    assert "[alpha_c=0.1]" in captured.out and "[alpha_c=0.6]" not in captured.out
 
 
 def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
-    # the overflow happens in the pool workers, whose stderr is the CLI's
+    # the SINRs overflow in the pool workers, whose stderr is the CLI's; the
+    # point simulates to its ceiling floor like any other
     cfg = write_config(
         tmp_path, {"trials": 8192, "sweep": {"axis": "rho_s_db", "values": [10, 3079]}}
     )
@@ -378,9 +380,32 @@ def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
         env={**os.environ, "RISNOMA_WORKERS": "2"},
     )
     assert proc.returncode == 0
-    assert "warning: rho_s_db=3079.0: SINR must be >= 0 and not NaN" in proc.stderr
+    assert "warning:" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    assert {float(r[1]) for r in read_rows(out)} == {10.0}
+    rows = read_rows(out)
+    assert len(rows) == 12
+    assert sorted({float(r[1]) for r in rows}) == [10.0, 3079.0]
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [
+        ({"eta_c": 0, "lambda_gc": 1e200, "lambda_rc": 1e200}, "1e+200"),
+        ({"eta_c": 0, "lambda_rc": 1e307, "scenario": "single_zone_random"}, "1e+307"),
+    ],
+    ids=["aligned", "random_phase"],
+)
+def test_link_mean_past_the_bound_exits_2(tmp_path, capsys, raw, value):
+    # with eta = 0 these once met 0 * inf in the samplers: the aligned one
+    # failed the point, the random-phase one printed a numpy RuntimeWarning
+    cfg = write_config(tmp_path, {"trials": 256, **raw})
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: lambda_rc must lie in (0, 1e100], got {value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eta", ["eta_c", "eta_e"])
