@@ -540,6 +540,16 @@ def test_batched_sweep_matches_lone_run_trials(system, axis):
         _assert_same(est, alone, (system, axis, value))
 
 
+def test_failing_point_leaves_its_group_intact():
+    # 3079 dB overflows the SIC ratio to inf/inf, which once failed the
+    # point; it now simulates, and the 10 dB point, which draws from the
+    # same batch, keeps the bits of a lone run
+    got = run_points(_axis_points("rho_s_db", [10, 3079]), 8192, 5)
+    assert set(got[1]) == set(got[0])
+    assert all(0.0 <= est.mean <= 1.0 for est in got[1].values())
+    _assert_same(got[0], run_trials(_axis_cfg("rho_s_db", 10), 8192, 5), 10)
+
+
 def test_overflowing_point_raises_no_numpy_warning():
     # at 3079 dB most SIC SINRs overflow to inf/inf and the rest round to
     # within an ulp of the ceiling alpha_e/alpha_c; capped there, ce and e1
