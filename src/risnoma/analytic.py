@@ -68,14 +68,24 @@ def chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unmodeled(cfg: SystemConfig) -> str | None:
-    """Why the closed forms do not model cfg (the reason states their domain), or None."""
+    """Why the closed forms do not model cfg (the reason states their domain), or None.
+
+    They need the aligned scenario, R >= 1 and eta * b > 0 on every link,
+    with b the scale of the link's gamma fit.  effective_gain_cdf refuses
+    by the same rule and is finite wherever it holds, so this is the closed
+    forms' one domain rule.  eta = 0 breaks it, and so does a b of 0, where
+    lambda_g * lambda_r underflows.
+    """
     aligned = cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
-    if aligned and cfg.R >= 1 and min(cfg.eta_c, cfg.eta_e) > 0.0:
+    if aligned and cfg.R >= 1 and all(
+        link.eta * gamma_fit(cfg.R, link.lam_g, link.lam_r).b > 0.0 for link in links(cfg)
+    ):
         return None
     return (
         f"no closed form for scenario {cfg.scenario.value} at R={cfg.R}, "
         f"eta_c={cfg.eta_c:g}, eta_e={cfg.eta_e:g}; it needs "
-        f"{ScenarioKind.TWO_ZONE_ALIGNED.value}, R >= 1 and eta_c, eta_e > 0"
+        f"{ScenarioKind.TWO_ZONE_ALIGNED.value}, R >= 1 and eta * b > 0 on every "
+        "link, with b the scale of its gamma fit"
     )
 
 
@@ -84,31 +94,33 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     p ~ Exp(direct_var), q ~ fit; an array of t's shape, or a float.
 
     Evaluates the regularized-incomplete-gamma head minus a Gauss-Chebyshev
-    correction sum over transformed nodes zeta_u = (sqrt(t)/(2 eta))(xi_u+1).
-    Each correction term is a product of factors that can over- or
-    underflow on their own, so its logarithm is summed first and
-    exponentiated once; the combined exponent is <= 0 by construction, and
-    deep-tail evaluations stay finite and positive.  Each entry's bits are
-    those of a call on it alone.  At t = 0 the logarithms are -inf and the
-    CDF 0; t = inf, a threshold no gain reaches, gives 1.  A NaN CDF, where
-    the quadrature overflows, is refused with ValueError.
+    correction sum over transformed nodes zeta_u = (H/2)(xi_u+1), with H =
+    min(sqrt(t)/eta, q_cap) and q_cap = b(s + 12 sqrt(s) + 40), s = kappa+1:
+    the gamma law puts under 1e-23 of its mass past q_cap, so a tiny eta or
+    a huge t never stretches the rule past where the density lives.  Each
+    correction term is a product of factors that can over- or underflow on
+    their own, so its logarithm is summed first and exponentiated once; the
+    combined exponent is <= 0 by construction, and deep-tail evaluations
+    stay finite and positive.  Each entry's bits are those of a call on it
+    alone.  At t = 0 the logarithms are -inf and the CDF 0; at t = inf the
+    head is 1 and every correction term 0.  eta * b must be positive
+    (unmodeled's rule).
     """
     t = np.asarray(t, dtype=float)
     if not t.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
         raise ValueError("t must be >= 0 and not NaN")
     if direct_var <= 0.0:
         raise ValueError("direct_var must be positive")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive for the analytic CDF")
+    if not eta * fit.b > 0.0:
+        raise ValueError("eta * b must be positive for the analytic CDF")
 
     shape = fit.kappa + 1.0
-    # a subnormal eta, or a tiny one at a huge t, overflows sqrt(t)/eta and
-    # makes the sum NaN; that is refused below, so numpy need not warn
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    q_cap = fit.b * (shape + 12.0 * math.sqrt(shape) + 40.0)
+    # log(0) at t = 0, and sqrt(t)/eta overflowing before the cap at a tiny
+    # eta, are exact limits: -inf and a rule that ends at q_cap
+    with np.errstate(divide="ignore", over="ignore"):
         head = gammainc(shape, np.sqrt(t) / (eta * fit.b))
-        # at t = inf the head is 1 and the correction is taken at t = 0: none
-        t = np.where(t < math.inf, t, 0.0)
-        front = (np.sqrt(t) / (2.0 * eta))[..., None]
+        front = (np.minimum(np.sqrt(t) / eta, q_cap) / 2.0)[..., None]
         nodes, weights = chebyshev_rule(quad_order)
         zeta = front * (nodes + 1.0)
         log_terms = (
@@ -119,10 +131,7 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
             + (eta * eta * zeta * zeta - t[..., None]) / direct_var
             - zeta / fit.b
         )
-        cdf = np.clip(head - np.sum(np.exp(log_terms), axis=-1), 0.0, 1.0)
-    if np.isnan(cdf).any():
-        raise ValueError(f"gain CDF is NaN at eta={float(eta)!r}: its quadrature overflows")
-    return cdf[()]
+        return np.clip(head - np.sum(np.exp(log_terms), axis=-1), 0.0, 1.0)[()]
 
 
 def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):

@@ -26,8 +26,10 @@ Each rule has one owner.  Every value is read by the library's reader of
 its type (fbl._as_float, fbl._as_int, channel._as_scenario), and the trial
 count and seed by montecarlo's own check, so a refusal is the library's
 message behind ``config error: ``.  Every BLER is checked where it is made:
-the gain CDF refuses NaN, avg_blers clamps to [0, 1], and the Monte Carlo
-refuses a non-finite sum and clamps each mean.
+unmodeled refuses each point outside the closed forms' domain before
+anything is simulated, the gain CDF is finite on that domain, avg_blers
+clamps to [0, 1], and the Monte Carlo refuses a non-finite sum and clamps
+each mean.
 """
 
 from __future__ import annotations

@@ -145,8 +145,8 @@ def test_system_config_allows_eta_zero_and_r_zero():
 
 def test_gamma_fit_frozen_reference():
     fit = gamma_fit(8, 0.8, 1.0)
-    assert fit.kappa == pytest.approx(11.879566079348178, rel=1e-15)
-    assert fit.b == pytest.approx(0.4363385963634107, rel=1e-15)
+    assert fit.kappa == pytest.approx(11.879566079348178, rel=1e-15, abs=0)
+    assert fit.b == pytest.approx(0.4363385963634107, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("R", [1, 2, 8, 64])
@@ -158,8 +158,8 @@ def test_gamma_fit_matches_exact_moments(R, pair):
     fit = gamma_fit(R, lg, lr)
     mean = (fit.kappa + 1.0) * fit.b
     var = (fit.kappa + 1.0) * fit.b**2
-    assert mean == pytest.approx(R * (math.pi / 4.0) * math.sqrt(lg * lr), rel=1e-12)
-    assert var == pytest.approx(R * (1.0 - _PI_SQ / 16.0) * lg * lr, rel=1e-12)
+    assert mean == pytest.approx(R * (math.pi / 4.0) * math.sqrt(lg * lr), rel=1e-12, abs=0)
+    assert var == pytest.approx(R * (1.0 - _PI_SQ / 16.0) * lg * lr, rel=1e-12, abs=0)
 
 
 def test_gamma_fit_rejects_degenerate_inputs():
@@ -489,7 +489,7 @@ def test_step_sinr_map_inverts_its_gain_threshold(step, alpha_c, rho_s, rho_c, s
         assert w >= ceiling * (1.0 - 1e-12)
     else:
         assert 0.0 < t < math.inf
-        assert step.sinr(t, cfg) == pytest.approx(w, rel=1e-12)
+        assert step.sinr(t, cfg) == pytest.approx(w, rel=1e-12, abs=0)
         # the forward map on an array gives the float map's bits
         assert step.sinr(np.array([t]), cfg)[0] == step.sinr(t, cfg)
 

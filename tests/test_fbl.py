@@ -37,15 +37,15 @@ def test_code_spec_validation():
 def test_linearization_frozen_values():
     lin_c = linearization_params(CODE_C)
     assert lin_c.beta == pytest.approx(7.0, abs=1e-12)
-    assert lin_c.delta == pytest.approx(0.05026200292434228, rel=1e-14)
-    assert lin_c.v == pytest.approx(6.005212743406519, rel=1e-14)
-    assert lin_c.u == pytest.approx(7.994787256593481, rel=1e-14)
+    assert lin_c.delta == pytest.approx(0.05026200292434228, rel=1e-14, abs=0)
+    assert lin_c.v == pytest.approx(6.005212743406519, rel=1e-14, abs=0)
+    assert lin_c.u == pytest.approx(7.994787256593481, rel=1e-14, abs=0)
 
     lin_e = linearization_params(CODE_E)
     assert lin_e.beta == pytest.approx(1.0, abs=1e-12)
-    assert lin_e.delta == pytest.approx(0.23032943298089034, rel=1e-14)
-    assert lin_e.v == pytest.approx(0.7829196236325198, rel=1e-14)
-    assert lin_e.u == pytest.approx(1.2170803763674802, rel=1e-14)
+    assert lin_e.delta == pytest.approx(0.23032943298089034, rel=1e-14, abs=0)
+    assert lin_e.v == pytest.approx(0.7829196236325198, rel=1e-14, abs=0)
+    assert lin_e.u == pytest.approx(1.2170803763674802, rel=1e-14, abs=0)
 
 
 @settings(max_examples=60)
@@ -53,7 +53,7 @@ def test_linearization_frozen_values():
 def test_linearization_knee_width_identity(m, bits):
     # the ramp width is pinned to the slope: delta*sqrt(m)*(u - v) = 1
     lin = linearization_params(CodeSpec(m=m, bits=bits))
-    assert lin.delta * math.sqrt(m) * (lin.u - lin.v) == pytest.approx(1.0, rel=1e-12)
+    assert lin.delta * math.sqrt(m) * (lin.u - lin.v) == pytest.approx(1.0, rel=1e-12, abs=0)
     assert lin.v < lin.beta < lin.u
 
 
@@ -225,7 +225,7 @@ def test_psi_exact_vec_follows_the_formula_at_tiny_sinrs():
     # 8.3e-5 of these values; a floor that set psi to 1 here reads 1.0
     grid, reference = (np.array(col) for col in zip(*_PSI_LONG_CODE_REFERENCE))
     got = _quiet_psi(grid, CodeSpec(m=10**12, bits=1))
-    assert got.tolist() == pytest.approx(reference.tolist(), rel=1e-3)
+    assert got.tolist() == pytest.approx(reference.tolist(), rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-13, 0.9, 7.0, 1e300, math.inf])

@@ -343,7 +343,7 @@ def test_stderr_shrinks_like_root_n():
     cfg = make_config(rho_s=1.0, rho_c=0.1)
     small = run_trials(cfg, 40_960, 31)["cu"].stderr
     large = run_trials(cfg, 163_840, 31)["cu"].stderr
-    assert small / large == pytest.approx(2.0, rel=0.2)
+    assert small / large == pytest.approx(2.0, rel=0.2, abs=0)
 
 
 # ------------------------------------------------------------ physics checks
@@ -561,7 +561,7 @@ def test_overflowing_point_raises_no_numpy_warning():
     cfg = _axis_cfg("rho_s_db", 3079)
     floor = float(psi_exact_vec(np.float64(cfg.alpha_e / cfg.alpha_c), cfg.code_e))
     for tag in ("ce", "e1"):
-        assert got[1][tag].mean == pytest.approx(floor, rel=1e-12)
+        assert got[1][tag].mean == pytest.approx(floor, rel=1e-12, abs=0)
     assert got[0] == run_trials(_axis_cfg("rho_s_db", 10), 8192, 5)
 
 
@@ -681,8 +681,8 @@ def test_apply_axis_semantics():
     cfg = make_config()
     assert cli.parse_config({}).points[0].cfg == cfg
     coupled = _axis_cfg("rho_s_db", 20.0)
-    assert coupled.rho_s == pytest.approx(100.0, rel=1e-15)
-    assert coupled.rho_c == pytest.approx(10.0, rel=1e-15)
+    assert coupled.rho_s == pytest.approx(100.0, rel=1e-15, abs=0)
+    assert coupled.rho_c == pytest.approx(10.0, rel=1e-15, abs=0)
     pinned = _axis_cfg("rho_s_db", 20.0, {"rho_c": cfg.rho_c})
     assert pinned.rho_c == cfg.rho_c
     # a linear or dB base SNR is replaced, and the relay SNR still follows it
