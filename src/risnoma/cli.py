@@ -98,6 +98,10 @@ class RunConfig:
     trials: int
     seed: int
 
+    def __post_init__(self) -> None:
+        # checked wherever it is set, so --trials 0 is refused before any warning
+        _read(_check_budget, self.trials, self.seed)
+
 
 def _db_to_linear(db: float) -> float:
     # past about 3083 dB the power overflows; inf lets SystemConfig reject it
@@ -159,7 +163,7 @@ def parse_config(raw: object) -> RunConfig:
     base = _read(_build_system, keys)
     trials = _read(_as_int, "trials", raw.get("trials", _DEFAULT_TRIALS))
     seed = _read(_as_int, "seed", raw.get("seed", _DEFAULT_SEED))
-    _read(_check_budget, trials, seed)
+    _read(_check_budget, trials, seed)  # a bad budget is named before a bad sweep
 
     if "sweep" not in raw:
         rho_s_db = 10.0 * math.log10(base.rho_s)
@@ -187,12 +191,22 @@ def parse_config(raw: object) -> RunConfig:
     return RunConfig(points=points, trials=trials, seed=seed)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object, refusing a repeated key that json would overwrite."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config error: duplicate key {key}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             # json.load takes NaN, Infinity and -Infinity, which the reader
             # of every value refuses in parse_config
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config error: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -204,34 +218,23 @@ def load_config(path: str) -> RunConfig:
 # Sweep points: each command's one path from its axis values to its output
 
 
-def _drop_failed(points: list[_Point], outcomes: list) -> list[tuple[_Point, object]]:
-    """Warn about each point whose outcome is an error string and drop it;
-    it is a config error if every point failed."""
-    failed = [(p, got) for p, got in zip(points, outcomes) if isinstance(got, str)]
-    for p, error in failed:
-        print(f"warning: {p.axis}={p.value}: {error}", file=sys.stderr)
+def _kept(points: list[_Point], closed_forms: bool) -> list[_Point]:
+    """The points a command can evaluate, before anything runs: each one the
+    model refused, or with closed_forms one the closed forms do not model,
+    is warned about and dropped; it is a config error if none is left."""
+    reasons = [
+        p.cfg if isinstance(p.cfg, str) else analytic.unmodeled(p.cfg) if closed_forms else None
+        for p in points
+    ]
+    failed = [(p, reason) for p, reason in zip(points, reasons) if reason is not None]
+    for p, reason in failed:
+        print(f"warning: {p.axis}={p.value}: {reason}", file=sys.stderr)
     if failed:
         summary = f"{len(failed)} of {len(points)} sweep points failed"
         if len(failed) == len(points):
             raise ConfigError(f"config error: {summary}")
         print(summary, file=sys.stderr)
-    return [(p, got) for p, got in zip(points, outcomes) if not isinstance(got, str)]
-
-
-def _closed_form_points(run_cfg: RunConfig) -> list[_Point]:
-    """The config's points, each one the closed forms do not model failed."""
-    return [
-        p if isinstance(p.cfg, str) else p._replace(cfg=analytic.unmodeled(p.cfg) or p.cfg)
-        for p in run_cfg.points
-    ]
-
-
-def _simulate(points: list[_Point], trials: int, seed: int) -> list[tuple[_Point, dict]]:
-    """Monte Carlo estimates of every point that has a config, in one call."""
-    valid = [p.cfg for p in points if not isinstance(p.cfg, str)]
-    results = iter(run_points(valid, trials, seed))
-    outcomes = [p.cfg if isinstance(p.cfg, str) else next(results) for p in points]
-    return _drop_failed(points, outcomes)
+    return [p for p, reason in zip(points, reasons) if reason is None]
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +263,11 @@ def cmd_run(run_cfg: RunConfig, out_path: str) -> int:
     where they model the point's system."""
     rows: list[tuple] = []
     seed = run_cfg.seed
-    for p, est in _simulate(run_cfg.points, run_cfg.trials, seed):
+    points = _kept(run_cfg.points, closed_forms=False)
+    for p, est in zip(points, run_points([p.cfg for p in points], run_cfg.trials, seed)):
         for metric in ("cu", "ceu_sc", "ceu_mrc"):
             e = est[metric]
-            rows.append(
-                (p.axis, p.value, metric, "mc" + p.suffix, e.mean, e.stderr, e.n, seed)
-            )
+            rows.append((p.axis, p.value, metric, "mc" + p.suffix, e.mean, e.stderr, e.n, seed))
         if analytic.unmodeled(p.cfg) is None:
             for metric, source, bler in _analytic_rows(p.cfg):
                 rows.append((p.axis, p.value, metric, source + p.suffix, bler, 0.0, 0, seed))
@@ -353,7 +355,8 @@ def cmd_compare(run_cfg: RunConfig) -> int:
     """
     trials, seed = run_cfg.trials, run_cfg.seed
     failed = False
-    for p, est in _simulate(_closed_form_points(run_cfg), trials, seed):
+    points = _kept(run_cfg.points, closed_forms=True)
+    for p, est in zip(points, run_points([p.cfg for p in points], trials, seed)):
         lines, point_failed = _compare_point(p.cfg, est, trials, seed, f"{p.axis}={p.value:g}")
         failed = failed or point_failed
         print("\n".join(lines))
@@ -365,15 +368,14 @@ def cmd_compare(run_cfg: RunConfig) -> int:
 
 
 def cmd_analytic(run_cfg: RunConfig) -> int:
-    points = _closed_form_points(run_cfg)
-    for p, cfg in _drop_failed(points, [p.cfg for p in points]):
-        rows = _analytic_rows(cfg)  # before the header: a refused point prints nothing
+    for p in _kept(run_cfg.points, closed_forms=True):
+        rows = _analytic_rows(p.cfg)  # before the header: a refused point prints nothing
         print(f"[{p.axis}={p.value:g}]")
         for metric, source, value in rows:
             tag = " (lower bound)" if source == "analytic_lb" else ""
             print(f"  {metric:8s} {value:.10e}{tag}")
         for scheme in ("cu", "ceu_sc", "ceu_mrc"):
-            d = analytic.diversity_order(cfg.R, scheme)
+            d = analytic.diversity_order(p.cfg.R, scheme)
             print(f"  diversity {scheme:8s} {d:.6f}")
     return 0
 
@@ -392,8 +394,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one config, write CSV")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--trials", type=int)
-    p_run.add_argument("--seed", type=int)
 
     p_fig = sub.add_parser("fig", help="reproduce a reference figure as CSV")
     p_fig.add_argument(
@@ -405,8 +405,9 @@ def main(argv=None) -> int:
 
     p_cmp = sub.add_parser("compare", help="analytic vs Monte Carlo report")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--trials", type=int)
-    p_cmp.add_argument("--seed", type=int)
+    for p in (p_run, p_cmp):  # overrides of the config's budget
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
 
     p_an = sub.add_parser("analytic", help="closed forms only, no simulation")
     p_an.add_argument("--config", required=True)
@@ -416,10 +417,8 @@ def main(argv=None) -> int:
         if args.command == "fig":
             return cmd_fig(args.preset, args.out, args.trials, args.seed)
         run_cfg = load_config(args.config)
-        if getattr(args, "trials", None) is not None:
-            run_cfg = replace(run_cfg, trials=args.trials)
-        if getattr(args, "seed", None) is not None:
-            run_cfg = replace(run_cfg, seed=args.seed)
+        overrides = {key: getattr(args, key, None) for key in ("trials", "seed")}
+        run_cfg = replace(run_cfg, **{k: v for k, v in overrides.items() if v is not None})
         if args.command == "run":
             return cmd_run(run_cfg, args.out)
         if args.command == "compare":

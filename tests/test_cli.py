@@ -267,6 +267,29 @@ def test_load_config_error_paths(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"R": 1, "R": 8}', "R"),
+        ('{"sweep": {"axis": "R", "values": [1, 2], "axis": "m"}}', "axis"),
+        ('{"sweep": {"axis": "R", "values": [1, 2], "values": [3]}}', "values"),
+    ],
+    ids=["top_level", "sweep_axis", "sweep_values"],
+)
+def test_duplicate_keys_are_refused(tmp_path, capsys, text, key):
+    # json keeps the last of a repeated key, so {"R": 1, "R": 8} once ran at R = 8
+    path = tmp_path / "dup.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "compare", "analytic"):
+        argv = [command, "--config", str(path)]
+        out = tmp_path / "dup.csv"
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: duplicate key {key}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 # ------------------------------------------------------------------ cmd_run
 
 def test_run_single_point_csv_schema(tmp_path, capsys):

@@ -503,9 +503,10 @@ def test_sweep_records_per_point_errors_and_continues():
     pts = cli._expand("alpha_c", [0.1, 0.6, 0.2], {}, "")
     assert [isinstance(p.cfg, SystemConfig) for p in pts] == [True, False, True]
     assert "alpha_c" in pts[1].cfg
-    ran = cli._simulate(pts, 4096, 8)
-    assert [p.value for p, _ in ran] == [0.1, 0.2]
-    assert all(set(est) >= {"cu", "ceu_sc", "ceu_mrc"} for _, est in ran)
+    kept = cli._kept(pts, closed_forms=False)
+    ran = run_points([p.cfg for p in kept], 4096, 8)
+    assert [p.value for p in kept] == [0.1, 0.2]
+    assert all(set(est) >= {"cu", "ceu_sc", "ceu_mrc"} for est in ran)
 
 
 def test_sweep_records_overflowing_db_value_as_point_error():
@@ -538,6 +539,43 @@ def test_batched_sweep_matches_lone_run_trials(system, axis):
     for value, est in zip(_AXIS_VALUES[axis], got):
         alone = run_trials(replace(_axis_cfg(axis, value), **overrides), n, 61)
         _assert_same(est, alone, (system, axis, value))
+
+
+_DB_SWEEP = range(-10, 31, 5)
+_LAMBDA_SWEEP = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0)
+
+
+def _ordered_sweeps():
+    # (label, configs in increasing order of the swept value, metrics that
+    # must not rise along them).  Random-phase R sweeps are left out: each R
+    # draws its own gamma, so its points share no draw, and at 8192 trials
+    # and seed 7 ceu_sc rises from 9.72e-4 to 1.007e-3 between R = 11 and 12
+    every = ("cu", "ceu_sc", "ceu_mrc", "cc", "ce", "e1", "e2")
+    random = {"scenario": ScenarioKind.SINGLE_ZONE_RANDOM}
+    yield "rho_s_db aligned", _axis_points("rho_s_db", _DB_SWEEP), every
+    yield "rho_s_db random", _axis_points("rho_s_db", _DB_SWEEP, **random), every
+    yield "R aligned", _axis_points("R", range(17)), every
+    for eta in ("eta_c", "eta_e"):
+        yield eta, [make_config(**{eta: v}) for v in (0.0, 0.25, 0.5, 0.75, 1.0)], every
+    for f in fields(SystemConfig):
+        if f.name.startswith("lambda_"):
+            yield f.name, [make_config(**{f.name: v}) for v in _LAMBDA_SWEEP], every
+    # the relay SNR reaches only the relayed step and what combines it
+    rho_c = [make_config(rho_c=10.0 ** (db / 10.0)) for db in _DB_SWEEP]
+    yield "rho_c", rho_c, ("e2", "ceu_sc", "ceu_mrc")
+
+
+def test_every_sweep_is_ordered_exactly():
+    # the points of each sweep see the same unit draws (one shared draw, or
+    # the same seed and draw order, scaled), and each trial's metric is
+    # monotone in the swept value, so each mean is too: exactly, with no
+    # statistical tolerance, and ceu_mrc <= ceu_sc at every point (pathwise)
+    for label, cfgs, metrics in _ordered_sweeps():
+        got = run_points(cfgs, 8192, 7)
+        for metric in metrics:
+            means = [est[metric].mean for est in got]
+            assert all(b <= a for a, b in zip(means, means[1:])), (label, metric, means)
+        assert all(est["ceu_mrc"].mean <= est["ceu_sc"].mean for est in got), label
 
 
 def test_failing_point_leaves_its_group_intact():
