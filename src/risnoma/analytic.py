@@ -33,7 +33,7 @@ from scipy.special import gammainc, gammaln
 
 from .channel import CC, CE, E1, E2, GammaFit, ScenarioKind, SinrKind, SystemConfig
 from .channel import gamma_fit, links
-from .fbl import linearization_params
+from .fbl import _as_float, _as_int, _echo, linearization_params
 
 QUAD_ORDER = 50
 
@@ -103,33 +103,44 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     combined exponent is <= 0 by construction, and deep-tail evaluations
     stay finite and positive.  Each entry's bits are those of a call on it
     alone.  At t = 0 the logarithms are -inf and the CDF 0; at t = inf the
-    head is 1 and every correction term 0.  eta * b must be positive
-    (unmodeled's rule).
+    head is 1 and every correction term 0.
+
+    Every argument is read before anything is computed, and refused by
+    name with ValueError: a negative or NaN t; a direct_var, eta, kappa or
+    b that is not a finite real number, a fit that is not a GammaFit and a
+    quad_order that is not an integer; a direct_var <= 0; a fit whose shape
+    kappa + 1 is not positive; and eta * b <= 0 (unmodeled's rule).
     """
     t = np.asarray(t, dtype=float)
     if not t.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
         raise ValueError("t must be >= 0 and not NaN")
+    direct_var, eta = _as_float("direct_var", direct_var), _as_float("eta", eta)
     if direct_var <= 0.0:
         raise ValueError("direct_var must be positive")
-    if not eta * fit.b > 0.0:
+    if not isinstance(fit, GammaFit):
+        raise ValueError(f"fit must be a GammaFit, got {_echo(fit)}")
+    kappa, b = _as_float("fit.kappa", fit.kappa), _as_float("fit.b", fit.b)
+    shape = kappa + 1.0
+    if not shape > 0.0:
+        raise ValueError(f"fit.kappa + 1 must be positive, got {_echo(shape)}")
+    if not eta * b > 0.0:
         raise ValueError("eta * b must be positive for the analytic CDF")
+    nodes, weights = chebyshev_rule(_as_int("quad_order", quad_order))
 
-    shape = fit.kappa + 1.0
-    q_cap = fit.b * (shape + 12.0 * math.sqrt(shape) + 40.0)
+    q_cap = b * (shape + 12.0 * math.sqrt(shape) + 40.0)
     # log(0) at t = 0, and sqrt(t)/eta overflowing before the cap at a tiny
     # eta, are exact limits: -inf and a rule that ends at q_cap
     with np.errstate(divide="ignore", over="ignore"):
-        head = gammainc(shape, np.sqrt(t) / (eta * fit.b))
+        head = gammainc(shape, np.sqrt(t) / (eta * b))
         front = (np.minimum(np.sqrt(t) / eta, q_cap) / 2.0)[..., None]
-        nodes, weights = chebyshev_rule(quad_order)
         zeta = front * (nodes + 1.0)
         log_terms = (
             np.log(weights)
             + np.log(front)
-            + fit.kappa * (np.log(zeta) - math.log(fit.b))
+            + kappa * (np.log(zeta) - math.log(b))
             - gammaln(shape)
             + (eta * eta * zeta * zeta - t[..., None]) / direct_var
-            - zeta / fit.b
+            - zeta / b
         )
         return np.clip(head - np.sum(np.exp(log_terms), axis=-1), 0.0, 1.0)[()]
 
@@ -216,7 +227,8 @@ def diversity_order(R: int, scheme: str) -> float:
     (kappa+1)/2 for the central user and the SC edge user, and its square
     for MRC.  These are claims, not the slopes of the closed forms above:
     there SC and MRC share one slope, twice the central user's.  Variance
-    factors cancel in kappa, so only R enters; gamma_fit refuses R < 1.
+    factors cancel in kappa, so only R enters; gamma_fit reads R, and
+    refuses any value but an integer >= 1.
     """
     kappa = gamma_fit(R, 1.0, 1.0).kappa
     half = (kappa + 1.0) / 2.0

@@ -72,9 +72,16 @@ def _as_scenario(name: str, val) -> ScenarioKind:
         raise ValueError(f"{name} must be one of {tags}, got {_echo(val)}") from None
 
 
+def _as_code(name: str, val) -> CodeSpec:
+    """val if it is a CodeSpec; else ValueError."""
+    if not isinstance(val, CodeSpec):
+        raise ValueError(f"{name} must be a CodeSpec, got {_echo(val)}")
+    return val
+
+
 # the reader of each SystemConfig field type: it returns the value as that
 # type, or refuses it with ValueError (the CLI reads its config keys with them)
-_READERS = {"int": _as_int, "float": _as_float, "ScenarioKind": _as_scenario}
+_READERS = {"int": _as_int, "float": _as_float, "ScenarioKind": _as_scenario, "CodeSpec": _as_code}
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,9 @@ class SystemConfig:
     smaller power share alpha_c and the edge user the rest, alpha_e = 1 -
     alpha_c (a property, not a field).  lambda_* and eta_* are the mean
     channel power gains and surface amplitudes of the three links, grouped
-    per link by `links`.  Each int, float and scenario field is read by its
-    type's reader in _READERS, so a scenario tag is stored as its ScenarioKind.
+    per link by `links`.  Every field is read by its type's reader in
+    _READERS, so a scenario tag is stored as its ScenarioKind, and a code
+    that is not a CodeSpec is refused.
     """
 
     rho_s: float
@@ -112,10 +120,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         # NaN compares false, so each number is checked finite before its range
         for f in fields(self):
-            val = getattr(self, f.name)
-            if f.type in _READERS:
-                val = _READERS[f.type](f.name, val)
-                object.__setattr__(self, f.name, val)
+            val = _READERS[f.type](f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, val)
             # eta = 0, a surface that reflects nothing, is simulated; the
             # closed forms do not model it (analytic.unmodeled)
             if f.name.startswith("eta_") and not (0.0 <= val <= 1.0):
@@ -174,7 +180,11 @@ def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
 
     so that (kappa+1)b and (kappa+1)b^2 reproduce the exact mean and
     variance.  Undefined for R = 0 (no cascade to fit): callers branch.
+    R is read as an integer and the variances as finite floats, each
+    refused by name with ValueError otherwise.
     """
+    R = _as_int("R", R)
+    lambda_g, lambda_r = _as_float("lambda_g", lambda_g), _as_float("lambda_r", lambda_r)
     if R < 1:
         raise ValueError(f"gamma fit requires R >= 1, got R={R}")
     if lambda_g <= 0.0 or lambda_r <= 0.0:

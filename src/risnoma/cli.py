@@ -161,9 +161,9 @@ def parse_config(raw: object) -> RunConfig:
 
     keys = {key: value for key, value in raw.items() if key in _MODEL_KEYS}
     base = _read(_build_system, keys)
-    trials = _read(_as_int, "trials", raw.get("trials", _DEFAULT_TRIALS))
-    seed = _read(_as_int, "seed", raw.get("seed", _DEFAULT_SEED))
-    _read(_check_budget, trials, seed)  # a bad budget is named before a bad sweep
+    # montecarlo reads the budget, and names a bad one before a bad sweep
+    budget = raw.get("trials", _DEFAULT_TRIALS), raw.get("seed", _DEFAULT_SEED)
+    trials, seed = _read(_check_budget, *budget)
 
     if "sweep" not in raw:
         rho_s_db = 10.0 * math.log10(base.rho_s)
@@ -209,7 +209,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config error: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"config error: {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .channel import CC, CE, E1, E2, ScenarioKind, SystemConfig, links
 from .channel import _sample_aligned_batch, _sample_random_phase_batch
-from .fbl import _echo, psi_exact_vec
+from .fbl import _as_int, _echo, psi_exact_vec
 
 __all__ = [
     "BlerEstimate",
@@ -170,12 +170,15 @@ def _estimates(n: int, sums: np.ndarray) -> dict[str, BlerEstimate]:
     return out
 
 
-def _check_budget(n: int, seed: int) -> None:
-    """Refuse a trial count below 1 or a seed outside 64 bits with ValueError."""
+def _check_budget(n: int, seed: int) -> tuple[int, int]:
+    """The trial count and seed read as integers; ValueError for any other
+    value, for a trial count below 1 or for a seed outside 64 bits."""
+    n, seed = _as_int("trial count", n), _as_int("seed", seed)
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {_echo(n)}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {_echo(seed)}")
+    return n, seed
 
 
 def run_points(
@@ -188,8 +191,9 @@ def run_points(
     one draw per chunk (the grouping loop below states the rule), and every
     chunk of the call runs in one process pool.  Each point gets the same
     draws and the same float operations as a call with that point alone.
+    n and seed are read by _check_budget before anything is drawn.
     """
-    _check_budget(n, seed)
+    n, seed = _check_budget(n, seed)
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         # points share a chunk's draw when their sampler reads the same

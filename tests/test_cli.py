@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -265,6 +266,12 @@ def test_load_config_error_paths(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    # JSON text is UTF-8; a Latin-1 file is refused by its path, as invalid JSON is
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"scenario": "caf\u00e9"}'.encode("latin-1"))
+    message = f"^config error: {re.escape(str(latin))} is not valid JSON: 'utf-8' codec"
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(latin))
 
 
 @pytest.mark.parametrize(
@@ -783,6 +790,27 @@ def test_exit_code_2_on_seed_outside_64_bits(tmp_path, capsys, seed):
         assert capsys.readouterr().err == message
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "fig", "compare"])
+@pytest.mark.parametrize(
+    ("env", "reason"), [("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got 0")]
+)
+def test_worker_cap_refusal_is_a_config_error(tmp_path, capsys, monkeypatch, command, env, reason):
+    # montecarlo reads RISNOMA_WORKERS when it sizes its pool; main reports
+    # the library's ValueError as a config error, before any row is written
+    monkeypatch.setenv("RISNOMA_WORKERS", env)
+    out = tmp_path / "out.csv"
+    argv = {
+        "run": ["run", "--config", write_config(tmp_path, {"trials": 256}), "--out", str(out)],
+        "fig": ["fig", "--preset", "fig2", "--out", str(out), "--trials", "256"],
+        "compare": ["compare", "--config", write_config(tmp_path, {"trials": 256})],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: RISNOMA_WORKERS {reason}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -1,16 +1,24 @@
 """Every name a module exports through __all__, or the benchmark traces, exists;
-each submodule exports only its own names; and the README lists every config
-key and every package export."""
+each submodule exports only its own names; every public entry point refuses a
+value of the wrong kind by name; and the README lists every config key and
+every package export."""
 
 import importlib
 import json
+import math
 import re
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from risnoma import ScenarioKind, cli
-from risnoma.montecarlo import CHUNK_TRIALS
+from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
+from risnoma.analytic import diversity_order, effective_gain_cdf
+from risnoma.channel import GammaFit, gamma_fit
+from risnoma.montecarlo import CHUNK_TRIALS, run_points, run_trials
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +51,69 @@ def test_channel_exports_the_link_table():
     channel = importlib.import_module("risnoma.channel")
     assert {"Link", "links"} <= set(channel.__all__)
     assert "effective_gain" not in channel.__all__
+
+
+_FIT = gamma_fit(8, 0.8, 1.0)
+
+# each public entry point's parameters: the name its refusal gives, a value
+# it takes, and a call with another value in that place
+_PARAMETERS = [
+    *(
+        (f.name, getattr(REFERENCE, f.name), lambda v, name=f.name: replace(REFERENCE, **{name: v}))
+        for f in fields(SystemConfig)
+    ),
+    ("trial count", 256, lambda v: run_points([REFERENCE], v, 7)),
+    ("seed", 7, lambda v: run_points([REFERENCE], 256, v)),
+    ("trial count", 256, lambda v: run_trials(REFERENCE, v, 7)),
+    ("seed", 7, lambda v: run_trials(REFERENCE, 256, v)),
+    ("R", 8, lambda v: gamma_fit(v, 0.8, 1.0)),
+    ("lambda_g", 0.8, lambda v: gamma_fit(8, v, 1.0)),
+    ("lambda_r", 1.0, lambda v: gamma_fit(8, 0.8, v)),
+    ("R", 8, lambda v: diversity_order(v, "cu")),
+    ("scheme", "cu", lambda v: diversity_order(8, v)),
+    ("direct_var", 1.0, lambda v: effective_gain_cdf(1.0, v, _FIT, 1.0, 50)),
+    ("fit", _FIT, lambda v: effective_gain_cdf(1.0, 1.0, v, 1.0, 50)),
+    ("fit.kappa", _FIT.kappa, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(v, _FIT.b), 1.0, 50)),
+    ("fit.b", _FIT.b, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(_FIT.kappa, v), 1.0, 50)),
+    ("eta", 1.0, lambda v: effective_gain_cdf(1.0, 1.0, _FIT, v, 50)),
+    ("quad_order", 50, lambda v: effective_gain_cdf(1.0, 1.0, _FIT, 1.0, v)),
+]
+
+
+def _wrong_values(valid) -> list:
+    """NaN, both infinities, a bool and a wrong type for any parameter; a
+    float, integral and not, for an integer one; its text for a number."""
+    wrong = [math.nan, math.inf, -math.inf, True, None]
+    if isinstance(valid, int):
+        wrong += [float(valid), valid + 0.5]
+    if not isinstance(valid, str):
+        wrong.append(str(valid))
+    return wrong
+
+
+# values a parameter's range refuses, where that rule is new at the boundary:
+# a gamma shape kappa + 1 that is not positive
+_OUT_OF_RANGE = {"fit.kappa": [-1.0, -2.5]}
+
+_BOUNDARY_CASES = [
+    (name, bad, call)
+    for name, valid, call in _PARAMETERS
+    for bad in _wrong_values(valid) + _OUT_OF_RANGE.get(name, [])
+]
+
+
+@settings(max_examples=2 * len(_BOUNDARY_CASES), derandomize=True, deadline=None)
+@given(st.sampled_from(_BOUNDARY_CASES))
+def test_entry_points_refuse_wrong_values_by_name(case):
+    # the sampled cases are few enough that every one is drawn; each is
+    # refused with a ValueError that names the parameter, before any numpy
+    # warning, rather than computed on, stored or failed on later
+    name, bad, call = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+    assert re.search(rf"(^|\s){re.escape(name)}\s", str(refused.value)), (name, bad, refused.value)
 
 
 def test_perfbench_traced_names_exist():
