@@ -109,7 +109,8 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     name with ValueError: a negative or NaN t; a direct_var, eta, kappa or
     b that is not a finite real number, a fit that is not a GammaFit and a
     quad_order that is not an integer; a direct_var <= 0; a fit whose shape
-    kappa + 1 is not positive; and eta * b <= 0 (unmodeled's rule).
+    kappa + 1 is not positive; a negative eta; and eta * b <= 0
+    (unmodeled's rule).
     """
     t = np.asarray(t, dtype=float)
     if not t.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
@@ -123,6 +124,8 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     shape = kappa + 1.0
     if not shape > 0.0:
         raise ValueError(f"fit.kappa + 1 must be positive, got {_echo(shape)}")
+    if eta < 0.0:
+        raise ValueError("eta must be >= 0")
     if not eta * b > 0.0:
         raise ValueError("eta * b must be positive for the analytic CDF")
     nodes, weights = chebyshev_rule(_as_int("quad_order", quad_order))

@@ -181,7 +181,9 @@ def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
     so that (kappa+1)b and (kappa+1)b^2 reproduce the exact mean and
     variance.  Undefined for R = 0 (no cascade to fit): callers branch.
     R is read as an integer and the variances as finite floats, each
-    refused by name with ValueError otherwise.
+    refused by name with ValueError otherwise, as is a product
+    lambda_g * lambda_r that overflows b.  One that underflows gives b = 0,
+    which unmodeled names.
     """
     R = _as_int("R", R)
     lambda_g, lambda_r = _as_float("lambda_g", lambda_g), _as_float("lambda_r", lambda_r)
@@ -191,6 +193,8 @@ def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
         raise ValueError("per-hop variances must be positive")
     kappa = ((R + 1) * _PI_SQ - 16.0) / (16.0 - _PI_SQ)
     b = (4.0 / math.pi - math.pi / 4.0) * math.sqrt(lambda_g * lambda_r)
+    if not math.isfinite(b):
+        raise ValueError("lambda_g * lambda_r overflows the fit's scale b")
     return GammaFit(kappa=kappa, b=b)
 
 

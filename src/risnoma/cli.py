@@ -6,7 +6,7 @@ Provides:
     load_config   -- JSON file -> RunConfig with defaults and strict key checks
     cmd_run       -- one sweep (or single point) -> CSV
     cmd_fig       -- presets fig2..fig6 reproducing the reference curves -> CSV
-    cmd_compare   -- analytic vs Monte Carlo report with PASS/FAIL verdicts
+    cmd_compare   -- analytic vs Monte Carlo report with PASS/FAIL/SKIP verdicts
     cmd_analytic  -- closed forms only, no simulation
     main          -- argparse entry point (exit codes: 0 ok, 2 config,
                      3 I/O, 4 comparison failure)
@@ -44,7 +44,7 @@ from typing import NamedTuple
 from . import analytic
 from .channel import _READERS, REFERENCE, SystemConfig
 from .fbl import CodeSpec, _as_float, _as_int, _echo
-from .montecarlo import _check_budget, run_points
+from .montecarlo import BlerEstimate, _check_budget, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 _DEFAULT_TRIALS = 100_000
@@ -313,8 +313,23 @@ def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # Comparison report
 
-_MC_RESOLUTION = 1e-4  # below this the MC mean has too few effective samples
-_DECADE_TOL = 0.3
+# L = ln(4/delta): each row's interval misses its true mean with probability
+# at most delta = 1e-3
+_L = math.log(4.0 / 1e-3)
+# The window that closed form / (true mean) must lie in, per kind of row:
+# within 10**0.3 either way, or at most the mean for the combining bound
+_WINDOWS = {"analytic": (10.0**-0.3, 10.0**0.3), "analytic_lb": (0.0, 1.0)}
+
+
+def _half_width(mc: BlerEstimate) -> float:
+    """h = stderr*sqrt(2L) + 7L/(3(n - 1)), the half-width of the two-sided
+    empirical-Bernstein interval around mc.mean (Maurer & Pontil, COLT 2009,
+    Thm. 4, with delta/2 for each side): every per-trial metric lies in
+    [0, 1], so [mean - h, mean + h] holds the true mean with probability
+    >= 1 - delta.  It needs only the estimate's own stderr and n, and is inf
+    for a single trial."""
+    dof = mc.n - 1
+    return mc.stderr * math.sqrt(2.0 * _L) + 7.0 * _L / (3.0 * dof) if dof else math.inf
 
 
 def _compare_point(
@@ -325,15 +340,12 @@ def _compare_point(
     for metric, source, value in _analytic_rows(cfg):
         mc = est[metric]
         ratio = value / mc.mean if mc.mean > 0.0 else math.inf
-        if source == "analytic_lb":
-            # Bound semantics: the closed form must not exceed the estimate.
-            ok = value <= mc.mean + 3.0 * mc.stderr
-            verdict = "PASS" if ok else "FAIL"
-        elif mc.mean < _MC_RESOLUTION:
-            verdict = "SKIP"
-        else:
-            ok = 10.0**-_DECADE_TOL <= ratio <= 10.0**_DECADE_TOL
-            verdict = "PASS" if ok else "FAIL"
+        h, (a, b) = _half_width(mc), _WINDOWS[source]
+        lo, hi = max(mc.mean - h, 0.0), min(mc.mean + h, 1.0)
+        # PASS if every mean in [lo, hi] puts value in its window, FAIL if none does
+        verdict = "PASS" if a * hi <= value <= b * lo else "SKIP"
+        if not a * lo <= value <= b * hi:
+            verdict = "FAIL"
         verdicts.append(verdict)
         lines.append(
             f"  {metric:8s} {source:12s} analytic={value:.6e}  "
@@ -346,12 +358,16 @@ def _compare_point(
 def cmd_compare(run_cfg: RunConfig) -> int:
     """Analytic vs MC per metric; exit 0 only if no row fails.
 
-    cu / ceu_sc rows are judged on their ratio analytic/mc, which must lie
-    in [10**-0.3, 10**0.3], wherever the MC mean resolves (>= 1e-4; SKIP
-    otherwise), so a closed form that underflows to 0 fails; the ceu_mrc row
-    is judged as a lower bound (FAIL iff analytic exceeds mc + 3*stderr).
-    Failed sweep points, and points the closed forms do not model, are
-    reported and skipped, as in cmd_run.
+    Each mc row gives an interval [lo, hi]: its mean +- _half_width,
+    clipped to [0, 1].  The closed form divided by the true mean must lie in
+    a window [a, b]: [10**-0.3, 10**0.3] for the cu and ceu_sc rows, and
+    [0, 1] for the ceu_mrc row, a lower bound.  A row FAILs if no mean in
+    [lo, hi] allows its closed form (value < a*lo or value > b*hi), PASSes
+    if every one does (a*hi <= value <= b*lo), and is SKIP otherwise, where
+    the simulation does not resolve it.  So a closed form that underflows
+    to 0 fails wherever the simulation resolves its row.  Failed sweep
+    points and points the closed forms do not model are reported and
+    skipped; cmd_run skips only the failed ones and simulates the rest.
     """
     trials, seed = run_cfg.trials, run_cfg.seed
     failed = False
@@ -360,11 +376,8 @@ def cmd_compare(run_cfg: RunConfig) -> int:
         lines, point_failed = _compare_point(p.cfg, est, trials, seed, f"{p.axis}={p.value:g}")
         failed = failed or point_failed
         print("\n".join(lines))
-    if failed:
-        print("comparison FAILED")
-        return 4
-    print("comparison passed")
-    return 0
+    print("comparison FAILED" if failed else "comparison passed")
+    return 4 if failed else 0
 
 
 def cmd_analytic(run_cfg: RunConfig) -> int:

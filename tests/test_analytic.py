@@ -112,6 +112,11 @@ def test_gain_cdf_edges_and_validation():
     for fit, eta in ((FIT8, 0.0), (GammaFit(FIT8.kappa, 0.0), 1.0), (FIT8, 5e-324)):
         with pytest.raises(ValueError, match=r"^eta \* b must be positive"):
             effective_gain_cdf(1.0, 1.0, fit, eta, 50)
+    # a negative eta is refused by name, even where eta * b is positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^eta must be >= 0$"):
+            effective_gain_cdf(1.0, 1.0, GammaFit(FIT8.kappa, -0.436), -1.0, 50)
     # a subnormal eta overflows sqrt(t)/eta; the rule stops at the gamma
     # tail, so the edges stay exact and the CDF finite, silently
     with warnings.catch_warnings():

@@ -169,6 +169,11 @@ def test_gamma_fit_rejects_degenerate_inputs():
         gamma_fit(4, 0.0, 1.0)
     with pytest.raises(ValueError):
         gamma_fit(4, 0.8, -1.0)
+    # a product that overflows the scale is refused by its inputs' names;
+    # one that underflows gives b = 0, which unmodeled names
+    with pytest.raises(ValueError, match=r"lambda_g \* lambda_r"):
+        gamma_fit(8, 1e200, 1e200)
+    assert gamma_fit(8, 1e-200, 1e-200).b == 0.0
 
 
 # ----------------------------------------------------------------- sampling

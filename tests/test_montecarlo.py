@@ -464,15 +464,17 @@ def _exact_step_average(cfg, tag):
 @settings(max_examples=_DIFF_EXAMPLES, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_step_averages_match_their_exact_law_integrals(surface, data):
-    # a row is judged only where the simulation resolves it, n*min(E, 1 - E)
-    # >= 50 trials on each side; the z bound is Bonferroni over all rows
+    # compare's interval holds the exact average on every row, resolved or
+    # not; the z gate judges a row only where the simulation resolves it,
+    # n*min(E, 1 - E) >= 50 trials on each side, Bonferroni over all rows
     cfg = data.draw(_exact_law_configs(surface), label="cfg")
     est = run_trials(cfg, _DIFF_TRIALS, 99)
     for tag in _DIFF_LINKS:
         exact = _exact_step_average(cfg, tag)
+        mc = est[tag]
+        assert abs(mc.mean - exact) <= cli._half_width(mc), (tag, exact, mc)
         if _DIFF_TRIALS * min(exact, 1.0 - exact) < 50:
             continue
-        mc = est[tag]
         z = (mc.mean - exact) / mc.stderr
         assert abs(z) <= _DIFF_Z, (tag, exact, mc, z)
 
