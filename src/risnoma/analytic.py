@@ -67,6 +67,22 @@ def chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.cache
+def _fejer_weights(order: int) -> np.ndarray:
+    """Fejer's first-rule weights on chebyshev_rule(order)'s nodes, read-only.
+
+    The Gauss-Chebyshev weights fold in sqrt(1 - x^2), so they converge
+    only as order^-2 where the integrand is not 0 at an end; these
+    integrate any smooth integrand over (-1, 1) to spectral accuracy.
+    """
+    nodes, _ = chebyshev_rule(order)
+    j = np.arange(1, order // 2 + 1)
+    terms = np.cos(2 * j * np.arccos(nodes)[:, None]) / (4 * j * j - 1)
+    weights = (1 - 2 * terms.sum(axis=1)) * 2 / order
+    weights.flags.writeable = False
+    return weights
+
+
 def unmodeled(cfg: SystemConfig) -> str | None:
     """Why the closed forms do not model cfg (the reason states their domain), or None.
 
@@ -93,11 +109,17 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     """CDF at each threshold t (float or array) of gain = p + (eta*q)^2,
     p ~ Exp(direct_var), q ~ fit; an array of t's shape, or a float.
 
-    Evaluates the regularized-incomplete-gamma head minus a Gauss-Chebyshev
-    correction sum over transformed nodes zeta_u = (H/2)(xi_u+1), with H =
-    min(sqrt(t)/eta, q_cap) and q_cap = b(s + 12 sqrt(s) + 40), s = kappa+1:
-    the gamma law puts under 1e-23 of its mass past q_cap, so a tiny eta or
-    a huge t never stretches the rule past where the density lives.  Each
+    Evaluates the regularized-incomplete-gamma head minus a correction
+    integral over [0, H], with H = min(sqrt(t)/eta, q_cap) and q_cap =
+    b(s + 12 sqrt(s) + 40), s = kappa+1: the gamma law puts under 1e-23 of
+    its mass past q_cap, so a tiny eta or a huge t never stretches the rule
+    past where the density lives.  The integral has two panels, each mapped
+    from (-1, 1) as zeta = lo + ((hi - lo)/2)(xi + 1) on the Chebyshev
+    nodes: the bulk [0, min(H, b(s + 12 sqrt(s)))] with the Gauss-Chebyshev
+    weights, and the smooth, decaying tail up to H with Fejer's.  One
+    Chebyshev panel stretched to q_cap left the bulk so few nodes that its
+    error outgrew the CDF's rise, and the CDF fell with t at small eta.
+    Below the split the tail panel is empty and skipped.  Each
     correction term is a product of factors that can over- or underflow on
     their own, so its logarithm is summed first and exponentiated once; the
     combined exponent is <= 0 by construction, and deep-tail evaluations
@@ -128,24 +150,33 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
         raise ValueError("eta must be >= 0")
     if not eta * b > 0.0:
         raise ValueError("eta * b must be positive for the analytic CDF")
-    nodes, weights = chebyshev_rule(_as_int("quad_order", quad_order))
+    order = _as_int("quad_order", quad_order)
+    nodes, bulk_weights = chebyshev_rule(order)
+    tail_weights = _fejer_weights(order)
 
-    q_cap = b * (shape + 12.0 * math.sqrt(shape) + 40.0)
+    bulk = shape + 12.0 * math.sqrt(shape)
     # log(0) at t = 0, and sqrt(t)/eta overflowing before the cap at a tiny
     # eta, are exact limits: -inf and a rule that ends at q_cap
     with np.errstate(divide="ignore", over="ignore"):
         head = gammainc(shape, np.sqrt(t) / (eta * b))
-        front = (np.minimum(np.sqrt(t) / eta, q_cap) / 2.0)[..., None]
-        zeta = front * (nodes + 1.0)
-        log_terms = (
-            np.log(weights)
-            + np.log(front)
-            + kappa * (np.log(zeta) - math.log(b))
-            - gammaln(shape)
-            + (eta * eta * zeta * zeta - t[..., None]) / direct_var
-            - zeta / b
-        )
-        return np.clip(head - np.sum(np.exp(log_terms), axis=-1), 0.0, 1.0)[()]
+        reach = np.minimum(np.sqrt(t) / eta, b * (bulk + 40.0))[..., None]
+        split = np.minimum(reach, b * bulk)
+        correction = 0.0
+        for lo, hi, weights in zip((0.0, split), (split, reach), (bulk_weights, tail_weights)):
+            if not np.any(hi > lo):
+                continue
+            front = (hi - lo) / 2.0
+            zeta = lo + front * (nodes + 1.0)
+            log_terms = (
+                np.log(weights)
+                + np.log(front)
+                + kappa * (np.log(zeta) - math.log(b))
+                - gammaln(shape)
+                + np.minimum(eta * eta * zeta * zeta - t[..., None], 0.0) / direct_var
+                - zeta / b
+            )
+            correction = correction + np.sum(np.exp(log_terms), axis=-1)
+        return np.clip(head - correction, 0.0, 1.0)[()]
 
 
 def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):

@@ -187,9 +187,8 @@ def test_gain_cdf_order_50_meets_1e6_target(quad_order_ladder):
 @pytest.mark.xfail(
     strict=True,
     reason="at small eta the correction lacks the gamma density's factor 1/b, "
-    "so the CDF reads 0.799 at t = 1e-8 against a bound of 1e-9, exceeds "
-    "its direct-power bound at most thresholds and falls by 1.4e-8 near "
-    "t = 1e-6 (ROADMAP item 12)",
+    "so the CDF reads 0.799 at t = 1e-8 against a bound of 1e-9 and exceeds "
+    "its direct-power bound at most thresholds (ROADMAP item 12)",
 )
 def test_gain_cdf_at_small_eta_rises_and_stays_below_its_direct_power():
     # the gain is its direct power plus a square, so P(gain <= t) is at most
@@ -200,6 +199,28 @@ def test_gain_cdf_at_small_eta_rises_and_stays_below_its_direct_power():
     cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
     assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), cdf
     assert np.all(cdf <= -np.expm1(-t / link.lam_d) * (1.0 + _RISE)), cdf
+
+
+@pytest.mark.parametrize(
+    "R, link",
+    [
+        (2, Link(lam_d=10.0, lam_g=0.1, lam_r=1.0, eta=1e-4)),
+        (2, Link(lam_d=158.0, lam_g=79.0, lam_r=0.0065, eta=1.4e-4)),
+        (2, Link(lam_d=249.0, lam_g=0.082, lam_r=0.19, eta=1.5e-3)),
+        (2, Link(lam_d=0.17, lam_g=0.45, lam_r=0.11, eta=2.1e-5)),
+        (3, Link(lam_d=656.0, lam_g=0.22, lam_r=8.8, eta=2.4e-5)),
+        (2, Link(lam_d=764.0, lam_g=83.0, lam_r=0.042, eta=6.5e-5)),
+    ],
+)
+def test_gain_cdf_never_falls_once_its_rule_passes_the_bulk(R, link):
+    # small-eta links on which one Chebyshev panel stretched from 0 to q_cap
+    # left the gamma bulk so few nodes that the CDF fell with t, by up to
+    # 7.6e-8, once sqrt(t)/eta passed about 27 b; the tail panel keeps the
+    # bulk's rule fixed there
+    t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
+    fit = gamma_fit(R, link.lam_g, link.lam_r)
+    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
+    assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), cdf
 
 
 # ------------------------------------------------------------------ sinr_cdf
