@@ -13,8 +13,6 @@ it alone, so that integral too is one call, on the rule's nodes: every
 point costs six CDF calls, one per step average.
 
 Provides:
-    QUAD_ORDER         -- the Gauss-Chebyshev order sinr_cdf uses
-    chebyshev_rule     -- the cached Gauss-Chebyshev (nodes, weights) of an order
     unmodeled          -- why the closed forms do not model a config, or None
     effective_gain_cdf -- CDF of T/Z/W at each of an array of points
     sinr_cdf           -- CDF of the step's SINR at each of an array of thresholds
@@ -24,7 +22,6 @@ Provides:
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -33,13 +30,9 @@ from scipy.special import gammainc, gammaln
 
 from .channel import CC, CE, E1, E2, GammaFit, ScenarioKind, SinrKind, SystemConfig
 from .channel import gamma_fit, links
-from .fbl import _as_float, _as_int, _echo, linearization_params
-
-QUAD_ORDER = 50
+from .fbl import _as_float, _as_thresholds, _echo, linearization_params
 
 __all__ = [
-    "QUAD_ORDER",
-    "chebyshev_rule",
     "unmodeled",
     "effective_gain_cdf",
     "sinr_cdf",
@@ -49,38 +42,29 @@ __all__ = [
 ]
 
 
-@functools.cache
-def chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Chebyshev rule of the first kind of order U on (-1, 1), as (nodes, weights).
+def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one quadrature rule on (-1, 1): order-50 Chebyshev nodes and two
+    weight sets on them, as read-only (nodes, gauss, fejer).
 
-    nodes[u] = cos((2u-1)pi/(2U)) for u = 1..U (strictly decreasing) and
-    weights[u] = (pi/U)*sqrt(1 - nodes[u]^2): the sqrt(1-x^2) weight
-    function is folded into the weights, so sum(weights * f(nodes))
-    approximates the plain integral of f over (-1, 1).  The arrays are
-    read-only because every caller shares the cached rule.  chebgauss
-    refuses an order below 1 with ValueError.
+    nodes[u] = cos((2u-1)pi/100) for u = 1..50, strictly decreasing.
+    gauss[u] = (pi/50)*sqrt(1 - nodes[u]^2) are the Gauss-Chebyshev weights
+    with the sqrt(1-x^2) weight function folded in, so sum(gauss * f(nodes))
+    approximates the plain integral of f; they converge only as order^-2
+    where f is not 0 at an end.  fejer are Fejer's first-rule weights
+    (Waldvogel, BIT 46, 2006), which integrate any smooth f to spectral
+    accuracy.
     """
-    nodes, weights = chebgauss(order)
-    weights *= np.sqrt(1.0 - nodes * nodes)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-@functools.cache
-def _fejer_weights(order: int) -> np.ndarray:
-    """Fejer's first-rule weights on chebyshev_rule(order)'s nodes, read-only.
-
-    The Gauss-Chebyshev weights fold in sqrt(1 - x^2), so they converge
-    only as order^-2 where the integrand is not 0 at an end; these
-    integrate any smooth integrand over (-1, 1) to spectral accuracy.
-    """
-    nodes, _ = chebyshev_rule(order)
-    j = np.arange(1, order // 2 + 1)
+    nodes, gauss = chebgauss(50)
+    gauss *= np.sqrt(1.0 - nodes * nodes)
+    j = np.arange(1, nodes.size // 2 + 1)
     terms = np.cos(2 * j * np.arccos(nodes)[:, None]) / (4 * j * j - 1)
-    weights = (1 - 2 * terms.sum(axis=1)) * 2 / order
-    weights.flags.writeable = False
-    return weights
+    fejer = (1 - 2 * terms.sum(axis=1)) * 2 / nodes.size
+    for arr in (nodes, gauss, fejer):
+        arr.flags.writeable = False
+    return nodes, gauss, fejer
+
+
+_NODES, _GAUSS_WEIGHTS, _FEJER_WEIGHTS = _rule()
 
 
 def unmodeled(cfg: SystemConfig) -> str | None:
@@ -105,7 +89,7 @@ def unmodeled(cfg: SystemConfig) -> str | None:
     )
 
 
-def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_order: int):
+def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float):
     """CDF at each threshold t (float or array) of gain = p + (eta*q)^2,
     p ~ Exp(direct_var), q ~ fit; an array of t's shape, or a float.
 
@@ -114,12 +98,12 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     b(s + 12 sqrt(s) + 40), s = kappa+1: the gamma law puts under 1e-23 of
     its mass past q_cap, so a tiny eta or a huge t never stretches the rule
     past where the density lives.  The integral has two panels, each mapped
-    from (-1, 1) as zeta = lo + ((hi - lo)/2)(xi + 1) on the Chebyshev
-    nodes: the bulk [0, min(H, b(s + 12 sqrt(s)))] with the Gauss-Chebyshev
-    weights, and the smooth, decaying tail up to H with Fejer's.  One
-    Chebyshev panel stretched to q_cap left the bulk so few nodes that its
-    error outgrew the CDF's rise, and the CDF fell with t at small eta.
-    Below the split the tail panel is empty and skipped.  Each
+    from (-1, 1) as zeta = lo + ((hi - lo)/2)(xi + 1) on the order-50
+    Chebyshev nodes: the bulk [0, min(H, b(s + 12 sqrt(s)))] with the
+    Gauss-Chebyshev weights, and the smooth, decaying tail up to H with
+    Fejer's.  One Chebyshev panel stretched to q_cap left the bulk so few
+    nodes that its error outgrew the CDF's rise, and the CDF fell with t at
+    small eta.  Below the split the tail panel is empty and skipped.  Each
     correction term is a product of factors that can over- or underflow on
     their own, so its logarithm is summed first and exponentiated once; the
     combined exponent is <= 0 by construction, and deep-tail evaluations
@@ -128,15 +112,13 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
     head is 1 and every correction term 0.
 
     Every argument is read before anything is computed, and refused by
-    name with ValueError: a negative or NaN t; a direct_var, eta, kappa or
-    b that is not a finite real number, a fit that is not a GammaFit and a
-    quad_order that is not an integer; a direct_var <= 0; a fit whose shape
-    kappa + 1 is not positive; a negative eta; and eta * b <= 0
-    (unmodeled's rule).
+    name with ValueError: a t that is not real numbers (a bool, text or
+    complex is refused, not converted), or a negative or NaN t; a
+    direct_var, eta, kappa or b that is not a finite real number and a fit
+    that is not a GammaFit; a direct_var <= 0; a fit whose shape kappa + 1
+    is not positive; a negative eta; and eta * b <= 0 (unmodeled's rule).
     """
-    t = np.asarray(t, dtype=float)
-    if not t.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
-        raise ValueError("t must be >= 0 and not NaN")
+    t = _as_thresholds("t", t)
     direct_var, eta = _as_float("direct_var", direct_var), _as_float("eta", eta)
     if direct_var <= 0.0:
         raise ValueError("direct_var must be positive")
@@ -150,9 +132,6 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
         raise ValueError("eta must be >= 0")
     if not eta * b > 0.0:
         raise ValueError("eta * b must be positive for the analytic CDF")
-    order = _as_int("quad_order", quad_order)
-    nodes, bulk_weights = chebyshev_rule(order)
-    tail_weights = _fejer_weights(order)
 
     bulk = shape + 12.0 * math.sqrt(shape)
     # log(0) at t = 0, and sqrt(t)/eta overflowing before the cap at a tiny
@@ -162,11 +141,11 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float, quad_ord
         reach = np.minimum(np.sqrt(t) / eta, b * (bulk + 40.0))[..., None]
         split = np.minimum(reach, b * bulk)
         correction = 0.0
-        for lo, hi, weights in zip((0.0, split), (split, reach), (bulk_weights, tail_weights)):
+        for lo, hi, weights in zip((0.0, split), (split, reach), (_GAUSS_WEIGHTS, _FEJER_WEIGHTS)):
             if not np.any(hi > lo):
                 continue
             front = (hi - lo) / 2.0
-            zeta = lo + front * (nodes + 1.0)
+            zeta = lo + front * (_NODES + 1.0)
             log_terms = (
                 np.log(weights)
                 + np.log(front)
@@ -187,17 +166,15 @@ def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):
     above the step's ceiling the SINR never reaches omega, the gain
     threshold is inf and the CDF 1.  omega = 0 maps to gain 0 (CDF 0), or
     to inf if the SINR scale underflows to 0.  A config the closed forms do
-    not model is refused with unmodeled's reason, and a negative or NaN
-    omega with ValueError.
+    not model is refused with unmodeled's reason, and an omega that is not
+    real numbers, or is negative or NaN, with ValueError.
     """
     if why := unmodeled(cfg):
         raise ValueError(why)
-    omega = np.asarray(omega, dtype=float)
-    if not omega.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
-        raise ValueError("omega must be >= 0 and not NaN")
+    omega = _as_thresholds("omega", omega)
     link = links(cfg)[kind.link]
     fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-    return effective_gain_cdf(kind.gain_threshold(omega, cfg), link.lam_d, fit, link.eta, QUAD_ORDER)
+    return effective_gain_cdf(kind.gain_threshold(omega, cfg), link.lam_d, fit, link.eta)
 
 
 def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
@@ -210,8 +187,8 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     A SIC step's CDF jumps to 1 at its ceiling c; when c lies inside
     (v, u) the midpoint loses that mass, so the average is then
     delta*sqrt(m)*(integral of F over [max(v, 0), c] + (u - c)), the
-    integral from the Gauss-Chebyshev rule of order QUAD_ORDER: one CDF call
-    on its nodes.  F is 0 below 0, where a short code's knee v can lie.
+    integral from the order-50 Gauss-Chebyshev rule: one CDF call on its
+    nodes.  F is 0 below 0, where a short code's knee v can lie.
     """
     code = kind.code(cfg)
     lin = linearization_params(code)
@@ -220,10 +197,9 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
         return float(sinr_cdf(lin.beta, kind, cfg))
     lo = max(lin.v, 0.0)
     half = (ceiling - lo) / 2.0
-    nodes, weights = chebyshev_rule(QUAD_ORDER)
-    cdf = sinr_cdf(lo + half * (nodes + 1.0), kind, cfg)
+    cdf = sinr_cdf(lo + half * (_NODES + 1.0), kind, cfg)
     # summed left to right, node by node: a dot product rounds differently
-    below = half * float(np.cumsum(weights * cdf)[-1])
+    below = half * float(np.cumsum(_GAUSS_WEIGHTS * cdf)[-1])
     return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
 
 

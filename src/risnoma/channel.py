@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import CodeSpec, _as_float, _as_int, _echo
+from .fbl import CodeSpec, _as_float, _as_int, _as_thresholds, _echo
 
 __all__ = [
     "ScenarioKind",
@@ -260,10 +260,11 @@ class SinrKind:
 
     def gain_threshold(self, w, cfg: SystemConfig):
         """The gain X whose SINR is w >= 0 (float or array), or inf where no
-        gain reaches w; an array of w's shape, or a float."""
+        gain reaches w; an array of w's shape, or a float.  A w that is not
+        real numbers, or is negative or NaN, is refused with ValueError."""
+        w = _as_thresholds("w", w)
         if self.doubled:
             return SinrKind(self.tag).gain_threshold(w / 2.0, cfg)
-        w = np.asarray(w, dtype=float)
         # no gain reaches w where the room is 0: where alpha_c * rho_s
         # underflows to 0 (0 * inf is then NaN, masked here), at and above
         # the ceiling, and where the rounded SIC room reaches 0 a few ulps

@@ -4,6 +4,7 @@ Provides:
     RunConfig     -- validated points of a run, with its trial budget and seed
     ConfigError   -- structured config failure carrying the offending key path
     load_config   -- JSON file -> RunConfig with defaults and strict key checks
+    parse_config  -- the same from an already decoded JSON object
     cmd_run       -- one sweep (or single point) -> CSV
     cmd_fig       -- presets fig2..fig6 reproducing the reference curves -> CSV
     cmd_compare   -- analytic vs Monte Carlo report with PASS/FAIL/SKIP verdicts

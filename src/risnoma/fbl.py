@@ -63,6 +63,20 @@ def _as_float(name: str, val) -> float:
     return num
 
 
+def _as_thresholds(name: str, val) -> np.ndarray:
+    """val as a float64 array if its dtype is an integer or float and every
+    entry is >= 0 and not NaN; else ValueError.  A float64 array comes back
+    as is, not copied.  Bools, text, complex numbers and objects (such as an
+    integer past int64) are refused, not converted."""
+    arr = np.asarray(val)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got {_echo(val)}")
+    arr = arr.astype(np.float64, copy=False)
+    if not arr.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
+        raise ValueError(f"{name} must be >= 0 and not NaN")
+    return arr
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """A short-packet code: m channel uses carrying `bits` information bits."""
@@ -123,11 +137,10 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     The Q argument is not clipped: scipy's erfc(x) is exactly 0 for
     x >= 26.6417 and exactly 2 for x <= -5.8636, and maps +-inf to 0 and
     2, so an argument past either point already gives the exact limit.
-    Raises ValueError on a negative or NaN SINR.
+    Raises ValueError on a SINR that is not real numbers, or is negative
+    or NaN; a float64 array is read in place, not copied.
     """
-    g = np.asarray(gamma, dtype=np.float64)
-    if not g.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
-        raise ValueError("SINR must be >= 0 and not NaN")
+    g = _as_thresholds("SINR", gamma)
     # one pass over two buffers; every entry goes through the formula
     out = np.empty_like(g)
     buf = np.empty_like(g)

@@ -191,7 +191,7 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     # Kolmogorov distance exceeds the sampled one by at most 1/m
     m_grid = 5000
     idx = np.linspace(0, n - 1, m_grid).astype(int)
-    f = analytic.effective_gain_cdf(t_sorted[idx], cfg.lambda_c, fit, cfg.eta_c, analytic.QUAD_ORDER)
+    f = analytic.effective_gain_cdf(t_sorted[idx], cfg.lambda_c, fit, cfg.eta_c)
     worst = max(np.abs(f - (idx + 1) / n).max(), np.abs(f - idx / n).max())
     ks_bound = worst + 1.0 / m_grid
     elapsed = time.monotonic() - start

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 
 from risnoma import cli
 from risnoma.analytic import (
-    QUAD_ORDER,
+    _FEJER_WEIGHTS,
+    _GAUSS_WEIGHTS,
+    _NODES,
     avg_blers,
     avg_psi,
-    chebyshev_rule,
     diversity_order,
     effective_gain_cdf,
     sinr_cdf,
@@ -49,85 +51,68 @@ _STEPS = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=T
 
 # ---------------------------------------------------------------- quadrature
 
-def test_chebyshev_rule_basic_structure():
-    rule = chebyshev_rule(50)
-    nodes, weights = rule
-    assert len(nodes) == 50 and len(weights) == 50
-    assert all(-1.0 < x < 1.0 for x in nodes)
-    assert all(w > 0.0 for w in weights)
-    with pytest.raises(ValueError):
-        chebyshev_rule(0)
-    # one cached rule is shared by every caller, so its arrays are read-only
-    assert chebyshev_rule(50) is rule
-    assert not nodes.flags.writeable and not weights.flags.writeable
-
-
-def test_chebyshev_rule_semicircle_exactness():
-    # The rule integrates sqrt(1-x^2) exactly (pi/2) for every order >= 2;
-    # order 1 is the documented exception (single node at 0, weight pi,
-    # giving pi instead of pi/2).
-    for order in (2, 3, 5, 17, 50):
-        total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(*chebyshev_rule(order)))
-        assert total == pytest.approx(math.pi / 2.0, abs=5e-15)
-    total = math.fsum(w * math.sqrt(1.0 - x * x) for x, w in zip(*chebyshev_rule(1)))
-    assert total == pytest.approx(math.pi, abs=5e-15)
-
-
-def test_chebyshev_rule_weight_sum_order_100():
-    # sum of weights = integral of 1/sqrt(1-x^2) sampled by the rule;
-    # frozen value documents the rule normalization at high order
-    _, weights = chebyshev_rule(100)
-    assert math.fsum(weights) == pytest.approx(2.0000822490709864, rel=1e-14, abs=0)
-
-
-def test_chebyshev_rule_exact_for_polynomials_times_semicircle():
-    # the weights carry the sqrt(1-x^2) factor, so the rule is exact for
-    # integrands of the form p(x) * sqrt(1-x^2) with p a low-degree
-    # polynomial; int x^2 sqrt(1-x^2) dx over [-1,1] = pi/8
-    for order in (3, 8, 50):
-        total = math.fsum(
-            w * (x * x) * math.sqrt(1.0 - x * x) for x, w in zip(*chebyshev_rule(order))
-        )
-        assert total == pytest.approx(math.pi / 8.0, abs=5e-15)
+def test_the_order_50_rule_is_read_only_and_exact_where_it_claims():
+    # every integral in analytic shares one rule, so its arrays are read-only
+    assert len(_NODES) == len(_GAUSS_WEIGHTS) == len(_FEJER_WEIGHTS) == 50
+    assert all(-1.0 < x < 1.0 for x in _NODES)
+    assert all(a > b for a, b in zip(_NODES, _NODES[1:]))
+    assert all(w > 0.0 for w in (*_GAUSS_WEIGHTS, *_FEJER_WEIGHTS))
+    for arr in (_NODES, _GAUSS_WEIGHTS, _FEJER_WEIGHTS):
+        assert not arr.flags.writeable
+    # the Gauss-Chebyshev weights carry the sqrt(1-x^2) factor, so they are
+    # exact for p(x) * sqrt(1-x^2) with p a low-degree polynomial
+    semicircle = np.sqrt(1.0 - _NODES * _NODES)
+    for p, exact in ((1.0, math.pi / 2.0), (_NODES * _NODES, math.pi / 8.0)):
+        assert math.fsum(_GAUSS_WEIGHTS * p * semicircle) == pytest.approx(exact, abs=5e-15)
+    # Fejer's weights integrate polynomials of degree < 50 exactly, and a
+    # smooth function to spectral accuracy
+    for f, exact in (
+        (np.ones_like(_NODES), 2.0),
+        (_NODES**2, 2.0 / 3.0),
+        (_NODES**4, 2.0 / 5.0),
+        (_NODES**48, 2.0 / 49.0),
+        (np.exp(_NODES), 2.0 * math.sinh(1.0)),
+    ):
+        assert math.fsum(_FEJER_WEIGHTS * f) == pytest.approx(exact, rel=0, abs=1e-15)
 
 
 # --------------------------------------------------------- effective_gain_cdf
 
 def test_gain_cdf_edges_and_validation():
-    assert effective_gain_cdf(0.0, 1.0, FIT8, 1.0, 50) == 0.0
-    assert effective_gain_cdf(1e6, 1.0, FIT8, 1.0, 50) == pytest.approx(1.0, abs=1e-12)
+    assert effective_gain_cdf(0.0, 1.0, FIT8, 1.0) == 0.0
+    assert effective_gain_cdf(1e6, 1.0, FIT8, 1.0) == pytest.approx(1.0, abs=1e-12)
     # a threshold no gain reaches is certain, with no warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert effective_gain_cdf(math.inf, 1.0, FIT8, 1.0, 50) == 1.0
-        got = effective_gain_cdf(np.array([0.0, 30.98393048665198, math.inf]), 1.0, FIT8, 1.0, 50)
-    assert got.tolist() == [0.0, effective_gain_cdf(30.98393048665198, 1.0, FIT8, 1.0, 50), 1.0]
+        assert effective_gain_cdf(math.inf, 1.0, FIT8, 1.0) == 1.0
+        got = effective_gain_cdf(np.array([0.0, 30.98393048665198, math.inf]), 1.0, FIT8, 1.0)
+    assert got.tolist() == [0.0, effective_gain_cdf(30.98393048665198, 1.0, FIT8, 1.0), 1.0]
     for t in (-1.0, math.nan, np.array([1.0, math.nan])):
         with pytest.raises(ValueError, match="t must be >= 0 and not NaN"):
-            effective_gain_cdf(t, 1.0, FIT8, 1.0, 50)
+            effective_gain_cdf(t, 1.0, FIT8, 1.0)
     with pytest.raises(ValueError):
-        effective_gain_cdf(1.0, 0.0, FIT8, 1.0, 50)
+        effective_gain_cdf(1.0, 0.0, FIT8, 1.0)
     # eta * b must be positive: eta = 0, a fit whose scale is 0 (lambda_g *
     # lambda_r underflowed), and a product that underflows are refused
     for fit, eta in ((FIT8, 0.0), (GammaFit(FIT8.kappa, 0.0), 1.0), (FIT8, 5e-324)):
         with pytest.raises(ValueError, match=r"^eta \* b must be positive"):
-            effective_gain_cdf(1.0, 1.0, fit, eta, 50)
+            effective_gain_cdf(1.0, 1.0, fit, eta)
     # a negative eta is refused by name, even where eta * b is positive
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^eta must be >= 0$"):
-            effective_gain_cdf(1.0, 1.0, GammaFit(FIT8.kappa, -0.436), -1.0, 50)
+            effective_gain_cdf(1.0, 1.0, GammaFit(FIT8.kappa, -0.436), -1.0)
     # a subnormal eta overflows sqrt(t)/eta; the rule stops at the gamma
     # tail, so the edges stay exact and the CDF finite, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = effective_gain_cdf(np.array([0.0, 1.0, math.inf]), 1.0, FIT8, 1e-320, 50)
+        got = effective_gain_cdf(np.array([0.0, 1.0, math.inf]), 1.0, FIT8, 1e-320)
     assert got[0] == 0.0 and 0.0 < got[1] < 1.0 and got[2] == 1.0
 
 
 def test_gain_cdf_monotone_and_bounded():
     grid = np.geomspace(1e-3, 500.0, 200)
-    vals = [effective_gain_cdf(float(t), 1.0, FIT8, 1.0, 50) for t in grid]
+    vals = [effective_gain_cdf(float(t), 1.0, FIT8, 1.0) for t in grid]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -140,7 +125,7 @@ def test_gain_cdf_deep_tail_is_finite_and_positive():
         (1e-6, 1.234761654142073e-44),
         (1e-3, 2.4137996900192514e-25),
     ):
-        val = effective_gain_cdf(t, 1.0, FIT8, 1.0, 50)
+        val = effective_gain_cdf(t, 1.0, FIT8, 1.0)
         assert math.isfinite(val) and val > 0.0
         assert val == pytest.approx(frozen, rel=1e-12, abs=0)
 
@@ -151,27 +136,38 @@ def test_gain_cdf_frozen_median_point():
     # evaluated there must sit near one half.  The frozen value doubles as
     # a regression anchor for the quadrature path.
     median_t = 30.98393048665198
-    val = effective_gain_cdf(median_t, 1.0, FIT8, 1.0, 50)
+    val = effective_gain_cdf(median_t, 1.0, FIT8, 1.0)
     assert val == pytest.approx(0.5131088323460321, rel=1e-12, abs=0)
     assert 0.45 < val < 0.55
 
 
 @pytest.fixture(scope="module")
-def quad_order_ladder():
-    # worst absolute CDF change when the correction order is quadrupled,
-    # over a broad threshold grid
+def gain_cdf_error_against_quad():
+    # worst absolute error of the order-50 CDF, over a broad threshold grid,
+    # against scipy's adaptive quad of the same head-minus-correction
+    # integral, with a breakpoint at the gamma mode b * kappa
+    kappa, b = FIT8.kappa, FIT8.b
+    s = kappa + 1.0
+    q_cap = b * (s + 12.0 * math.sqrt(s) + 40.0)
+
+    def reference(t):
+        def term(zeta):
+            return math.exp(
+                kappa * (math.log(zeta) - math.log(b)) - gammaln(s) + min(zeta * zeta - t, 0.0) - zeta / b
+            )
+
+        top = min(math.sqrt(t), q_cap)
+        points = [b * kappa] if 0.0 <= b * kappa <= top else None
+        correction, _ = quad(term, 0.0, top, points=points, epsabs=0, epsrel=1e-13, limit=200)
+        return gammainc(s, math.sqrt(t) / b) - correction
+
     grid = list(np.linspace(0.5, 80.0, 40)) + [30.98393048665198]
-    worst = 0.0
-    for t in grid:
-        lo = effective_gain_cdf(float(t), 1.0, FIT8, 1.0, 50)
-        hi = effective_gain_cdf(float(t), 1.0, FIT8, 1.0, 200)
-        worst = max(worst, abs(hi - lo))
-    return worst
+    return max(abs(effective_gain_cdf(float(t), 1.0, FIT8, 1.0) - reference(float(t))) for t in grid)
 
 
-def test_gain_cdf_order_50_is_converged_to_5e5(quad_order_ladder):
-    # achieved convergence level of the default order-50 rule
-    assert quad_order_ladder <= 6e-5
+def test_gain_cdf_order_50_is_converged_to_5e5(gain_cdf_error_against_quad):
+    # achieved accuracy of the order-50 rule: 5.2e-5
+    assert gain_cdf_error_against_quad <= 6e-5
 
 
 @pytest.mark.xfail(
@@ -180,8 +176,8 @@ def test_gain_cdf_order_50_is_converged_to_5e5(quad_order_ladder):
     "transform clusters error at zeta -> 0, decaying only as order^-2); "
     "the 1e-6 target would need order ~350",
 )
-def test_gain_cdf_order_50_meets_1e6_target(quad_order_ladder):
-    assert quad_order_ladder <= 1e-6
+def test_gain_cdf_order_50_meets_1e6_target(gain_cdf_error_against_quad):
+    assert gain_cdf_error_against_quad <= 1e-6
 
 
 @pytest.mark.xfail(
@@ -196,7 +192,7 @@ def test_gain_cdf_at_small_eta_rises_and_stays_below_its_direct_power():
     link = Link(lam_d=10.0, lam_g=0.1, lam_r=1.0, eta=1e-4)
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
     fit = gamma_fit(2, link.lam_g, link.lam_r)
-    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
+    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta)
     assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), cdf
     assert np.all(cdf <= -np.expm1(-t / link.lam_d) * (1.0 + _RISE)), cdf
 
@@ -219,7 +215,7 @@ def test_gain_cdf_never_falls_once_its_rule_passes_the_bulk(R, link):
     # bulk's rule fixed there
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
     fit = gamma_fit(R, link.lam_g, link.lam_r)
-    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
+    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta)
     assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), cdf
 
 
@@ -289,13 +285,12 @@ def test_sinr_cdf_on_an_array_gives_the_bits_of_one_call_per_element(alpha_c, rh
     # pass, the same bits as a call per element
     rho_s = 10.0 ** (rho_db / 10.0)
     cfg = make_config(alpha_c=alpha_c, rho_s=rho_s, rho_c=rho_s / 10.0, R=R)
-    nodes, _ = chebyshev_rule(50)
     for kind in _STEPS:
         lin = linearization_params(kind.code(cfg))
         c = kind.ceiling(cfg)
         scale = c if c < math.inf else lin.beta
         omega = [0.0, math.inf, *(scale * s for s in shares)]
-        omega += list(lin.v + (lin.u - lin.v) / 2.0 * (nodes + 1.0))
+        omega += list(lin.v + (lin.u - lin.v) / 2.0 * (_NODES + 1.0))
         if c < math.inf:
             omega += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), 2.0 * c, 1e300]
         with warnings.catch_warnings():
@@ -649,7 +644,7 @@ def test_closed_forms_keep_their_orderings(cfg, axis, data):
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
     for link in links(cfg):
         fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-        cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta, QUAD_ORDER)
+        cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta)
         assert cdf[0] == 0.0 and cdf[-1] == 1.0
         assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), (link, cdf)
     values = sorted(data.draw(st.lists(_AXES[axis], min_size=2, max_size=5), label=axis))

@@ -539,7 +539,7 @@ def test_every_command_evaluates_the_loaded_config(tmp_path, monkeypatch, comman
 def test_closed_form_rows_evaluate_each_step_once(monkeypatch, raw, calls):
     # six step averages (cc, ce, e1, e2, doubled e1 and e2), each one CDF
     # call; at alpha_c = 0.49 the SIC ceiling lies inside the knee window of
-    # ce and e1, whose averages then take one call on QUAD_ORDER thresholds
+    # ce and e1, whose averages then take one call on the rule's 50 nodes
     got = []
     cdf = analytic.effective_gain_cdf
 

@@ -1,7 +1,7 @@
 """Every name a module exports through __all__, or the benchmark traces, exists;
-each submodule exports only its own names; every public entry point refuses a
-value of the wrong kind by name; and the README lists every config key and
-every package export."""
+each submodule exports only its own names, and its docstring lists exactly
+those; every public entry point refuses a value of the wrong kind by name;
+and the README lists every config key and every package export."""
 
 import importlib
 import json
@@ -11,13 +11,15 @@ import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
-from risnoma.analytic import diversity_order, effective_gain_cdf
-from risnoma.channel import GammaFit, gamma_fit
+from risnoma.analytic import diversity_order, effective_gain_cdf, sinr_cdf
+from risnoma.channel import CC, CE, GammaFit, SinrKind, gamma_fit
+from risnoma.fbl import psi_exact_vec
 from risnoma.montecarlo import CHUNK_TRIALS, run_points, run_trials
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -25,11 +27,23 @@ _ROOT = Path(__file__).resolve().parent.parent
 _MODULES = ["risnoma", "risnoma.analytic", "risnoma.channel", "risnoma.fbl", "risnoma.montecarlo"]
 
 
+def _provided(doc: str) -> list[str]:
+    # the public names on the entry lines of a docstring's "Provides:" block;
+    # a deeper indent continues the entry above it
+    lines = doc.split("Provides:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    entries = [line.split(" -- ", 1)[0] for line in lines if re.match(r"    \S", line)]
+    names = [name.strip() for entry in entries for name in entry.split(",")]
+    return [name for name in names if not name.startswith("_")]
+
+
 @pytest.mark.parametrize("module", _MODULES)
 def test_every_exported_name_exists(module):
+    # and each submodule's docstring lists exactly the names it exports
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+    if module != "risnoma":
+        assert _provided(mod.__doc__) == mod.__all__
 
 
 def test_submodules_export_only_their_own_names():
@@ -71,12 +85,11 @@ _PARAMETERS = [
     ("lambda_r", 1.0, lambda v: gamma_fit(8, 0.8, v)),
     ("R", 8, lambda v: diversity_order(v, "cu")),
     ("scheme", "cu", lambda v: diversity_order(8, v)),
-    ("direct_var", 1.0, lambda v: effective_gain_cdf(1.0, v, _FIT, 1.0, 50)),
-    ("fit", _FIT, lambda v: effective_gain_cdf(1.0, 1.0, v, 1.0, 50)),
-    ("fit.kappa", _FIT.kappa, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(v, _FIT.b), 1.0, 50)),
-    ("fit.b", _FIT.b, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(_FIT.kappa, v), 1.0, 50)),
-    ("eta", 1.0, lambda v: effective_gain_cdf(1.0, 1.0, _FIT, v, 50)),
-    ("quad_order", 50, lambda v: effective_gain_cdf(1.0, 1.0, _FIT, 1.0, v)),
+    ("direct_var", 1.0, lambda v: effective_gain_cdf(1.0, v, _FIT, 1.0)),
+    ("fit", _FIT, lambda v: effective_gain_cdf(1.0, 1.0, v, 1.0)),
+    ("fit.kappa", _FIT.kappa, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(v, _FIT.b), 1.0)),
+    ("fit.b", _FIT.b, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(_FIT.kappa, v), 1.0)),
+    ("eta", 1.0, lambda v: effective_gain_cdf(1.0, 1.0, _FIT, v)),
 ]
 
 
@@ -109,6 +122,43 @@ def test_entry_points_refuse_wrong_values_by_name(case):
     # refused with a ValueError that names the parameter, before any numpy
     # warning, rather than computed on, stored or failed on later
     name, bad, call = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+    assert re.search(rf"(^|\s){re.escape(name)}\s", str(refused.value)), (name, bad, refused.value)
+
+
+# the four entry points that read an array of thresholds, by the name each
+# refusal gives; gain_threshold for a SIC step, a plain one and a doubled one
+_THRESHOLD_READERS = [
+    pytest.param("SINR", lambda v: psi_exact_vec(v, REFERENCE.code_e), id="psi_exact_vec"),
+    pytest.param("omega", lambda v: sinr_cdf(v, CE, REFERENCE), id="sinr_cdf"),
+    pytest.param("t", lambda v: effective_gain_cdf(v, 1.0, _FIT, 1.0), id="effective_gain_cdf"),
+    pytest.param("w", lambda v: CE.gain_threshold(v, REFERENCE), id="ce.gain_threshold"),
+    pytest.param("w", lambda v: CC.gain_threshold(v, REFERENCE), id="cc.gain_threshold"),
+    pytest.param(
+        "w", lambda v: SinrKind("e1", doubled=True).gain_threshold(v, REFERENCE), id="e1x2.gain_threshold"
+    ),
+]
+_NOT_THRESHOLDS = {
+    "text": "1.5",
+    "bool": True,
+    "bool_array": np.array([True]),
+    "complex_array": np.array([1 + 0j]),
+    "none": None,
+    "mixed_list": [1.0, "x"],
+    "int_past_float": 10**400,
+    "negative": -1.0,
+    "nan": math.nan,
+}
+
+
+@pytest.mark.parametrize("name, call", _THRESHOLD_READERS)
+@pytest.mark.parametrize("bad", _NOT_THRESHOLDS.values(), ids=_NOT_THRESHOLDS.keys())
+def test_threshold_arrays_refuse_what_is_not_a_threshold_by_name(name, call, bad):
+    # text, bools, complex numbers and objects are refused, not converted,
+    # and so are negative and NaN entries, before any warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as refused:
