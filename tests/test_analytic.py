@@ -51,19 +51,31 @@ _STEPS = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=T
 
 # ---------------------------------------------------------------- quadrature
 
-def test_the_order_50_rule_is_read_only_and_exact_where_it_claims():
-    # every integral in analytic shares one rule, so its arrays are read-only
+def test_chebyshev_rule_basic_structure():
     assert len(_NODES) == len(_GAUSS_WEIGHTS) == len(_FEJER_WEIGHTS) == 50
     assert all(-1.0 < x < 1.0 for x in _NODES)
     assert all(a > b for a, b in zip(_NODES, _NODES[1:]))
     assert all(w > 0.0 for w in (*_GAUSS_WEIGHTS, *_FEJER_WEIGHTS))
+    # every integral in analytic shares one rule, so its arrays are read-only
     for arr in (_NODES, _GAUSS_WEIGHTS, _FEJER_WEIGHTS):
         assert not arr.flags.writeable
-    # the Gauss-Chebyshev weights carry the sqrt(1-x^2) factor, so they are
-    # exact for p(x) * sqrt(1-x^2) with p a low-degree polynomial
-    semicircle = np.sqrt(1.0 - _NODES * _NODES)
-    for p, exact in ((1.0, math.pi / 2.0), (_NODES * _NODES, math.pi / 8.0)):
-        assert math.fsum(_GAUSS_WEIGHTS * p * semicircle) == pytest.approx(exact, abs=5e-15)
+
+
+def test_chebyshev_rule_semicircle_exactness():
+    # the Gauss-Chebyshev weights carry the sqrt(1-x^2) factor, so the rule
+    # integrates sqrt(1-x^2) exactly (pi/2)
+    total = math.fsum(_GAUSS_WEIGHTS * np.sqrt(1.0 - _NODES * _NODES))
+    assert total == pytest.approx(math.pi / 2.0, abs=5e-15)
+
+
+def test_chebyshev_rule_exact_for_polynomials_times_semicircle():
+    # exact for p(x) * sqrt(1-x^2) with p a low-degree polynomial;
+    # int x^2 sqrt(1-x^2) dx over [-1,1] = pi/8
+    total = math.fsum(_GAUSS_WEIGHTS * _NODES * _NODES * np.sqrt(1.0 - _NODES * _NODES))
+    assert total == pytest.approx(math.pi / 8.0, abs=5e-15)
+
+
+def test_fejer_weights_are_exact_where_they_claim():
     # Fejer's weights integrate polynomials of degree < 50 exactly, and a
     # smooth function to spectral accuracy
     for f, exact in (
