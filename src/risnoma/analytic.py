@@ -42,29 +42,25 @@ __all__ = [
 ]
 
 
-def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one quadrature rule on (-1, 1): order-50 Chebyshev nodes and two
-    weight sets on them, as read-only (nodes, gauss, fejer).
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """The one quadrature rule on (-1, 1), as read-only (nodes, weights).
 
-    nodes[u] = cos((2u-1)pi/100) for u = 1..50, strictly decreasing.
-    gauss[u] = (pi/50)*sqrt(1 - nodes[u]^2) are the Gauss-Chebyshev weights
-    with the sqrt(1-x^2) weight function folded in, so sum(gauss * f(nodes))
-    approximates the plain integral of f; they converge only as order^-2
-    where f is not 0 at an end.  fejer are Fejer's first-rule weights
-    (Waldvogel, BIT 46, 2006), which integrate any smooth f to spectral
-    accuracy.
+    nodes[u] = cos((2u-1)pi/100) for u = 1..50, the order-50 Chebyshev
+    points, strictly decreasing.  weights are Fejer's first-rule weights on
+    them (Waldvogel, BIT 46, 2006): sum(weights * f(nodes)) integrates any
+    polynomial of degree < 50 exactly and a smooth f to spectral accuracy,
+    whatever f is at the ends.
     """
-    nodes, gauss = chebgauss(50)
-    gauss *= np.sqrt(1.0 - nodes * nodes)
+    nodes, _ = chebgauss(50)
     j = np.arange(1, nodes.size // 2 + 1)
     terms = np.cos(2 * j * np.arccos(nodes)[:, None]) / (4 * j * j - 1)
-    fejer = (1 - 2 * terms.sum(axis=1)) * 2 / nodes.size
-    for arr in (nodes, gauss, fejer):
+    weights = (1 - 2 * terms.sum(axis=1)) * 2 / nodes.size
+    for arr in (nodes, weights):
         arr.flags.writeable = False
-    return nodes, gauss, fejer
+    return nodes, weights
 
 
-_NODES, _GAUSS_WEIGHTS, _FEJER_WEIGHTS = _rule()
+_NODES, _FEJER_WEIGHTS = _rule()
 
 
 def unmodeled(cfg: SystemConfig) -> str | None:
@@ -97,19 +93,20 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float):
     integral over [0, H], with H = min(sqrt(t)/eta, q_cap) and q_cap =
     b(s + 12 sqrt(s) + 40), s = kappa+1: the gamma law puts under 1e-23 of
     its mass past q_cap, so a tiny eta or a huge t never stretches the rule
-    past where the density lives.  The integral has two panels, each mapped
-    from (-1, 1) as zeta = lo + ((hi - lo)/2)(xi + 1) on the order-50
-    Chebyshev nodes: the bulk [0, min(H, b(s + 12 sqrt(s)))] with the
-    Gauss-Chebyshev weights, and the smooth, decaying tail up to H with
-    Fejer's.  One Chebyshev panel stretched to q_cap left the bulk so few
+    past where the density lives.  The integral has three panels, with
+    edges 0, b*s (the gamma mean), b(s + 12 sqrt(s)) and H, each clipped
+    to H, and each mapped from (-1, 1) as zeta = lo + ((hi - lo)/2)(xi + 1)
+    onto the one rule.  One panel stretched to q_cap left the bulk so few
     nodes that its error outgrew the CDF's rise, and the CDF fell with t at
-    small eta.  Below the split the tail panel is empty and skipped.  Each
-    correction term is a product of factors that can over- or underflow on
-    their own, so its logarithm is summed first and exponentiated once; the
-    combined exponent is <= 0 by construction, and deep-tail evaluations
-    stay finite and positive.  Each entry's bits are those of a call on it
-    alone.  At t = 0 the logarithms are -inf and the CDF 0; at t = inf the
-    head is 1 and every correction term 0.
+    small eta.  The edge at the mean splits the bulk where the integrand
+    peaks: without it the CDF still fell with t on some links at R = 16..32.
+    An empty panel is skipped.  Each correction term is a product of
+    factors that can over- or underflow on their own, so its logarithm is
+    summed first and exponentiated once; the combined exponent is <= 0 by
+    construction, and deep-tail evaluations stay finite and positive.  Each
+    entry's bits are those of a call on it alone.  At t = 0 the logarithms
+    are -inf and the CDF 0; at t = inf the head is 1 and every correction
+    term 0.
 
     Every argument is read before anything is computed, and refused by
     name with ValueError: a t that is not real numbers (a bool, text or
@@ -139,15 +136,15 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float):
     with np.errstate(divide="ignore", over="ignore"):
         head = gammainc(shape, np.sqrt(t) / (eta * b))
         reach = np.minimum(np.sqrt(t) / eta, b * (bulk + 40.0))[..., None]
-        split = np.minimum(reach, b * bulk)
+        edges = (0.0, np.minimum(reach, b * shape), np.minimum(reach, b * bulk), reach)
         correction = 0.0
-        for lo, hi, weights in zip((0.0, split), (split, reach), (_GAUSS_WEIGHTS, _FEJER_WEIGHTS)):
+        for lo, hi in zip(edges, edges[1:]):
             if not np.any(hi > lo):
                 continue
             front = (hi - lo) / 2.0
             zeta = lo + front * (_NODES + 1.0)
             log_terms = (
-                np.log(weights)
+                np.log(_FEJER_WEIGHTS)
                 + np.log(front)
                 + kappa * (np.log(zeta) - math.log(b))
                 - gammaln(shape)
@@ -187,8 +184,8 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     A SIC step's CDF jumps to 1 at its ceiling c; when c lies inside
     (v, u) the midpoint loses that mass, so the average is then
     delta*sqrt(m)*(integral of F over [max(v, 0), c] + (u - c)), the
-    integral from the order-50 Gauss-Chebyshev rule: one CDF call on its
-    nodes.  F is 0 below 0, where a short code's knee v can lie.
+    integral from the order-50 rule: one CDF call on its nodes.  F is 0
+    below 0, where a short code's knee v can lie.
     """
     code = kind.code(cfg)
     lin = linearization_params(code)
@@ -199,7 +196,7 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     half = (ceiling - lo) / 2.0
     cdf = sinr_cdf(lo + half * (_NODES + 1.0), kind, cfg)
     # summed left to right, node by node: a dot product rounds differently
-    below = half * float(np.cumsum(_GAUSS_WEIGHTS * cdf)[-1])
+    below = half * float(np.cumsum(_FEJER_WEIGHTS * cdf)[-1])
     return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
 
 
