@@ -30,7 +30,7 @@ from scipy.special import gammainc, gammaln
 
 from .channel import CC, CE, E1, E2, GammaFit, ScenarioKind, SinrKind, SystemConfig
 from .channel import gamma_fit, links
-from .fbl import _as_float, _as_thresholds, _echo, linearization_params
+from .fbl import _as_float, _as_thresholds, _echo
 
 __all__ = [
     "unmodeled",
@@ -177,7 +177,9 @@ def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):
 def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     """Average linearized BLER of one decoding step, under the step's code.
 
-    The average of the linear surrogate over the fading is delta*sqrt(m)
+    The surrogate's threshold beta, slope delta and knees v, u are fields
+    of the step's CodeSpec, derived once when the code is built.  The
+    average of the linear surrogate over the fading is delta*sqrt(m)
     times the integral of the SINR CDF F from v to u.  The midpoint
     (first-order Riemann) reduction replaces it by F(beta): since
     delta*sqrt(m)*(u - v) = 1 with beta the midpoint, that is one CDF call.
@@ -188,16 +190,15 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     below 0, where a short code's knee v can lie.
     """
     code = kind.code(cfg)
-    lin = linearization_params(code)
     ceiling = kind.ceiling(cfg)
-    if not lin.v < ceiling < lin.u:
-        return float(sinr_cdf(lin.beta, kind, cfg))
-    lo = max(lin.v, 0.0)
+    if not code.v < ceiling < code.u:
+        return float(sinr_cdf(code.beta, kind, cfg))
+    lo = max(code.v, 0.0)
     half = (ceiling - lo) / 2.0
     cdf = sinr_cdf(lo + half * (_NODES + 1.0), kind, cfg)
     # summed left to right, node by node: a dot product rounds differently
     below = half * float(np.cumsum(_FEJER_WEIGHTS * cdf)[-1])
-    return min(1.0, lin.delta * math.sqrt(code.m) * (below + lin.u - ceiling))
+    return min(1.0, code.delta * math.sqrt(code.m) * (below + code.u - ceiling))
 
 
 def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:

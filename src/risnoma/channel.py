@@ -249,10 +249,12 @@ class SinrKind:
         return 2.0 * ceiling if self.doubled else ceiling
 
     def sinr(self, gain, cfg: SystemConfig):
-        """Plain SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X
-        (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1).  It ignores
-        doubled, since the simulation never doubles a step.  A SIC ratio is
-        capped at its ceiling, its limit, also where overflow makes it NaN."""
+        """SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X
+        (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1), and twice
+        that for a doubled step.  A SIC ratio is capped at its ceiling, its
+        limit, also where overflow makes it NaN."""
+        if self.doubled:
+            return 2.0 * SinrKind(self.tag).sinr(gain, cfg)
         if self.tag in ("cc", "e2"):
             return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
         ratio = cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)

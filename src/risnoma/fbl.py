@@ -1,33 +1,27 @@
 """Finite-blocklength coding math.
 
 Instantaneous block error rate of a short packet at a given SINR, under the
-normal approximation, plus the piecewise-linear surrogate whose averages
-admit closed forms downstream.
+normal approximation.  Each code carries the parameters of its
+piecewise-linear surrogate, whose averages admit closed forms downstream.
 
 Provides:
-    CodeSpec             -- (blocklength m, payload bits) pair
-    PsiLinearization     -- threshold/slope/knee parameters of the surrogate
-    psi_exact_vec        -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an array,
-                            through erfc with no clip of its argument
-    linearization_params -- beta, delta, v, u for a CodeSpec
+    CodeSpec      -- (blocklength m, payload bits) pair, with its surrogate's
+                     threshold beta, slope delta and knees v, u
+    psi_exact_vec -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an array,
+                     through erfc with no clip of its argument
 """
 from __future__ import annotations
 
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
 from scipy.special import erfc as _erfc_vec
 
-__all__ = [
-    "CodeSpec",
-    "PsiLinearization",
-    "psi_exact_vec",
-    "linearization_params",
-]
+__all__ = ["CodeSpec", "psi_exact_vec"]
 
 _LOG2E_SQ = math.log2(math.e) ** 2
 _SQRT2 = math.sqrt(2.0)
@@ -79,10 +73,22 @@ def _as_thresholds(name: str, val) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A short-packet code: m channel uses carrying `bits` information bits."""
+    """A short-packet code: m channel uses carrying `bits` information bits,
+    and the parameters of its piecewise-linear BLER surrogate.
+
+    beta is the SINR threshold where the surrogate crosses 1/2, delta the
+    slope scale, and (v, u) the knees: 1 below v, 0 above u, affine between.
+    They satisfy u - v = 1/(delta*sqrt(m)) with beta centered.  The four are
+    derived from (m, bits) once, when the code is built, and are not
+    arguments: the repr, equality and hash are those of (m, bits).
+    """
 
     m: int
     bits: int
+    beta: float = field(init=False, repr=False, compare=False)
+    delta: float = field(init=False, repr=False, compare=False)
+    v: float = field(init=False, repr=False, compare=False)
+    u: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "bits"):
@@ -91,37 +97,27 @@ class CodeSpec:
             raise ValueError(f"blocklength must be >= 1, got {_echo(self.m)}")
         if self.bits < 1:
             raise ValueError(f"payload bits must be >= 1, got {_echo(self.bits)}")
+        try:
+            rate = self.rate
+            beta = 2.0**rate - 1.0
+            delta = 1.0 / math.sqrt(2.0 * math.pi * (2.0 ** (2.0 * rate) - 1.0))
+            half_width = 1.0 / (2.0 * delta * math.sqrt(self.m))
+        except (OverflowError, ZeroDivisionError):
+            beta = delta = half_width = math.nan  # refused below
+        derived = {"beta": beta, "delta": delta, "v": beta - half_width, "u": beta + half_width}
+        for name, val in derived.items():
+            object.__setattr__(self, name, val)
         # every closed form needs the surrogate: a finite threshold and slope
         # above 0, and knees that float arithmetic keeps apart from beta
-        try:
-            lin = linearization_params(self)
-            finite = 0.0 < lin.beta < math.inf and 0.0 < lin.delta < math.inf
-            ok = finite and lin.v < lin.beta < lin.u
-        except (OverflowError, ZeroDivisionError):
-            ok = False
-        if not ok:
-            rate = f"{_echo(self.bits)}/{_echo(self.m)}"
-            raise ValueError(f"code rate {rate} has no finite linearization")
+        finite = 0.0 < self.beta < math.inf and 0.0 < self.delta < math.inf
+        if not (finite and self.v < self.beta < self.u):
+            shown = f"{_echo(self.bits)}/{_echo(self.m)}"
+            raise ValueError(f"code rate {shown} has no finite linearization")
 
     @property
     def rate(self) -> float:
         """Code rate in bits per channel use."""
         return self.bits / self.m
-
-
-@dataclass(frozen=True)
-class PsiLinearization:
-    """Parameters of the piecewise-linear BLER surrogate.
-
-    beta is the SINR threshold where the surrogate crosses 1/2, delta the
-    slope scale, and (v, u) the knees: 1 below v, 0 above u, affine between.
-    They satisfy u - v = 1/(delta*sqrt(m)) with beta centered.
-    """
-
-    beta: float
-    delta: float
-    v: float
-    u: float
 
 
 def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
@@ -160,11 +156,3 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
         np.multiply(0.5, out, out=out)
     return out
 
-
-def linearization_params(code: CodeSpec) -> PsiLinearization:
-    """Threshold, slope and knees of the linear surrogate for `code`."""
-    rate = code.rate
-    beta = 2.0**rate - 1.0
-    delta = 1.0 / math.sqrt(2.0 * math.pi * (2.0 ** (2.0 * rate) - 1.0))
-    half_width = 1.0 / (2.0 * delta * math.sqrt(code.m))
-    return PsiLinearization(beta=beta, delta=delta, v=beta - half_width, u=beta + half_width)

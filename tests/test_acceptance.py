@@ -47,7 +47,7 @@ from risnoma.channel import (
     CC, CE, E1, E2, REFERENCE, ScenarioKind, SinrKind, SystemConfig, gamma_fit,
 )
 from risnoma.channel import _sample_aligned_batch
-from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
+from risnoma.fbl import CodeSpec, psi_exact_vec
 from risnoma.montecarlo import run_trials
 
 SEED = 101
@@ -276,15 +276,14 @@ def _psi_exp_moments(code: CodeSpec, mean_sinr: float) -> tuple[float, float]:
     Integrating the complement keeps averages near one from cancelling; the
     breakpoints at the knees and the threshold let quad find the ramp.
     """
-    lin = linearization_params(code)
-    split = lin.u + 60.0 * mean_sinr
+    split = code.u + 60.0 * mean_sinr
 
     def weighted(g, k):
         return (1.0 - psi_exact_vec(g, code).item()) ** k * math.exp(-g / mean_sinr) / mean_sinr
 
     moments = []
     for k in (1, 2):
-        body, _ = quad(weighted, 0.0, split, args=(k,), points=(lin.v, lin.beta, lin.u), limit=200)
+        body, _ = quad(weighted, 0.0, split, args=(k,), points=(code.v, code.beta, code.u), limit=200)
         tail, _ = quad(weighted, split, math.inf, args=(k,))
         moments.append(body + tail)
     return moments[0], moments[1]
@@ -300,9 +299,9 @@ def test_criterion_05_no_surface_oracle():
         miss, miss_sq = _psi_exp_moments(cfg.code_c, a)
         oracle = 1.0 - miss
         # the linearized closed form, kept to show its bias against the oracle
-        lin = linearization_params(cfg.code_c)
-        linearized = lin.delta * math.sqrt(cfg.code_c.m) * (
-            (lin.u - lin.v) - a * (math.exp(-lin.v / a) - math.exp(-lin.u / a))
+        code = cfg.code_c
+        linearized = code.delta * math.sqrt(code.m) * (
+            (code.u - code.v) - a * (math.exp(-code.v / a) - math.exp(-code.u / a))
         )
         mc = run_trials(cfg, 1_000_000, SEED)["cc"]
         # exact stderr of the mean: where every sampled psi rounds to 1 the
@@ -333,9 +332,8 @@ def test_criterion_06_midpoint_vs_adaptive_integral():
     ]
     worst = 0.0
     for kind, code in kinds:
-        lin = linearization_params(code)
-        integral, _ = quad(lambda w: analytic.sinr_cdf(w, kind, cfg), lin.v, lin.u, limit=200)
-        reference = lin.delta * math.sqrt(code.m) * integral
+        integral, _ = quad(lambda w: analytic.sinr_cdf(w, kind, cfg), code.v, code.u, limit=200)
+        reference = code.delta * math.sqrt(code.m) * integral
         worst = max(worst, abs(analytic.avg_psi(kind, cfg) - reference))
     ok = worst <= 1e-3
     detail = _report(6, "midpoint audit", ok, f"max |midpoint - adaptive| {worst:.3e} <= 1e-3")
@@ -427,7 +425,7 @@ def test_criterion_09_saturation_behavior():
     # first clause: whenever the threshold is unreachable the closed-form
     # step average is exactly one
     sat_cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
-    beta = linearization_params(sat_cfg.code_e).beta
+    beta = sat_cfg.code_e.beta
     assert beta >= sat_cfg.alpha_e / sat_cfg.alpha_c
     clause_a = analytic.avg_psi(CE, sat_cfg) == 1.0
 

@@ -26,6 +26,7 @@ from risnoma.channel import (
     E2,
     REFERENCE,
     ScenarioKind,
+    SinrKind,
     SystemConfig,
     _sample_aligned_batch,
     _sample_random_phase_batch,
@@ -475,7 +476,7 @@ def test_step_table_links_and_codes():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    step=st.sampled_from([CC, CE, E1, E2]),
+    step=st.sampled_from([CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True)]),
     alpha_c=st.floats(min_value=0.01, max_value=0.49),
     rho_s=st.floats(min_value=1e-3, max_value=1e6),
     rho_c=st.floats(min_value=1e-3, max_value=1e6),
@@ -483,7 +484,8 @@ def test_step_table_links_and_codes():
     w=st.floats(min_value=1e-250, max_value=1e250),
 )
 def test_step_sinr_map_inverts_its_gain_threshold(step, alpha_c, rho_s, rho_c, share, w):
-    # the closed forms' inverse map undoes the simulation's forward map
+    # the closed forms' inverse map undoes the simulation's forward map, and
+    # a doubled step's forward map is twice the plain one, as its inverse is
     cfg = make_config(alpha_c=alpha_c, rho_s=rho_s, rho_c=rho_c)
     ceiling = step.ceiling(cfg)
     if ceiling < math.inf:

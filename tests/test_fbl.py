@@ -1,7 +1,9 @@
 """Tests for the finite-blocklength error model and its linear surrogate."""
 
 import math
+import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
 from risnoma.channel import REFERENCE, SystemConfig
-from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
+from risnoma.fbl import CodeSpec, psi_exact_vec
 from risnoma.montecarlo import _metric_sums
 
 # the two working points used throughout: the reference system's rate-3
@@ -35,26 +37,46 @@ def test_code_spec_validation():
 
 
 def test_linearization_frozen_values():
-    lin_c = linearization_params(CODE_C)
-    assert lin_c.beta == pytest.approx(7.0, abs=1e-12)
-    assert lin_c.delta == pytest.approx(0.05026200292434228, rel=1e-14, abs=0)
-    assert lin_c.v == pytest.approx(6.005212743406519, rel=1e-14, abs=0)
-    assert lin_c.u == pytest.approx(7.994787256593481, rel=1e-14, abs=0)
+    assert CODE_C.beta == pytest.approx(7.0, abs=1e-12)
+    assert CODE_C.delta == pytest.approx(0.05026200292434228, rel=1e-14, abs=0)
+    assert CODE_C.v == pytest.approx(6.005212743406519, rel=1e-14, abs=0)
+    assert CODE_C.u == pytest.approx(7.994787256593481, rel=1e-14, abs=0)
 
-    lin_e = linearization_params(CODE_E)
-    assert lin_e.beta == pytest.approx(1.0, abs=1e-12)
-    assert lin_e.delta == pytest.approx(0.23032943298089034, rel=1e-14, abs=0)
-    assert lin_e.v == pytest.approx(0.7829196236325198, rel=1e-14, abs=0)
-    assert lin_e.u == pytest.approx(1.2170803763674802, rel=1e-14, abs=0)
+    assert CODE_E.beta == pytest.approx(1.0, abs=1e-12)
+    assert CODE_E.delta == pytest.approx(0.23032943298089034, rel=1e-14, abs=0)
+    assert CODE_E.v == pytest.approx(0.7829196236325198, rel=1e-14, abs=0)
+    assert CODE_E.u == pytest.approx(1.2170803763674802, rel=1e-14, abs=0)
+
+
+def _surrogate(code):
+    return code.beta, code.delta, code.v, code.u
+
+
+def test_code_spec_derives_its_surrogate_as_fields_outside_its_identity():
+    # beta, delta, v and u are derived once, when the code is built: they are
+    # not arguments and stay out of the repr, equality and hash
+    code = CodeSpec(m=100, bits=300)
+    assert repr(code) == "CodeSpec(m=100, bits=300)"
+    other = CodeSpec(100, 300)
+    object.__setattr__(other, "beta", 0.0)
+    assert other == code and hash(other) == hash(code)
+    with pytest.raises(TypeError):
+        CodeSpec(m=100, bits=300, beta=7.0)
+    # the pool pickles every config into its tasks
+    clone = pickle.loads(pickle.dumps(code))
+    assert clone == code and _surrogate(clone) == _surrogate(code)
+    # replace builds a new code, so it derives them again
+    smaller = replace(code, bits=100)
+    assert _surrogate(smaller) == _surrogate(CODE_E) and smaller.beta == 1.0
 
 
 @settings(max_examples=60)
 @given(st.integers(min_value=10, max_value=2000), st.integers(min_value=1, max_value=1200))
 def test_linearization_knee_width_identity(m, bits):
     # the ramp width is pinned to the slope: delta*sqrt(m)*(u - v) = 1
-    lin = linearization_params(CodeSpec(m=m, bits=bits))
-    assert lin.delta * math.sqrt(m) * (lin.u - lin.v) == pytest.approx(1.0, rel=1e-12, abs=0)
-    assert lin.v < lin.beta < lin.u
+    code = CodeSpec(m=m, bits=bits)
+    assert code.delta * math.sqrt(m) * (code.u - code.v) == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert code.v < code.beta < code.u
 
 
 @settings(max_examples=300)
@@ -65,10 +87,9 @@ def test_code_spec_accepts_only_codes_with_a_finite_linearization(m, bits):
         code = CodeSpec(m=m, bits=bits)
     except ValueError:
         return
-    lin = linearization_params(code)
-    assert all(math.isfinite(x) for x in (lin.beta, lin.delta, lin.v, lin.u))
-    assert 0.0 < lin.beta and 0.0 < lin.delta
-    assert lin.v < lin.beta < lin.u
+    assert all(math.isfinite(x) for x in (code.beta, code.delta, code.v, code.u))
+    assert 0.0 < code.beta and 0.0 < code.delta
+    assert code.v < code.beta < code.u
 
 
 def test_psi_exact_anchors():
@@ -307,9 +328,8 @@ def test_surrogate_gap_frozen():
     # worst-case |exact - linear| over a dense grid around the ramp; these
     # levels are what the closed-form averages inherit as model error
     for code, frozen in ((CODE_C, 0.1191291566608661), (CODE_E, 0.1241343776705385)):
-        lin = linearization_params(code)
-        grid = np.linspace(max(lin.v - 1.0, 0.0), lin.u + 1.0, 20001)
-        linear = np.clip(0.5 - (grid - lin.beta) / (lin.u - lin.v), 0.0, 1.0)
+        grid = np.linspace(max(code.v - 1.0, 0.0), code.u + 1.0, 20001)
+        linear = np.clip(0.5 - (grid - code.beta) / (code.u - code.v), 0.0, 1.0)
         gap = np.abs(psi_exact_vec(grid, code) - linear).max()
         assert gap == pytest.approx(frozen, abs=2e-3)
         assert gap < 0.15

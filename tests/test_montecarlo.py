@@ -26,7 +26,7 @@ from scipy.special import roots_genlaguerre
 
 from risnoma import cli, montecarlo
 from risnoma.channel import REFERENCE, ScenarioKind, SystemConfig
-from risnoma.fbl import CodeSpec, linearization_params, psi_exact_vec
+from risnoma.fbl import CodeSpec, psi_exact_vec
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
     _chunksize,
@@ -376,10 +376,10 @@ def test_rayleigh_only_average_matches_closed_form():
     # surrogate's bias, well under the sampling error at this point.
     rho_s = 10.0 ** 1.5
     cfg = make_config(rho_s=rho_s, rho_c=rho_s / 10.0, R=0)
-    lin = linearization_params(cfg.code_c)
+    code = cfg.code_c
     a = cfg.alpha_c * cfg.rho_s * cfg.lambda_c
-    closed = lin.delta * math.sqrt(cfg.code_c.m) * (
-        (lin.u - lin.v) - a * (math.exp(-lin.v / a) - math.exp(-lin.u / a))
+    closed = code.delta * math.sqrt(code.m) * (
+        (code.u - code.v) - a * (math.exp(-code.v / a) - math.exp(-code.u / a))
     )
     mc = run_trials(cfg, 200_000, 101)["cc"]
     assert mc.mean == pytest.approx(closed, abs=4.0 * mc.stderr)
