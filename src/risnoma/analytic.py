@@ -1,11 +1,15 @@
 """Closed-form CDFs and average block error rates.
 
-Everything here is deterministic math on top of the gamma fit: the CDF of a
-direct-plus-reflected gain (exponential plus squared-gamma), the SINR CDFs
-it induces for each decoding step, and the averaged BLERs.  Averages of the
-piecewise-linear BLER surrogate reduce, via the first-order midpoint rule,
-to a single CDF evaluation at the threshold beta -- the slope times the knee
-width is exactly one -- so nearly every "average" below is one CDF call.
+Everything here is deterministic math on top of one approximation, the
+gamma fit: with aligned phases each cascaded link collapses to q = sum over
+elements of |g|*|h|, a sum of products of independent Rayleigh magnitudes,
+whose law is approximated by a gamma law via moment matching.  On it rest
+the CDF of a direct-plus-reflected gain (exponential plus squared-gamma),
+the SINR CDFs it induces for each decoding step, and the averaged BLERs.
+Averages of the piecewise-linear BLER surrogate reduce, via the first-order
+midpoint rule, to a single CDF evaluation at the threshold beta -- the slope
+times the knee width is exactly one -- so nearly every "average" below is
+one CDF call.
 The exception is a SIC step whose SINR ceiling lies inside the knee window,
 where the CDF is integrated up to the ceiling instead.  The two CDFs take a
 float or an array of thresholds, with each entry's bits those of a call on
@@ -13,6 +17,8 @@ it alone, so that integral too is one call, on the rule's nodes: every
 point costs six CDF calls, one per step average.
 
 Provides:
+    GammaFit           -- (kappa, b) gamma approximation of the cascaded sum q
+    gamma_fit          -- moment-matched (kappa, b) for R elements
     unmodeled          -- why the closed forms do not model a config, or None
     effective_gain_cdf -- CDF of T/Z/W at each of an array of points
     sinr_cdf           -- CDF of the step's SINR at each of an array of thresholds
@@ -23,16 +29,18 @@ Provides:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
-from .channel import CC, CE, E1, E2, GammaFit, ScenarioKind, SinrKind, SystemConfig
-from .channel import gamma_fit, links
-from .fbl import _as_float, _as_thresholds, _echo
+from .channel import CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, links
+from .fbl import _as_float, _as_int, _as_thresholds, _echo
 
 __all__ = [
+    "GammaFit",
+    "gamma_fit",
     "unmodeled",
     "effective_gain_cdf",
     "sinr_cdf",
@@ -61,6 +69,45 @@ def _rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 _NODES, _FEJER_WEIGHTS = _rule()
+_PI_SQ = math.pi * math.pi
+
+
+@dataclass(frozen=True)
+class GammaFit:
+    """Gamma approximation of the cascaded sum q: shape kappa+1, scale b."""
+
+    kappa: float
+    b: float
+
+
+def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
+    """Moment-matched gamma parameters for q = sum_{r=1..R} |g_r||h_r|.
+
+    Each |g||h| product of independent Rayleigh magnitudes has mean
+    (pi/4)sqrt(lambda_g lambda_r) and variance (1 - pi^2/16)lambda_g lambda_r;
+    matching the first two moments of the R-term sum gives
+
+        kappa = ((R+1)pi^2 - 16)/(16 - pi^2)
+        b     = (4/pi - pi/4) sqrt(lambda_g lambda_r)
+
+    so that (kappa+1)b and (kappa+1)b^2 reproduce the exact mean and
+    variance.  Undefined for R = 0 (no cascade to fit): callers branch.
+    R is read as an integer and the variances as finite floats, each
+    refused by name with ValueError otherwise, as is a product
+    lambda_g * lambda_r that overflows b.  One that underflows gives b = 0,
+    which unmodeled names.
+    """
+    R = _as_int("R", R)
+    lambda_g, lambda_r = _as_float("lambda_g", lambda_g), _as_float("lambda_r", lambda_r)
+    if R < 1:
+        raise ValueError(f"gamma fit requires R >= 1, got R={R}")
+    if lambda_g <= 0.0 or lambda_r <= 0.0:
+        raise ValueError("per-hop variances must be positive")
+    kappa = ((R + 1) * _PI_SQ - 16.0) / (16.0 - _PI_SQ)
+    b = (4.0 / math.pi - math.pi / 4.0) * math.sqrt(lambda_g * lambda_r)
+    if not math.isfinite(b):
+        raise ValueError("lambda_g * lambda_r overflows the fit's scale b")
+    return GammaFit(kappa=kappa, b=b)
 
 
 def unmodeled(cfg: SystemConfig) -> str | None:

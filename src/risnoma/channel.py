@@ -1,34 +1,25 @@
-"""Fading models for all links and the cascaded-gain gamma fit.
+"""The system model both evaluation paths read: configs, links and decoding steps.
 
 The surface is split into two zones of R elements, one phase-aligned to the
-central user and one to the edge user.  With aligned phases each cascaded
-link collapses to q = sum over elements of |g|*|h|, a sum of products of
-independent Rayleigh magnitudes; its distribution is approximated by a
-gamma distribution via moment matching.  The single-zone baseline with
-uniform random phases needs no fit: the phases leave each circularly
-symmetric g_r unchanged in law, so given the h_r a link power is exponential
-with mean lambda_d + eta^2 lambda_g sum_r |h_r|^2, and that sum is gamma.
+central user and one to the edge user, or, in the single-zone baseline, is
+one zone of 2R elements with uniform random phases.  Each of the three
+links is a direct Rayleigh path plus an R-element cascade.  What each path
+makes of that model lives with the path: the fading samplers in
+montecarlo, and the moment-matched gamma fit of the aligned cascade in
+analytic.
 
 Provides:
     ScenarioKind               -- aligned two-zone or single-zone random phases
     SystemConfig               -- one point: physical parameters (linear SNRs), scenario
     REFERENCE                  -- the paper's reference system; the CLI fills
                                   every omitted config key from it
-    GammaFit                   -- (kappa, b) gamma approximation of q
-    gamma_fit                  -- moment-matched (kappa, b) for R elements
     Link                       -- mean powers and surface gain of one link
     links                      -- the T, Z and W links of a config
     SinrKind, CC, CE, E1, E2   -- the decoding steps: link, code, SINR map, ceiling
-    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
-                                  per element count, element by element, so
-                                  one draw serves every smaller R as a prefix
-    _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
-                                  its exact law (gamma-mixed exponential)
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -41,8 +32,6 @@ __all__ = [
     "ScenarioKind",
     "SystemConfig",
     "REFERENCE",
-    "GammaFit",
-    "gamma_fit",
     "Link",
     "links",
     "SinrKind",
@@ -52,7 +41,6 @@ __all__ = [
     "E2",
 ]
 
-_PI_SQ = math.pi * math.pi
 _MAX_R = 1024
 
 
@@ -160,44 +148,6 @@ REFERENCE = SystemConfig(
 )
 
 
-@dataclass(frozen=True)
-class GammaFit:
-    """Gamma approximation of the cascaded sum q: shape kappa+1, scale b."""
-
-    kappa: float
-    b: float
-
-
-def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
-    """Moment-matched gamma parameters for q = sum_{r=1..R} |g_r||h_r|.
-
-    Each |g||h| product of independent Rayleigh magnitudes has mean
-    (pi/4)sqrt(lambda_g lambda_r) and variance (1 - pi^2/16)lambda_g lambda_r;
-    matching the first two moments of the R-term sum gives
-
-        kappa = ((R+1)pi^2 - 16)/(16 - pi^2)
-        b     = (4/pi - pi/4) sqrt(lambda_g lambda_r)
-
-    so that (kappa+1)b and (kappa+1)b^2 reproduce the exact mean and
-    variance.  Undefined for R = 0 (no cascade to fit): callers branch.
-    R is read as an integer and the variances as finite floats, each
-    refused by name with ValueError otherwise, as is a product
-    lambda_g * lambda_r that overflows b.  One that underflows gives b = 0,
-    which unmodeled names.
-    """
-    R = _as_int("R", R)
-    lambda_g, lambda_r = _as_float("lambda_g", lambda_g), _as_float("lambda_r", lambda_r)
-    if R < 1:
-        raise ValueError(f"gamma fit requires R >= 1, got R={R}")
-    if lambda_g <= 0.0 or lambda_r <= 0.0:
-        raise ValueError("per-hop variances must be positive")
-    kappa = ((R + 1) * _PI_SQ - 16.0) / (16.0 - _PI_SQ)
-    b = (4.0 / math.pi - math.pi / 4.0) * math.sqrt(lambda_g * lambda_r)
-    if not math.isfinite(b):
-        raise ValueError("lambda_g * lambda_r overflows the fit's scale b")
-    return GammaFit(kappa=kappa, b=b)
-
-
 class Link(NamedTuple):
     """One link: a direct Rayleigh path of mean power lam_d plus an R-element
     cascade of per-hop mean powers lam_g, lam_r, scaled by surface amplitude eta."""
@@ -283,60 +233,3 @@ class SinrKind:
 
 CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))
 
-
-def _sample_aligned_batch(
-    cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Collection[int]
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
-
-    Each gain is p + (eta*q)^2: the direct power p is exponential with mean
-    lam_d, and the cascaded sum q adds R independent |g||h| products, each
-    sqrt(lam_g lam_r) times sqrt(e_g e_h) for unit exponentials e_g, e_h.
-    Draw order is fixed: the three direct powers, then element by element,
-    for r = 0..R-1, the (e_g, e_h) pair of each link T, Z, W.  So the draws
-    of element r never depend on R, and the running sums after k elements
-    are what a draw at R = k would give, bit for bit.  At R = 0 the direct
-    powers come from untouched draws, which is what makes no surface
-    bit-compatible with eta = 0.
-
-    Returns a dict from each element count in counts (each in [0, R], which
-    the caller ensures) to its (T, Z, W), all from this one draw.  The element
-    loop holds no (n, R) buffer, but the dict keeps one (T, Z, W), 24n
-    bytes, per count: memory grows with the number of distinct counts.
-    """
-    powers = tuple(rng.exponential(link.lam_d, size=n) for link in links(cfg))
-    scales = [link.eta * math.sqrt(link.lam_g * link.lam_r) for link in links(cfg)]
-    sums = np.zeros((3, n))
-    pairs = np.empty((3, 2, n))  # one (e_g, e_h) pair per link
-    prods = np.empty((3, n))
-    by_count = {0: powers} if 0 in counts else {}
-    for k in range(1, cfg.R + 1):
-        rng.standard_exponential(out=pairs)
-        np.multiply(pairs[:, 0], pairs[:, 1], out=prods)
-        np.sqrt(prods, out=prods)
-        sums += prods
-        if k in counts:
-            by_count[k] = tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
-    return by_count
-
-
-def _sample_random_phase_batch(
-    cfg: SystemConfig, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n draws of the gains (T, Z, W) of the single-zone baseline: one
-    surface of N = 2R elements, uniform random phases.
-
-    Each link's field is h + eta * sum_r g_r e^{j phi_r} h_r over the N
-    elements, all channels circularly symmetric complex Gaussian.  Since
-    g_r e^{j phi_r} has the law of g_r, the phases change nothing; given
-    the h_r the field is CN(0, lam_d + eta^2 lam_g S) with S = sum_r
-    |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn exactly
-    as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links in the
-    order T, Z, W: the gamma S (zeros, from no draws, when R = 0), then the
-    unit exponential.
-    """
-    gains = []
-    for lam_d, lam_g, lam_r, eta in links(cfg):
-        mean = lam_d + eta * eta * lam_g * rng.gamma(2 * cfg.R, lam_r, size=n)
-        gains.append(rng.exponential(1.0, size=n) * mean)
-    return tuple(gains)

@@ -116,16 +116,17 @@ def _build_system(keys: dict) -> SystemConfig:
     """Model keys -> SystemConfig: each omitted key takes REFERENCE's value,
     except rho_c, which follows rho_s 10 dB below it.
 
-    Raises ConfigError for a value of the wrong JSON type, a non-finite
-    number or an SNR given in both spellings, and ValueError when the model
-    refuses the values.
+    Raises ConfigError for an SNR given in both spellings, and ValueError
+    when a key's reader or the model refuses a value.  parse_config turns
+    that into ``config error: ``; _expand runs only on values that
+    parse_config or a preset has already read.
     """
     for key in ("rho_s", "rho_c"):
         if key in keys and f"{key}_db" in keys:
             raise ConfigError(
                 f"config error at {key}_db: give {key} in dB or linear, not both"
             )
-    got = {key: _read(read, key, keys[key]) for key, read in _MODEL_KEYS.items() if key in keys}
+    got = {key: read(key, keys[key]) for key, read in _MODEL_KEYS.items() if key in keys}
     for key in ("rho_s", "rho_c"):
         if f"{key}_db" in got:
             got[key] = _db_to_linear(got.pop(f"{key}_db"))

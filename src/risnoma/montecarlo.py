@@ -27,15 +27,20 @@ No point fails: SystemConfig bounds the link means, so every drawn gain is
 finite, and the SIC steps cap their SINR at its ceiling, so no SINR is NaN.
 
 Provides:
-    BlerEstimate         -- mean / stderr / n triple
-    run_points           -- all estimates at many points in one batched call
-    run_trials           -- all estimates at one point
+    BlerEstimate               -- mean / stderr / n triple
+    run_points                 -- all estimates at many points in one batched call
+    run_trials                 -- all estimates at one point
+    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
+                                  per element count, element by element, so
+                                  one draw serves every smaller R as a prefix
+    _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
+                                  its exact law (gamma-mixed exponential)
 """
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -43,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CC, CE, E1, E2, ScenarioKind, SystemConfig, links
-from .channel import _sample_aligned_batch, _sample_random_phase_batch
 from .fbl import _as_int, _echo, psi_exact_vec
 
 __all__ = [
@@ -74,6 +78,66 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([seed, chunk_index])
     )
+
+
+def _sample_aligned_batch(
+    cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Collection[int]
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
+
+    Each gain is p + (eta*q)^2: the direct power p is exponential with mean
+    lam_d, and the cascaded sum q adds R independent |g||h| products, each
+    sqrt(lam_g lam_r) times sqrt(e_g e_h) for unit exponentials e_g, e_h.
+    Draw order is fixed: the three direct powers, then element by element,
+    for r = 0..R-1, the (e_g, e_h) pair of each link T, Z, W.  So the draws
+    of element r never depend on R, and the running sums after k elements
+    are what a draw at R = k would give, bit for bit.  At R = 0 the direct
+    powers come from untouched draws, which is what makes no surface
+    bit-compatible with eta = 0.
+
+    Returns a dict from each element count in counts to its (T, Z, W), all
+    from this one draw.  Every count lies in [0, cfg.R]: _chunk_sums, the
+    one caller, draws at its group's largest R, so the sampler does not
+    check again.  The element loop holds no (n, R) buffer, but the dict
+    keeps one (T, Z, W), 24n bytes, per count: memory grows with the number
+    of distinct counts.
+    """
+    powers = tuple(rng.exponential(link.lam_d, size=n) for link in links(cfg))
+    scales = [link.eta * math.sqrt(link.lam_g * link.lam_r) for link in links(cfg)]
+    sums = np.zeros((3, n))
+    pairs = np.empty((3, 2, n))  # one (e_g, e_h) pair per link
+    prods = np.empty((3, n))
+    by_count = {0: powers} if 0 in counts else {}
+    for k in range(1, cfg.R + 1):
+        rng.standard_exponential(out=pairs)
+        np.multiply(pairs[:, 0], pairs[:, 1], out=prods)
+        np.sqrt(prods, out=prods)
+        sums += prods
+        if k in counts:
+            by_count[k] = tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
+    return by_count
+
+
+def _sample_random_phase_batch(
+    cfg: SystemConfig, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n draws of the gains (T, Z, W) of the single-zone baseline: one
+    surface of N = 2R elements, uniform random phases.
+
+    Each link's field is h + eta * sum_r g_r e^{j phi_r} h_r over the N
+    elements, all channels circularly symmetric complex Gaussian.  Since
+    g_r e^{j phi_r} has the law of g_r, the phases change nothing; given
+    the h_r the field is CN(0, lam_d + eta^2 lam_g S) with S = sum_r
+    |h_r|^2 ~ Gamma(N, scale lam_r).  So each link power is drawn exactly
+    as Exp(1) * (lam_d + eta^2 lam_g S).  Draw order per link, links in the
+    order T, Z, W: the gamma S (zeros, from no draws, when R = 0), then the
+    unit exponential.
+    """
+    gains = []
+    for lam_d, lam_g, lam_r, eta in links(cfg):
+        mean = lam_d + eta * eta * lam_g * rng.gamma(2 * cfg.R, lam_r, size=n)
+        gains.append(rng.exponential(1.0, size=n) * mean)
+    return tuple(gains)
 
 
 def _metric_sums(

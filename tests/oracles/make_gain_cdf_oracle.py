@@ -19,15 +19,20 @@ Run by hand (mpmath is not a test dependency):
 
     PYTHONPATH=src python tests/oracles/make_gain_cdf_oracle.py
 
-It prints, for the reference system's T link (R = 8, lambda_g = 0.8,
-lambda_r = lambda_d = eta = 1), one `threshold: float.fromhex(...)` line
-per threshold, as tests/test_analytic.py pins them.
+It prints, for the reference system's T link (lambda_g = 0.8, lambda_r =
+lambda_d = eta = 1) at each element count R in ELEMENTS, one
+`(R, threshold): float.fromhex(...)` line per threshold, as
+tests/test_analytic.py pins them.  A threshold whose value is not a normal
+float64 is left out: at R = 32, F(1e-12) underflows.
 """
+import sys
+
 import mpmath as mp
 
-from risnoma.channel import gamma_fit
+from risnoma.analytic import gamma_fit
 
 DIGITS = 60
+ELEMENTS = (1, 2, 8, 32)
 THRESHOLDS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 2.0)
 
 
@@ -60,14 +65,18 @@ def by_series(t, lam_d, kappa, b, eta):
 
 def main():
     mp.mp.dps = DIGITS
-    fit = gamma_fit(8, 0.8, 1.0)
-    link = dict(lam_d=mp.mpf(1.0), kappa=mp.mpf(fit.kappa), b=mp.mpf(fit.b), eta=mp.mpf(1.0))
-    for t in THRESHOLDS:
-        quad, series = by_quad(mp.mpf(t), **link), by_series(mp.mpf(t), **link)
-        gap = abs(quad - series) / series
-        if not gap <= 1e-12:
-            raise SystemExit(f"t = {t!r}: quad {quad} and series {series} differ by {gap} relative")
-        print(f'    {t!r}: float.fromhex("{float(quad).hex()}"),  # {float(quad):.6e}')
+    for R in ELEMENTS:
+        fit = gamma_fit(R, 0.8, 1.0)
+        link = dict(lam_d=mp.mpf(1.0), kappa=mp.mpf(fit.kappa), b=mp.mpf(fit.b), eta=mp.mpf(1.0))
+        for t in THRESHOLDS:
+            quad, series = by_quad(mp.mpf(t), **link), by_series(mp.mpf(t), **link)
+            gap = abs(quad - series) / series
+            if not gap <= 1e-12:
+                raise SystemExit(
+                    f"R = {R}, t = {t!r}: quad {quad} and series {series} differ by {gap} relative"
+                )
+            if float(quad) >= sys.float_info.min:
+                print(f'    ({R}, {t!r}): float.fromhex("{float(quad).hex()}"),  # {float(quad):.6e}')
 
 
 if __name__ == "__main__":

@@ -43,12 +43,10 @@ from scipy.integrate import quad
 from scipy.special import k0
 
 from risnoma import analytic
-from risnoma.channel import (
-    CC, CE, E1, E2, REFERENCE, ScenarioKind, SinrKind, SystemConfig, gamma_fit,
-)
-from risnoma.channel import _sample_aligned_batch
+from risnoma.analytic import gamma_fit
+from risnoma.channel import CC, CE, E1, E2, REFERENCE, ScenarioKind, SinrKind, SystemConfig
 from risnoma.fbl import CodeSpec, psi_exact_vec
-from risnoma.montecarlo import run_trials
+from risnoma.montecarlo import _sample_aligned_batch, run_trials
 
 SEED = 101
 DB_GRID = (0.0, 5.0, 10.0, 15.0)

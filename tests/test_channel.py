@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from risnoma.analytic import gamma_fit
 from risnoma.channel import (
     CC,
     CE,
@@ -28,11 +29,9 @@ from risnoma.channel import (
     ScenarioKind,
     SinrKind,
     SystemConfig,
-    _sample_aligned_batch,
-    _sample_random_phase_batch,
-    gamma_fit,
     links,
 )
+from risnoma.montecarlo import _sample_aligned_batch, _sample_random_phase_batch
 from risnoma.fbl import CodeSpec
 
 _PI_SQ = math.pi * math.pi

@@ -3,6 +3,7 @@ each submodule exports only its own names, and its docstring lists exactly
 those; every public entry point refuses a value of the wrong kind by name;
 and the README lists every config key and every package export."""
 
+import ast
 import importlib
 import json
 import math
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
-from risnoma.analytic import diversity_order, effective_gain_cdf, sinr_cdf
-from risnoma.channel import CC, CE, GammaFit, SinrKind, gamma_fit
+from risnoma.analytic import GammaFit, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf
+from risnoma.channel import CC, CE, SinrKind
 from risnoma.fbl import psi_exact_vec
 from risnoma.montecarlo import CHUNK_TRIALS, run_points, run_trials
 
@@ -201,6 +202,71 @@ def test_perfbench_work_counts_read_the_right_arguments(tmp_path, monkeypatch):
     assert work["channel.sample_random_phase"] == CHUNK_TRIALS
     assert work["fbl.psi_exact_vec"] == 22 * 5 * CHUNK_TRIALS
     assert work["cli.write_csv"] == len(out.read_text(encoding="utf-8").splitlines()) - 1
+
+
+def test_perfbench_preset_pins_hold(tmp_path, monkeypatch, capsys):
+    # the benchmark fails a run whose fig preset changes its point or CSV row
+    # count from the pins in its _PRESETS; a change that moves them needs a
+    # benchmark change first.  Every point simulates in the one run_points
+    # call, and none is dropped with a warning
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    workloads = importlib.import_module("workloads")
+    simulated = []
+
+    def counting(cfgs, n, seed):
+        simulated.append(len(cfgs))
+        return run_points(cfgs, n, seed)
+
+    monkeypatch.setattr(cli, "run_points", counting)
+    got = {}
+    for preset in workloads._PRESETS:
+        simulated.clear()
+        out = tmp_path / f"{preset}.csv"
+        assert cli.cmd_fig(preset, str(out), CHUNK_TRIALS, 1234) == 0
+        assert "warning:" not in capsys.readouterr().err
+        (points,) = simulated
+        got[preset] = (points, len(out.read_text(encoding="utf-8").splitlines()) - 1)
+    assert got == workloads._PRESETS
+
+
+def _imports(module) -> set[str]:
+    # the dotted names of the modules and objects a src module imports
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"risnoma.{base}" if base else "risnoma"
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_each_evaluation_path_keeps_its_own_parts():
+    # channel holds only the model both paths read; the samplers live beside
+    # the chunk loop that relies on their draw order, and the gamma fit
+    # beside the closed forms that rest on it.  Neither path imports from
+    # the other, and no module takes a sampler from another
+    analytic, channel, montecarlo = (
+        importlib.import_module(f"risnoma.{name}") for name in ("analytic", "channel", "montecarlo")
+    )
+    homes = {
+        "_sample_aligned_batch": montecarlo,
+        "_sample_random_phase_batch": montecarlo,
+        "GammaFit": analytic,
+        "gamma_fit": analytic,
+    }
+    assert {name: getattr(mod, name).__module__ for name, mod in homes.items()} == {
+        name: mod.__name__ for name, mod in homes.items()
+    }
+    assert [name for name in homes if hasattr(channel, name)] == []
+    assert not any(name.startswith("risnoma.montecarlo") for name in _imports(analytic))
+    assert not any(name.startswith("risnoma.analytic") for name in _imports(montecarlo))
+    modules = [importlib.import_module(name) for name in _MODULES]
+    assert [name for mod in modules for name in _imports(mod) if "._sample_" in name] == []
 
 
 def _config_rows() -> list[list[str]]:
