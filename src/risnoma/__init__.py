@@ -14,8 +14,7 @@ The CLI (`python -m risnoma`) writes both as CSV and cross-checks them.
 """
 
 from .analytic import avg_blers, diversity_order
-from .channel import REFERENCE, ScenarioKind, SystemConfig
-from .fbl import CodeSpec
+from .channel import REFERENCE, CodeSpec, ScenarioKind, SystemConfig
 from .montecarlo import BlerEstimate, run_trials
 
 __version__ = "0.1.0"

@@ -35,8 +35,9 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
-from .channel import CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, links
-from .fbl import _as_float, _as_int, _as_thresholds, _echo
+from .channel import (
+    CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, _as_float, _as_int, _as_thresholds, _echo, links,
+)
 
 __all__ = [
     "GammaFit",

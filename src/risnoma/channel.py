@@ -1,15 +1,22 @@
-"""The system model both evaluation paths read: configs, links and decoding steps.
+"""The system model both evaluation paths read: configs, codes, links and
+decoding steps, and the rule that reads every input value.
 
 The surface is split into two zones of R elements, one phase-aligned to the
 central user and one to the edge user, or, in the single-zone baseline, is
 one zone of 2R elements with uniform random phases.  Each of the three
-links is a direct Rayleigh path plus an R-element cascade.  What each path
-makes of that model lives with the path: the fading samplers in
-montecarlo, and the moment-matched gamma fit of the aligned cascade in
-analytic.
+links is a direct Rayleigh path plus an R-element cascade.  Each code
+carries the parameters of its piecewise-linear BLER surrogate.  What each
+path makes of that model lives with the path: the fading samplers and the
+exact BLER psi in montecarlo, and the moment-matched gamma fit of the
+aligned cascade and the surrogate's averages in analytic.  Every module
+reads its inputs with the readers here (_as_int, _as_float,
+_as_thresholds, and one per field type in _READERS), so a refusal names
+its value the one way _echo shows it.
 
 Provides:
     ScenarioKind               -- aligned two-zone or single-zone random phases
+    CodeSpec                   -- (blocklength m, payload bits) pair, with its
+                                  surrogate's threshold beta, slope delta and knees v, u
     SystemConfig               -- one point: physical parameters (linear SNRs), scenario
     REFERENCE                  -- the paper's reference system; the CLI fills
                                   every omitted config key from it
@@ -20,16 +27,18 @@ Provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+import operator
+from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .fbl import CodeSpec, _as_float, _as_int, _as_thresholds, _echo
-
 __all__ = [
     "ScenarioKind",
+    "CodeSpec",
     "SystemConfig",
     "REFERENCE",
     "Link",
@@ -42,6 +51,50 @@ __all__ = [
 ]
 
 _MAX_R = 1024
+
+
+def _echo(val) -> str:
+    """A refused value as a message shows it: an integer past 15 digits by
+    its leading digits and exponent, any other value by its repr cut to 24
+    characters."""
+    if isinstance(val, int) and abs(val) >= 10**15:
+        return f"{Decimal(val):.3e}"
+    shown = repr(val)
+    return shown if len(shown) <= 24 else shown[:21] + "..."
+
+
+def _as_int(name: str, val) -> int:
+    """val as an int if operator.index takes it and it is not a bool; else ValueError."""
+    if isinstance(val, bool) or not hasattr(type(val), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {_echo(val)}")
+    return operator.index(val)
+
+
+def _as_float(name: str, val) -> float:
+    """val as a float if it is a finite real number and not a bool; else ValueError."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {_echo(val)}")
+    try:
+        num = float(val)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} must be finite, got {_echo(val)}") from None
+    if not math.isfinite(num):
+        raise ValueError(f"{name} must be finite, got {_echo(num)}")
+    return num
+
+
+def _as_thresholds(name: str, val) -> np.ndarray:
+    """val as a float64 array if its dtype is an integer or float and every
+    entry is >= 0 and not NaN; else ValueError.  A float64 array comes back
+    as is, not copied.  Bools, text, complex numbers and objects (such as an
+    integer past int64) are refused, not converted."""
+    arr = np.asarray(val)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got {_echo(val)}")
+    arr = arr.astype(np.float64, copy=False)
+    if not arr.min(initial=np.inf) >= 0.0:  # NaN if any entry is NaN
+        raise ValueError(f"{name} must be >= 0 and not NaN")
+    return arr
 
 
 class ScenarioKind(Enum):
@@ -58,6 +111,55 @@ def _as_scenario(name: str, val) -> ScenarioKind:
     except ValueError:
         tags = ", ".join(k.value for k in ScenarioKind)
         raise ValueError(f"{name} must be one of {tags}, got {_echo(val)}") from None
+
+
+@dataclass(frozen=True)
+class CodeSpec:
+    """A short-packet code: m channel uses carrying `bits` information bits,
+    and the parameters of its piecewise-linear BLER surrogate.
+
+    beta is the SINR threshold where the surrogate crosses 1/2, delta the
+    slope scale, and (v, u) the knees: 1 below v, 0 above u, affine between.
+    They satisfy u - v = 1/(delta*sqrt(m)) with beta centered.  The four are
+    derived from (m, bits) once, when the code is built, and are not
+    arguments: the repr, equality and hash are those of (m, bits).
+    """
+
+    m: int
+    bits: int
+    beta: float = field(init=False, repr=False, compare=False)
+    delta: float = field(init=False, repr=False, compare=False)
+    v: float = field(init=False, repr=False, compare=False)
+    u: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("m", "bits"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.m < 1:
+            raise ValueError(f"blocklength must be >= 1, got {_echo(self.m)}")
+        if self.bits < 1:
+            raise ValueError(f"payload bits must be >= 1, got {_echo(self.bits)}")
+        try:
+            rate = self.rate
+            beta = 2.0**rate - 1.0
+            delta = 1.0 / math.sqrt(2.0 * math.pi * (2.0 ** (2.0 * rate) - 1.0))
+            half_width = 1.0 / (2.0 * delta * math.sqrt(self.m))
+        except (OverflowError, ZeroDivisionError):
+            beta = delta = half_width = math.nan  # refused below
+        derived = {"beta": beta, "delta": delta, "v": beta - half_width, "u": beta + half_width}
+        for name, val in derived.items():
+            object.__setattr__(self, name, val)
+        # every closed form needs the surrogate: a finite threshold and slope
+        # above 0, and knees that float arithmetic keeps apart from beta
+        finite = 0.0 < self.beta < math.inf and 0.0 < self.delta < math.inf
+        if not (finite and self.v < self.beta < self.u):
+            shown = f"{_echo(self.bits)}/{_echo(self.m)}"
+            raise ValueError(f"code rate {shown} has no finite linearization")
+
+    @property
+    def rate(self) -> float:
+        """Code rate in bits per channel use."""
+        return self.bits / self.m
 
 
 def _as_code(name: str, val) -> CodeSpec:

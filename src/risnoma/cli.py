@@ -24,7 +24,7 @@ field's type, and analytic.unmodeled rules which points get closed forms.
 No surface is ``R = 0``: fig3's ``_no_ris`` baseline is fig2's sweep at R = 0.
 
 Each rule has one owner.  Every value is read by the library's reader of
-its type (fbl._as_float, fbl._as_int, channel._as_scenario), and the trial
+its type (channel._as_float, _as_int and _as_scenario), and the trial
 count and seed by montecarlo's own check, so a refusal is the library's
 message behind ``config error: ``.  Every BLER is checked where it is made:
 unmodeled refuses each point outside the closed forms' domain before
@@ -43,8 +43,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from . import analytic
-from .channel import _READERS, REFERENCE, SystemConfig
-from .fbl import CodeSpec, _as_float, _as_int, _echo
+from .channel import _READERS, REFERENCE, CodeSpec, SystemConfig, _as_float, _as_int, _echo
 from .montecarlo import BlerEstimate, _check_budget, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"

@@ -30,6 +30,8 @@ Provides:
     BlerEstimate               -- mean / stderr / n triple
     run_points                 -- all estimates at many points in one batched call
     run_trials                 -- all estimates at one point
+    psi_exact_vec              -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an
+                                  array, through erfc with no clip of its argument
     _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
                                   per element count, element by element, so
                                   one draw serves every smaller R as a prefix
@@ -46,14 +48,17 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc as _erfc_vec
 
-from .channel import CC, CE, E1, E2, ScenarioKind, SystemConfig, links
-from .fbl import _as_int, _echo, psi_exact_vec
+from .channel import (
+    CC, CE, E1, E2, CodeSpec, ScenarioKind, SystemConfig, _as_int, _as_thresholds, _echo, links,
+)
 
 __all__ = [
     "BlerEstimate",
     "run_points",
     "run_trials",
+    "psi_exact_vec",
 ]
 
 CHUNK_TRIALS = 4096
@@ -138,6 +143,47 @@ def _sample_random_phase_batch(
         mean = lam_d + eta * eta * lam_g * rng.gamma(2 * cfg.R, lam_r, size=n)
         gains.append(rng.exponential(1.0, size=n) * mean)
     return tuple(gains)
+
+
+_LOG2E_SQ = math.log2(math.e) ** 2
+_SQRT2 = math.sqrt(2.0)
+
+
+def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
+    """Instantaneous BLER at each SINR under the normal approximation.
+
+    1 at gamma = 0, by the formula itself: the dispersion term m/V is inf
+    there, the Q argument -inf and erfc(-inf) = 2.
+    Strictly decreasing in gamma, exactly 0.5 where capacity equals rate.
+    Elementwise over an array of any shape, with each entry's bits
+    independent of its neighbours, so stacking the SINRs of several steps
+    that share a code into one block and calling once gives the same bits
+    as one call per step at a fraction of the fixed cost per call.
+    The Q argument is not clipped: scipy's erfc(x) is exactly 0 for
+    x >= 26.6417 and exactly 2 for x <= -5.8636, and maps +-inf to 0 and
+    2, so an argument past either point already gives the exact limit.
+    Raises ValueError on a SINR that is not real numbers, or is negative
+    or NaN; a float64 array is read in place, not copied.
+    """
+    g = _as_thresholds("SINR", gamma)
+    # one pass over two buffers; every entry goes through the formula
+    out = np.empty_like(g)
+    buf = np.empty_like(g)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.add(1.0, g, out=buf)
+        np.log2(buf, out=out)
+        np.multiply(buf, buf, out=buf)
+        np.divide(1.0, buf, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.multiply(_LOG2E_SQ, buf, out=buf)
+        np.divide(code.m, buf, out=buf)
+        np.sqrt(buf, out=buf)
+        np.subtract(out, code.rate, out=out)
+        np.multiply(out, buf, out=out)
+        np.divide(out, _SQRT2, out=out)
+        _erfc_vec(out, out=out)
+        np.multiply(0.5, out, out=out)
+    return out
 
 
 def _metric_sums(

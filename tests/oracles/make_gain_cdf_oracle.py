@@ -13,17 +13,18 @@ It is computed two ways, at 60 digits, which must agree to 1e-12 relative:
       F(t) = P(s, h) - e^(-t/lam_d) sum_k c^k/k! * P(s + 2k, h) Gamma(s + 2k)/Gamma(s),
   with P the regularized lower incomplete gamma.  Its two terms cancel to
   about t/lam_d, so at t = 1e-12 it keeps about 48 of its 60 digits.
-On these thresholds the two agree to 1e-48 or better.
+On these cells the two agree to 7.4e-48 or better.
 
 Run by hand (mpmath is not a test dependency):
 
     PYTHONPATH=src python tests/oracles/make_gain_cdf_oracle.py
 
-It prints, for the reference system's T link (lambda_g = 0.8, lambda_r =
-lambda_d = eta = 1) at each element count R in ELEMENTS, one
-`(R, threshold): float.fromhex(...)` line per threshold, as
-tests/test_analytic.py pins them.  A threshold whose value is not a normal
-float64 is left out: at R = 32, F(1e-12) underflows.
+It prints, for each (link, element count R) cell in CELLS, one
+`(link, R, threshold): float.fromhex(...)` line per threshold, as
+tests/test_analytic.py pins them; the link is named by its key in LINKS,
+which that test's _ORACLE_LINKS repeats.  A threshold whose value is not a
+normal float64 is left out: at R = 32, F(1e-12) underflows, and at R = 100
+every threshold below 1 is subnormal or 0.
 """
 import sys
 
@@ -32,7 +33,17 @@ import mpmath as mp
 from risnoma.analytic import gamma_fit
 
 DIGITS = 60
-ELEMENTS = (1, 2, 8, 32)
+# each link (lam_d, lam_g, lam_r, eta) by its name: the reference system's T
+# link, the same at eta = 1e-2, and the link of the small-eta strict xfail
+LINKS = {
+    "T": (1.0, 0.8, 1.0, 1.0),
+    "T eta 1e-2": (1.0, 0.8, 1.0, 1e-2),
+    "small eta": (10.0, 0.1, 1.0, 1e-4),
+}
+CELLS = (
+    ("T", 1), ("T", 2), ("T", 3), ("T", 8), ("T", 32), ("T", 100),
+    ("T eta 1e-2", 8), ("small eta", 2),
+)
 THRESHOLDS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 2.0)
 
 
@@ -65,18 +76,21 @@ def by_series(t, lam_d, kappa, b, eta):
 
 def main():
     mp.mp.dps = DIGITS
-    for R in ELEMENTS:
-        fit = gamma_fit(R, 0.8, 1.0)
-        link = dict(lam_d=mp.mpf(1.0), kappa=mp.mpf(fit.kappa), b=mp.mpf(fit.b), eta=mp.mpf(1.0))
+    for name, R in CELLS:
+        lam_d, lam_g, lam_r, eta = LINKS[name]
+        fit = gamma_fit(R, lam_g, lam_r)
+        link = dict(lam_d=mp.mpf(lam_d), kappa=mp.mpf(fit.kappa), b=mp.mpf(fit.b), eta=mp.mpf(eta))
         for t in THRESHOLDS:
             quad, series = by_quad(mp.mpf(t), **link), by_series(mp.mpf(t), **link)
             gap = abs(quad - series) / series
             if not gap <= 1e-12:
                 raise SystemExit(
-                    f"R = {R}, t = {t!r}: quad {quad} and series {series} differ by {gap} relative"
+                    f"{name}, R = {R}, t = {t!r}: quad {quad} and series {series} "
+                    f"differ by {gap} relative"
                 )
             if float(quad) >= sys.float_info.min:
-                print(f'    ({R}, {t!r}): float.fromhex("{float(quad).hex()}"),  # {float(quad):.6e}')
+                key = f'("{name}", {R}, {t!r})'
+                print(f'    {key}: float.fromhex("{float(quad).hex()}"),  # {float(quad):.6e}')
 
 
 if __name__ == "__main__":

@@ -44,9 +44,8 @@ from scipy.special import k0
 
 from risnoma import analytic
 from risnoma.analytic import gamma_fit
-from risnoma.channel import CC, CE, E1, E2, REFERENCE, ScenarioKind, SinrKind, SystemConfig
-from risnoma.fbl import CodeSpec, psi_exact_vec
-from risnoma.montecarlo import _sample_aligned_batch, run_trials
+from risnoma.channel import CC, CE, E1, E2, REFERENCE, CodeSpec, ScenarioKind, SinrKind, SystemConfig
+from risnoma.montecarlo import _sample_aligned_batch, psi_exact_vec, run_trials
 
 SEED = 101
 DB_GRID = (0.0, 5.0, 10.0, 15.0)

@@ -34,9 +34,8 @@ from risnoma.analytic import (
     unmodeled,
 )
 from risnoma.channel import (
-    CC, CE, E1, E2, REFERENCE, Link, ScenarioKind, SinrKind, SystemConfig, links,
+    CC, CE, E1, E2, REFERENCE, CodeSpec, Link, ScenarioKind, SinrKind, SystemConfig, links,
 )
-from risnoma.fbl import CodeSpec
 from risnoma.montecarlo import run_trials
 
 
@@ -206,56 +205,90 @@ def test_gain_cdf_at_small_eta_rises_and_stays_below_its_direct_power():
     assert np.all(cdf <= -np.expm1(-t / link.lam_d) * (1.0 + _RISE)), cdf
 
 
-# the CDF of the reference T link's gain (lambda_g = 0.8, lambda_r =
-# lambda_d = eta = 1) under its gamma fit, keyed by (R, threshold), from the
-# law itself at 60 digits by tests/oracles/make_gain_cdf_oracle.py, not from
+# the links of the oracle table, by the names its keys give them, as
+# tests/oracles/make_gain_cdf_oracle.py's LINKS has them: the reference T
+# link (lambda_g = 0.8, lambda_r = lambda_d = eta = 1), the same at
+# eta = 1e-2, and the link of the small-eta strict xfail above
+_ORACLE_LINKS = {
+    "T": Link(lam_d=1.0, lam_g=0.8, lam_r=1.0, eta=1.0),
+    "T eta 1e-2": Link(lam_d=1.0, lam_g=0.8, lam_r=1.0, eta=1e-2),
+    "small eta": Link(lam_d=10.0, lam_g=0.1, lam_r=1.0, eta=1e-4),
+}
+
+# the CDF of each link's gain under its gamma fit, keyed by (link, R,
+# threshold), from the law itself at 60 digits by that generator, not from
 # this code.  A cell whose value is not a normal float64 is left out: at
-# R = 32, F(1e-12) underflows
+# R = 32, F(1e-12) underflows, and at R = 100 every threshold below 1 is
+# subnormal or 0
 _GAIN_CDF_ORACLE = {
-    (1, 1e-12): float.fromhex("0x1.82f0538b5b2d8p-72"),  # 3.200683e-22
-    (1, 1e-08): float.fromhex("0x1.7e9e681a0e5a2p-48"),  # 5.309902e-15
-    (1, 0.0001): float.fromhex("0x1.76418afb06370p-24"),  # 8.713827e-08
-    (1, 0.01): float.fromhex("0x1.502654400184bp-12"),  # 3.205774e-04
-    (1, 0.1): float.fromhex("0x1.02651d6b3f78bp-6"),  # 1.577118e-02
-    (1, 1.0): float.fromhex("0x1.85896491b9cf8p-2"),  # 3.804069e-01
-    (1, 2.0): float.fromhex("0x1.5bb77386b531fp-1"),  # 6.791340e-01
-    (2, 1e-12): float.fromhex("0x1.5a06c5434135ap-105"),  # 3.332113e-32
-    (2, 1e-08): float.fromhex("0x1.1530f051a7420p-70"),  # 9.171486e-22
-    (2, 0.0001): float.fromhex("0x1.b5bfa90eca1cap-36"),  # 2.488313e-11
-    (2, 0.01): float.fromhex("0x1.e4aa1e99fd2e9p-19"),  # 3.611032e-06
-    (2, 0.1): float.fromhex("0x1.13d925ef497d5p-10"),  # 1.052278e-03
-    (2, 1.0): float.fromhex("0x1.0bc5488d87c2ep-3"),  # 1.307474e-01
-    (2, 2.0): float.fromhex("0x1.703ed4a90a33bp-2"),  # 3.596147e-01
-    (8, 1e-12): float.fromhex("0x1.cfcdda99cc8c6p-317"),  # 6.785565e-96
-    (8, 1e-08): float.fromhex("0x1.a4282b1a02280p-218"),  # 3.896121e-66
-    (8, 0.0001): float.fromhex("0x1.754073b6a1901p-119"),  # 2.193777e-36
-    (8, 0.01): float.fromhex("0x1.a38a1309e3544p-70"),  # 1.388139e-21
-    (8, 0.1): float.fromhex("0x1.bb3fe7027a9fap-46"),  # 2.460530e-14
-    (8, 1.0): float.fromhex("0x1.5210e70471271p-23"),  # 1.574243e-07
-    (8, 2.0): float.fromhex("0x1.695b5b395f544p-17"),  # 1.076927e-05
-    (32, 1e-08): float.fromhex("0x1.e846fd04e363dp-878"),  # 9.464341e-265
-    (32, 0.0001): float.fromhex("0x1.6204da74991c7p-522"),  # 1.007230e-157
-    (32, 0.01): float.fromhex("0x1.f38aea2e0c6fdp-345"),  # 2.722602e-104
-    (32, 0.1): float.fromhex("0x1.1eb42af7d0e5bp-256"),  # 9.671962e-78
-    (32, 1.0): float.fromhex("0x1.c7ea61c8362c3p-170"),  # 1.189995e-51
-    (32, 2.0): float.fromhex("0x1.2aaa5992a475ap-144"),  # 5.231493e-44
+    ("T", 1, 1e-12): float.fromhex("0x1.82f0538b5b2d8p-72"),  # 3.200683e-22
+    ("T", 1, 1e-08): float.fromhex("0x1.7e9e681a0e5a2p-48"),  # 5.309902e-15
+    ("T", 1, 0.0001): float.fromhex("0x1.76418afb06370p-24"),  # 8.713827e-08
+    ("T", 1, 0.01): float.fromhex("0x1.502654400184bp-12"),  # 3.205774e-04
+    ("T", 1, 0.1): float.fromhex("0x1.02651d6b3f78bp-6"),  # 1.577118e-02
+    ("T", 1, 1.0): float.fromhex("0x1.85896491b9cf8p-2"),  # 3.804069e-01
+    ("T", 1, 2.0): float.fromhex("0x1.5bb77386b531fp-1"),  # 6.791340e-01
+    ("T", 2, 1e-12): float.fromhex("0x1.5a06c5434135ap-105"),  # 3.332113e-32
+    ("T", 2, 1e-08): float.fromhex("0x1.1530f051a7420p-70"),  # 9.171486e-22
+    ("T", 2, 0.0001): float.fromhex("0x1.b5bfa90eca1cap-36"),  # 2.488313e-11
+    ("T", 2, 0.01): float.fromhex("0x1.e4aa1e99fd2e9p-19"),  # 3.611032e-06
+    ("T", 2, 0.1): float.fromhex("0x1.13d925ef497d5p-10"),  # 1.052278e-03
+    ("T", 2, 1.0): float.fromhex("0x1.0bc5488d87c2ep-3"),  # 1.307474e-01
+    ("T", 2, 2.0): float.fromhex("0x1.703ed4a90a33bp-2"),  # 3.596147e-01
+    ("T", 3, 1e-12): float.fromhex("0x1.4e768309524b4p-139"),  # 1.874730e-42
+    ("T", 3, 1e-08): float.fromhex("0x1.b21c9be730a11p-94"),  # 8.561345e-29
+    ("T", 3, 0.0001): float.fromhex("0x1.152f276c84bd0p-48"),  # 3.846703e-15
+    ("T", 3, 0.01): float.fromhex("0x1.8026e399175c0p-26"),  # 2.236058e-08
+    ("T", 3, 0.1): float.fromhex("0x1.4fa3767c5dc56p-15"),  # 4.001123e-05
+    ("T", 3, 1.0): float.fromhex("0x1.d3429b469898fp-6"),  # 2.851930e-02
+    ("T", 3, 2.0): float.fromhex("0x1.086d80b82bc16p-3"),  # 1.291151e-01
+    ("T", 8, 1e-12): float.fromhex("0x1.cfcdda99cc8c6p-317"),  # 6.785565e-96
+    ("T", 8, 1e-08): float.fromhex("0x1.a4282b1a02280p-218"),  # 3.896121e-66
+    ("T", 8, 0.0001): float.fromhex("0x1.754073b6a1901p-119"),  # 2.193777e-36
+    ("T", 8, 0.01): float.fromhex("0x1.a38a1309e3544p-70"),  # 1.388139e-21
+    ("T", 8, 0.1): float.fromhex("0x1.bb3fe7027a9fap-46"),  # 2.460530e-14
+    ("T", 8, 1.0): float.fromhex("0x1.5210e70471271p-23"),  # 1.574243e-07
+    ("T", 8, 2.0): float.fromhex("0x1.695b5b395f544p-17"),  # 1.076927e-05
+    ("T", 32, 1e-08): float.fromhex("0x1.e846fd04e363dp-878"),  # 9.464341e-265
+    ("T", 32, 0.0001): float.fromhex("0x1.6204da74991c7p-522"),  # 1.007230e-157
+    ("T", 32, 0.01): float.fromhex("0x1.f38aea2e0c6fdp-345"),  # 2.722602e-104
+    ("T", 32, 0.1): float.fromhex("0x1.1eb42af7d0e5bp-256"),  # 9.671962e-78
+    ("T", 32, 1.0): float.fromhex("0x1.c7ea61c8362c3p-170"),  # 1.189995e-51
+    ("T", 32, 2.0): float.fromhex("0x1.2aaa5992a475ap-144"),  # 5.231493e-44
+    ("T", 100, 1.0): float.fromhex("0x1.07023ac69b786p-770"),  # 1.654373e-232
+    ("T", 100, 2.0): float.fromhex("0x1.1f3e8756d94c4p-690"),  # 2.184311e-208
+    ("T eta 1e-2", 8, 1e-12): float.fromhex("0x1.58314a3f5f89fp-231"),  # 3.896121e-70
+    ("T eta 1e-2", 8, 1e-08): float.fromhex("0x1.31c57f41c270cp-132"),  # 2.193803e-40
+    ("T eta 1e-2", 8, 0.0001): float.fromhex("0x1.3a4f3d08b648fp-36"),  # 1.786643e-11
+    ("T eta 1e-2", 8, 0.01): float.fromhex("0x1.afc096174cef2p-8"),  # 6.588017e-03
+    ("T eta 1e-2", 8, 0.1): float.fromhex("0x1.7924b9112af43p-4"),  # 9.207604e-02
+    ("T eta 1e-2", 8, 1.0): float.fromhex("0x1.4300d3012c138p-1"),  # 6.308657e-01
+    ("T eta 1e-2", 8, 2.0): float.fromhex("0x1.ba78d307d1ec8p-1"),  # 8.642031e-01
+    ("small eta", 2, 1e-12): float.fromhex("0x1.96b67d8001218p-61"),  # 6.889984e-19
+    ("small eta", 2, 1e-08): float.fromhex("0x1.8306e4f713ce0p-31"),  # 7.039979e-10
+    ("small eta", 2, 0.0001): float.fromhex("0x1.4f88238378e20p-17"),  # 9.999627e-06
+    ("small eta", 2, 0.01): float.fromhex("0x1.06034c8fe5de9p-10"),  # 9.994998e-04
+    ("small eta", 2, 0.1): float.fromhex("0x1.460c0aa18a95ap-7"),  # 9.950166e-03
+    ("small eta", 2, 1.0): float.fromhex("0x1.85c933014ef59p-4"),  # 9.516258e-02
+    ("small eta", 2, 2.0): float.fromhex("0x1.733d4a714edeep-3"),  # 1.812692e-01
 }
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="the correction lacks the gamma density's factor 1/b, so the CDF "
-    "reads 2.85e-83 against 6.79e-96 at R = 8, t = 1e-12 and 7.20e-7 against "
-    "1.57e-7 at R = 8, t = 1; every cell at R = 1, 2, 8 and 32 is off by 0.18 "
-    "to 4e12 relative (ROADMAP item 12)",
+    "reads 2.85e-83 against 6.79e-96 on the T link at R = 8, t = 1e-12, and "
+    "0.799 against 7.04e-10 on the small-eta link at t = 1e-8; every cell is "
+    "off, by 0.089 to 2.2e13 relative (ROADMAP item 12)",
 )
 def test_gain_cdf_matches_its_oracle():
     # every cell that misses its oracle value, with the ratio it reads
     off = {}
-    for (R, t), want in _GAIN_CDF_ORACLE.items():
-        got = effective_gain_cdf(t, 1.0, gamma_fit(R, 0.8, 1.0), 1.0)
+    for (name, R, t), want in _GAIN_CDF_ORACLE.items():
+        link = _ORACLE_LINKS[name]
+        got = effective_gain_cdf(t, link.lam_d, gamma_fit(R, link.lam_g, link.lam_r), link.eta)
         if got != pytest.approx(want, rel=1e-9, abs=0):
-            off[R, t] = float(got / want)
+            off[name, R, t] = float(got / want)
     assert off == {}
 
 

@@ -26,13 +26,13 @@ from risnoma.channel import (
     E1,
     E2,
     REFERENCE,
+    CodeSpec,
     ScenarioKind,
     SinrKind,
     SystemConfig,
     links,
 )
 from risnoma.montecarlo import _sample_aligned_batch, _sample_random_phase_batch
-from risnoma.fbl import CodeSpec
 
 _PI_SQ = math.pi * math.pi
 

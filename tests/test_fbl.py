@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
-from risnoma.channel import REFERENCE, SystemConfig
-from risnoma.fbl import CodeSpec, psi_exact_vec
-from risnoma.montecarlo import _metric_sums
+from risnoma.channel import REFERENCE, CodeSpec, SystemConfig
+from risnoma.montecarlo import _metric_sums, psi_exact_vec
 
 # the two working points used throughout: the reference system's rate-3
 # control code and rate-1 payload code, both over 100 channel uses

@@ -25,11 +25,11 @@ from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
 from risnoma import cli, montecarlo
-from risnoma.channel import REFERENCE, ScenarioKind, SystemConfig
-from risnoma.fbl import CodeSpec, psi_exact_vec
+from risnoma.channel import REFERENCE, CodeSpec, ScenarioKind, SystemConfig
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
     _chunksize,
+    psi_exact_vec,
     run_points,
     run_trials,
 )

@@ -1,10 +1,14 @@
 """Every name a module exports through __all__, or the benchmark traces, exists;
 each submodule exports only its own names, and its docstring lists exactly
 those; every public entry point refuses a value of the wrong kind by name;
-and the README lists every config key and every package export."""
+the README lists every config key and every package export, and every
+risnoma name it cites resolves; and the literal pool that src lends
+Hypothesis's draws is pinned."""
 
 import ast
+import functools
 import importlib
+import importlib.util
 import json
 import math
 import re
@@ -19,13 +23,12 @@ from hypothesis import strategies as st
 
 from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
 from risnoma.analytic import GammaFit, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf
-from risnoma.channel import CC, CE, SinrKind
-from risnoma.fbl import psi_exact_vec
-from risnoma.montecarlo import CHUNK_TRIALS, run_points, run_trials
+from risnoma.channel import CC, CE, CodeSpec, SinrKind
+from risnoma.montecarlo import CHUNK_TRIALS, psi_exact_vec, run_points, run_trials
 
 _ROOT = Path(__file__).resolve().parent.parent
 
-_MODULES = ["risnoma", "risnoma.analytic", "risnoma.channel", "risnoma.fbl", "risnoma.montecarlo"]
+_MODULES = ["risnoma", "risnoma.analytic", "risnoma.channel", "risnoma.montecarlo"]
 
 
 def _provided(doc: str) -> list[str]:
@@ -269,6 +272,17 @@ def test_each_evaluation_path_keeps_its_own_parts():
     assert [name for mod in modules for name in _imports(mod) if "._sample_" in name] == []
 
 
+def test_channel_is_the_leaf_that_holds_the_shared_model():
+    # the code type and the input readers live with the rest of the model in
+    # channel, which imports no other risnoma module and no scipy; psi lives
+    # beside the Monte Carlo loop that batches it, and no fbl module is left
+    channel = importlib.import_module("risnoma.channel")
+    assert importlib.util.find_spec("risnoma.fbl") is None
+    assert CodeSpec.__module__ == "risnoma.channel"
+    assert psi_exact_vec.__module__ == "risnoma.montecarlo"
+    assert [name for name in _imports(channel) if name.startswith(("risnoma", "scipy"))] == []
+
+
 def _config_rows() -> list[list[str]]:
     # the cells of each row under "### Config keys"
     readme = (_ROOT / "README.md").read_text(encoding="utf-8")
@@ -302,6 +316,33 @@ def test_readme_library_names_every_export():
     assert missing == []
 
 
+def _resolves(dotted: str) -> bool:
+    # the longest prefix that imports as a module, then one getattr per part
+    # after it
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            mod = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            functools.reduce(getattr, parts[i:], mod)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_readme_risnoma_names_resolve():
+    # every backticked risnoma.<module>[.<attr>...] in the README, the dotted
+    # head of a call included, names what the package has, so a move leaves
+    # no stale path in the prose
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"`(risnoma(?:\.\w+)+)", readme)))
+    assert names
+    assert [name for name in names if not _resolves(name)] == []
+
+
 def test_readme_library_snippet_runs(monkeypatch):
     # the Library section's code block runs as written, so a signature
     # change cannot leave it stale
@@ -313,3 +354,33 @@ def test_readme_library_snippet_runs(monkeypatch):
     exec(compile(snippet, "README.md", "exec"), names)
     assert all(0.0 <= names[key] <= 1.0 for key in ("cu", "ceu_sc", "ceu_mrc"))
     assert names["mc"].n == 1_000_000 and names["mc_baseline"].n == 100_000
+
+
+# Hypothesis mixes the literals of local modules into its derandomized draws,
+# so a literal added to or taken from src can steer a property test onto or
+# off a fault.  A change that moves this pool re-pins it and says so.  The
+# strings are those test_cli's st.text(max_size=4) can draw
+_SRC_INTEGERS = [100, 300, 1024, 1234, 4096, 100000]
+_SRC_FLOATS = [
+    -0.3, 0.0, 0.001, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.49, 0.5,
+    0.8, 1.0, 2.0, 3.0, 4.0, 7.0, 10.0, 12.0, 15.0, 16.0, 40.0, 1e100,
+]
+_SRC_SHORT_STRINGS = [
+    ", ", "...", "CC", "CE", "E1", "E2", "FAIL", "Link", "PASS", "R", "SINR", "SKIP",
+    "axis", "beta", "bits", "cc", "ce", "cu", "e1", "e2", "eta", "eta_", "fig", "fig2",
+    "fig3", "fig4", "fig5", "fig6", "int", "iuf", "m", "mc", "n_c", "n_e", "run", "seed",
+    "t", "u", "v", "w",
+]
+
+
+def test_hypothesis_literal_pool_of_src_is_pinned():
+    try:
+        from hypothesis.internal.constants_ast import Constants, _constants_from_source
+    except ImportError:
+        pytest.skip("this Hypothesis has no constants_ast._constants_from_source")
+    pool = Constants()
+    for path in sorted((_ROOT / "src" / "risnoma").glob("*.py")):
+        pool = pool | _constants_from_source(path.read_text(encoding="utf-8"), limit=False)
+    assert sorted(pool.integers) == _SRC_INTEGERS
+    assert sorted(pool.floats) == _SRC_FLOATS
+    assert sorted(text for text in pool.strings if len(text) <= 4) == _SRC_SHORT_STRINGS
