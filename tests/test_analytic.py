@@ -754,7 +754,9 @@ def test_closed_forms_keep_their_orderings(cfg, axis, data):
 
 def _closed_form_configs() -> list[SystemConfig]:
     # every fig2..fig6 point the closed forms model, a grid that puts the SIC
-    # ceiling of ce and e1 inside their knee window, and a few element counts
+    # ceiling of ce and e1 inside their knee window, short edge codes whose
+    # doubled e1 ceiling (3.0 at alpha_c = 0.4, 2.44 at 0.45) lies inside
+    # theirs, and a few element counts
     figs = [
         p.cfg
         for preset in ("fig2", "fig3", "fig4", "fig5", "fig6")
@@ -767,7 +769,15 @@ def _closed_form_configs() -> list[SystemConfig]:
         for a in np.linspace(0.45, 0.4999, 12)
         for db in (5, 10, 20)
     ]
-    return figs + ceiling + [make_config(R=R) for R in (1, 2, 4, 32, 256)]
+    doubled = [
+        make_config(
+            code_e=code, alpha_c=a, rho_s=10.0 ** (db / 10.0), rho_c=10.0 ** (db / 10.0 - 1.0)
+        )
+        for code in (CodeSpec(1, 2), CodeSpec(2, 4), CodeSpec(4, 6))
+        for a in (0.4, 0.45)
+        for db in (0, 10, 20)
+    ]
+    return figs + ceiling + doubled + [make_config(R=R) for R in (1, 2, 4, 32, 256)]
 
 
 def _closed_form_digest() -> str:
@@ -797,10 +807,10 @@ def _log_exp_path() -> str:
 # of numpy's SIMD paths, so the pin is keyed by the paths this process takes.
 # A change meant to keep the closed forms' float operations keeps these.
 _CLOSED_FORM_DIGESTS = {
-    "log X86_V4, exp X86_V4": "693841300a2e0183d1dd59a7b07a6dc2c509b59d0b369b3268d417a70f8fa296",
-    "log X86_V3, exp X86_V3": "64533a837271db32dbc5a5e09e9210313353e0dc314c532b3c7da3443cfb0b01",
+    "log X86_V4, exp X86_V4": "103d28f27d95900d69b82e87a1a54c7a9f7dd5191ba8be3a6c76d4aedaa42ed4",
+    "log X86_V3, exp X86_V3": "62ea628d0358e018641fb439f6b51181fefb189e2e5b4c67e6e0ad93a95297de",
     "log baseline(X86_V2), exp baseline(X86_V2)": (
-        "64533a837271db32dbc5a5e09e9210313353e0dc314c532b3c7da3443cfb0b01"
+        "62ea628d0358e018641fb439f6b51181fefb189e2e5b4c67e6e0ad93a95297de"
     ),
 }
 
