@@ -237,13 +237,18 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     integral from the order-50 rule: one CDF call on its nodes.  F is 0
     below 0, where a short code's knee v can lie.
     """
+    return _avg_psi(kind, cfg, 1.0)
+
+
+def _avg_psi(kind: SinrKind, cfg: SystemConfig, gain: float) -> float:
+    """avg_psi of gain * SINR: ceiling times gain, CDF at w / gain (exact for 1.0 and 2.0)."""
     code = kind.code(cfg)
-    ceiling = kind.ceiling(cfg)
+    ceiling = gain * kind.ceiling(cfg)
     if not code.v < ceiling < code.u:
-        return float(sinr_cdf(code.beta, kind, cfg))
+        return float(sinr_cdf(code.beta / gain, kind, cfg))
     lo = max(code.v, 0.0)
     half = (ceiling - lo) / 2.0
-    cdf = sinr_cdf(lo + half * (_NODES + 1.0), kind, cfg)
+    cdf = sinr_cdf((lo + half * (_NODES + 1.0)) / gain, kind, cfg)
     # summed left to right, node by node: a dot product rounds differently
     below = half * float(np.cumsum(_FEJER_WEIGHTS * cdf)[-1])
     return min(1.0, code.delta * math.sqrt(code.m) * (below + code.u - ceiling))
@@ -252,14 +257,14 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
 def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:
     """The user-level average BLERs (cu, ceu_sc, ceu_mrc), each clamped to [0, 1].
 
-    The six step averages they need (cc, ce, e1, e2, doubled e1 and e2) are
-    each computed once.  cu: SIC at the CU fails if either the edge user's
-    message or its own fails to decode; the max of the two step averages is
-    the standard analytic stand-in for that union.  ceu_sc: the edge user
-    under selective combining.  ceu_mrc: the edge user under MRC, the
-    paper's analytic lower bound from psi(g1 + g2) >= psi(2 g1) psi(2 g2):
-    the combined-phase term factors into doubled-SINR averages, each of
-    which is the plain CDF at beta/2.  The paper derives it as a lower bound
+    The six step averages they need (cc, ce, e1 and e2, and e1 and e2 at
+    twice their SINR) are each computed once.  cu: SIC at the CU fails if
+    either the edge user's message or its own fails to decode; the max of
+    the two step averages is the standard analytic stand-in for that union.
+    ceu_sc: the edge user under selective combining.  ceu_mrc: the edge
+    user under MRC, the paper's analytic lower bound from psi(g1 + g2) >=
+    psi(2 g1) psi(2 g2): the combined-phase term factors into averages of
+    2*SINR, _avg_psi at gain 2.0.  The paper derives it as a lower bound
     under the gamma fit of the cascade, but against the exact average of
     the simulated metric it holds at R = 8 only at low SNR: closed/true is
     0.29 at 0 dB but 1.02, 9.2 and 154 at 5, 10 and 15 dB.  The main cause
@@ -267,8 +272,8 @@ def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:
     out of the gamma density, which makes the closed-form gain CDF too large.
     """
     e_cc, e_ce, p_e1, p_e2, p_e1_d, p_e2_d = (
-        avg_psi(kind, cfg)
-        for kind in (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
+        _avg_psi(kind, cfg, gain)
+        for kind, gain in ((CC, 1.0), (CE, 1.0), (E1, 1.0), (E2, 1.0), (E1, 2.0), (E2, 2.0))
     )
     cu = max(e_cc, e_ce)
     sc = e_ce * p_e1 + (1.0 - e_ce) * p_e1 * p_e2

@@ -275,13 +275,10 @@ class SinrKind:
 
     tag: "cc" (CU decodes its own data after SIC), "ce" (CU decodes the
     edge user's data), "e1" (CEU decodes the direct phase), "e2" (CEU
-    decodes the relayed phase).  doubled=True denotes 2*SINR, used by the
-    MRC bound: its ceiling is twice the plain one, and its gain threshold
-    at w is the plain threshold at w/2.
+    decodes the relayed phase).
     """
 
     tag: str
-    doubled: bool = False
 
     def __post_init__(self) -> None:
         if self.tag not in ("cc", "ce", "e1", "e2"):
@@ -297,16 +294,13 @@ class SinrKind:
 
     def ceiling(self, cfg: SystemConfig) -> float:
         """The SINR's least upper bound: ce and e1 decode under the CU's share."""
-        ceiling = cfg.alpha_e / cfg.alpha_c if self.tag in ("ce", "e1") else math.inf
-        return 2.0 * ceiling if self.doubled else ceiling
+        return cfg.alpha_e / cfg.alpha_c if self.tag in ("ce", "e1") else math.inf
 
     def sinr(self, gain, cfg: SystemConfig):
         """SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X
-        (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1), and twice
-        that for a doubled step.  A SIC ratio is capped at its ceiling, its
-        limit, also where overflow makes it NaN."""
-        if self.doubled:
-            return 2.0 * SinrKind(self.tag).sinr(gain, cfg)
+        (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1).  A SIC
+        ratio is capped at its ceiling, its limit, also where overflow makes
+        it NaN."""
         if self.tag in ("cc", "e2"):
             return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
         ratio = cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
@@ -317,8 +311,6 @@ class SinrKind:
         gain reaches w; an array of w's shape, or a float.  A w that is not
         real numbers, or is negative or NaN, is refused with ValueError."""
         w = _as_thresholds("w", w)
-        if self.doubled:
-            return SinrKind(self.tag).gain_threshold(w / 2.0, cfg)
         # no gain reaches w where the room is 0: where alpha_c * rho_s
         # underflows to 0 (0 * inf is then NaN, masked here), at and above
         # the ceiling, and where the rounded SIC room reaches 0 a few ulps

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from . import analytic
 from .channel import _READERS, REFERENCE, CodeSpec, SystemConfig, _as_float, _as_int, _echo
-from .montecarlo import BlerEstimate, _check_budget, run_points
+from .montecarlo import _check_budget, run_points
 
 _CSV_HEADER = "axis,value,metric,source,bler,stderr,n,seed"
 _DEFAULT_TRIALS = 100_000
@@ -314,23 +314,9 @@ def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
 # ---------------------------------------------------------------------------
 # Comparison report
 
-# L = ln(4/delta): each row's interval misses its true mean with probability
-# at most delta = 1e-3
-_L = math.log(4.0 / 1e-3)
 # The window that closed form / (true mean) must lie in, per kind of row:
 # within 10**0.3 either way, or at most the mean for the combining bound
 _WINDOWS = {"analytic": (10.0**-0.3, 10.0**0.3), "analytic_lb": (0.0, 1.0)}
-
-
-def _half_width(mc: BlerEstimate) -> float:
-    """h = stderr*sqrt(2L) + 7L/(3(n - 1)), the half-width of the two-sided
-    empirical-Bernstein interval around mc.mean (Maurer & Pontil, COLT 2009,
-    Thm. 4, with delta/2 for each side): every per-trial metric lies in
-    [0, 1], so [mean - h, mean + h] holds the true mean with probability
-    >= 1 - delta.  It needs only the estimate's own stderr and n, and is inf
-    for a single trial."""
-    dof = mc.n - 1
-    return mc.stderr * math.sqrt(2.0 * _L) + 7.0 * _L / (3.0 * dof) if dof else math.inf
 
 
 def _compare_point(
@@ -341,7 +327,7 @@ def _compare_point(
     for metric, source, value in _analytic_rows(cfg):
         mc = est[metric]
         ratio = value / mc.mean if mc.mean > 0.0 else math.inf
-        h, (a, b) = _half_width(mc), _WINDOWS[source]
+        h, (a, b) = mc.half_width, _WINDOWS[source]
         lo, hi = max(mc.mean - h, 0.0), min(mc.mean + h, 1.0)
         # PASS if every mean in [lo, hi] puts value in its window, FAIL if none does
         verdict = "PASS" if a * hi <= value <= b * lo else "SKIP"
@@ -359,7 +345,7 @@ def _compare_point(
 def cmd_compare(run_cfg: RunConfig) -> int:
     """Analytic vs MC per metric; exit 0 only if no row fails.
 
-    Each mc row gives an interval [lo, hi]: its mean +- _half_width,
+    Each mc row gives an interval [lo, hi]: its mean +- its half_width,
     clipped to [0, 1].  The closed form divided by the true mean must lie in
     a window [a, b]: [10**-0.3, 10**0.3] for the cu and ceu_sc rows, and
     [0, 1] for the ceu_mrc row, a lower bound.  A row FAILs if no mean in

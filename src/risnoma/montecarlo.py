@@ -27,7 +27,8 @@ No point fails: SystemConfig bounds the link means, so every drawn gain is
 finite, and the SIC steps cap their SINR at its ceiling, so no SINR is NaN.
 
 Provides:
-    BlerEstimate               -- mean / stderr / n triple
+    BlerEstimate               -- mean / stderr / n triple, and the half_width
+                                  of its empirical-Bernstein interval
     run_points                 -- all estimates at many points in one batched call
     run_trials                 -- all estimates at one point
     psi_exact_vec              -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an
@@ -66,15 +67,27 @@ _BATCH_TASKS = 16  # most chunk tasks per process-pool message
 
 _STEPS = (CC, CE, E1, E2)
 _METRICS = ("cu", "ceu_sc", "ceu_mrc") + tuple(step.tag for step in _STEPS)
+_L = math.log(4.0 / 1e-3)  # ln(4/delta): an interval misses with probability <= 1e-3
 
 
 @dataclass(frozen=True)
 class BlerEstimate:
-    """Monte Carlo estimate of one average BLER."""
+    """Monte Carlo estimate of one average BLER, and its interval."""
 
     mean: float
     stderr: float
     n: int
+
+    @property
+    def half_width(self) -> float:
+        """h = stderr*sqrt(2L) + 7L/(3(n - 1)), the half-width of the two-sided
+        empirical-Bernstein interval around mean (Maurer & Pontil, COLT 2009,
+        Thm. 4, with delta/2 for each side): every per-trial metric lies in
+        [0, 1], so [mean - h, mean + h] holds the true mean with probability
+        >= 1 - delta.  It needs only the estimate's own stderr and n, and is
+        inf for a single trial."""
+        dof = self.n - 1
+        return self.stderr * math.sqrt(2.0 * _L) + 7.0 * _L / (3.0 * dof) if dof else math.inf
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

@@ -44,7 +44,7 @@ from scipy.special import k0
 
 from risnoma import analytic
 from risnoma.analytic import gamma_fit
-from risnoma.channel import CC, CE, E1, E2, REFERENCE, CodeSpec, ScenarioKind, SinrKind, SystemConfig
+from risnoma.channel import CC, CE, E1, E2, REFERENCE, CodeSpec, ScenarioKind, SystemConfig
 from risnoma.montecarlo import _sample_aligned_batch, psi_exact_vec, run_trials
 
 SEED = 101
@@ -319,19 +319,15 @@ def test_criterion_05_no_surface_oracle():
 
 def test_criterion_06_midpoint_vs_adaptive_integral():
     cfg = make_config()
-    kinds = [
-        (CC, cfg.code_c),
-        (CE, cfg.code_e),
-        (E1, cfg.code_e),
-        (E2, cfg.code_e),
-        (SinrKind("e1", doubled=True), cfg.code_e),
-        (SinrKind("e2", doubled=True), cfg.code_e),
-    ]
+    # the six step averages, as (step, SINR gain) pairs: the MRC bound
+    # averages e1 and e2 at twice their SINR, whose CDF at w is theirs at w/2
+    steps = [(CC, 1.0), (CE, 1.0), (E1, 1.0), (E2, 1.0), (E1, 2.0), (E2, 2.0)]
     worst = 0.0
-    for kind, code in kinds:
-        integral, _ = quad(lambda w: analytic.sinr_cdf(w, kind, cfg), code.v, code.u, limit=200)
+    for kind, gain in steps:
+        code = kind.code(cfg)
+        integral, _ = quad(lambda w: analytic.sinr_cdf(w / gain, kind, cfg), code.v, code.u, limit=200)
         reference = code.delta * math.sqrt(code.m) * integral
-        worst = max(worst, abs(analytic.avg_psi(kind, cfg) - reference))
+        worst = max(worst, abs(analytic._avg_psi(kind, cfg, gain) - reference))
     ok = worst <= 1e-3
     detail = _report(6, "midpoint audit", ok, f"max |midpoint - adaptive| {worst:.3e} <= 1e-3")
     assert ok, detail

@@ -25,6 +25,7 @@ from risnoma.analytic import (
     _FEJER_WEIGHTS,
     _NODES,
     GammaFit,
+    _avg_psi,
     avg_blers,
     avg_psi,
     diversity_order,
@@ -44,8 +45,9 @@ def make_config(**overrides) -> SystemConfig:
 
 
 FIT8 = gamma_fit(8, 0.8, 1.0)
-# the six steps a point averages: cc, ce, e1, e2, and doubled e1 and e2
-_STEPS = (CC, CE, E1, E2, SinrKind("e1", doubled=True), SinrKind("e2", doubled=True))
+# the six step averages of a point, as (step, SINR gain) pairs: cc, ce, e1,
+# e2, and e1 and e2 at twice their SINR
+_STEPS = ((CC, 1.0), (CE, 1.0), (E1, 1.0), (E2, 1.0), (E1, 2.0), (E2, 2.0))
 
 
 # ---------------------------------------------------------------- quadrature
@@ -385,9 +387,9 @@ def test_sinr_cdf_on_an_array_gives_the_bits_of_one_call_per_element(alpha_c, rh
     # pass, the same bits as a call per element
     rho_s = 10.0 ** (rho_db / 10.0)
     cfg = make_config(alpha_c=alpha_c, rho_s=rho_s, rho_c=rho_s / 10.0, R=R)
-    for kind in _STEPS:
+    for kind, gain in _STEPS:
         code = kind.code(cfg)
-        c = kind.ceiling(cfg)
+        c = gain * kind.ceiling(cfg)
         scale = c if c < math.inf else code.beta
         omega = [0.0, math.inf, *(scale * s for s in shares)]
         omega += list(code.v + (code.u - code.v) / 2.0 * (_NODES + 1.0))
@@ -395,20 +397,28 @@ def test_sinr_cdf_on_an_array_gives_the_bits_of_one_call_per_element(alpha_c, rh
             omega += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf), 2.0 * c, 1e300]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sinr_cdf(np.array(omega), kind, cfg)
+            got = sinr_cdf(np.array(omega) / gain, kind, cfg)
         assert got.shape == (len(omega),)
-        assert [v.hex() for v in got.tolist()] == [float(sinr_cdf(w, kind, cfg)).hex() for w in omega]
+        want = [float(sinr_cdf(w / gain, kind, cfg)).hex() for w in omega]
+        assert [v.hex() for v in got.tolist()] == want
 
 
 def test_sinr_cdf_doubled_halves_threshold_first():
     # CDF of 2*gamma at omega is the plain CDF at omega/2 -- the halving
-    # happens before the SINR-to-gain threshold map, not after
+    # happens before the SINR-to-gain threshold map, not after: the average
+    # of 2*SINR is the plain CDF at beta/2 ...
     cfg = make_config()
-    for tag in ("e1", "e2"):
-        plain = SinrKind(tag)
-        doubled = SinrKind(tag, doubled=True)
-        for omega in (0.3, 1.0, 2.5):
-            assert sinr_cdf(omega, doubled, cfg) == sinr_cdf(omega / 2.0, plain, cfg)
+    for kind in (E1, E2):
+        assert _avg_psi(kind, cfg, 2.0) == sinr_cdf(kind.code(cfg).beta / 2.0, kind, cfg)
+    # ... and, where the doubled ceiling 3.0 lies in the knee window
+    # (-1.85, 7.85) of the m = 1 code, the integral of the halved CDF up to
+    # that ceiling, as adaptive quadrature of it shows
+    cfg = make_config(alpha_c=0.4, code_e=CodeSpec(m=1, bits=2))
+    code, ceiling = cfg.code_e, 2.0 * E1.ceiling(cfg)
+    assert code.v < ceiling < code.u
+    integral, _ = quad(lambda w: sinr_cdf(w / 2.0, E1, cfg), 0.0, ceiling, limit=200)
+    reference = code.delta * math.sqrt(code.m) * (integral + code.u - ceiling)
+    assert _avg_psi(E1, cfg, 2.0) == pytest.approx(reference, abs=1e-3)
 
 
 def test_sinr_cdf_monotone_per_kind():
@@ -488,8 +498,8 @@ def test_avg_psi_outside_the_ceiling_case_is_the_cdf_at_threshold(alpha_c):
     # the ceiling lies above u (9.0 and 1.22 against 1.217), so every step,
     # doubled or not, keeps the midpoint reduction bit for bit
     cfg = make_config(alpha_c=alpha_c)
-    for kind in _STEPS:
-        assert avg_psi(kind, cfg) == sinr_cdf(kind.code(cfg).beta, kind, cfg)
+    for kind, gain in _STEPS:
+        assert _avg_psi(kind, cfg, gain) == sinr_cdf(kind.code(cfg).beta / gain, kind, cfg)
 
 
 # ----------------------------------------------------------- user-level BLER
@@ -695,7 +705,7 @@ def test_every_accepted_config_has_closed_forms_or_a_reason(cfg):
         warnings.simplefilter("error")
         if unmodeled(cfg) is not None:
             return
-        values = avg_blers(cfg) + tuple(avg_psi(kind, cfg) for kind in _STEPS)
+        values = avg_blers(cfg) + tuple(_avg_psi(kind, cfg, gain) for kind, gain in _STEPS)
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
@@ -788,7 +798,7 @@ def _closed_form_digest() -> str:
     """
     h = hashlib.sha256()
     for i, cfg in enumerate(_closed_form_configs()):
-        vals = (*avg_blers(cfg), *(avg_psi(kind, cfg) for kind in _STEPS))
+        vals = (*avg_blers(cfg), *(_avg_psi(kind, cfg, gain) for kind, gain in _STEPS))
         h.update(f"{i} {' '.join(float(v).hex() for v in vals)}\n".encode())
     return h.hexdigest()
 

@@ -537,9 +537,10 @@ def test_every_command_evaluates_the_loaded_config(tmp_path, monkeypatch, comman
 
 @pytest.mark.parametrize("raw, calls", [({}, 6), ({"alpha_c": 0.49}, 6)])
 def test_closed_form_rows_evaluate_each_step_once(monkeypatch, raw, calls):
-    # six step averages (cc, ce, e1, e2, doubled e1 and e2), each one CDF
-    # call; at alpha_c = 0.49 the SIC ceiling lies inside the knee window of
-    # ce and e1, whose averages then take one call on the rule's 50 nodes
+    # six step averages (cc, ce, e1, e2, and e1 and e2 at twice their SINR),
+    # each one CDF call; at alpha_c = 0.49 the SIC ceiling lies inside the
+    # knee window of ce and e1, whose averages then take one call on the
+    # rule's 50 nodes
     got = []
     cdf = analytic.effective_gain_cdf
 
@@ -720,7 +721,7 @@ def test_compare_point_never_fails_a_single_trial(monkeypatch):
         ("analytic", "analytic_lb"), (1e-300, 1e-3, 0.5, 1.0), (0.0, 1.0)
     ):
         mc = BlerEstimate(mean, 0.0, 1)
-        assert cli._half_width(mc) == math.inf
+        assert mc.half_width == math.inf
         assert _judge(monkeypatch, source, value, mc) == "SKIP", (source, value, mean)
 
 

@@ -472,7 +472,7 @@ def test_step_averages_match_their_exact_law_integrals(surface, data):
     for tag in _DIFF_LINKS:
         exact = _exact_step_average(cfg, tag)
         mc = est[tag]
-        assert abs(mc.mean - exact) <= cli._half_width(mc), (tag, exact, mc)
+        assert abs(mc.mean - exact) <= mc.half_width, (tag, exact, mc)
         if _DIFF_TRIALS * min(exact, 1.0 - exact) < 50:
             continue
         z = (mc.mean - exact) / mc.stderr

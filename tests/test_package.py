@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
 from risnoma.analytic import GammaFit, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf
 from risnoma.channel import CC, CE, CodeSpec, SinrKind
-from risnoma.montecarlo import CHUNK_TRIALS, psi_exact_vec, run_points, run_trials
+from risnoma.montecarlo import CHUNK_TRIALS, BlerEstimate, psi_exact_vec, run_points, run_trials
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,16 +134,13 @@ def test_entry_points_refuse_wrong_values_by_name(case):
 
 
 # the four entry points that read an array of thresholds, by the name each
-# refusal gives; gain_threshold for a SIC step, a plain one and a doubled one
+# refusal gives; gain_threshold for a SIC step and a plain one
 _THRESHOLD_READERS = [
     pytest.param("SINR", lambda v: psi_exact_vec(v, REFERENCE.code_e), id="psi_exact_vec"),
     pytest.param("omega", lambda v: sinr_cdf(v, CE, REFERENCE), id="sinr_cdf"),
     pytest.param("t", lambda v: effective_gain_cdf(v, 1.0, _FIT, 1.0), id="effective_gain_cdf"),
     pytest.param("w", lambda v: CE.gain_threshold(v, REFERENCE), id="ce.gain_threshold"),
     pytest.param("w", lambda v: CC.gain_threshold(v, REFERENCE), id="cc.gain_threshold"),
-    pytest.param(
-        "w", lambda v: SinrKind("e1", doubled=True).gain_threshold(v, REFERENCE), id="e1x2.gain_threshold"
-    ),
 ]
 _NOT_THRESHOLDS = {
     "text": "1.5",
@@ -281,6 +278,15 @@ def test_channel_is_the_leaf_that_holds_the_shared_model():
     assert CodeSpec.__module__ == "risnoma.channel"
     assert psi_exact_vec.__module__ == "risnoma.montecarlo"
     assert [name for name in _imports(channel) if name.startswith(("risnoma", "scipy"))] == []
+
+
+def test_each_part_lives_with_the_path_that_uses_it():
+    # the step table holds the four steps both paths run, with no doubled
+    # flag: the MRC bound forms its 2*SINR in analytic.  The Monte Carlo
+    # interval is a property of the estimate, not a cli helper
+    assert [f.name for f in fields(SinrKind)] == ["tag"]
+    assert isinstance(BlerEstimate.half_width, property)
+    assert not hasattr(cli, "_half_width")
 
 
 def _config_rows() -> list[list[str]]:
