@@ -13,38 +13,52 @@ It is computed two ways, at 60 digits, which must agree to 1e-12 relative:
       F(t) = P(s, h) - e^(-t/lam_d) sum_k c^k/k! * P(s + 2k, h) Gamma(s + 2k)/Gamma(s),
   with P the regularized lower incomplete gamma.  Its two terms cancel to
   about t/lam_d, so at t = 1e-12 it keeps about 48 of its 60 digits.
-On these cells the two agree to 7.4e-48 or better.
+On these cells the two agree to 1.7e-31 or better.
 
 Run by hand (mpmath is not a test dependency):
 
-    PYTHONPATH=src python tests/oracles/make_gain_cdf_oracle.py
+    PYTHONPATH=src python tests/oracles/make_gain_cdf_oracle.py [--write]
 
-It prints, for each (link, element count R) cell in CELLS, one
-`(link, R, threshold): float.fromhex(...)` line per threshold, as
-tests/test_analytic.py pins them; the link is named by its key in LINKS,
-which that test's _ORACLE_LINKS repeats.  A threshold whose value is not a
-normal float64 is left out: at R = 32, F(1e-12) underflows, and at R = 100
-every threshold below 1 is subnormal or 0.
+It prints the table as JSON, or with --write writes it to gain_cdf.json
+beside this script, which tests/test_analytic.py reads: each link of LINKS
+by name, as its lam_d, lam_g, lam_r and eta, and one [link, R, threshold,
+float.hex(F)] row per threshold of each (link, element count R,
+thresholds) cell in CELLS.  A threshold whose value is not a normal
+float64 is left out: at R = 32, F(1e-12) underflows, and at R = 100 every
+threshold below 1 is subnormal or 0.  A threshold where the two methods
+miss the 1e-12 bar is not listed in its cell: at eta = 1e-6 and t >= 1e-2,
+quad misses the series by 8.6e-5 to 0.11.
 """
+import json
 import sys
+from pathlib import Path
 
 import mpmath as mp
 
 from risnoma.analytic import gamma_fit
 
 DIGITS = 60
+TABLE = Path(__file__).with_name("gain_cdf.json")
 # each link (lam_d, lam_g, lam_r, eta) by its name: the reference system's T
-# link, the same at eta = 1e-2, and the link of the small-eta strict xfail
+# link, the same at eta = 1e-2, 1e-4 and 1e-6 and at lam_d = 1e-3, and the
+# link of the small-eta strict xfail
 LINKS = {
     "T": (1.0, 0.8, 1.0, 1.0),
     "T eta 1e-2": (1.0, 0.8, 1.0, 1e-2),
+    "T eta 1e-4": (1.0, 0.8, 1.0, 1e-4),
+    "T eta 1e-6": (1.0, 0.8, 1.0, 1e-6),
+    "T lam_d 1e-3": (1e-3, 0.8, 1.0, 1.0),
     "small eta": (10.0, 0.1, 1.0, 1e-4),
 }
-CELLS = (
-    ("T", 1), ("T", 2), ("T", 3), ("T", 8), ("T", 32), ("T", 100),
-    ("T eta 1e-2", 8), ("small eta", 2),
-)
 THRESHOLDS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 2.0)
+CELLS = (
+    *(("T", R, THRESHOLDS) for R in (1, 2, 3, 8, 32, 100)),
+    ("T eta 1e-2", 8, THRESHOLDS),
+    ("T eta 1e-4", 8, THRESHOLDS),
+    ("T eta 1e-6", 8, THRESHOLDS[:3]),
+    ("T lam_d 1e-3", 8, THRESHOLDS),
+    ("small eta", 2, THRESHOLDS),
+)
 
 
 def by_quad(t, lam_d, kappa, b, eta):
@@ -74,13 +88,14 @@ def by_series(t, lam_d, kappa, b, eta):
     return mp.gammainc(s, 0, h, regularized=True) - mp.exp(-t / lam_d) * total / mp.gamma(s)
 
 
-def main():
+def main(argv):
     mp.mp.dps = DIGITS
-    for name, R in CELLS:
+    rows = []
+    for name, R, thresholds in CELLS:
         lam_d, lam_g, lam_r, eta = LINKS[name]
         fit = gamma_fit(R, lam_g, lam_r)
         link = dict(lam_d=mp.mpf(lam_d), kappa=mp.mpf(fit.kappa), b=mp.mpf(fit.b), eta=mp.mpf(eta))
-        for t in THRESHOLDS:
+        for t in thresholds:
             quad, series = by_quad(mp.mpf(t), **link), by_series(mp.mpf(t), **link)
             gap = abs(quad - series) / series
             if not gap <= 1e-12:
@@ -89,9 +104,18 @@ def main():
                     f"differ by {gap} relative"
                 )
             if float(quad) >= sys.float_info.min:
-                key = f'("{name}", {R}, {t!r})'
-                print(f'    {key}: float.fromhex("{float(quad).hex()}"),  # {float(quad):.6e}')
+                rows.append(json.dumps([name, R, t, float(quad).hex()]))
+    links = [
+        f"{json.dumps(name)}: {json.dumps(dict(zip(('lam_d', 'lam_g', 'lam_r', 'eta'), link)))}"
+        for name, link in LINKS.items()
+    ]
+    # one link and one row per line, so a regenerated table diffs line by line
+    text = '{\n"links": {\n%s\n},\n"cells": [\n%s\n]\n}\n' % (",\n".join(links), ",\n".join(rows))
+    if "--write" in argv:
+        TABLE.write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
