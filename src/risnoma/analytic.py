@@ -20,9 +20,11 @@ Provides:
     GammaFit           -- (kappa, b) gamma approximation of the cascaded sum q
     gamma_fit          -- moment-matched (kappa, b) for R elements
     unmodeled          -- why the closed forms do not model a config, or None
-    effective_gain_cdf -- CDF of T/Z/W at each of an array of points
+    effective_gain_cdf -- CDF of one link's gain (T, Z or W) under the gamma fit of
+                          its R-element cascade, at each of an array of points
     sinr_cdf           -- CDF of the step's SINR at each of an array of thresholds
-    avg_psi            -- average linearized BLER of one decoding step
+    avg_psi            -- average linearized BLER of one decoding step at gain times
+                          its SINR
     avg_blers          -- all three user-level averages from six step averages
     diversity_order    -- asymptotic log-log BLER slopes
 """
@@ -36,7 +38,8 @@ from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
 from .channel import (
-    CC, CE, E1, E2, ScenarioKind, SinrKind, SystemConfig, _as_float, _as_int, _as_thresholds, _echo, links,
+    CC, CE, E1, E2, Link, ScenarioKind, SinrKind, SystemConfig, _as_float, _as_int, _as_thresholds, _echo,
+    links,
 )
 
 __all__ = [
@@ -133,9 +136,10 @@ def unmodeled(cfg: SystemConfig) -> str | None:
     )
 
 
-def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float):
-    """CDF at each threshold t (float or array) of gain = p + (eta*q)^2,
-    p ~ Exp(direct_var), q ~ fit; an array of t's shape, or a float.
+def effective_gain_cdf(t, link: Link, R: int):
+    """CDF at each threshold t (float or array) of the link's gain
+    p + (eta*q)^2, p ~ Exp(lam_d) and q ~ gamma_fit(R, lam_g, lam_r), the
+    fit of its R-element cascade; an array of t's shape, or a float.
 
     Evaluates the regularized-incomplete-gamma head minus a correction
     integral over [0, H], with H = min(sqrt(t)/eta, q_cap) and q_cap =
@@ -158,21 +162,20 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float):
 
     Every argument is read before anything is computed, and refused by
     name with ValueError: a t that is not real numbers (a bool, text or
-    complex is refused, not converted), or a negative or NaN t; a
-    direct_var, eta, kappa or b that is not a finite real number and a fit
-    that is not a GammaFit; a direct_var <= 0; a fit whose shape kappa + 1
-    is not positive; a negative eta; and eta * b <= 0 (unmodeled's rule).
+    complex is refused, not converted), or a negative or NaN t; a link
+    that is not a Link; a lam_d or eta that is not a finite real number;
+    R, lambda_g and lambda_r as gamma_fit reads them; a lam_d <= 0; a
+    negative eta; and eta * b <= 0 (unmodeled's rule).
     """
     t = _as_thresholds("t", t)
-    direct_var, eta = _as_float("direct_var", direct_var), _as_float("eta", eta)
-    if direct_var <= 0.0:
-        raise ValueError("direct_var must be positive")
-    if not isinstance(fit, GammaFit):
-        raise ValueError(f"fit must be a GammaFit, got {_echo(fit)}")
-    kappa, b = _as_float("fit.kappa", fit.kappa), _as_float("fit.b", fit.b)
+    if not isinstance(link, Link):
+        raise ValueError(f"link must be a Link, got {_echo(link)}")
+    lam_d, eta = _as_float("lam_d", link.lam_d), _as_float("eta", link.eta)
+    if lam_d <= 0.0:
+        raise ValueError("lam_d must be positive")
+    fit = gamma_fit(R, link.lam_g, link.lam_r)
+    kappa, b = fit.kappa, fit.b
     shape = kappa + 1.0
-    if not shape > 0.0:
-        raise ValueError(f"fit.kappa + 1 must be positive, got {_echo(shape)}")
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
     if not eta * b > 0.0:
@@ -196,7 +199,7 @@ def effective_gain_cdf(t, direct_var: float, fit: GammaFit, eta: float):
                 + np.log(front)
                 + kappa * (np.log(zeta) - math.log(b))
                 - gammaln(shape)
-                + np.minimum(eta * eta * zeta * zeta - t[..., None], 0.0) / direct_var
+                + np.minimum(eta * eta * zeta * zeta - t[..., None], 0.0) / lam_d
                 - zeta / b
             )
             correction = correction + np.sum(np.exp(log_terms), axis=-1)
@@ -217,13 +220,12 @@ def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):
     if why := unmodeled(cfg):
         raise ValueError(why)
     omega = _as_thresholds("omega", omega)
-    link = links(cfg)[kind.link]
-    fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-    return effective_gain_cdf(kind.gain_threshold(omega, cfg), link.lam_d, fit, link.eta)
+    return effective_gain_cdf(kind.gain_threshold(omega, cfg), links(cfg)[kind.link], cfg.R)
 
 
-def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
-    """Average linearized BLER of one decoding step, under the step's code.
+def avg_psi(kind: SinrKind, cfg: SystemConfig, gain: float) -> float:
+    """Average linearized BLER of one decoding step at gain times its SINR,
+    under the step's code.
 
     The surrogate's threshold beta, slope delta and knees v, u are fields
     of the step's CodeSpec, derived once when the code is built.  The
@@ -236,12 +238,15 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig) -> float:
     delta*sqrt(m)*(integral of F over [max(v, 0), c] + (u - c)), the
     integral from the order-50 rule: one CDF call on its nodes.  F is 0
     below 0, where a short code's knee v can lie.
+
+    gain is 1.0 for the step itself and 2.0 for the MRC bound's 2*SINR: the
+    ceiling is multiplied by gain and the CDF read at w / gain, both exact
+    for those two.  A gain that is not a finite real number > 0 is refused
+    by name with ValueError.
     """
-    return _avg_psi(kind, cfg, 1.0)
-
-
-def _avg_psi(kind: SinrKind, cfg: SystemConfig, gain: float) -> float:
-    """avg_psi of gain * SINR: ceiling times gain, CDF at w / gain (exact for 1.0 and 2.0)."""
+    gain = _as_float("gain", gain)
+    if not gain > 0.0:
+        raise ValueError(f"gain must be positive, got {_echo(gain)}")
     code = kind.code(cfg)
     ceiling = gain * kind.ceiling(cfg)
     if not code.v < ceiling < code.u:
@@ -264,7 +269,7 @@ def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:
     ceu_sc: the edge user under selective combining.  ceu_mrc: the edge
     user under MRC, the paper's analytic lower bound from psi(g1 + g2) >=
     psi(2 g1) psi(2 g2): the combined-phase term factors into averages of
-    2*SINR, _avg_psi at gain 2.0.  The paper derives it as a lower bound
+    2*SINR, avg_psi at gain 2.0.  The paper derives it as a lower bound
     under the gamma fit of the cascade, but against the exact average of
     the simulated metric it holds at R = 8 only at low SNR: closed/true is
     0.29 at 0 dB but 1.02, 9.2 and 154 at 5, 10 and 15 dB.  The main cause
@@ -272,7 +277,7 @@ def avg_blers(cfg: SystemConfig) -> tuple[float, float, float]:
     out of the gamma density, which makes the closed-form gain CDF too large.
     """
     e_cc, e_ce, p_e1, p_e2, p_e1_d, p_e2_d = (
-        _avg_psi(kind, cfg, gain)
+        avg_psi(kind, cfg, gain)
         for kind, gain in ((CC, 1.0), (CE, 1.0), (E1, 1.0), (E2, 1.0), (E1, 2.0), (E2, 2.0))
     )
     cu = max(e_cc, e_ce)

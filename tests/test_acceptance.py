@@ -44,7 +44,7 @@ from scipy.special import k0
 
 from risnoma import analytic
 from risnoma.analytic import gamma_fit
-from risnoma.channel import CC, CE, E1, E2, REFERENCE, CodeSpec, ScenarioKind, SystemConfig
+from risnoma.channel import CC, CE, E1, E2, REFERENCE, CodeSpec, ScenarioKind, SystemConfig, links
 from risnoma.montecarlo import _sample_aligned_batch, psi_exact_vec, run_trials
 
 SEED = 101
@@ -183,12 +183,11 @@ def test_criterion_02_gamma_fit_kolmogorov_distance():
     n = 1_000_000
     t = _sample_aligned_batch(cfg, rng, n, counts=[cfg.R])[cfg.R][0]
     t_sorted = np.sort(t)
-    fit = gamma_fit(cfg.R, cfg.lambda_gc, cfg.lambda_rc)
     # evaluate the closed form at every n/m-th order statistic; the exact
     # Kolmogorov distance exceeds the sampled one by at most 1/m
     m_grid = 5000
     idx = np.linspace(0, n - 1, m_grid).astype(int)
-    f = analytic.effective_gain_cdf(t_sorted[idx], cfg.lambda_c, fit, cfg.eta_c)
+    f = analytic.effective_gain_cdf(t_sorted[idx], links(cfg)[0], cfg.R)
     worst = max(np.abs(f - (idx + 1) / n).max(), np.abs(f - idx / n).max())
     ks_bound = worst + 1.0 / m_grid
     elapsed = time.monotonic() - start
@@ -327,7 +326,7 @@ def test_criterion_06_midpoint_vs_adaptive_integral():
         code = kind.code(cfg)
         integral, _ = quad(lambda w: analytic.sinr_cdf(w / gain, kind, cfg), code.v, code.u, limit=200)
         reference = code.delta * math.sqrt(code.m) * integral
-        worst = max(worst, abs(analytic._avg_psi(kind, cfg, gain) - reference))
+        worst = max(worst, abs(analytic.avg_psi(kind, cfg, gain) - reference))
     ok = worst <= 1e-3
     detail = _report(6, "midpoint audit", ok, f"max |midpoint - adaptive| {worst:.3e} <= 1e-3")
     assert ok, detail
@@ -399,8 +398,8 @@ def test_criterion_08_diversity_identities():
         lo_cfg = make_config(rho_s=1e6, rho_c=1e5, R=R)
         hi_cfg = make_config(rho_s=1e8, rho_c=1e7, R=R)
         slope = (
-            math.log10(analytic.avg_psi(CC, lo_cfg))
-            - math.log10(analytic.avg_psi(CC, hi_cfg))
+            math.log10(analytic.avg_psi(CC, lo_cfg, 1.0))
+            - math.log10(analytic.avg_psi(CC, hi_cfg, 1.0))
         ) / 2.0
         target = (gamma_fit(R, 1.0, 1.0).kappa + 1.0) / 2.0
         holds = abs(slope - target) <= 0.1 * target
@@ -420,7 +419,7 @@ def test_criterion_09_saturation_behavior():
     sat_cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     beta = sat_cfg.code_e.beta
     assert beta >= sat_cfg.alpha_e / sat_cfg.alpha_c
-    clause_a = analytic.avg_psi(CE, sat_cfg) == 1.0
+    clause_a = analytic.avg_psi(CE, sat_cfg, 1.0) == 1.0
 
     # second clause: the simulated central-user average at that config
     mc = run_trials(sat_cfg, 1_000_000, SEED)["cu"]

@@ -26,8 +26,6 @@ from risnoma import cli
 from risnoma.analytic import (
     _FEJER_WEIGHTS,
     _NODES,
-    GammaFit,
-    _avg_psi,
     avg_blers,
     avg_psi,
     diversity_order,
@@ -46,7 +44,8 @@ def make_config(**overrides) -> SystemConfig:
     return replace(REFERENCE, **overrides)
 
 
-FIT8 = gamma_fit(8, 0.8, 1.0)
+# the reference system's T link, at its R = 8
+T8 = links(REFERENCE)[0]
 # the six step averages of a point, as (step, SINR gain) pairs: cc, ce, e1,
 # e2, and e1 and e2 at twice their SINR
 _STEPS = ((CC, 1.0), (CE, 1.0), (E1, 1.0), (E2, 1.0), (E1, 2.0), (E2, 2.0))
@@ -96,40 +95,41 @@ def test_fejer_weights_are_exact_where_they_claim():
 # --------------------------------------------------------- effective_gain_cdf
 
 def test_gain_cdf_edges_and_validation():
-    assert effective_gain_cdf(0.0, 1.0, FIT8, 1.0) == 0.0
-    assert effective_gain_cdf(1e6, 1.0, FIT8, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert effective_gain_cdf(0.0, T8, 8) == 0.0
+    assert effective_gain_cdf(1e6, T8, 8) == pytest.approx(1.0, abs=1e-12)
     # a threshold no gain reaches is certain, with no warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert effective_gain_cdf(math.inf, 1.0, FIT8, 1.0) == 1.0
-        got = effective_gain_cdf(np.array([0.0, 30.98393048665198, math.inf]), 1.0, FIT8, 1.0)
-    assert got.tolist() == [0.0, effective_gain_cdf(30.98393048665198, 1.0, FIT8, 1.0), 1.0]
+        assert effective_gain_cdf(math.inf, T8, 8) == 1.0
+        got = effective_gain_cdf(np.array([0.0, 30.98393048665198, math.inf]), T8, 8)
+    assert got.tolist() == [0.0, effective_gain_cdf(30.98393048665198, T8, 8), 1.0]
     for t in (-1.0, math.nan, np.array([1.0, math.nan])):
         with pytest.raises(ValueError, match="t must be >= 0 and not NaN"):
-            effective_gain_cdf(t, 1.0, FIT8, 1.0)
-    with pytest.raises(ValueError):
-        effective_gain_cdf(1.0, 0.0, FIT8, 1.0)
+            effective_gain_cdf(t, T8, 8)
+    with pytest.raises(ValueError, match="^lam_d must be positive$"):
+        effective_gain_cdf(1.0, T8._replace(lam_d=0.0), 8)
     # eta * b must be positive: eta = 0, a fit whose scale is 0 (lambda_g *
     # lambda_r underflowed), and a product that underflows are refused
-    for fit, eta in ((FIT8, 0.0), (GammaFit(FIT8.kappa, 0.0), 1.0), (FIT8, 5e-324)):
+    underflow = T8._replace(lam_g=1e-200, lam_r=1e-200)
+    for link in (T8._replace(eta=0.0), underflow, T8._replace(eta=5e-324)):
         with pytest.raises(ValueError, match=r"^eta \* b must be positive"):
-            effective_gain_cdf(1.0, 1.0, fit, eta)
-    # a negative eta is refused by name, even where eta * b is positive
+            effective_gain_cdf(1.0, link, 8)
+    # a negative eta is refused by name
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^eta must be >= 0$"):
-            effective_gain_cdf(1.0, 1.0, GammaFit(FIT8.kappa, -0.436), -1.0)
+            effective_gain_cdf(1.0, T8._replace(eta=-1.0), 8)
     # a subnormal eta overflows sqrt(t)/eta; the rule stops at the gamma
     # tail, so the edges stay exact and the CDF finite, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = effective_gain_cdf(np.array([0.0, 1.0, math.inf]), 1.0, FIT8, 1e-320)
+        got = effective_gain_cdf(np.array([0.0, 1.0, math.inf]), T8._replace(eta=1e-320), 8)
     assert got[0] == 0.0 and 0.0 < got[1] < 1.0 and got[2] == 1.0
 
 
 def test_gain_cdf_monotone_and_bounded():
     grid = np.geomspace(1e-3, 500.0, 200)
-    vals = [effective_gain_cdf(float(t), 1.0, FIT8, 1.0) for t in grid]
+    vals = [effective_gain_cdf(float(t), T8, 8) for t in grid]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -142,7 +142,7 @@ def test_gain_cdf_deep_tail_is_finite_and_positive():
         (1e-6, 1.2357770522139096e-44),
         (1e-3, 2.4157743894344994e-25),
     ):
-        val = effective_gain_cdf(t, 1.0, FIT8, 1.0)
+        val = effective_gain_cdf(t, T8, 8)
         assert math.isfinite(val) and val > 0.0
         assert val == pytest.approx(frozen, rel=1e-12, abs=0)
 
@@ -153,7 +153,7 @@ def test_gain_cdf_frozen_median_point():
     # evaluated there must sit near one half.  The frozen value doubles as
     # a regression anchor for the quadrature path.
     median_t = 30.98393048665198
-    val = effective_gain_cdf(median_t, 1.0, FIT8, 1.0)
+    val = effective_gain_cdf(median_t, T8, 8)
     assert val == pytest.approx(0.5131604054299881, rel=1e-12, abs=0)
     assert 0.45 < val < 0.55
 
@@ -163,7 +163,8 @@ def gain_cdf_error_against_quad():
     # worst absolute error of the order-50 CDF, over a broad threshold grid,
     # against scipy's adaptive quad of the same head-minus-correction
     # integral, with a breakpoint at the gamma mode b * kappa
-    kappa, b = FIT8.kappa, FIT8.b
+    fit = gamma_fit(8, T8.lam_g, T8.lam_r)
+    kappa, b = fit.kappa, fit.b
     s = kappa + 1.0
     q_cap = b * (s + 12.0 * math.sqrt(s) + 40.0)
 
@@ -179,7 +180,7 @@ def gain_cdf_error_against_quad():
         return gammainc(s, math.sqrt(t) / b) - correction
 
     grid = list(np.linspace(0.5, 80.0, 40)) + [30.98393048665198]
-    return max(abs(effective_gain_cdf(float(t), 1.0, FIT8, 1.0) - reference(float(t))) for t in grid)
+    return max(abs(effective_gain_cdf(float(t), T8, 8) - reference(float(t))) for t in grid)
 
 
 def test_gain_cdf_order_50_is_converged_to_5e5(gain_cdf_error_against_quad):
@@ -194,6 +195,7 @@ def test_gain_cdf_order_50_meets_1e6_target(gain_cdf_error_against_quad):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="at small eta the correction lacks the gamma density's factor 1/b, "
     "so the CDF reads 0.799 at t = 1e-8 against a bound of 1e-9 and exceeds "
     "its direct-power bound at most thresholds (ROADMAP item 12)",
@@ -203,8 +205,7 @@ def test_gain_cdf_at_small_eta_rises_and_stays_below_its_direct_power():
     # P(direct power <= t) = -expm1(-t / lam_d), and a CDF never falls
     link = Link(lam_d=10.0, lam_g=0.1, lam_r=1.0, eta=1e-4)
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
-    fit = gamma_fit(2, link.lam_g, link.lam_r)
-    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta)
+    cdf = effective_gain_cdf(t, link, 2)
     assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), cdf
     assert np.all(cdf <= -np.expm1(-t / link.lam_d) * (1.0 + _RISE)), cdf
 
@@ -219,19 +220,35 @@ _GAIN_CDF_ORACLE = json.loads(
 )
 
 
+def test_gain_cdf_oracle_table_is_well_formed():
+    # the value test below is an expected failure, so without this a
+    # regenerated table that is malformed or falls with t would fail nothing
+    cells = {}
+    for name, R, t, want in _GAIN_CDF_ORACLE["cells"]:
+        assert name in _GAIN_CDF_ORACLE["links"], name
+        assert type(R) is int and R >= 1, (name, R)
+        cells.setdefault((name, R), []).append((t, float.fromhex(want)))
+    for cell, rows in cells.items():
+        ts, values = zip(*rows)
+        assert all(sys.float_info.min <= v <= 1.0 for v in values), (cell, values)
+        assert all(a < b for a, b in zip(ts, ts[1:])), (cell, ts)
+        assert all(a < b for a, b in zip(values, values[1:])), (cell, values)
+
+
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the correction lacks the gamma density's factor 1/b, so the CDF "
     "reads 2.85e-83 against 6.79e-96 on the T link at R = 8, t = 1e-12, and "
     "0.799 against 7.04e-10 on the small-eta link at t = 1e-8; every cell is "
-    "off, by 1.1e-3 to 2.2e13 relative (ROADMAP item 12)",
+    "off, by 4.1e-5 to 2.2e13 relative (ROADMAP item 12)",
 )
 def test_gain_cdf_matches_its_oracle():
     # every cell that misses its oracle value, with the ratio it reads
     off = {}
     for name, R, t, want in _GAIN_CDF_ORACLE["cells"]:
         link = Link(**_GAIN_CDF_ORACLE["links"][name])
-        got = effective_gain_cdf(t, link.lam_d, gamma_fit(R, link.lam_g, link.lam_r), link.eta)
+        got = effective_gain_cdf(t, link, R)
         if got != pytest.approx(float.fromhex(want), rel=1e-9, abs=0):
             off[name, R, t] = float(got / float.fromhex(want))
     assert off == {}
@@ -259,8 +276,7 @@ def test_gain_cdf_never_falls_once_its_rule_passes_the_bulk(R, link):
     # 1.2e-4 just below the bulk edge while the bulk panel had folded
     # Gauss-Chebyshev weights, whose error there outgrew the CDF's rise
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
-    fit = gamma_fit(R, link.lam_g, link.lam_r)
-    cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta)
+    cdf = effective_gain_cdf(t, link, R)
     assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), cdf
 
 
@@ -352,7 +368,7 @@ def test_sinr_cdf_doubled_halves_threshold_first():
     # of 2*SINR is the plain CDF at beta/2 ...
     cfg = make_config()
     for kind in (E1, E2):
-        assert _avg_psi(kind, cfg, 2.0) == sinr_cdf(kind.code(cfg).beta / 2.0, kind, cfg)
+        assert avg_psi(kind, cfg, 2.0) == sinr_cdf(kind.code(cfg).beta / 2.0, kind, cfg)
     # ... and, where the doubled ceiling 3.0 lies in the knee window
     # (-1.85, 7.85) of the m = 1 code, the integral of the halved CDF up to
     # that ceiling, as adaptive quadrature of it shows
@@ -361,7 +377,7 @@ def test_sinr_cdf_doubled_halves_threshold_first():
     assert code.v < ceiling < code.u
     integral, _ = quad(lambda w: sinr_cdf(w / 2.0, E1, cfg), 0.0, ceiling, limit=200)
     reference = code.delta * math.sqrt(code.m) * (integral + code.u - ceiling)
-    assert _avg_psi(E1, cfg, 2.0) == pytest.approx(reference, abs=1e-3)
+    assert avg_psi(E1, cfg, 2.0) == pytest.approx(reference, abs=1e-3)
 
 
 def test_sinr_cdf_monotone_per_kind():
@@ -384,15 +400,15 @@ def test_avg_psi_is_cdf_at_threshold():
     # at the code threshold (slope times ramp width is exactly one)
     cfg = make_config()
     for kind, code in ((CC, cfg.code_c), (CE, cfg.code_e), (E2, cfg.code_e)):
-        assert avg_psi(kind, cfg) == sinr_cdf(code.beta, kind, cfg)
+        assert avg_psi(kind, cfg, 1.0) == sinr_cdf(code.beta, kind, cfg)
 
 
 def test_avg_psi_frozen_reference_values():
     cfg = make_config()
-    assert avg_psi(CC, cfg) == pytest.approx(0.008838205212099954, rel=1e-12, abs=0)
-    assert avg_psi(CE, cfg) == pytest.approx(3.942511444390763e-12, rel=1e-12, abs=0)
-    assert avg_psi(E1, cfg) == pytest.approx(1.7805154535367623e-09, rel=1e-12, abs=0)
-    assert avg_psi(E2, cfg) == pytest.approx(7.196283958498745e-07, rel=1e-12, abs=0)
+    assert avg_psi(CC, cfg, 1.0) == pytest.approx(0.008838205212099954, rel=1e-12, abs=0)
+    assert avg_psi(CE, cfg, 1.0) == pytest.approx(3.942511444390763e-12, rel=1e-12, abs=0)
+    assert avg_psi(E1, cfg, 1.0) == pytest.approx(1.7805154535367623e-09, rel=1e-12, abs=0)
+    assert avg_psi(E2, cfg, 1.0) == pytest.approx(7.196283958498745e-07, rel=1e-12, abs=0)
 
 
 def test_avg_psi_saturated_step_is_exactly_one():
@@ -400,7 +416,7 @@ def test_avg_psi_saturated_step_is_exactly_one():
     # reach its threshold, so its average error probability is exactly 1
     cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
     assert cfg.alpha_e / cfg.alpha_c < cfg.code_e.beta
-    assert avg_psi(CE, cfg) == 1.0
+    assert avg_psi(CE, cfg, 1.0) == 1.0
 
 
 def test_avg_psi_agrees_with_quadrature_of_the_cdf():
@@ -410,7 +426,7 @@ def test_avg_psi_agrees_with_quadrature_of_the_cdf():
     for kind, code in ((CC, cfg.code_c), (E2, cfg.code_e)):
         integral, _ = quad(lambda w: sinr_cdf(w, kind, cfg), code.v, code.u, limit=200)
         reference = code.delta * math.sqrt(code.m) * integral
-        assert avg_psi(kind, cfg) == pytest.approx(reference, abs=1e-3)
+        assert avg_psi(kind, cfg, 1.0) == pytest.approx(reference, abs=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -433,7 +449,7 @@ def test_avg_psi_with_the_ceiling_inside_the_knee_window(kind, alpha_c, code_e):
         lambda w: sinr_cdf(w, kind, cfg), max(code.v, 0.0), code.u, points=[ceiling], limit=200
     )
     reference = code.delta * math.sqrt(code.m) * integral
-    assert avg_psi(kind, cfg) == pytest.approx(reference, abs=1e-3)
+    assert avg_psi(kind, cfg, 1.0) == pytest.approx(reference, abs=1e-3)
 
 
 @pytest.mark.parametrize("alpha_c", [0.1, 0.45])
@@ -442,15 +458,15 @@ def test_avg_psi_outside_the_ceiling_case_is_the_cdf_at_threshold(alpha_c):
     # doubled or not, keeps the midpoint reduction bit for bit
     cfg = make_config(alpha_c=alpha_c)
     for kind, gain in _STEPS:
-        assert _avg_psi(kind, cfg, gain) == sinr_cdf(kind.code(cfg).beta / gain, kind, cfg)
+        assert avg_psi(kind, cfg, gain) == sinr_cdf(kind.code(cfg).beta / gain, kind, cfg)
 
 
 # ----------------------------------------------------------- user-level BLER
 
 def test_avg_bler_cu_is_max_of_steps():
     cfg = make_config()
-    e_cc = avg_psi(CC, cfg)
-    e_ce = avg_psi(CE, cfg)
+    e_cc = avg_psi(CC, cfg, 1.0)
+    e_ce = avg_psi(CE, cfg, 1.0)
     assert avg_blers(cfg)[0] == max(e_cc, e_ce)
     # at the reference point the own-data step dominates
     assert avg_blers(cfg)[0] == e_cc
@@ -472,8 +488,8 @@ def test_numpy_integer_element_count_gives_the_reference_averages():
 
 def test_sc_algebra_bounds():
     cfg = make_config()
-    e_ce = avg_psi(CE, cfg)
-    p_e1 = avg_psi(E1, cfg)
+    e_ce = avg_psi(CE, cfg, 1.0)
+    p_e1 = avg_psi(E1, cfg, 1.0)
     sc = avg_blers(cfg)[1]
     # sc = p_e1 * (e_ce + (1 - e_ce) p_e2) <= p_e1, and >= e_ce * p_e1
     assert e_ce * p_e1 <= sc <= p_e1
@@ -482,9 +498,9 @@ def test_sc_algebra_bounds():
 def test_sc_reduces_to_relay_free_term_at_huge_relay_snr():
     # when the relayed phase never fails, only the direct phase remains
     cfg = make_config(rho_c=1e15)
-    e_ce = avg_psi(CE, cfg)
-    p_e1 = avg_psi(E1, cfg)
-    p_e2 = avg_psi(E2, cfg)
+    e_ce = avg_psi(CE, cfg, 1.0)
+    p_e1 = avg_psi(E1, cfg, 1.0)
+    p_e2 = avg_psi(E2, cfg, 1.0)
     assert p_e2 < 1e-10
     assert abs(avg_blers(cfg)[1] - e_ce * p_e1) <= p_e2
 
@@ -493,7 +509,7 @@ def test_combining_collapses_when_first_step_always_fails():
     # e_ce = 1 wipes out the combining branch entirely: both schemes equal
     # the direct-phase average, exactly
     cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
-    p_e1 = avg_psi(E1, cfg)
+    p_e1 = avg_psi(E1, cfg, 1.0)
     assert avg_blers(cfg)[1] == p_e1
     assert avg_blers(cfg)[2] == p_e1
 
@@ -554,9 +570,9 @@ def test_relay_direct_variance_default_matches_simulation_better():
     step has enough error mass to separate them cleanly."""
     cfg = make_config(rho_s=1.0, rho_c=0.1)
     mc = run_trials(cfg, 200_000, 101)["e2"]
-    default = avg_psi(E2, cfg)
+    default = avg_psi(E2, cfg, 1.0)
     # only the relay step reads lambda_ce, so this is the BS->CEU reading
-    alternative = avg_psi(E2, replace(cfg, lambda_ce=cfg.lambda_e))
+    alternative = avg_psi(E2, replace(cfg, lambda_ce=cfg.lambda_e), 1.0)
     assert abs(default - mc.mean) < abs(alternative - mc.mean)
     # frozen adjudication levels: default within ~6 stderr, alternative ~3x farther
     assert abs(default - mc.mean) < 2.5e-3
@@ -583,7 +599,7 @@ def test_closed_forms_refuse_configs_they_do_not_model(overrides, where):
     reason = unmodeled(cfg)
     assert reason.startswith(f"no closed form for scenario {where}")
     with pytest.raises(ValueError) as exc:
-        avg_psi(E1, cfg)
+        avg_psi(E1, cfg, 1.0)
     assert str(exc.value) == reason
     with pytest.raises(ValueError) as exc:
         avg_blers(cfg)
@@ -648,7 +664,7 @@ def test_every_accepted_config_has_closed_forms_or_a_reason(cfg):
         warnings.simplefilter("error")
         if unmodeled(cfg) is not None:
             return
-        values = avg_blers(cfg) + tuple(_avg_psi(kind, cfg, gain) for kind, gain in _STEPS)
+        values = avg_blers(cfg) + tuple(avg_psi(kind, cfg, gain) for kind, gain in _STEPS)
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
@@ -692,8 +708,7 @@ def test_closed_forms_keep_their_orderings(cfg, axis, data):
     # stronger links never raise a BLER; the MRC bound never exceeds SC
     t = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 161), [math.inf]))
     for link in links(cfg):
-        fit = gamma_fit(cfg.R, link.lam_g, link.lam_r)
-        cdf = effective_gain_cdf(t, link.lam_d, fit, link.eta)
+        cdf = effective_gain_cdf(t, link, cfg.R)
         assert cdf[0] == 0.0 and cdf[-1] == 1.0
         assert np.all(cdf[1:] >= cdf[:-1] * (1.0 - _RISE)), (link, cdf)
     values = sorted(data.draw(st.lists(_AXES[axis], min_size=2, max_size=5), label=axis))
@@ -741,7 +756,7 @@ def _closed_form_digest() -> str:
     """
     h = hashlib.sha256()
     for i, cfg in enumerate(_closed_form_configs()):
-        vals = (*avg_blers(cfg), *(_avg_psi(kind, cfg, gain) for kind, gain in _STEPS))
+        vals = (*avg_blers(cfg), *(avg_psi(kind, cfg, gain) for kind, gain in _STEPS))
         h.update(f"{i} {' '.join(float(v).hex() for v in vals)}\n".encode())
     return h.hexdigest()
 

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
-from risnoma.analytic import GammaFit, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf
-from risnoma.channel import CC, CE, CodeSpec, SinrKind
+from risnoma.analytic import avg_psi, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf
+from risnoma.channel import CC, CE, CodeSpec, SinrKind, links
 from risnoma.montecarlo import CHUNK_TRIALS, BlerEstimate, psi_exact_vec, run_points, run_trials
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -71,7 +71,7 @@ def test_channel_exports_the_link_table():
     assert "effective_gain" not in channel.__all__
 
 
-_FIT = gamma_fit(8, 0.8, 1.0)
+_T = links(REFERENCE)[0]
 
 # each public entry point's parameters: the name its refusal gives, a value
 # it takes, and a call with another value in that place
@@ -89,11 +89,13 @@ _PARAMETERS = [
     ("lambda_r", 1.0, lambda v: gamma_fit(8, 0.8, v)),
     ("R", 8, lambda v: diversity_order(v, "cu")),
     ("scheme", "cu", lambda v: diversity_order(8, v)),
-    ("direct_var", 1.0, lambda v: effective_gain_cdf(1.0, v, _FIT, 1.0)),
-    ("fit", _FIT, lambda v: effective_gain_cdf(1.0, 1.0, v, 1.0)),
-    ("fit.kappa", _FIT.kappa, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(v, _FIT.b), 1.0)),
-    ("fit.b", _FIT.b, lambda v: effective_gain_cdf(1.0, 1.0, GammaFit(_FIT.kappa, v), 1.0)),
-    ("eta", 1.0, lambda v: effective_gain_cdf(1.0, 1.0, _FIT, v)),
+    ("link", _T, lambda v: effective_gain_cdf(1.0, v, 8)),
+    ("R", 8, lambda v: effective_gain_cdf(1.0, _T, v)),
+    ("lam_d", 1.0, lambda v: effective_gain_cdf(1.0, _T._replace(lam_d=v), 8)),
+    ("lambda_g", 0.8, lambda v: effective_gain_cdf(1.0, _T._replace(lam_g=v), 8)),
+    ("lambda_r", 1.0, lambda v: effective_gain_cdf(1.0, _T._replace(lam_r=v), 8)),
+    ("eta", 1.0, lambda v: effective_gain_cdf(1.0, _T._replace(eta=v), 8)),
+    ("gain", 1.0, lambda v: avg_psi(CC, REFERENCE, v)),
 ]
 
 
@@ -109,8 +111,8 @@ def _wrong_values(valid) -> list:
 
 
 # values a parameter's range refuses, where that rule is new at the boundary:
-# a gamma shape kappa + 1 that is not positive
-_OUT_OF_RANGE = {"fit.kappa": [-1.0, -2.5]}
+# a SINR gain that is not positive
+_OUT_OF_RANGE = {"gain": [0.0, -1.0]}
 
 _BOUNDARY_CASES = [
     (name, bad, call)
@@ -138,7 +140,7 @@ def test_entry_points_refuse_wrong_values_by_name(case):
 _THRESHOLD_READERS = [
     pytest.param("SINR", lambda v: psi_exact_vec(v, REFERENCE.code_e), id="psi_exact_vec"),
     pytest.param("omega", lambda v: sinr_cdf(v, CE, REFERENCE), id="sinr_cdf"),
-    pytest.param("t", lambda v: effective_gain_cdf(v, 1.0, _FIT, 1.0), id="effective_gain_cdf"),
+    pytest.param("t", lambda v: effective_gain_cdf(v, _T, 8), id="effective_gain_cdf"),
     pytest.param("w", lambda v: CE.gain_threshold(v, REFERENCE), id="ce.gain_threshold"),
     pytest.param("w", lambda v: CC.gain_threshold(v, REFERENCE), id="cc.gain_threshold"),
 ]
@@ -374,8 +376,8 @@ _SRC_FLOATS = [
 _SRC_SHORT_STRINGS = [
     ", ", "...", "CC", "CE", "E1", "E2", "FAIL", "Link", "PASS", "R", "SINR", "SKIP",
     "axis", "beta", "bits", "cc", "ce", "cu", "e1", "e2", "eta", "eta_", "fig", "fig2",
-    "fig3", "fig4", "fig5", "fig6", "int", "iuf", "m", "mc", "n_c", "n_e", "run", "seed",
-    "t", "u", "v", "w",
+    "fig3", "fig4", "fig5", "fig6", "gain", "int", "iuf", "m", "mc", "n_c", "n_e", "run",
+    "seed", "t", "u", "v", "w",
 ]
 
 
