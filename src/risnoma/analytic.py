@@ -17,8 +17,8 @@ it alone, so that integral too is one call, on the rule's nodes: every
 point costs six CDF calls, one per step average.
 
 Provides:
-    GammaFit           -- (kappa, b) gamma approximation of the cascaded sum q
-    gamma_fit          -- moment-matched (kappa, b) for R elements
+    gamma_fit          -- returns (kappa, b), the moment-matched gamma fit of the
+                          cascaded sum q over R elements: shape kappa+1, scale b
     unmodeled          -- why the closed forms do not model a config, or None
     effective_gain_cdf -- CDF of one link's gain (T, Z or W) under the gamma fit of
                           its R-element cascade, at each of an array of points
@@ -31,7 +31,6 @@ Provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebgauss
@@ -43,7 +42,6 @@ from .channel import (
 )
 
 __all__ = [
-    "GammaFit",
     "gamma_fit",
     "unmodeled",
     "effective_gain_cdf",
@@ -76,16 +74,9 @@ _NODES, _FEJER_WEIGHTS = _rule()
 _PI_SQ = math.pi * math.pi
 
 
-@dataclass(frozen=True)
-class GammaFit:
-    """Gamma approximation of the cascaded sum q: shape kappa+1, scale b."""
-
-    kappa: float
-    b: float
-
-
-def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
-    """Moment-matched gamma parameters for q = sum_{r=1..R} |g_r||h_r|.
+def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> tuple[float, float]:
+    """Returns (kappa, b), the moment-matched gamma fit of the cascaded sum
+    q = sum_{r=1..R} |g_r||h_r|: shape kappa+1, scale b.
 
     Each |g||h| product of independent Rayleigh magnitudes has mean
     (pi/4)sqrt(lambda_g lambda_r) and variance (1 - pi^2/16)lambda_g lambda_r;
@@ -111,7 +102,7 @@ def gamma_fit(R: int, lambda_g: float, lambda_r: float) -> GammaFit:
     b = (4.0 / math.pi - math.pi / 4.0) * math.sqrt(lambda_g * lambda_r)
     if not math.isfinite(b):
         raise ValueError("lambda_g * lambda_r overflows the fit's scale b")
-    return GammaFit(kappa=kappa, b=b)
+    return kappa, b
 
 
 def unmodeled(cfg: SystemConfig) -> str | None:
@@ -121,11 +112,14 @@ def unmodeled(cfg: SystemConfig) -> str | None:
     with b the scale of the link's gamma fit.  effective_gain_cdf refuses
     by the same rule and is finite wherever it holds, so this is the closed
     forms' one domain rule.  eta = 0 breaks it, and so does a b of 0, where
-    lambda_g * lambda_r underflows.
+    lambda_g * lambda_r underflows.  A cfg that is not a SystemConfig is
+    refused by name with ValueError.
     """
+    if not isinstance(cfg, SystemConfig):
+        raise ValueError(f"cfg must be a SystemConfig, got {_echo(cfg)}")
     aligned = cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
     if aligned and cfg.R >= 1 and all(
-        link.eta * gamma_fit(cfg.R, link.lam_g, link.lam_r).b > 0.0 for link in links(cfg)
+        link.eta * gamma_fit(cfg.R, link.lam_g, link.lam_r)[1] > 0.0 for link in links(cfg)
     ):
         return None
     return (
@@ -173,8 +167,7 @@ def effective_gain_cdf(t, link: Link, R: int):
     lam_d, eta = _as_float("lam_d", link.lam_d), _as_float("eta", link.eta)
     if lam_d <= 0.0:
         raise ValueError("lam_d must be positive")
-    fit = gamma_fit(R, link.lam_g, link.lam_r)
-    kappa, b = fit.kappa, fit.b
+    kappa, b = gamma_fit(R, link.lam_g, link.lam_r)
     shape = kappa + 1.0
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
@@ -215,11 +208,14 @@ def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):
     threshold is inf and the CDF 1.  omega = 0 maps to gain 0 (CDF 0), or
     to inf if the SINR scale underflows to 0.  A config the closed forms do
     not model is refused with unmodeled's reason, and an omega that is not
-    real numbers, or is negative or NaN, with ValueError.
+    real numbers, or is negative or NaN, or a kind that is not a SinrKind,
+    with ValueError.
     """
     if why := unmodeled(cfg):
         raise ValueError(why)
     omega = _as_thresholds("omega", omega)
+    if not isinstance(kind, SinrKind):
+        raise ValueError(f"kind must be a SinrKind, got {_echo(kind)}")
     return effective_gain_cdf(kind.gain_threshold(omega, cfg), links(cfg)[kind.link], cfg.R)
 
 
@@ -241,9 +237,14 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig, gain: float) -> float:
 
     gain is 1.0 for the step itself and 2.0 for the MRC bound's 2*SINR: the
     ceiling is multiplied by gain and the CDF read at w / gain, both exact
-    for those two.  A gain that is not a finite real number > 0 is refused
-    by name with ValueError.
+    for those two.  A kind that is not a SinrKind, a cfg that is not a
+    SystemConfig and a gain that is not a finite real number > 0 are
+    refused by name with ValueError.
     """
+    if not isinstance(kind, SinrKind):
+        raise ValueError(f"kind must be a SinrKind, got {_echo(kind)}")
+    if not isinstance(cfg, SystemConfig):
+        raise ValueError(f"cfg must be a SystemConfig, got {_echo(cfg)}")
     gain = _as_float("gain", gain)
     if not gain > 0.0:
         raise ValueError(f"gain must be positive, got {_echo(gain)}")
@@ -296,7 +297,7 @@ def diversity_order(R: int, scheme: str) -> float:
     factors cancel in kappa, so only R enters; gamma_fit reads R, and
     refuses any value but an integer >= 1.
     """
-    kappa = gamma_fit(R, 1.0, 1.0).kappa
+    kappa, _ = gamma_fit(R, 1.0, 1.0)
     half = (kappa + 1.0) / 2.0
     if scheme in ("cu", "ceu_sc"):
         return half

@@ -176,9 +176,12 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     x >= 26.6417 and exactly 2 for x <= -5.8636, and maps +-inf to 0 and
     2, so an argument past either point already gives the exact limit.
     Raises ValueError on a SINR that is not real numbers, or is negative
-    or NaN; a float64 array is read in place, not copied.
+    or NaN, and on a code that is not a CodeSpec; a float64 array is read
+    in place, not copied.
     """
     g = _as_thresholds("SINR", gamma)
+    if not isinstance(code, CodeSpec):
+        raise ValueError(f"code must be a CodeSpec, got {_echo(code)}")
     # one pass over two buffers; every entry goes through the formula
     out = np.empty_like(g)
     buf = np.empty_like(g)
@@ -314,11 +317,14 @@ def run_points(
     one draw per chunk (the grouping loop below states the rule), and every
     chunk of the call runs in one process pool.  Each point gets the same
     draws and the same float operations as a call with that point alone.
-    n and seed are read by _check_budget before anything is drawn.
+    n and seed are read by _check_budget, and each config that is not a
+    SystemConfig is refused by name, before anything is drawn.
     """
     n, seed = _check_budget(n, seed)
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
+        if not isinstance(cfg, SystemConfig):
+            raise ValueError(f"cfg must be a SystemConfig, got {_echo(cfg)}")
         # points share a chunk's draw when their sampler reads the same
         # inputs.  Aligned gains at R elements are a prefix of a draw at any
         # larger R, so an aligned point keys on its links alone; a

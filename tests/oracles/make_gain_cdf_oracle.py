@@ -59,7 +59,7 @@ CELLS = (
     ("T eta 1e-2", 8, THRESHOLDS),
     ("T eta 1e-4", 8, THRESHOLDS),
     ("T eta 1e-6", 8, THRESHOLDS),
-    *(("T lam_d 1e-3", R, THRESHOLDS) for R in (1, 2, 8, 32)),
+    *(("T lam_d 1e-3", R, THRESHOLDS) for R in (1, 2, 3, 8, 32, 100)),
     ("small eta", 2, THRESHOLDS),
 )
 
@@ -102,8 +102,8 @@ def main(argv):
     rows = []
     for name, R, thresholds in CELLS:
         lam_d, lam_g, lam_r, eta = LINKS[name]
-        fit = gamma_fit(R, lam_g, lam_r)
-        link = dict(lam_d=mp.mpf(lam_d), kappa=mp.mpf(fit.kappa), b=mp.mpf(fit.b), eta=mp.mpf(eta))
+        kappa, b = gamma_fit(R, lam_g, lam_r)
+        link = dict(lam_d=mp.mpf(lam_d), kappa=mp.mpf(kappa), b=mp.mpf(b), eta=mp.mpf(eta))
         for t in thresholds:
             quad, series = by_quad(mp.mpf(t), **link), by_series(mp.mpf(t), **link)
             gap = abs(quad - series) / series

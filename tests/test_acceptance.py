@@ -163,13 +163,13 @@ def test_criterion_01_moment_matching_exact():
     worst = 0.0
     for R in (1, 2, 8, 64):
         for lg, lr in ((0.8, 1.0), (0.3, 1.0)):
-            fit = gamma_fit(R, lg, lr)
+            kappa, b = gamma_fit(R, lg, lr)
             mean_exact = R * (math.pi / 4.0) * math.sqrt(lg * lr)
             var_exact = R * (1.0 - math.pi**2 / 16.0) * lg * lr
             worst = max(
                 worst,
-                abs((fit.kappa + 1.0) * fit.b / mean_exact - 1.0),
-                abs((fit.kappa + 1.0) * fit.b**2 / var_exact - 1.0),
+                abs((kappa + 1.0) * b / mean_exact - 1.0),
+                abs((kappa + 1.0) * b**2 / var_exact - 1.0),
             )
     ok = worst <= 1e-12
     detail = _report(1, "moment matching", ok, f"worst relative error {worst:.3e} <= 1e-12")
@@ -401,7 +401,8 @@ def test_criterion_08_diversity_identities():
             math.log10(analytic.avg_psi(CC, lo_cfg, 1.0))
             - math.log10(analytic.avg_psi(CC, hi_cfg, 1.0))
         ) / 2.0
-        target = (gamma_fit(R, 1.0, 1.0).kappa + 1.0) / 2.0
+        kappa, _ = gamma_fit(R, 1.0, 1.0)
+        target = (kappa + 1.0) / 2.0
         holds = abs(slope - target) <= 0.1 * target
         slopes_ok = slopes_ok and holds
         rows.append(f"R={R} slope {slope:.4f} vs (kappa+1)/2 {target:.4f} {'ok' if holds else 'OFF'}")

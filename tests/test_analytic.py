@@ -163,8 +163,7 @@ def gain_cdf_error_against_quad():
     # worst absolute error of the order-50 CDF, over a broad threshold grid,
     # against scipy's adaptive quad of the same head-minus-correction
     # integral, with a breakpoint at the gamma mode b * kappa
-    fit = gamma_fit(8, T8.lam_g, T8.lam_r)
-    kappa, b = fit.kappa, fit.b
+    kappa, b = gamma_fit(8, T8.lam_g, T8.lam_r)
     s = kappa + 1.0
     q_cap = b * (s + 12.0 * math.sqrt(s) + 40.0)
 

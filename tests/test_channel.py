@@ -143,9 +143,9 @@ def test_system_config_allows_eta_zero_and_r_zero():
 # ---------------------------------------------------------------- gamma fit
 
 def test_gamma_fit_frozen_reference():
-    fit = gamma_fit(8, 0.8, 1.0)
-    assert fit.kappa == pytest.approx(11.879566079348178, rel=1e-15, abs=0)
-    assert fit.b == pytest.approx(0.4363385963634107, rel=1e-15, abs=0)
+    kappa, b = gamma_fit(8, 0.8, 1.0)
+    assert kappa == pytest.approx(11.879566079348178, rel=1e-15, abs=0)
+    assert b == pytest.approx(0.4363385963634107, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("R", [1, 2, 8, 64])
@@ -154,9 +154,9 @@ def test_gamma_fit_matches_exact_moments(R, pair):
     # the fit must reproduce the exact first two moments of the cascade sum:
     # mean R*(pi/4)*sqrt(lg*lr), variance R*(1 - pi^2/16)*lg*lr
     lg, lr = pair
-    fit = gamma_fit(R, lg, lr)
-    mean = (fit.kappa + 1.0) * fit.b
-    var = (fit.kappa + 1.0) * fit.b**2
+    kappa, b = gamma_fit(R, lg, lr)
+    mean = (kappa + 1.0) * b
+    var = (kappa + 1.0) * b**2
     assert mean == pytest.approx(R * (math.pi / 4.0) * math.sqrt(lg * lr), rel=1e-12, abs=0)
     assert var == pytest.approx(R * (1.0 - _PI_SQ / 16.0) * lg * lr, rel=1e-12, abs=0)
 
@@ -172,7 +172,7 @@ def test_gamma_fit_rejects_degenerate_inputs():
     # one that underflows gives b = 0, which unmodeled names
     with pytest.raises(ValueError, match=r"lambda_g \* lambda_r"):
         gamma_fit(8, 1e200, 1e200)
-    assert gamma_fit(8, 1e-200, 1e-200).b == 0.0
+    assert gamma_fit(8, 1e-200, 1e-200)[1] == 0.0
 
 
 # ----------------------------------------------------------------- sampling

@@ -715,6 +715,26 @@ def test_chunk_memory_does_not_grow_with_the_element_count():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a chunk holds the aligned sampler's (T, Z, W), 96 KiB at 4096 trials, "
+    "for each distinct R of its group until every config is done, so one chunk "
+    "at R = 1..64 peaks at 6.55 MiB against 0.60 MiB at R = 1024 alone (ROADMAP item 7)",
+)
+def test_chunk_memory_does_not_grow_with_the_distinct_element_counts():
+    # a group's configs share one aligned draw, so a chunk of 64 configs at
+    # R = 1..64 needs no more than one config at R = 1024
+    args = (tuple(make_config(R=R) for R in range(1, 65)), CHUNK_TRIALS, 9, 0)
+    tracemalloc.start()
+    try:
+        montecarlo._chunk_sums(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 def test_apply_axis_semantics():
     # a sweep point is the config's model keys with the swept key set; the
     # sweeps above build theirs on the reference defaults, make_config()

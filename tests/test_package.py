@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risnoma import REFERENCE, ScenarioKind, SystemConfig, cli
-from risnoma.analytic import avg_psi, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf
+from risnoma.analytic import (
+    avg_blers, avg_psi, diversity_order, effective_gain_cdf, gamma_fit, sinr_cdf, unmodeled,
+)
 from risnoma.channel import CC, CE, CodeSpec, SinrKind, links
 from risnoma.montecarlo import CHUNK_TRIALS, BlerEstimate, psi_exact_vec, run_points, run_trials
 
@@ -96,6 +98,15 @@ _PARAMETERS = [
     ("lambda_r", 1.0, lambda v: effective_gain_cdf(1.0, _T._replace(lam_r=v), 8)),
     ("eta", 1.0, lambda v: effective_gain_cdf(1.0, _T._replace(eta=v), 8)),
     ("gain", 1.0, lambda v: avg_psi(CC, REFERENCE, v)),
+    ("cfg", REFERENCE, unmodeled),
+    ("cfg", REFERENCE, avg_blers),
+    ("cfg", REFERENCE, lambda v: avg_psi(CC, v, 1.0)),
+    ("cfg", REFERENCE, lambda v: sinr_cdf(1.0, CC, v)),
+    ("cfg", REFERENCE, lambda v: run_trials(v, 256, 7)),
+    ("cfg", REFERENCE, lambda v: run_points([v], 256, 7)),
+    ("kind", CC, lambda v: avg_psi(v, REFERENCE, 1.0)),
+    ("kind", CC, lambda v: sinr_cdf(1.0, v, REFERENCE)),
+    ("code", REFERENCE.code_e, lambda v: psi_exact_vec([1.0], v)),
 ]
 
 
@@ -258,7 +269,6 @@ def test_each_evaluation_path_keeps_its_own_parts():
     homes = {
         "_sample_aligned_batch": montecarlo,
         "_sample_random_phase_batch": montecarlo,
-        "GammaFit": analytic,
         "gamma_fit": analytic,
     }
     assert {name: getattr(mod, name).__module__ for name, mod in homes.items()} == {
