@@ -37,8 +37,8 @@ from numpy.polynomial.chebyshev import chebgauss
 from scipy.special import gammainc, gammaln
 
 from .channel import (
-    CC, CE, E1, E2, Link, ScenarioKind, SinrKind, SystemConfig, _as_float, _as_int, _as_thresholds, _echo,
-    links,
+    CC, CE, E1, E2, Link, ScenarioKind, SinrKind, SystemConfig, _as_float, _as_instance, _as_int,
+    _as_thresholds, _echo, links,
 )
 
 __all__ = [
@@ -115,8 +115,7 @@ def unmodeled(cfg: SystemConfig) -> str | None:
     lambda_g * lambda_r underflows.  A cfg that is not a SystemConfig is
     refused by name with ValueError.
     """
-    if not isinstance(cfg, SystemConfig):
-        raise ValueError(f"cfg must be a SystemConfig, got {_echo(cfg)}")
+    _as_instance("cfg", cfg, SystemConfig)
     aligned = cfg.scenario is ScenarioKind.TWO_ZONE_ALIGNED
     if aligned and cfg.R >= 1 and all(
         link.eta * gamma_fit(cfg.R, link.lam_g, link.lam_r)[1] > 0.0 for link in links(cfg)
@@ -162,8 +161,7 @@ def effective_gain_cdf(t, link: Link, R: int):
     negative eta; and eta * b <= 0 (unmodeled's rule).
     """
     t = _as_thresholds("t", t)
-    if not isinstance(link, Link):
-        raise ValueError(f"link must be a Link, got {_echo(link)}")
+    _as_instance("link", link, Link)
     lam_d, eta = _as_float("lam_d", link.lam_d), _as_float("eta", link.eta)
     if lam_d <= 0.0:
         raise ValueError("lam_d must be positive")
@@ -214,8 +212,7 @@ def sinr_cdf(omega, kind: SinrKind, cfg: SystemConfig):
     if why := unmodeled(cfg):
         raise ValueError(why)
     omega = _as_thresholds("omega", omega)
-    if not isinstance(kind, SinrKind):
-        raise ValueError(f"kind must be a SinrKind, got {_echo(kind)}")
+    _as_instance("kind", kind, SinrKind)
     return effective_gain_cdf(kind.gain_threshold(omega, cfg), links(cfg)[kind.link], cfg.R)
 
 
@@ -241,10 +238,8 @@ def avg_psi(kind: SinrKind, cfg: SystemConfig, gain: float) -> float:
     SystemConfig and a gain that is not a finite real number > 0 are
     refused by name with ValueError.
     """
-    if not isinstance(kind, SinrKind):
-        raise ValueError(f"kind must be a SinrKind, got {_echo(kind)}")
-    if not isinstance(cfg, SystemConfig):
-        raise ValueError(f"cfg must be a SystemConfig, got {_echo(cfg)}")
+    _as_instance("kind", kind, SinrKind)
+    _as_instance("cfg", cfg, SystemConfig)
     gain = _as_float("gain", gain)
     if not gain > 0.0:
         raise ValueError(f"gain must be positive, got {_echo(gain)}")

@@ -10,8 +10,8 @@ path makes of that model lives with the path: the fading samplers and the
 exact BLER psi in montecarlo, and the moment-matched gamma fit of the
 aligned cascade and the surrogate's averages in analytic.  Every module
 reads its inputs with the readers here (_as_int, _as_float,
-_as_thresholds, and one per field type in _READERS), so a refusal names
-its value the one way _echo shows it.
+_as_thresholds, _as_instance for a model object, and one per field type
+in _READERS), so a refusal names its value the one way _echo shows it.
 
 Provides:
     ScenarioKind               -- aligned two-zone or single-zone random phases
@@ -97,6 +97,13 @@ def _as_thresholds(name: str, val) -> np.ndarray:
     return arr
 
 
+def _as_instance(name: str, val, cls: type):
+    """val if it is a cls; else ValueError."""
+    if not isinstance(val, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {_echo(val)}")
+    return val
+
+
 class ScenarioKind(Enum):
     """Two aligned zones of R elements, or one random-phase zone of 2R; no surface is R = 0."""
 
@@ -162,16 +169,10 @@ class CodeSpec:
         return self.bits / self.m
 
 
-def _as_code(name: str, val) -> CodeSpec:
-    """val if it is a CodeSpec; else ValueError."""
-    if not isinstance(val, CodeSpec):
-        raise ValueError(f"{name} must be a CodeSpec, got {_echo(val)}")
-    return val
-
-
 # the reader of each SystemConfig field type: it returns the value as that
 # type, or refuses it with ValueError (the CLI reads its config keys with them)
-_READERS = {"int": _as_int, "float": _as_float, "ScenarioKind": _as_scenario, "CodeSpec": _as_code}
+_READERS = {"int": _as_int, "float": _as_float, "ScenarioKind": _as_scenario,
+            "CodeSpec": lambda name, val: _as_instance(name, val, CodeSpec)}
 
 
 @dataclass(frozen=True)

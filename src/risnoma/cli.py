@@ -287,27 +287,27 @@ _ALPHA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.49)
 _R_GRID = tuple(range(1, 9))
 
 
-def _preset_runs(preset: str):
-    """(axis, values, model keys, suffix) tuples making up one preset."""
-    at_10db, at_15db = {"rho_s_db": 10.0}, {"rho_s_db": 15.0}
-    runs = {
-        "fig2": [("rho_s_db", _DB_GRID, {}, "")],
-        "fig3": [
-            ("rho_s_db", _DB_GRID, {}, ""),
-            ("rho_s_db", _DB_GRID, {"R": 0}, "_no_ris"),
-        ],
-        "fig4": [
-            ("rho_s_db", _DB_GRID, {}, ""),
-            ("rho_s_db", _DB_GRID, {"scenario": "single_zone_random"}, "_single_zone"),
-        ],
-        "fig5": [("R", _R_GRID, at_10db, "_10db"), ("R", _R_GRID, at_15db, "_15db")],
-        "fig6": [("alpha_c", _ALPHA_GRID, at_10db, "")],
-    }
-    return runs[preset]
+# each preset's runs: (axis, values, model keys, suffix) tuples
+_PRESETS = {
+    "fig2": [("rho_s_db", _DB_GRID, {}, "")],
+    "fig3": [
+        ("rho_s_db", _DB_GRID, {}, ""),
+        ("rho_s_db", _DB_GRID, {"R": 0}, "_no_ris"),
+    ],
+    "fig4": [
+        ("rho_s_db", _DB_GRID, {}, ""),
+        ("rho_s_db", _DB_GRID, {"scenario": "single_zone_random"}, "_single_zone"),
+    ],
+    "fig5": [
+        ("R", _R_GRID, {"rho_s_db": 10.0}, "_10db"),
+        ("R", _R_GRID, {"rho_s_db": 15.0}, "_15db"),
+    ],
+    "fig6": [("alpha_c", _ALPHA_GRID, {"rho_s_db": 10.0}, "")],
+}
 
 
 def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
-    points = [point for run in _preset_runs(preset) for point in _expand(*run)]
+    points = [point for run in _PRESETS[preset] for point in _expand(*run)]
     return cmd_run(RunConfig(points, trials, seed), out_path)
 
 
@@ -396,9 +396,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True)
 
     p_fig = sub.add_parser("fig", help="reproduce a reference figure as CSV")
-    p_fig.add_argument(
-        "--preset", required=True, choices=("fig2", "fig3", "fig4", "fig5", "fig6")
-    )
+    p_fig.add_argument("--preset", required=True, choices=tuple(_PRESETS))
     p_fig.add_argument("--out", required=True)
     p_fig.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
     p_fig.add_argument("--seed", type=int, default=_DEFAULT_SEED)

@@ -52,7 +52,8 @@ import numpy as np
 from scipy.special import erfc as _erfc_vec
 
 from .channel import (
-    CC, CE, E1, E2, CodeSpec, ScenarioKind, SystemConfig, _as_int, _as_thresholds, _echo, links,
+    CC, CE, E1, E2, CodeSpec, ScenarioKind, SystemConfig, _as_instance, _as_int, _as_thresholds, _echo,
+    links,
 )
 
 __all__ = [
@@ -180,8 +181,7 @@ def psi_exact_vec(gamma: np.ndarray, code: CodeSpec) -> np.ndarray:
     in place, not copied.
     """
     g = _as_thresholds("SINR", gamma)
-    if not isinstance(code, CodeSpec):
-        raise ValueError(f"code must be a CodeSpec, got {_echo(code)}")
+    _as_instance("code", code, CodeSpec)
     # one pass over two buffers; every entry goes through the formula
     out = np.empty_like(g)
     buf = np.empty_like(g)
@@ -317,14 +317,14 @@ def run_points(
     one draw per chunk (the grouping loop below states the rule), and every
     chunk of the call runs in one process pool.  Each point gets the same
     draws and the same float operations as a call with that point alone.
-    n and seed are read by _check_budget, and each config that is not a
-    SystemConfig is refused by name, before anything is drawn.
+    n and seed are read by _check_budget; then a cfgs that is not a
+    Sequence, and each config that is not a SystemConfig, is refused by
+    name, before anything is drawn.
     """
     n, seed = _check_budget(n, seed)
     groups: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        if not isinstance(cfg, SystemConfig):
-            raise ValueError(f"cfg must be a SystemConfig, got {_echo(cfg)}")
+    for i, cfg in enumerate(_as_instance("cfgs", cfgs, Sequence)):
+        _as_instance("cfg", cfg, SystemConfig)
         # points share a chunk's draw when their sampler reads the same
         # inputs.  Aligned gains at R elements are a prefix of a draw at any
         # larger R, so an aligned point keys on its links alone; a

@@ -9,12 +9,19 @@ h = sqrt(t)/(eta*b) and c = (eta*b)^2/lam_d,
 
 It is computed two ways, at 60 digits, which must agree to 1e-12 relative:
 - mpmath.quad of that integral in u, scaled to O(1) first, with
-  breakpoints across the gamma bulk;
-- the series from expanding exp(c*u^2) under the integral,
+  breakpoints across the gamma bulk and at the edge of the boundary layer
+  below h, where the direct power's factor falls from 1 to 0;
+- where t/lam_d <= 2e3, the series from expanding exp(c*u^2) under the
+  integral,
       F(t) = P(s, h) - e^(-t/lam_d) sum_k c^k/k! * P(s + 2k, h) Gamma(s + 2k)/Gamma(s),
   with P the regularized lower incomplete gamma.  Its two terms cancel to
-  about t/lam_d, so at t = 1e-12 it keeps about 48 of its 60 digits.
-On these cells the two agree to 7.4e-48 or better.
+  about t/lam_d, so at t = 1e-12 it keeps about 48 of its 60 digits;
+- above that, mpmath.quad over the direct power x,
+      F(t) = int_0^t e^(-x/lam_d)/lam_d * P(s, sqrt(t - x)/(eta*b)) dx.
+  The series sums about t/lam_d terms, each an incomplete gamma: it takes
+  7.6 s at R = 256, t = 1e4, and this integral about 1 s.
+The quad in u is the value written.  The series agrees with it to 7.4e-48
+or better, and the direct-power integral to 1.7e-47 or better.
 
 Run by hand (mpmath is not a test dependency):
 
@@ -56,6 +63,10 @@ LINKS = {
 THRESHOLDS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 2.0)
 CELLS = (
     *(("T", R, THRESHOLDS) for R in (1, 2, 3, 8, 32, 100)),
+    # the gain's median is about 3.23e4 at R = 256 and 5.17e5 at R = 1024:
+    # these bracket it, from F ~ 1e-166 and 1e-189 up to F < 0.99
+    ("T", 256, (1e3, 1e4, 2e4, 2.5e4, 3e4, 3.5e4, 4e4)),
+    ("T", 1024, (1e5, 2e5, 3e5, 4e5, 4.5e5, 5e5, 5.5e5)),
     ("T eta 1e-2", 8, THRESHOLDS),
     ("T eta 1e-4", 8, THRESHOLDS),
     ("T eta 1e-6", 8, THRESHOLDS),
@@ -79,9 +90,12 @@ def by_quad(t, lam_d, kappa, b, eta):
 
     # breakpoints across the gamma bulk, s + k sqrt(s), and past its tail,
     # where they lie inside: at a tiny eta, h is so far out that the whole
-    # bulk is a sliver near 0 of [0, h]
+    # bulk is a sliver near 0 of [0, h].  The direct power's factor falls
+    # from 1 to 0 over the last 1/(2ch) below h, so one more sits 40 such
+    # widths below h, where the factor is within e^-40 of 1
     bulk = [s + k * mp.sqrt(s) for k in (-12, -8, -4, 0, 4, 8, 12)] + [s + 12 * mp.sqrt(s) + 200]
-    body = mp.quad(integrand, [0, *(u for u in bulk if 0 < u < h), h])
+    edges = sorted(u for u in (*bulk, h - 40 / (2 * c * h)) if 0 < u < h)
+    body = mp.quad(integrand, [0, *edges, h])
     return -scale * body / mp.gamma(s)
 
 
@@ -97,6 +111,19 @@ def by_series(t, lam_d, kappa, b, eta):
     return mp.gammainc(s, 0, h, regularized=True) - mp.exp(-t / lam_d) * total / mp.gamma(s)
 
 
+def by_direct_power(t, lam_d, kappa, b, eta):
+    def square_cdf(x):  # P((eta*q)^2 <= t - x)
+        return mp.gammainc(kappa + 1, 0, mp.sqrt(t - x) / (eta * b), regularized=True)
+
+    # divided by its value at x = 0, so the integrand is O(1) for quad's
+    # absolute tolerance, with breakpoints where e^(-x/lam_d) has fallen by
+    # each power of e^-4
+    top = square_cdf(0)
+    edges = [lam_d * 4**k for k in range(64) if lam_d * 4**k < t]
+    body = mp.quad(lambda x: mp.exp(-x / lam_d) * square_cdf(x) / top, [0, *edges, t])
+    return top * body / lam_d
+
+
 def main(argv):
     mp.mp.dps = DIGITS
     rows = []
@@ -105,11 +132,12 @@ def main(argv):
         kappa, b = gamma_fit(R, lam_g, lam_r)
         link = dict(lam_d=mp.mpf(lam_d), kappa=mp.mpf(kappa), b=mp.mpf(b), eta=mp.mpf(eta))
         for t in thresholds:
-            quad, series = by_quad(mp.mpf(t), **link), by_series(mp.mpf(t), **link)
-            gap = abs(quad - series) / series
+            check = by_series if t / lam_d <= 2e3 else by_direct_power
+            quad, other = by_quad(mp.mpf(t), **link), check(mp.mpf(t), **link)
+            gap = abs(quad - other) / other
             if not gap <= 1e-12:
                 raise SystemExit(
-                    f"{name}, R = {R}, t = {t!r}: quad {quad} and series {series} "
+                    f"{name}, R = {R}, t = {t!r}: quad {quad} and {check.__name__} {other} "
                     f"differ by {gap} relative"
                 )
             if float(quad) >= sys.float_info.min:

@@ -91,7 +91,7 @@ def test_fig3_baseline_is_a_prefix_of_the_aligned_draw(draws, monkeypatch):
     # fig3's no-surface baseline is its aligned sweep at R = 0: the same
     # links, so its gains are the zero-element prefix of the aligned draw,
     # and the 22 points make one draw per chunk
-    points = [p.cfg for run in cli._preset_runs("fig3") for p in cli._expand(*run)]
+    points = [p.cfg for run in cli._PRESETS["fig3"] for p in cli._expand(*run)]
     assert len(points) == 22 and {cfg.R for cfg in points} == {0, 8}
     counts = []
     sample = montecarlo._sample_aligned_batch
@@ -136,8 +136,8 @@ def _fig_points() -> list:
     # every config of the fig2..fig6 presets, in preset order
     return [
         p.cfg
-        for preset in ("fig2", "fig3", "fig4", "fig5", "fig6")
-        for run in cli._preset_runs(preset)
+        for runs in cli._PRESETS.values()
+        for run in runs
         for p in cli._expand(*run)
     ]
 
@@ -306,6 +306,18 @@ def test_rejects_seed_outside_64_bits(seed):
 def test_largest_seed_is_accepted():
     got = run_points([make_config()], 256, 2**64 - 1)[0]
     assert got["cu"].n == 256
+
+
+@pytest.mark.parametrize(
+    "cfgs",
+    [None, 3, 2.5, (cfg for cfg in [REFERENCE]), {"a": REFERENCE}],
+    ids=["none", "int", "float", "generator", "dict"],
+)
+def test_run_points_refuses_a_config_list_that_is_not_a_sequence(cfgs):
+    # the points are indexed and counted after grouping, so a one-pass
+    # iterable is refused with the rest, by the parameter's name
+    with pytest.raises(ValueError, match=r"^cfgs must be a Sequence, got "):
+        run_points(cfgs, 16, 1)
 
 
 def test_two_psi_calls_per_config_per_chunk(monkeypatch):

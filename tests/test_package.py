@@ -385,9 +385,9 @@ _SRC_FLOATS = [
 ]
 _SRC_SHORT_STRINGS = [
     ", ", "...", "CC", "CE", "E1", "E2", "FAIL", "Link", "PASS", "R", "SINR", "SKIP",
-    "axis", "beta", "bits", "cc", "ce", "cu", "e1", "e2", "eta", "eta_", "fig", "fig2",
-    "fig3", "fig4", "fig5", "fig6", "gain", "int", "iuf", "m", "mc", "n_c", "n_e", "run",
-    "seed", "t", "u", "v", "w",
+    "axis", "beta", "bits", "cc", "ce", "cfg", "cfgs", "code", "cu", "e1", "e2", "eta",
+    "eta_", "fig", "fig2", "fig3", "fig4", "fig5", "fig6", "gain", "int", "iuf", "kind",
+    "link", "m", "mc", "n_c", "n_e", "run", "seed", "t", "u", "v", "w",
 ]
 
 
