@@ -229,9 +229,7 @@ class SystemConfig:
                 f"alpha_e={self.alpha_e}"
             )
         # the bound caps the aligned sampler's element loop (a 4096-trial
-        # chunk at R = 1024 takes about 0.2 s) and the gains a chunk holds:
-        # one (T, Z, W) per distinct R of an aligned group, 96 KiB each at
-        # 4096 trials, so about 96 MiB if a sweep takes all 1025 values
+        # chunk at R = 1024 takes about 0.2 s)
         if not 0 <= self.R <= _MAX_R:
             raise ValueError(f"element count R must be in [0, {_MAX_R}], got {_echo(self.R)}")
 

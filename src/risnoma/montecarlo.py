@@ -20,8 +20,11 @@ Per config and chunk the hot path makes two psi calls: one at code_c for
 the cc step, and one at code_e on a (4, n) block of the ce, e1 and e2 SINRs
 and the MRC sum.  psi is elementwise, so the block gives the bits of four
 separate calls; the memory it holds is one config's, whatever the group
-size.  The pool hands out the chunk tasks in batches, at least four per
-worker and at most 16 tasks each, so the workers finish close together.
+size.  An aligned group's draw yields its gains one element count at a
+time, and each is evaluated before the next is formed, so a chunk's memory
+does not grow with the number of distinct R either.  The pool hands out
+the chunk tasks in batches, at least four per worker and at most 16 tasks
+each, so the workers finish close together.
 
 No point fails: SystemConfig bounds the link means, so every drawn gain is
 finite, and the SIC steps cap their SINR at its ceiling, so no SINR is NaN.
@@ -33,9 +36,10 @@ Provides:
     run_trials                 -- all estimates at one point
     psi_exact_vec              -- Q((C(gamma) - rate)/sqrt(V(gamma)/m)) over an
                                   array, through erfc with no clip of its argument
-    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W
-                                  per element count, element by element, so
-                                  one draw serves every smaller R as a prefix
+    _sample_aligned_batch      -- n aligned-phase draws of the gains T, Z, W,
+                                  element by element, yielded at each element
+                                  count as the loop reaches it, so one draw
+                                  serves every smaller R as a prefix
     _sample_random_phase_batch -- n single-zone draws of T, Z, W, each from
                                   its exact law (gamma-mixed exponential)
 """
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -101,7 +105,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _sample_aligned_batch(
     cfg: SystemConfig, rng: np.random.Generator, n: int, counts: Collection[int]
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """n draws of the gains (T, Z, W) with the surface phases aligned per zone.
 
     Each gain is p + (eta*q)^2: the direct power p is exponential with mean
@@ -114,27 +118,27 @@ def _sample_aligned_batch(
     powers come from untouched draws, which is what makes no surface
     bit-compatible with eta = 0.
 
-    Returns a dict from each element count in counts to its (T, Z, W), all
-    from this one draw.  Every count lies in [0, cfg.R]: _chunk_sums, the
-    one caller, draws at its group's largest R, so the sampler does not
-    check again.  The element loop holds no (n, R) buffer, but the dict
-    keeps one (T, Z, W), 24n bytes, per count: memory grows with the number
-    of distinct counts.
+    A generator: it yields (k, (T, Z, W)) for each element count k in
+    counts, in increasing k, as the element loop reaches k, all from this
+    one draw.  Every count lies in [0, cfg.R]: _chunk_sums, the one caller,
+    draws at its group's largest R, so the sampler does not check again.
+    The element loop holds no (n, R) buffer, and a caller that drops each
+    (T, Z, W) before taking the next holds one count's gains at a time.
     """
     powers = tuple(rng.exponential(link.lam_d, size=n) for link in links(cfg))
     scales = [link.eta * math.sqrt(link.lam_g * link.lam_r) for link in links(cfg)]
     sums = np.zeros((3, n))
     pairs = np.empty((3, 2, n))  # one (e_g, e_h) pair per link
     prods = np.empty((3, n))
-    by_count = {0: powers} if 0 in counts else {}
+    if 0 in counts:
+        yield 0, powers
     for k in range(1, cfg.R + 1):
         rng.standard_exponential(out=pairs)
         np.multiply(pairs[:, 0], pairs[:, 1], out=prods)
         np.sqrt(prods, out=prods)
         sums += prods
         if k in counts:
-            by_count[k] = tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
-    return by_count
+            yield k, tuple(p + (scale * s) ** 2 for p, scale, s in zip(powers, scales, sums))
 
 
 def _sample_random_phase_batch(
@@ -238,19 +242,21 @@ def _chunk_sums(args) -> list[np.ndarray]:
     The configs of a group draw alike (run_points states the rule); aligned
     ones may differ in R, so each takes the gains at its own R from the one
     aligned draw.  Either way a config gets the draw it would have made
-    alone.  The configs are evaluated one at a time, so only one config's
-    SINRs are alive at once; the gains stay alive for the whole loop, one
-    (T, Z, W) per distinct R.
+    alone.  The group must come in increasing R, as run_points orders it:
+    the aligned draw is made at the last config's R, and the sums come back
+    in the group's order because its counts arrive in increasing R.  Each
+    count's (T, Z, W) is evaluated for its configs, one config at a time,
+    as the draw reaches it and before the next count is formed, so what a
+    chunk holds does not grow with the number of distinct R in its group.
     """
     cfgs, n_trials, seed, chunk_index = args
     rng = _chunk_rng(seed, chunk_index)
     if cfgs[0].scenario is ScenarioKind.SINGLE_ZONE_RANDOM:
-        by_count = {cfgs[0].R: _sample_random_phase_batch(cfgs[0], rng, n_trials)}
+        draws = [(cfgs[0].R, _sample_random_phase_batch(cfgs[0], rng, n_trials))]
     else:
         # one draw at the group's largest R holds every smaller R as a prefix
-        top = max(cfgs, key=lambda cfg: cfg.R)
-        by_count = _sample_aligned_batch(top, rng, n_trials, counts={cfg.R for cfg in cfgs})
-    return [_metric_sums(by_count[cfg.R], cfg) for cfg in cfgs]
+        draws = _sample_aligned_batch(cfgs[-1], rng, n_trials, counts={cfg.R for cfg in cfgs})
+    return [_metric_sums(gains, cfg) for count, gains in draws for cfg in cfgs if cfg.R == count]
 
 
 def _worker_count() -> int:
@@ -336,6 +342,9 @@ def run_points(
     owners: list[list[int]] = []
     tasks = []
     for members in groups.values():
+        # _chunk_sums takes a group in increasing R; the sums still merge by
+        # member index, so the output keeps the given order
+        members.sort(key=lambda i: cfgs[i].R)
         group = tuple(cfgs[i] for i in members)
         for c in range(n_chunks):
             owners.append(members)

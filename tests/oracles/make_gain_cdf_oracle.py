@@ -20,8 +20,9 @@ It is computed two ways, at 60 digits, which must agree to 1e-12 relative:
       F(t) = int_0^t e^(-x/lam_d)/lam_d * P(s, sqrt(t - x)/(eta*b)) dx.
   The series sums about t/lam_d terms, each an incomplete gamma: it takes
   7.6 s at R = 256, t = 1e4, and this integral about 1 s.
-The quad in u is the value written.  The series agrees with it to 7.4e-48
-or better, and the direct-power integral to 1.7e-47 or better.
+The quad in u is the value written.  On every row written the series
+agrees with it to 7.4e-48 or better, and the direct-power integral to
+1.7e-44 or better (lam_d = 1e-3, R = 256, t = 1e3).
 
 Run by hand (mpmath is not a test dependency):
 
@@ -32,9 +33,10 @@ beside this script, which tests/test_analytic.py reads: each link of LINKS
 by name, as its lam_d, lam_g, lam_r and eta, and one [link, R, threshold,
 float.hex(F)] row per threshold of each (link, element count R,
 thresholds) cell in CELLS.  A threshold whose value is not a normal
-float64 is left out: at R = 32, F(1e-12) underflows, and at R = 100 every
-threshold below 1 is subnormal or 0.  A threshold where the two methods
-miss the 1e-12 bar stops the run, and is to be dropped from its cell,
+float64 is left out: on the T link F(1e-12) underflows at R = 32, and at
+R = 100 every threshold below 1 is subnormal or 0; at R = 256, F(1e-12)
+underflows at eta = 1e-6, and every threshold below 0.1 at eta = 1e-2.
+A threshold where the two methods miss the 1e-12 bar stops the run, and is to be dropped from its cell,
 never kept with a wider bar; none is dropped today.  With its one
 breakpoint at the gamma mean, quad missed the series by 8.6e-5 to 0.11 at
 eta = 1e-6 and t >= 1e-2, where h puts the whole bulk in a sliver near 0.
@@ -61,17 +63,23 @@ LINKS = {
     "small eta": (10.0, 0.1, 1.0, 1e-4),
 }
 THRESHOLDS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 2.0)
+# the T link's median gain is about 3.23e4 at R = 256 and 5.17e5 at
+# R = 1024: these bracket it, from F ~ 1e-166 and 1e-189 up to F < 0.99
+MEDIAN_BRACKETS = {
+    256: (1e3, 1e4, 2e4, 2.5e4, 3e4, 3.5e4, 4e4),
+    1024: (1e5, 2e5, 3e5, 4e5, 4.5e5, 5e5, 5.5e5),
+}
 CELLS = (
     *(("T", R, THRESHOLDS) for R in (1, 2, 3, 8, 32, 100)),
-    # the gain's median is about 3.23e4 at R = 256 and 5.17e5 at R = 1024:
-    # these bracket it, from F ~ 1e-166 and 1e-189 up to F < 0.99
-    ("T", 256, (1e3, 1e4, 2e4, 2.5e4, 3e4, 3.5e4, 4e4)),
-    ("T", 1024, (1e5, 2e5, 3e5, 4e5, 4.5e5, 5e5, 5.5e5)),
+    *(("T", R, thresholds) for R, thresholds in MEDIAN_BRACKETS.items()),
     ("T eta 1e-2", 8, THRESHOLDS),
     ("T eta 1e-4", 8, THRESHOLDS),
     ("T eta 1e-6", 8, THRESHOLDS),
     *(("T lam_d 1e-3", R, THRESHOLDS) for R in (1, 2, 3, 8, 32, 100)),
     ("small eta", 2, THRESHOLDS),
+    *(("T eta 1e-2", R, THRESHOLDS) for R in (1, 32, 256)),
+    *(("T eta 1e-6", R, THRESHOLDS) for R in (32, 256)),
+    *(("T lam_d 1e-3", R, thresholds) for R, thresholds in MEDIAN_BRACKETS.items()),
 )
 
 

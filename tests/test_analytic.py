@@ -240,7 +240,7 @@ def test_gain_cdf_oracle_table_is_well_formed():
     reason="the correction lacks the gamma density's factor 1/b, so the CDF "
     "reads 2.85e-83 against 6.79e-96 on the T link at R = 8, t = 1e-12, and "
     "0.799 against 7.04e-10 on the small-eta link at t = 1e-8; every cell is "
-    "off, by 5.4e-6 to 2.2e13 relative (ROADMAP item 12)",
+    "off, by 7.6e-9 to 2.2e13 relative (ROADMAP item 12)",
 )
 def test_gain_cdf_matches_its_oracle():
     # every cell that misses its oracle value, with the ratio it reads

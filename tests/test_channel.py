@@ -38,7 +38,7 @@ _PI_SQ = math.pi * math.pi
 
 def _aligned(cfg, rng, n):
     """The aligned sampler's (T, Z, W) at cfg.R."""
-    return _sample_aligned_batch(cfg, rng, n, counts=[cfg.R])[cfg.R]
+    return dict(_sample_aligned_batch(cfg, rng, n, counts=[cfg.R]))[cfg.R]
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -232,7 +232,7 @@ def test_aligned_gains_at_fewer_elements_are_a_prefix_of_one_draw():
     # element r's draws never depend on R, so one draw at R = 8 holds the
     # gains of a draw at any smaller R from the same generator state
     cfg = make_config(eta_c=0.7, eta_e=0.4)
-    by_count = _sample_aligned_batch(cfg, np.random.default_rng(29), 300, counts=[0, 1, 3, 8])
+    by_count = dict(_sample_aligned_batch(cfg, np.random.default_rng(29), 300, counts=[0, 1, 3, 8]))
     assert sorted(by_count) == [0, 1, 3, 8]
     for count, gains in by_count.items():
         alone = _aligned(replace(cfg, R=count), np.random.default_rng(29), 300)
@@ -315,7 +315,7 @@ def test_aligned_moments_match_closed_forms():
     # lambda_c + eta^2 * (var_q + mean_q^2), all moments exact
     cfg = make_config()
     n = 400_000
-    by_count = _sample_aligned_batch(cfg, np.random.default_rng(3021), n, counts=[0, 1, 3, 8])
+    by_count = dict(_sample_aligned_batch(cfg, np.random.default_rng(3021), n, counts=[0, 1, 3, 8]))
     t = by_count[cfg.R][0]
     mean_q = cfg.R * (math.pi / 4.0) * math.sqrt(cfg.lambda_gc * cfg.lambda_rc)
     var_q = cfg.R * (1.0 - _PI_SQ / 16.0) * cfg.lambda_gc * cfg.lambda_rc

@@ -537,7 +537,7 @@ _AXIS_VALUES = {
     "rho_s_db": [0.0, 10.0, 20.0],
     "alpha_c": [0.05, 0.2, 0.4],
     "m": [50, 100, 300],
-    "R": [1, 3, 8],
+    "R": [3, 8, 1],
 }
 
 
@@ -727,13 +727,6 @@ def test_chunk_memory_does_not_grow_with_the_element_count():
     assert peak < 4 * 2**20
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a chunk holds the aligned sampler's (T, Z, W), 96 KiB at 4096 trials, "
-    "for each distinct R of its group until every config is done, so one chunk "
-    "at R = 1..64 peaks at 6.55 MiB against 0.60 MiB at R = 1024 alone (ROADMAP item 7)",
-)
 def test_chunk_memory_does_not_grow_with_the_distinct_element_counts():
     # a group's configs share one aligned draw, so a chunk of 64 configs at
     # R = 1..64 needs no more than one config at R = 1024
