@@ -1,4 +1,5 @@
-"""Tests for the closed-form CDFs and averaged error rates.
+"""Tests for the closed forms: the cascade's gamma fit, the gain and SINR
+CDFs, and the averaged error rates.
 
 Frozen values were produced by this library at the reference configuration
 and cross-checked against quadrature of the defining integrals; structural
@@ -38,6 +39,8 @@ from risnoma.channel import (
     CC, CE, E1, E2, REFERENCE, CodeSpec, Link, ScenarioKind, SinrKind, SystemConfig, links,
 )
 from risnoma.montecarlo import run_trials
+
+_PI_SQ = math.pi * math.pi
 
 
 def make_config(**overrides) -> SystemConfig:
@@ -90,6 +93,41 @@ def test_fejer_weights_are_exact_where_they_claim():
         (np.exp(_NODES), 2.0 * math.sinh(1.0)),
     ):
         assert math.fsum(_FEJER_WEIGHTS * f) == pytest.approx(exact, rel=0, abs=1e-15)
+
+
+# ---------------------------------------------------------------- gamma fit
+
+def test_gamma_fit_frozen_reference():
+    kappa, b = gamma_fit(8, 0.8, 1.0)
+    assert kappa == pytest.approx(11.879566079348178, rel=1e-15, abs=0)
+    assert b == pytest.approx(0.4363385963634107, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("R", [1, 2, 8, 64])
+@pytest.mark.parametrize("pair", [(0.8, 1.0), (0.3, 1.0)])
+def test_gamma_fit_matches_exact_moments(R, pair):
+    # the fit must reproduce the exact first two moments of the cascade sum:
+    # mean R*(pi/4)*sqrt(lg*lr), variance R*(1 - pi^2/16)*lg*lr
+    lg, lr = pair
+    kappa, b = gamma_fit(R, lg, lr)
+    mean = (kappa + 1.0) * b
+    var = (kappa + 1.0) * b**2
+    assert mean == pytest.approx(R * (math.pi / 4.0) * math.sqrt(lg * lr), rel=1e-12, abs=0)
+    assert var == pytest.approx(R * (1.0 - _PI_SQ / 16.0) * lg * lr, rel=1e-12, abs=0)
+
+
+def test_gamma_fit_rejects_degenerate_inputs():
+    with pytest.raises(ValueError):
+        gamma_fit(0, 0.8, 1.0)
+    with pytest.raises(ValueError):
+        gamma_fit(4, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        gamma_fit(4, 0.8, -1.0)
+    # a product that overflows the scale is refused by its inputs' names;
+    # one that underflows gives b = 0, which unmodeled names
+    with pytest.raises(ValueError, match=r"lambda_g \* lambda_r"):
+        gamma_fit(8, 1e200, 1e200)
+    assert gamma_fit(8, 1e-200, 1e-200)[1] == 0.0
 
 
 # --------------------------------------------------------- effective_gain_cdf

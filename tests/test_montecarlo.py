@@ -1,9 +1,15 @@
-"""Tests for the seeded Monte Carlo engine.
+"""Tests for the seeded Monte Carlo path: the two fading samplers, psi, the
+per-chunk sums and the runs that pool them.
 
-Determinism is the contract under test: fixed chunking plus per-chunk
-seeding must make results bitwise reproducible for any worker count.  The
-statistical checks compare against closed forms that do not go through the
-gamma fit, so they exercise the simulation independently of the analytics.
+The sampler checks compare empirical moments against closed forms of the
+constituent distributions (exponential direct powers, Rayleigh-product
+cascades), and the random-phase law against the phase-by-phase
+construction, kept here as a reference sampler; psi is checked bit for
+bit against a two-pass reference kernel.  For the runs, determinism is
+the contract under test: fixed chunking plus per-chunk seeding must make
+results bitwise reproducible for any worker count.  The statistical checks
+compare against closed forms that do not go through the gamma fit, so they
+exercise the simulation independently of the analytics.
 """
 
 import hashlib
@@ -22,19 +28,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
 from scipy.special import roots_genlaguerre
 
 from risnoma import cli, montecarlo
-from risnoma.channel import REFERENCE, CodeSpec, ScenarioKind, SystemConfig
+from risnoma.channel import REFERENCE, CodeSpec, ScenarioKind, SystemConfig, links
 from risnoma.montecarlo import (
     CHUNK_TRIALS,
     _chunksize,
+    _metric_sums,
+    _sample_aligned_batch,
+    _sample_random_phase_batch,
     psi_exact_vec,
     run_points,
     run_trials,
 )
 
 ALIGNED = ScenarioKind.TWO_ZONE_ALIGNED
+
+# the two working points used throughout: the reference system's rate-3
+# control code and rate-1 payload code, both over 100 channel uses
+CODE_C, CODE_E = REFERENCE.code_c, REFERENCE.code_e
+
+_PI_SQ = math.pi * math.pi
 
 # the overrides of the reference system that give each simulated system: the
 # two scenarios, and no surface, which is R = 0 in either
@@ -47,6 +63,545 @@ _SYSTEMS = {
 
 def make_config(**overrides) -> SystemConfig:
     return replace(REFERENCE, **overrides)
+
+
+def _aligned(cfg, rng, n):
+    """The aligned sampler's (T, Z, W) at cfg.R."""
+    return dict(_sample_aligned_batch(cfg, rng, n, counts=[cfg.R]))[cfg.R]
+
+
+# ----------------------------------------------------------------- sampling
+
+def test_sample_aligned_is_seed_deterministic():
+    cfg = make_config()
+    a = _aligned(cfg, np.random.default_rng(42), 4)
+    b = _aligned(cfg, np.random.default_rng(42), 4)
+    c = _aligned(cfg, np.random.default_rng(43), 4)
+    assert len(a) == 3
+    for arr, arr_b, arr_c in zip(a, b, c):
+        np.testing.assert_array_equal(arr, arr_b)
+        assert not np.array_equal(arr, arr_c)
+        assert np.all(arr >= 0.0)
+
+
+def test_sample_aligned_r_zero_has_no_cascade():
+    cfg = make_config(R=0)
+    gains = _aligned(cfg, np.random.default_rng(7), 4)
+    rng = np.random.default_rng(7)
+    for gain, link in zip(gains, links(cfg), strict=True):
+        np.testing.assert_array_equal(gain, rng.exponential(link.lam_d, size=4))
+        assert np.all(gain > 0.0)
+
+
+def test_direct_draws_unchanged_when_cascade_skipped():
+    # skipping the cascade at R = 0 must not shift the direct-power stream,
+    # so no surface stays bit-compatible with eta = 0
+    cfg = make_config()
+    with_q = _aligned(cfg, np.random.default_rng(11), 64)
+    no_q = _aligned(make_config(R=0), np.random.default_rng(11), 64)
+    rng = np.random.default_rng(11)
+    for gain, power, link in zip(with_q, no_q, links(cfg), strict=True):
+        np.testing.assert_array_equal(power, rng.exponential(link.lam_d, size=64))
+        assert np.all(gain > power)
+
+
+def test_aligned_cascade_matches_exponential_construction():
+    # the cascades fill reused buffers in place, element by element; the
+    # bits equal the plain construction from unit exponentials drawn in the
+    # same order: the direct powers, then per element an (e_g, e_h) pair
+    # for each link in turn
+    cfg = make_config(R=5)
+    gains = _aligned(cfg, np.random.default_rng(19), 300)
+    rng = np.random.default_rng(19)
+    powers = [rng.exponential(link.lam_d, size=300) for link in links(cfg)]
+    sums = [np.zeros(300) for _ in links(cfg)]
+    for _ in range(cfg.R):
+        for s in sums:
+            s += np.sqrt(rng.exponential(1.0, size=300) * rng.exponential(1.0, size=300))
+    for gain, p, s, link in zip(gains, powers, sums, links(cfg), strict=True):
+        scale = link.eta * math.sqrt(link.lam_g * link.lam_r)
+        np.testing.assert_array_equal(gain, p + (scale * s) ** 2)
+
+
+def test_aligned_gains_at_fewer_elements_are_a_prefix_of_one_draw():
+    # element r's draws never depend on R, so one draw at R = 8 holds the
+    # gains of a draw at any smaller R from the same generator state
+    cfg = make_config(eta_c=0.7, eta_e=0.4)
+    by_count = dict(_sample_aligned_batch(cfg, np.random.default_rng(29), 300, counts=[0, 1, 3, 8]))
+    assert sorted(by_count) == [0, 1, 3, 8]
+    for count, gains in by_count.items():
+        alone = _aligned(replace(cfg, R=count), np.random.default_rng(29), 300)
+        for gain, want in zip(gains, alone, strict=True):
+            np.testing.assert_array_equal(gain, want)
+
+
+def test_samplers_ignore_fields_outside_fading_key(draws):
+    # run_points draws one batch for every config that differs only in
+    # fields outside its grouping key, so no sampler may read such a field
+    cfg = make_config()
+    other = make_config(
+        rho_s=1000.0,
+        rho_c=3.0,
+        alpha_c=0.3,
+        code_c=CodeSpec(m=50, bits=120),
+        code_e=CodeSpec(m=200, bits=40),
+    )
+    for scenario in (ScenarioKind.TWO_ZONE_ALIGNED, ScenarioKind.SINGLE_ZONE_RANDOM):
+        calls, _ = draws([replace(cfg, scenario=scenario), replace(other, scenario=scenario)])
+        assert len(calls) == 1, scenario
+    for sample in (_aligned, _sample_random_phase_batch):
+        a = sample(cfg, np.random.default_rng(23), 256)
+        b = sample(other, np.random.default_rng(23), 256)
+        for gain_a, gain_b in zip(a, b, strict=True):
+            np.testing.assert_array_equal(gain_a, gain_b)
+
+
+# sha256 of the bytes of (T, Z, W) from 512 draws of one seeded stream per
+# case.  A change that moves any bit of any sampled gain changes a digest.
+# The two cases without a surface (R = 0) draw the same three exponentials
+# in the same order, so they share one digest.
+_GAIN_CASES = {
+    "aligned": (_aligned, {}),
+    "aligned_r0": (_aligned, {"R": 0}),
+    "random_phase_16": (_sample_random_phase_batch, {}),
+    "random_phase_0": (_sample_random_phase_batch, {"R": 0}),
+}
+_GAIN_DIGESTS = {
+    "aligned": "901f4f7de600b7ac80beb241b95a0ca28c512e935f4bd34ae65b7b6058ba9db4",
+    "aligned_r0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
+    "random_phase_16": "e8e85a2309e20b3d5bd90a24039a8b872a1035d2e075eb24ff62df30c6a62ecb",
+    "random_phase_0": "64d17765fe1a3b2f4a02df80001a8522593b8a0c304f5df8ec64289efa798e86",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GAIN_CASES))
+def test_sampled_gains_are_bitwise_frozen(case):
+    sample, overrides = _GAIN_CASES[case]
+    cfg = make_config(eta_c=0.7, eta_e=0.4, **overrides)
+    gains = sample(cfg, np.random.default_rng(2024), 512)
+    digest = hashlib.sha256(b"".join(g.tobytes() for g in gains)).hexdigest()
+    assert digest == _GAIN_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("R", 3), ("eta_c", 0.5), ("eta_e", 0.5), ("lambda_c", 2.0), ("lambda_e", 2.0),
+     ("lambda_ce", 2.0), ("lambda_rc", 2.0), ("lambda_gc", 2.0), ("lambda_re", 2.0),
+     ("lambda_ge", 2.0), ("lambda_rce", 2.0), ("lambda_gce", 2.0)],
+)
+def test_fading_key_changes_with_every_fading_field(draws, field, value):
+    # every fading field splits run_points' groups, except R between aligned
+    # points: their gains at fewer elements are a prefix of one draw at the
+    # largest R
+    pair = (make_config(), make_config(**{field: value}))
+    aligned, _ = draws(list(pair))
+    random_phase, _ = draws(
+        [replace(cfg, scenario=ScenarioKind.SINGLE_ZONE_RANDOM) for cfg in pair]
+    )
+    assert len(random_phase) == 2
+    if field == "R":
+        assert aligned == [("_sample_aligned_batch", 8)]
+    else:
+        assert len(aligned) == 2
+
+
+def test_aligned_moments_match_closed_forms():
+    # empirical mean of T = p_c + (eta*q_c)^2 against
+    # lambda_c + eta^2 * (var_q + mean_q^2), all moments exact
+    cfg = make_config()
+    n = 400_000
+    by_count = dict(_sample_aligned_batch(cfg, np.random.default_rng(3021), n, counts=[0, 1, 3, 8]))
+    t = by_count[cfg.R][0]
+    mean_q = cfg.R * (math.pi / 4.0) * math.sqrt(cfg.lambda_gc * cfg.lambda_rc)
+    var_q = cfg.R * (1.0 - _PI_SQ / 16.0) * cfg.lambda_gc * cfg.lambda_rc
+    expected = cfg.lambda_c + cfg.eta_c**2 * (var_q + mean_q**2)
+    se = float(np.std(t)) / math.sqrt(n)
+    assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
+    # every link's cascade sum after 1, 3 and 8 elements of the one draw,
+    # recovered from the gains and the direct powers, has the exact mean
+    # and variance of a sum of that many |g||h| products
+    for count in (1, 3, 8):
+        for name, gain, p, link in zip("TZW", by_count[count], by_count[0], links(cfg)):
+            q = np.sqrt(gain - p) / link.eta
+            hop = link.lam_g * link.lam_r
+            dev = (q - np.mean(q)) ** 2
+            se_mean = float(np.std(q)) / math.sqrt(n)
+            se_var = float(np.std(dev)) / math.sqrt(n)
+            exact_mean = count * (math.pi / 4.0) * math.sqrt(hop)
+            exact_var = count * (1.0 - _PI_SQ / 16.0) * hop
+            assert float(np.mean(q)) == pytest.approx(exact_mean, abs=5.0 * se_mean), (name, count)
+            assert float(np.var(q, ddof=1)) == pytest.approx(exact_var, abs=5.0 * se_var), (
+                name, count)
+
+
+def test_random_phase_moments_match_closed_forms():
+    # uniform phases decorrelate the reflected terms, so the effective
+    # power has mean lambda + eta^2 * n_elements * lambda_g * lambda_r
+    cfg = make_config()
+    n = 200_000
+    total_elements = 2 * cfg.R
+    rng = np.random.default_rng(515)
+    t = _sample_random_phase_batch(cfg, rng, n)[0]
+    expected = cfg.lambda_c + cfg.eta_c**2 * total_elements * cfg.lambda_gc * cfg.lambda_rc
+    se = float(np.std(t)) / math.sqrt(n)
+    assert float(np.mean(t)) == pytest.approx(expected, abs=5.0 * se)
+
+
+def _reference_random_phase_powers(cfg, rng, n, total_elements):
+    # the construction the exact law replaces: complex Gaussian direct and
+    # per-element hops, uniform phases, |h + eta * sum g e^{j phi} h_r|^2
+    def complex_normal(mean_power, size):
+        s = math.sqrt(mean_power / 2.0)
+        return rng.normal(0.0, s, size=size) + 1j * rng.normal(0.0, s, size=size)
+
+    out = []
+    for link in links(cfg):
+        shape = (n, total_elements)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+        reflected = np.sum(
+            complex_normal(link.lam_g, shape)
+            * np.exp(1j * phi)
+            * complex_normal(link.lam_r, shape),
+            axis=1,
+        )
+        out.append(np.abs(complex_normal(link.lam_d, n) + link.eta * reflected) ** 2)
+    return out
+
+
+def test_random_phase_second_moments_match_exact_law():
+    # p = Exp(1) * (ld + eta^2 lg S), S ~ Gamma(k, lr) over k elements, so
+    # E[p^2] = 2 (ld^2 + 2 ld eta^2 lg k lr + eta^4 lg^2 lr^2 k (k + 1))
+    cfg = make_config()
+    n = 200_000
+    k = 2 * cfg.R
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(516), n)
+    for name, gain, (ld, lg, lr, eta) in zip("TZW", gains, links(cfg), strict=True):
+        expected = 2.0 * (
+            ld * ld + 2.0 * ld * eta**2 * lg * k * lr + eta**4 * lg * lg * lr * lr * k * (k + 1)
+        )
+        sq = gain**2
+        se = float(np.std(sq)) / math.sqrt(n)
+        assert float(np.mean(sq)) == pytest.approx(expected, abs=5.0 * se), name
+
+
+@pytest.mark.parametrize(
+    "eta, total_elements, seed", [(1.0, 16, 601), (0.5, 2, 602), (0.0, 16, 603)]
+)
+def test_random_phase_law_matches_reference_construction(eta, total_elements, seed):
+    # two-sample KS test of every link power against the phase-by-phase
+    # construction, on independent streams
+    cfg = make_config(eta_c=eta, eta_e=eta, R=total_elements // 2)
+    n = 50_000
+    fast = _sample_random_phase_batch(cfg, np.random.default_rng(seed), n)
+    ref = _reference_random_phase_powers(
+        cfg, np.random.default_rng(seed + 1000), n, total_elements
+    )
+    for name, got, want in zip("TZW", fast, ref, strict=True):
+        assert stats.ks_2samp(got, want).pvalue > 1e-3, name
+
+
+def test_random_phase_no_elements_is_exponential():
+    cfg = make_config(R=0)
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(604), 50_000)
+    for name, gain, link in zip("TZW", gains, links(cfg), strict=True):
+        assert stats.kstest(gain, stats.expon(scale=link.lam_d).cdf).pvalue > 1e-3, name
+
+
+def test_sample_random_phase_batch_interface():
+    cfg = make_config()
+    gains = _sample_random_phase_batch(cfg, np.random.default_rng(9), 4)
+    assert len(gains) == 3
+    for gain in gains:
+        assert gain.shape == (4,) and np.all(gain > 0.0)
+    # no elements -> plain direct fading
+    bare = _sample_random_phase_batch(make_config(R=0), np.random.default_rng(9), 4)
+    assert np.all(bare[0] > 0.0)
+
+
+# ------------------------------------------------------------ effective gain
+
+def test_effective_gain_link_mapping():
+    # every lambda distinct and eta_c != eta_e, so a gain built from the
+    # wrong link's parameters cannot match the textbook construction
+    cfg = make_config(
+        R=3, eta_c=0.5, eta_e=0.25,
+        lambda_c=1.1, lambda_e=0.3, lambda_ce=1.7,
+        lambda_rc=0.9, lambda_gc=0.8, lambda_re=1.3,
+        lambda_ge=0.35, lambda_rce=0.6, lambda_gce=1.2,
+    )
+    t, z, w = _aligned(cfg, np.random.default_rng(31), 200)
+    rng = np.random.default_rng(31)
+    p_c, p_e, p_ce = (
+        rng.exponential(lam, size=200) for lam in (cfg.lambda_c, cfg.lambda_e, cfg.lambda_ce)
+    )
+    hops = [(cfg.lambda_gc, cfg.lambda_rc), (cfg.lambda_ge, cfg.lambda_re),
+            (cfg.lambda_gce, cfg.lambda_rce)]
+    q_c, q_e, q_ce = (np.zeros(200) for _ in hops)
+    # element by element, one |g||h| product per link in the order T, Z, W
+    for _ in range(3):
+        for q, (lam_g, lam_r) in zip((q_c, q_e, q_ce), hops):
+            g = np.sqrt(rng.exponential(lam_g, size=200))
+            h = np.sqrt(rng.exponential(lam_r, size=200))
+            q += g * h
+
+    np.testing.assert_allclose(t, p_c + (cfg.eta_c * q_c) ** 2, rtol=1e-15)
+    np.testing.assert_allclose(z, p_e + (cfg.eta_e * q_e) ** 2, rtol=1e-15)
+    np.testing.assert_allclose(w, p_ce + (cfg.eta_e * q_ce) ** 2, rtol=1e-15)
+
+
+def test_effective_gain_eta_zero_reduces_to_direct():
+    cfg = make_config(eta_c=0.0, eta_e=0.0)
+    gains = _aligned(cfg, np.random.default_rng(37), 64)
+    direct = _aligned(make_config(R=0), np.random.default_rng(37), 64)
+    for gain, power in zip(gains, direct, strict=True):
+        np.testing.assert_array_equal(gain, power)
+
+
+
+
+# ---------------------------------------------------------------------- psi
+
+def test_psi_exact_anchors():
+    # capacity equals rate exactly at beta, where the error probability is 1/2
+    assert psi_exact_vec(7.0, CODE_C) == pytest.approx(0.5, abs=1e-14)
+    assert psi_exact_vec(1.0, CODE_E) == pytest.approx(0.5, abs=1e-14)
+    assert psi_exact_vec(0.0, CODE_C) == 1.0
+    assert psi_exact_vec(1e9, CODE_C) == 0.0
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            psi_exact_vec(np.array([1.0, bad]), CODE_C)
+
+
+def test_psi_exact_monotone_and_bounded():
+    vals = psi_exact_vec(np.geomspace(1e-6, 1e4, 300), CODE_C)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+# (gamma, psi) for CODE_E, frozen from mpmath at 50 digits:
+# erfc((log2(1+g) - rate) / sqrt(V(g)/m) / sqrt(2)) / 2
+_PSI_REFERENCE = (
+    (1e-09, 1.0),
+    (0.1, 1.0),
+    (0.3, 0.9999999999921794),
+    (0.5, 0.9999432275574693),
+    (0.7, 0.9777662558924132),
+    (0.9, 0.7268272389974321),
+    (1.0, 0.5),
+    (1.1, 0.28949915887862665),
+    (1.3, 0.06033265063461206),
+    (1.6, 0.0022396099605963477),
+    (2.0, 8.51654848353687e-06),
+    (2.5, 2.6166018952635767e-09),
+    (3.0, 4.0695148989333603e-13),
+    (4.0, 4.306265733672078e-21),
+    (6.0, 5.087346284111937e-37),
+    (10.0, 5.41371985771503e-66),
+    (16.0, 2.9687589348207716e-102),
+    (25.0, 1.3146005120166958e-145),
+    (40.0, 7.936330560642077e-201),
+    (60.0, 2.249057369419233e-256),
+    (75.0, 4.571199912595138e-290),
+)
+
+
+def test_psi_exact_vec_reference_values():
+    grid, reference = (np.array(col) for col in zip(*_PSI_REFERENCE))
+    vec = psi_exact_vec(grid, CODE_E)
+    body = reference > 1e-12
+    np.testing.assert_allclose(vec[body], reference[body], rtol=1e-13, atol=0.0)
+    # the far tail (down to 1e-300) keeps nearly full relative accuracy
+    np.testing.assert_allclose(vec[~body], reference[~body], rtol=1e-12, atol=0.0)
+
+
+def test_psi_exact_vec_handles_zero_block():
+    out = psi_exact_vec(np.zeros(5), CODE_C)
+    assert out.tolist() == [1.0] * 5
+
+
+def _reference_q_arg(gl: np.ndarray, code: CodeSpec) -> np.ndarray:
+    """The Q argument (C - rate) / sqrt(V / m) at each SINR; -inf where 1 + gamma is 1."""
+    r = 1.0 + gl
+    cap = np.log2(r)
+    # r * r overflows past 1e154, and m / V divides by zero where V is 0
+    with np.errstate(over="ignore", divide="ignore"):
+        disp = (math.log2(math.e) ** 2) * (1.0 - 1.0 / (r * r))
+        return (cap - code.rate) * np.sqrt(code.m / disp)
+
+
+def _reference_psi_exact_vec(gamma, code: CodeSpec) -> np.ndarray:
+    """The two-pass psi that the in-place kernel replaced.
+
+    Every entry is evaluated in fresh temporaries, with the Q argument
+    clipped to [-38, 38] and the result to [0, 1].  Kept here as the
+    bitwise reference for the kernel.
+    """
+    g = np.asarray(gamma, dtype=np.float64)
+    if not np.all(g >= 0.0):
+        raise ValueError("SINR must be >= 0 and not NaN")
+    arg = np.clip(_reference_q_arg(g, code), -38.0, 38.0)
+    return np.clip(0.5 * scipy_erfc(arg / math.sqrt(2.0)), 0.0, 1.0)
+
+
+def _quiet_psi(gamma, code: CodeSpec) -> np.ndarray:
+    # the kernel must not warn on any valid input, overflow included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return psi_exact_vec(gamma, code)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# exact zeros (both signs), values so small that 1 + gamma rounds to 1 or
+# nearly so, the whole ordinary range, and values whose r * r overflows
+_SPECIAL_SINRS = np.array(
+    [0.0, -0.0, 1e-300, 1e-17, 1e-13, 1e-12, 2e-12, 1e-9, 1e-3, 0.5, 1.0,
+     7.0, 1e3, 1e9, 1e154, 1e200, 1e300, math.inf]
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    # at m = 1e12 and rate 1e-12, psi falls from 1 to 1/2 between SINRs
+    # 3e-15 and 7e-13, so the kernel and the reference must agree there too
+    [CODE_C, CODE_E, CodeSpec(m=37, bits=11), CodeSpec(m=2000, bits=6000),
+     CodeSpec(m=10**12, bits=1)],
+    ids=lambda c: f"m{c.m}-n{c.bits}",
+)
+def test_psi_kernel_matches_masked_reference_bitwise(code):
+    rng = np.random.default_rng(20261018)
+    _assert_same_bits(_quiet_psi(_SPECIAL_SINRS, code), _reference_psi_exact_vec(_SPECIAL_SINRS, code))
+    # the kernel does not clip the Q argument, the reference clips it at
+    # +-38.  SINRs whose Q argument lies in [37, 39] or [-39, -37] cover the
+    # clip and erfc's underflow band, where psi runs through the subnormals
+    # to 0 (Q argument 37.55 to 37.68).  At m = 1e12 the Q argument is
+    # negative only below SINR 7e-13, and there 1 + gamma rounds so coarsely
+    # that it jumps from -33 straight to -inf, never into [-39, -37]
+    grid = np.logspace(-12.0, 13.0, 250_001)
+    z = _reference_q_arg(grid, code)
+    high = grid[(37.0 <= z) & (z <= 39.0)]
+    low = grid[(-39.0 <= z) & (z <= -37.0)]
+    want_high = _reference_psi_exact_vec(high, code)
+    assert (want_high == 0.0).any()
+    assert ((0.0 < want_high) & (want_high < np.finfo(np.float64).tiny)).any()
+    assert low.size > 0 or code.m == 10**12
+    _assert_same_bits(_quiet_psi(high, code), want_high)
+    _assert_same_bits(_quiet_psi(low, code), _reference_psi_exact_vec(low, code))
+    for size in (1, 7, 64, 4096):
+        for _ in range(8):
+            # ordinary SINRs over twelve decades, salted with special values
+            g = 10.0 ** rng.uniform(-4.0, 8.0, size)
+            salt = rng.random(size) < 0.2
+            g[salt] = rng.choice(_SPECIAL_SINRS, salt.sum())
+            _assert_same_bits(_quiet_psi(g, code), _reference_psi_exact_vec(g, code))
+
+
+# (gamma, psi) at m = 1e12 and 1 bit, frozen from mpmath at 50 digits as
+# _PSI_REFERENCE is: psi falls from 1 to 1/2 below SINR 1e-12 here
+_PSI_LONG_CODE_REFERENCE = (
+    (2e-13, 0.78222631511478418),
+    (6e-13, 0.53388176766810815),
+    (9e-13, 0.43873430440410116),
+)
+
+
+def test_psi_exact_vec_follows_the_formula_at_tiny_sinrs():
+    # 1 + gamma keeps gamma only to a multiple of 2**-52, so the kernel is within
+    # 8.3e-5 of these values; a floor that set psi to 1 here reads 1.0
+    grid, reference = (np.array(col) for col in zip(*_PSI_LONG_CODE_REFERENCE))
+    got = _quiet_psi(grid, CodeSpec(m=10**12, bits=1))
+    assert got.tolist() == pytest.approx(reference.tolist(), rel=1e-3, abs=0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-13, 0.9, 7.0, 1e300, math.inf])
+def test_psi_kernel_zero_dim_input(gamma):
+    for code in (CODE_C, CODE_E):
+        for arg in (gamma, np.float64(gamma), np.array(gamma)):
+            got = _quiet_psi(arg, code)
+            assert got.shape == ()
+            _assert_same_bits(got, _reference_psi_exact_vec(gamma, code))
+
+
+def test_psi_kernel_empty_and_2d_input():
+    _assert_same_bits(_quiet_psi(np.empty(0), CODE_C), np.empty(0))
+    _assert_same_bits(_quiet_psi([], CODE_E), np.empty(0))
+    _assert_same_bits(_quiet_psi(np.empty((3, 0)), CODE_E), np.empty((3, 0)))
+    g = np.concatenate([_SPECIAL_SINRS, _SPECIAL_SINRS[::-1]]).reshape(4, 9)
+    for grid in (g, g.T, np.asfortranarray(g)):
+        for code in (CODE_C, CODE_E):
+            _assert_same_bits(_quiet_psi(grid, code), _reference_psi_exact_vec(grid, code))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, -1e-300, -1.0, -math.inf, [1.0, math.nan], [[1.0, 2.0], [-0.5, 3.0]],
+     [math.inf, math.nan, 0.0]],
+)
+def test_psi_kernel_refuses_negative_and_nan(bad):
+    with pytest.raises(ValueError, match="SINR must be >= 0 and not NaN"):
+        psi_exact_vec(bad, CODE_E)
+
+
+def _reference_metric_sums(gains, cfg: SystemConfig):
+    """_metric_sums with SC through its own psi call at max(g_e1, g_e2)."""
+    gain_t, gain_z, gain_w = gains
+    a_c_rho = cfg.alpha_c * cfg.rho_s
+    a_e_rho = cfg.alpha_e * cfg.rho_s
+    g_cc = a_c_rho * gain_t
+    g_ce = a_e_rho * gain_t / (a_c_rho * gain_t + 1.0)
+    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+    g_e2 = cfg.rho_c * gain_w
+    eps_cc = _reference_psi_exact_vec(g_cc, cfg.code_c)
+    eps_ce = _reference_psi_exact_vec(g_ce, cfg.code_e)
+    eps_e1 = _reference_psi_exact_vec(g_e1, cfg.code_e)
+    eps_e2 = _reference_psi_exact_vec(g_e2, cfg.code_e)
+    cu = eps_ce + eps_cc - eps_ce * eps_cc
+    relay_ok = 1.0 - eps_ce
+    sc = eps_ce * eps_e1 + relay_ok * _reference_psi_exact_vec(np.maximum(g_e1, g_e2), cfg.code_e)
+    mrc = eps_ce * eps_e1 + relay_ok * _reference_psi_exact_vec(g_e1 + g_e2, cfg.code_e)
+    cols = (cu, sc, mrc, eps_cc, eps_ce, eps_e1, eps_e2)
+    return (
+        np.array([float(np.sum(c)) for c in cols]),
+        np.array([float(np.sum(c * c)) for c in cols]),
+    )
+
+
+def test_sc_column_equals_psi_of_max_with_ties():
+    # the reference rho_c = 1 makes g_e2 equal to gain_w, so copying g_e1
+    # into gain_w ties the two CEU branches exactly on a quarter of the
+    # trials; zeros tie them below the floor
+    cfg = REFERENCE
+    rng = np.random.default_rng(5)
+    n = 4096
+    gain_t, gain_z, gain_w = (rng.exponential(3.0, n) for _ in range(3))
+    a_c_rho, a_e_rho = cfg.alpha_c * cfg.rho_s, cfg.alpha_e * cfg.rho_s
+    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+    gain_w[: n // 4] = g_e1[: n // 4]
+    gain_z[-8:] = gain_w[-8:] = 0.0
+    g_e1 = a_e_rho * gain_z / (a_c_rho * gain_z + 1.0)
+    ties = g_e1 == cfg.rho_c * gain_w
+    assert ties.sum() == n // 4 + 8
+
+    sums, sqsums = _metric_sums((gain_t, gain_z, gain_w), cfg)
+    want_sums, want_sqsums = _reference_metric_sums((gain_t, gain_z, gain_w), cfg)
+    assert sums.tobytes() == want_sums.tobytes()
+    assert sqsums.tobytes() == want_sqsums.tobytes()
+
+
+def test_surrogate_gap_frozen():
+    # worst-case |exact - linear| over a dense grid around the ramp; these
+    # levels are what the closed-form averages inherit as model error
+    for code, frozen in ((CODE_C, 0.1191291566608661), (CODE_E, 0.1241343776705385)):
+        grid = np.linspace(max(code.v - 1.0, 0.0), code.u + 1.0, 20001)
+        linear = np.clip(0.5 - (grid - code.beta) / (code.u - code.v), 0.0, 1.0)
+        gap = np.abs(psi_exact_vec(grid, code) - linear).max()
+        assert gap == pytest.approx(frozen, abs=2e-3)
+        assert gap < 0.15
 
 
 # -------------------------------------------------------------- determinism
@@ -712,6 +1267,28 @@ def test_fig5_shares_draws_and_one_pool(tmp_path, monkeypatch):
     assert cli.cmd_fig("fig5", str(tmp_path / "fig5_serial.csv"), 8192, 1234) == 0
     assert draws == [(CHUNK_TRIALS, 8, list(range(1, 9)))] * 2
     assert (tmp_path / "fig5.csv").read_bytes() == (tmp_path / "fig5_serial.csv").read_bytes()
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # run_points sizes its pool by min(worker cap, tasks): no task and one
+    # chunk start no pool, and two chunks start two workers under a cap of 8
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("RISNOMA_WORKERS", "8")
+    cfg = make_config()
+    assert run_points([], CHUNK_TRIALS, 1) == []
+    run_points([cfg], CHUNK_TRIALS, 1)
+    assert pools == []
+    pooled = run_points([cfg], 2 * CHUNK_TRIALS, 1)
+    assert pools == [2]
+    monkeypatch.setenv("RISNOMA_WORKERS", "1")
+    assert pooled == run_points([cfg], 2 * CHUNK_TRIALS, 1)
 
 
 def test_chunk_memory_does_not_grow_with_the_element_count():

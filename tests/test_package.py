@@ -2,8 +2,8 @@
 each submodule exports only its own names, and its docstring lists exactly
 those; every public entry point refuses a value of the wrong kind by name;
 the README lists every config key and every package export, and every
-risnoma name it cites resolves; and the literal pool that src lends
-Hypothesis's draws is pinned."""
+risnoma name it cites resolves; each test module names the module it tests;
+and the literal pool that src lends Hypothesis's draws is pinned."""
 
 import ast
 import functools
@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import math
+import pkgutil
 import re
 import warnings
 from dataclasses import fields, replace
@@ -290,6 +291,15 @@ def test_channel_is_the_leaf_that_holds_the_shared_model():
     assert CodeSpec.__module__ == "risnoma.channel"
     assert psi_exact_vec.__module__ == "risnoma.montecarlo"
     assert [name for name in _imports(channel) if name.startswith(("risnoma", "scipy"))] == []
+
+
+def test_each_test_module_names_the_module_it_tests():
+    # tests/test_<m>.py tests risnoma.<m>; only the acceptance checks and
+    # this suite span modules
+    package = importlib.import_module("risnoma")
+    known = {m.name for m in pkgutil.iter_modules(package.__path__)} | {"acceptance", "package"}
+    stems = sorted(p.stem.removeprefix("test_") for p in (_ROOT / "tests").glob("test_*.py"))
+    assert [stem for stem in stems if stem not in known] == []
 
 
 def test_each_part_lives_with_the_path_that_uses_it():
