@@ -23,7 +23,9 @@ model's floor psi(alpha_e/alpha_c) = 0.41 and far from 0.9.
 Criterion 4 is expected to fail against this implementation, at 5, 10 and
 15 dB only.  There the closed form exceeds the exact-law average at R = 8
 (closed/true about 1.02, 9.2 and 154; at 0 dB it is 0.29, so the bound
-holds).  The cause is the moment-matched gamma fit of the cascaded sum:
+holds).  The main cause is not the moment-matched gamma fit's tail but a
+factor 1/b that `analytic.effective_gain_cdf` leaves out of the gamma
+density, which makes the closed-form gain CDF too large (ROADMAP item 12):
 the same midpoint expression on the exact cascade law stays below the true
 average at every grid point.  The paper derives the expression as a lower
 bound under the gamma fit; the check holds it to the true average.

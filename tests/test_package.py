@@ -2,8 +2,9 @@
 each submodule exports only its own names, and its docstring lists exactly
 those; every public entry point refuses a value of the wrong kind by name;
 the README lists every config key and every package export, and every
-risnoma name it cites resolves; each test module names the module it tests;
-and the literal pool that src lends Hypothesis's draws is pinned."""
+risnoma name it cites resolves; each test module names the module it tests
+and imports the private names of no other; and the literal pool that src
+lends Hypothesis's draws is pinned."""
 
 import ast
 import functools
@@ -244,9 +245,9 @@ def test_perfbench_preset_pins_hold(tmp_path, monkeypatch, capsys):
     assert got == workloads._PRESETS
 
 
-def _imports(module) -> set[str]:
-    # the dotted names of the modules and objects a src module imports
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+def _imports(path) -> set[str]:
+    # the dotted names of the modules and objects a source file imports
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -276,10 +277,10 @@ def test_each_evaluation_path_keeps_its_own_parts():
         name: mod.__name__ for name, mod in homes.items()
     }
     assert [name for name in homes if hasattr(channel, name)] == []
-    assert not any(name.startswith("risnoma.montecarlo") for name in _imports(analytic))
-    assert not any(name.startswith("risnoma.analytic") for name in _imports(montecarlo))
+    assert not any(name.startswith("risnoma.montecarlo") for name in _imports(analytic.__file__))
+    assert not any(name.startswith("risnoma.analytic") for name in _imports(montecarlo.__file__))
     modules = [importlib.import_module(name) for name in _MODULES]
-    assert [name for mod in modules for name in _imports(mod) if "._sample_" in name] == []
+    assert [name for mod in modules for name in _imports(mod.__file__) if "._sample_" in name] == []
 
 
 def test_channel_is_the_leaf_that_holds_the_shared_model():
@@ -290,7 +291,7 @@ def test_channel_is_the_leaf_that_holds_the_shared_model():
     assert importlib.util.find_spec("risnoma.fbl") is None
     assert CodeSpec.__module__ == "risnoma.channel"
     assert psi_exact_vec.__module__ == "risnoma.montecarlo"
-    assert [name for name in _imports(channel) if name.startswith(("risnoma", "scipy"))] == []
+    assert [name for name in _imports(channel.__file__) if name.startswith(("risnoma", "scipy"))] == []
 
 
 def test_each_test_module_names_the_module_it_tests():
@@ -300,6 +301,22 @@ def test_each_test_module_names_the_module_it_tests():
     known = {m.name for m in pkgutil.iter_modules(package.__path__)} | {"acceptance", "package"}
     stems = sorted(p.stem.removeprefix("test_") for p in (_ROOT / "tests").glob("test_*.py"))
     assert [stem for stem in stems if stem not in known] == []
+
+
+def test_each_test_module_reaches_only_into_its_own_module():
+    # tests/test_<m>.py imports private names from risnoma.<m> alone, so a
+    # test of another module's internals lives beside that module's tests
+    strays = []
+    for path in sorted((_ROOT / "tests").glob("test_*.py")):
+        stem = path.stem.removeprefix("test_")
+        if stem in ("acceptance", "package"):
+            continue
+        own = f"risnoma.{stem}"
+        for name in sorted(_imports(path)):
+            module, _, attr = name.rpartition(".")
+            if module.startswith("risnoma") and module != own and attr.startswith("_"):
+                strays.append(f"{path.name}: {name}")
+    assert strays == []
 
 
 def test_each_part_lives_with_the_path_that_uses_it():
