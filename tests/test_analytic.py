@@ -426,6 +426,14 @@ def test_avg_psi_frozen_reference_values():
     assert avg_psi(E2, cfg, 1.0) == pytest.approx(7.196283958498745e-07, rel=1e-12, abs=0)
 
 
+def test_avg_psi_saturated_step_is_exactly_one():
+    # with beta at 3 and near-even power split the ce step's SINR can never
+    # reach its threshold, so its average error probability is exactly 1
+    cfg = make_config(alpha_c=0.49, code_e=CodeSpec(m=100, bits=200))
+    assert cfg.alpha_e / cfg.alpha_c < cfg.code_e.beta
+    assert avg_psi(CE, cfg, 1.0) == 1.0
+
+
 @pytest.mark.parametrize(
     "alpha_c, code_e",
     [(0.46, REFERENCE.code_e), (0.49, REFERENCE.code_e), (0.45, CodeSpec(m=2, bits=1))],
@@ -611,7 +619,7 @@ def test_avg_blers_is_one_when_the_sinr_scale_underflows():
 
 
 @pytest.mark.parametrize("eta", ["eta_c", "eta_e"])
-def test_subnormal_eta_gives_finite_closed_forms(eta):
+def test_closed_forms_refuse_a_nan_gain_cdf(eta):
     # a subnormal eta once overflowed sqrt(t)/eta in the gain CDF's
     # quadrature to a NaN, printed as BLER 0 and later refused; the rule
     # now stops at the gamma tail, so the averages are finite, silently

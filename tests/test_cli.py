@@ -431,7 +431,7 @@ def test_link_mean_past_the_bound_exits_2(tmp_path, capsys, raw, value):
 
 @pytest.mark.parametrize("eta", ["eta_c", "eta_e"])
 @pytest.mark.parametrize("command", ["run", "compare", "analytic"])
-def test_subnormal_eta_gives_finite_closed_forms_in_every_command(tmp_path, capsys, command, eta):
+def test_nan_gain_cdf_exits_2_with_the_kernels_reason(tmp_path, capsys, command, eta):
     # a subnormal eta once printed closed-form BLERs of 0 with three numpy
     # warnings, and later exited 2 on the gain CDF's NaN; the CDF's rule
     # now stops at the gamma tail, so every command gives finite closed forms

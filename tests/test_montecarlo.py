@@ -915,6 +915,12 @@ def test_stderr_shrinks_like_root_n():
 
 # ------------------------------------------------------------ physics checks
 
+def test_mrc_never_exceeds_sc():
+    cfg = make_config(rho_s=1.0, rho_c=0.1)
+    est = run_trials(cfg, 20_000, 11)
+    assert est["ceu_mrc"].mean <= est["ceu_sc"].mean
+
+
 @settings(max_examples=100)
 @given(
     st.floats(min_value=0.0, max_value=50.0),
