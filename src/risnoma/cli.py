@@ -288,7 +288,7 @@ _R_GRID = tuple(range(1, 9))
 
 
 # each preset's runs: (axis, values, model keys, suffix) tuples
-_PRESETS = {
+PRESETS = {
     "fig2": [("rho_s_db", _DB_GRID, {}, "")],
     "fig3": [
         ("rho_s_db", _DB_GRID, {}, ""),
@@ -307,7 +307,7 @@ _PRESETS = {
 
 
 def cmd_fig(preset: str, out_path: str, trials: int, seed: int) -> int:
-    points = [point for run in _PRESETS[preset] for point in _expand(*run)]
+    points = [point for run in PRESETS[preset] for point in _expand(*run)]
     return cmd_run(RunConfig(points, trials, seed), out_path)
 
 
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True)
 
     p_fig = sub.add_parser("fig", help="reproduce a reference figure as CSV")
-    p_fig.add_argument("--preset", required=True, choices=tuple(_PRESETS))
+    p_fig.add_argument("--preset", required=True, choices=tuple(PRESETS))
     p_fig.add_argument("--out", required=True)
     p_fig.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
     p_fig.add_argument("--seed", type=int, default=_DEFAULT_SEED)

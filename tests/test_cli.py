@@ -387,6 +387,16 @@ def test_sweep_partial_failure_is_counted(tmp_path, capsys):
     assert "[alpha_c=0.1]" in captured.out and "[alpha_c=0.6]" not in captured.out
 
 
+def test_sweep_records_per_point_errors_and_continues():
+    pts = cli._expand("alpha_c", [0.1, 0.6, 0.2], {}, "")
+    assert [isinstance(p.cfg, SystemConfig) for p in pts] == [True, False, True]
+    assert "alpha_c" in pts[1].cfg
+    kept = cli._kept(pts, closed_forms=False)
+    ran = run_points([p.cfg for p in kept], 4096, 8)
+    assert [p.value for p in kept] == [0.1, 0.2]
+    assert all(set(est) >= {"cu", "ceu_sc", "ceu_mrc"} for est in ran)
+
+
 def test_overflowing_sweep_point_prints_no_numpy_warning(tmp_path):
     # the SINRs overflow in the pool workers, whose stderr is the CLI's; the
     # point simulates to its ceiling floor like any other
@@ -431,7 +441,7 @@ def test_link_mean_past_the_bound_exits_2(tmp_path, capsys, raw, value):
 
 @pytest.mark.parametrize("eta", ["eta_c", "eta_e"])
 @pytest.mark.parametrize("command", ["run", "compare", "analytic"])
-def test_nan_gain_cdf_exits_2_with_the_kernels_reason(tmp_path, capsys, command, eta):
+def test_subnormal_eta_gives_finite_closed_forms_in_every_command(tmp_path, capsys, command, eta):
     # a subnormal eta once printed closed-form BLERs of 0 with three numpy
     # warnings, and later exited 2 on the gain CDF's NaN; the CDF's rule
     # now stops at the gamma tail, so every command gives finite closed forms

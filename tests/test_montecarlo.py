@@ -65,6 +65,13 @@ def make_config(**overrides) -> SystemConfig:
     return replace(REFERENCE, **overrides)
 
 
+def _sweep_cfgs(axis, values, keys, *_) -> list:
+    # the configs of a sweep over the model keys, as the CLI builds them; a
+    # preset's run ends in its source suffix, which no config carries
+    raw = {**keys, "sweep": {"axis": axis, "values": list(values)}}
+    return [p.cfg for p in cli.parse_config(raw).points]
+
+
 def _aligned(cfg, rng, n):
     """The aligned sampler's (T, Z, W) at cfg.R."""
     return dict(_sample_aligned_batch(cfg, rng, n, counts=[cfg.R]))[cfg.R]
@@ -646,7 +653,7 @@ def test_fig3_baseline_is_a_prefix_of_the_aligned_draw(draws, monkeypatch):
     # fig3's no-surface baseline is its aligned sweep at R = 0: the same
     # links, so its gains are the zero-element prefix of the aligned draw,
     # and the 22 points make one draw per chunk
-    points = [p.cfg for run in cli._PRESETS["fig3"] for p in cli._expand(*run)]
+    points = [cfg for run in cli.PRESETS["fig3"] for cfg in _sweep_cfgs(*run)]
     assert len(points) == 22 and {cfg.R for cfg in points} == {0, 8}
     counts = []
     sample = montecarlo._sample_aligned_batch
@@ -689,12 +696,7 @@ def _estimate_digest(results) -> str:
 
 def _fig_points() -> list:
     # every config of the fig2..fig6 presets, in preset order
-    return [
-        p.cfg
-        for runs in cli._PRESETS.values()
-        for run in runs
-        for p in cli._expand(*run)
-    ]
+    return [cfg for runs in cli.PRESETS.values() for run in runs for cfg in _sweep_cfgs(*run)]
 
 
 # A change meant to keep the random draws and the float operations must keep
@@ -915,12 +917,6 @@ def test_stderr_shrinks_like_root_n():
 
 # ------------------------------------------------------------ physics checks
 
-def test_mrc_never_exceeds_sc():
-    cfg = make_config(rho_s=1.0, rho_c=0.1)
-    est = run_trials(cfg, 20_000, 11)
-    assert est["ceu_mrc"].mean <= est["ceu_sc"].mean
-
-
 @settings(max_examples=100)
 @given(
     st.floats(min_value=0.0, max_value=50.0),
@@ -1051,8 +1047,8 @@ def test_step_averages_match_their_exact_law_integrals(surface, data):
 def _axis_cfg(axis, value, keys=None):
     # the config of one sweep point over the given model keys (the reference
     # defaults, make_config(), if none), as the CLI builds it
-    (point,) = cli._expand(axis, [value], keys or {}, "")
-    return point.cfg
+    (cfg,) = _sweep_cfgs(axis, [value], keys or {})
+    return cfg
 
 
 def _axis_points(axis, values, **overrides):
@@ -1068,18 +1064,8 @@ def test_single_value_sweep_matches_run_trials():
         assert got[0][key].mean == direct[key].mean
 
 
-def test_sweep_records_per_point_errors_and_continues():
-    pts = cli._expand("alpha_c", [0.1, 0.6, 0.2], {}, "")
-    assert [isinstance(p.cfg, SystemConfig) for p in pts] == [True, False, True]
-    assert "alpha_c" in pts[1].cfg
-    kept = cli._kept(pts, closed_forms=False)
-    ran = run_points([p.cfg for p in kept], 4096, 8)
-    assert [p.value for p in kept] == [0.1, 0.2]
-    assert all(set(est) >= {"cu", "ceu_sc", "ceu_mrc"} for est in ran)
-
-
 def test_sweep_records_overflowing_db_value_as_point_error():
-    pts = cli._expand("rho_s_db", [1e308], {}, "")
+    pts = cli.parse_config({"sweep": {"axis": "rho_s_db", "values": [1e308]}}).points
     assert "rho_s must be finite" in pts[0].cfg
 
 

@@ -3,7 +3,7 @@ each submodule exports only its own names, and its docstring lists exactly
 those; every public entry point refuses a value of the wrong kind by name;
 the README lists every config key and every package export, and every
 risnoma name it cites resolves; each test module names the module it tests
-and imports the private names of no other; and the literal pool that src
+and reaches the private names of no other; and the literal pool that src
 lends Hypothesis's draws is pinned."""
 
 import ast
@@ -245,18 +245,19 @@ def test_perfbench_preset_pins_hold(tmp_path, monkeypatch, capsys):
     assert got == workloads._PRESETS
 
 
-def _imports(path) -> set[str]:
-    # the dotted names of the modules and objects a source file imports
+def _imports(path) -> dict[str, str]:
+    # the dotted names of the modules and objects a source file imports, each
+    # with the name it binds (an unaliased dotted import keeps its dots)
     tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    names = set()
+    names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names |= {alias.name for alias in node.names}
+            names |= {alias.name: alias.asname or alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
                 base = f"risnoma.{base}" if base else "risnoma"
-            names |= {f"{base}.{alias.name}" for alias in node.names}
+            names |= {f"{base}.{alias.name}": alias.asname or alias.name for alias in node.names}
     return names
 
 
@@ -304,18 +305,31 @@ def test_each_test_module_names_the_module_it_tests():
 
 
 def test_each_test_module_reaches_only_into_its_own_module():
-    # tests/test_<m>.py imports private names from risnoma.<m> alone, so a
-    # test of another module's internals lives beside that module's tests
+    # tests/test_<m>.py imports private names from risnoma.<m> alone, and
+    # reads none as an attribute of another risnoma module, so a test of
+    # another module's internals lives beside that module's tests
+    package = importlib.import_module("risnoma")
+    modules = {f"risnoma.{m.name}" for m in pkgutil.iter_modules(package.__path__)}
     strays = []
     for path in sorted((_ROOT / "tests").glob("test_*.py")):
         stem = path.stem.removeprefix("test_")
         if stem in ("acceptance", "package"):
             continue
         own = f"risnoma.{stem}"
-        for name in sorted(_imports(path)):
+        imported = _imports(path)
+        for name in sorted(imported):
             module, _, attr = name.rpartition(".")
             if module.startswith("risnoma") and module != own and attr.startswith("_"):
                 strays.append(f"{path.name}: {name}")
+        others = {bound: name for name, bound in imported.items() if name in modules - {own}}
+        reaches = [
+            node
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in others and node.attr.startswith("_")
+        ]
+        for node in sorted(reaches, key=lambda node: (node.lineno, node.col_offset)):
+            strays.append(f"{path.name}:{node.lineno}: {others[node.value.id]}.{node.attr}")
     assert strays == []
 
 
