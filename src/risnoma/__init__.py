@@ -5,8 +5,9 @@ Two independent evaluation paths over the same system model:
 
 - closed forms (`risnoma.analytic`): a moment-matched gamma approximation
   of the cascaded surface link feeds per-decoding-step SINR CDFs, and the
-  linearized finite-blocklength error model collapses every average BLER
-  to a single CDF evaluation;
+  linearized finite-blocklength error model makes each step average one CDF
+  call on an array of thresholds: the code's beta, or, for a SIC step whose
+  ceiling lies inside the knee window, the quadrature nodes up to it;
 - simulation (`risnoma.montecarlo`): seeded, chunk-deterministic Monte
   Carlo averaging the exact finite-blocklength error model per trial.
 

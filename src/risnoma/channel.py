@@ -22,7 +22,8 @@ Provides:
                                   every omitted config key from it
     Link                       -- mean powers and surface gain of one link
     links                      -- the T, Z and W links of a config
-    SinrKind, CC, CE, E1, E2   -- the decoding steps: link, code, SINR map, ceiling
+    SinrKind, CC, CE, E1, E2   -- the four decoding steps, an Enum whose value is the
+                                  step's tag: link, code, SINR map, ceiling
 """
 from __future__ import annotations
 
@@ -268,40 +269,34 @@ def links(cfg: SystemConfig) -> tuple[Link, Link, Link]:
     )
 
 
-@dataclass(frozen=True)
-class SinrKind:
-    """One decoding step: its link, its code and its gain-to-SINR map both ways.
+class SinrKind(Enum):
+    """One decoding step, whose value is its tag: its link, its code and its
+    gain-to-SINR map both ways."""
 
-    tag: "cc" (CU decodes its own data after SIC), "ce" (CU decodes the
-    edge user's data), "e1" (CEU decodes the direct phase), "e2" (CEU
-    decodes the relayed phase).
-    """
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("cc", "ce", "e1", "e2"):
-            raise ValueError(f"unknown SINR kind {self.tag!r}")
+    CC = "cc"  # CU decodes its own data after SIC
+    CE = "ce"  # CU decodes the edge user's data
+    E1 = "e1"  # CEU decodes the direct phase
+    E2 = "e2"  # CEU decodes the relayed phase
 
     @property
     def link(self) -> int:
         """Index into links(cfg) of the gain X under this step's SINR."""
-        return {"cc": 0, "ce": 0, "e1": 1, "e2": 2}[self.tag]
+        return {"cc": 0, "ce": 0, "e1": 1, "e2": 2}[self.value]
 
     def code(self, cfg: SystemConfig) -> CodeSpec:
-        return cfg.code_c if self.tag == "cc" else cfg.code_e
+        return cfg.code_c if self.value == "cc" else cfg.code_e
 
     def ceiling(self, cfg: SystemConfig) -> float:
         """The SINR's least upper bound: ce and e1 decode under the CU's share."""
-        return cfg.alpha_e / cfg.alpha_c if self.tag in ("ce", "e1") else math.inf
+        return cfg.alpha_e / cfg.alpha_c if self.value in ("ce", "e1") else math.inf
 
     def sinr(self, gain, cfg: SystemConfig):
         """SINR at gain X (float or array): alpha_c rho_s X (cc), rho_c X
         (e2), alpha_e rho_s X / (alpha_c rho_s X + 1) (ce, e1).  A SIC
         ratio is capped at its ceiling, its limit, also where overflow makes
         it NaN."""
-        if self.tag in ("cc", "e2"):
-            return (cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c) * gain
+        if self.value in ("cc", "e2"):
+            return (cfg.alpha_c * cfg.rho_s if self.value == "cc" else cfg.rho_c) * gain
         ratio = cfg.alpha_e * cfg.rho_s * gain / (cfg.alpha_c * cfg.rho_s * gain + 1.0)
         return np.fmin(ratio, self.ceiling(cfg))
 
@@ -315,8 +310,8 @@ class SinrKind:
         # the ceiling, and where the rounded SIC room reaches 0 a few ulps
         # below it; a room of a few subnormals overflows the threshold to inf
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.tag in ("cc", "e2"):
-                room = cfg.alpha_c * cfg.rho_s if self.tag == "cc" else cfg.rho_c
+            if self.value in ("cc", "e2"):
+                room = cfg.alpha_c * cfg.rho_s if self.value == "cc" else cfg.rho_c
             else:
                 room = np.where(
                     w < self.ceiling(cfg), cfg.alpha_e * cfg.rho_s - cfg.alpha_c * cfg.rho_s * w, 0.0
@@ -324,5 +319,5 @@ class SinrKind:
             return np.divide(w, room, out=np.full_like(w, math.inf), where=room > 0.0)[()]
 
 
-CC, CE, E1, E2 = (SinrKind(tag) for tag in ("cc", "ce", "e1", "e2"))
+CC, CE, E1, E2 = SinrKind
 

@@ -6,6 +6,7 @@ Provides:
     load_config   -- JSON file -> RunConfig with defaults and strict key checks
     parse_config  -- the same from an already decoded JSON object
     cmd_run       -- one sweep (or single point) -> CSV
+    PRESETS       -- each figure preset's runs: (axis, values, model keys, suffix) tuples
     cmd_fig       -- presets fig2..fig6 reproducing the reference curves -> CSV
     cmd_compare   -- analytic vs Monte Carlo report with PASS/FAIL/SKIP verdicts
     cmd_analytic  -- closed forms only, no simulation

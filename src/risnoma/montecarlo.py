@@ -56,8 +56,8 @@ import numpy as np
 from scipy.special import erfc as _erfc_vec
 
 from .channel import (
-    CC, CE, E1, E2, CodeSpec, ScenarioKind, SystemConfig, _as_instance, _as_int, _as_thresholds, _echo,
-    links,
+    CC, CE, E1, E2, CodeSpec, ScenarioKind, SinrKind, SystemConfig, _as_instance, _as_int,
+    _as_thresholds, _echo, links,
 )
 
 __all__ = [
@@ -70,8 +70,7 @@ __all__ = [
 CHUNK_TRIALS = 4096
 _BATCH_TASKS = 16  # most chunk tasks per process-pool message
 
-_STEPS = (CC, CE, E1, E2)
-_METRICS = ("cu", "ceu_sc", "ceu_mrc") + tuple(step.tag for step in _STEPS)
+_METRICS = ("cu", "ceu_sc", "ceu_mrc") + tuple(step.value for step in SinrKind)
 _L = math.log(4.0 / 1e-3)  # ln(4/delta): an interval misses with probability <= 1e-3
 
 

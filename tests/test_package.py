@@ -1,7 +1,8 @@
 """Every name a module exports through __all__, or the benchmark traces, exists;
 each submodule exports only its own names, and its docstring lists exactly
-those; every public entry point refuses a value of the wrong kind by name;
-the README lists every config key and every package export, and every
+those (cli's, which has no __all__, the names it defines without a leading
+underscore); every public entry point refuses a value of the wrong kind by
+name; the README lists every config key and every package export, and every
 risnoma name it cites resolves; each test module names the module it tests
 and reaches the private names of no other; and the literal pool that src
 lends Hypothesis's draws is pinned."""
@@ -52,6 +53,18 @@ def test_every_exported_name_exists(module):
     assert missing == []
     if module != "risnoma":
         assert _provided(mod.__doc__) == mod.__all__
+
+
+def test_cli_docstring_lists_every_public_name():
+    # cli has no __all__, so its docstring lists exactly the names it
+    # defines without a leading underscore
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    ]
+    assert sorted(_provided(cli.__doc__)) == sorted(name for name in defined if not name.startswith("_"))
 
 
 def test_submodules_export_only_their_own_names():
@@ -337,7 +350,7 @@ def test_each_part_lives_with_the_path_that_uses_it():
     # the step table holds the four steps both paths run, with no doubled
     # flag: the MRC bound forms its 2*SINR in analytic.  The Monte Carlo
     # interval is a property of the estimate, not a cli helper
-    assert [f.name for f in fields(SinrKind)] == ["tag"]
+    assert [kind.value for kind in SinrKind] == ["cc", "ce", "e1", "e2"]
     assert isinstance(BlerEstimate.half_width, property)
     assert not hasattr(cli, "_half_width")
 
